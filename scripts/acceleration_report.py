@@ -10,7 +10,7 @@ median wall-time speedup of the accelerated node solve.
 import argparse
 import sys
 
-from cimfem.bench import accel_deviation, build_problem, iar, timing_compare
+from cimfem.bench import accel_compare, build_problem
 
 
 def main() -> int:
@@ -24,18 +24,10 @@ def main() -> int:
     args = ap.parse_args()
 
     bp = build_problem(args.example, args.beta, args.m)
-    print("n_interp,deviation,iar")
+    print("n_interp,deviation,iar,speedup")
     for n in (int(x) for x in args.n_interp.split(",")):
-        dev = accel_deviation(bp, args.n, n, args.t)
-        rate = iar(bp, args.n, n, args.t)
-        print(f"{n},{dev:.4E},{rate:.4E}")
-    t_plain, t_accel, speedup = timing_compare(
-        args.example, args.beta, args.n, args.m, 10, args.t
-    )
-    print(
-        f"# wall: plain {t_plain * 1e3:.1f} ms, accelerated {t_accel * 1e3:.1f} ms, "
-        f"speedup {speedup:.2f}x (n_interp = 10)"
-    )
+        dev, rate, t_plain, t_accel = accel_compare(bp, args.n, n, args.t)
+        print(f"{n},{dev:.4E},{rate:.4E},{t_plain / t_accel:.2f}")
     return 0
 
 

@@ -11,7 +11,6 @@ import csv
 import sys
 
 from cimfem.bench import ContourDefaults, build_problem
-from cimfem.cim import solve_and_evaluate
 
 
 def main() -> int:
@@ -31,7 +30,7 @@ def main() -> int:
             bp = build_problem("ex1_scalar", beta, 4, cd)
             t = 0.6 * lam * cd.t0
             for n in range(10, args.n_max + 1, 10):
-                (val,) = solve_and_evaluate(bp.problem, n, (t,))
+                val = bp.run(n).solve(t)
                 writer.writerow([beta, lam, n, t, f"{abs(val - bp.exact(t)):.4E}"])
     if out is not sys.stdout:
         out.close()

@@ -50,10 +50,9 @@ from .cim import (
     evaluate,
     predicted_interp_decay,
     problem_parameters,
-    solve_and_evaluate,
     solve_nodes,
     solve_nodes_accelerated,
 )
-from .bench import BenchError, ContourDefaults, ErrorReport, ExperimentSpec, build_problem, run
+from .bench import BenchError, ContourDefaults, ContourRun, ErrorReport, ExperimentSpec, build_problem, run
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,7 +7,8 @@ configurations of varying smoothness, and the acceleration comparison.
 Temporal errors are measured against either the exact solution or a
 reference contour solution with N_ref nodes on the same mesh; spatial
 errors against the exact solution or the halved-mesh solution via P1
-prolongation.
+prolongation.  Every solve goes through one ``ContourRun`` per
+(problem, N).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .cim import (
+    Discretization,
     Problem,
     ScalarDomain,
     discretize,
@@ -31,7 +33,11 @@ from .cim import (
     solve_nodes,
     solve_nodes_accelerated,
 )
-from .contour import quadrature_nodes
+from .contour import ContourConfig, quadrature_nodes
+
+# ``assemble`` is not called in this module.  It stays one of its names
+# because perfbench/tracing.py wraps cross-layer calls by module attribute
+# name and expects ``cimfem.bench.assemble``.
 from .fem import (
     InitialData1D,
     InitialData2D,
@@ -66,13 +72,12 @@ CSV_HEADER = ["example", "beta", "N", "M", "n", "t", "error", "order", "iar", "w
 
 @dataclass(frozen=True)
 class ContourDefaults:
-    """Contour-optimizer settings shared by every benchmark run."""
+    """Contour shape, time window and normal-diffusion coefficient of every benchmark run."""
 
-    alpha: float = 0.6767
-    delta_prime: float = 0.1023
-    d_margin: float = 0.5
-    t0: float = 0.1
-    lambda_ratio: float = 10.0
+    alpha: float = ContourConfig.alpha
+    delta_prime: float = ContourConfig.delta_prime
+    t0: float = ContourConfig.t0
+    lambda_ratio: float = ContourConfig.lambda_ratio
     K: float = 1.0
 
 
@@ -104,10 +109,44 @@ class ExperimentSpec:
             raise BenchError(f"unknown reference {self.reference!r}")
 
 
+class ContourRun:
+    """The contour pipeline for one problem at one node count N.
+
+    The discretization (built unless given), the optimized contour
+    parameters and the quadrature are made once.  ``solve`` serves the
+    plain solution (N node systems) and the accelerated one (n + 1
+    systems), each evaluated at every requested time from one set of node
+    values.  Keyword arguments set the contour shape (``alpha``,
+    ``delta_prime``) as in ``standard_parameters``.
+    """
+
+    def __init__(self, p: Problem, N: int, disc: Discretization | None = None, **contour_kw) -> None:
+        self.problem = p
+        self.disc = discretize(p) if disc is None else disc
+        self.params = problem_parameters(p, N, **contour_kw)
+        self.quad = quadrature_nodes(self.params, N)
+        self.window = (p.t0, p.lambda_ratio * p.t0)
+
+    def solve(self, times, n: int | None = None):
+        """Solution at ``times``: plain, or from ``n + 1`` Chebyshev solves when ``n`` is given."""
+        if n is None:
+            ns = solve_nodes(self.problem, self.quad, self.disc)
+        else:
+            ns = solve_nodes_accelerated(self.problem, self.params, self.quad, n, self.disc)
+        return evaluate(ns, times, self.window)
+
+
 @dataclass(frozen=True)
 class BuiltProblem:
     problem: Problem
     exact: Callable | None  # exact(t) scalar / exact(x, t) 1-D / exact(x, y, t) 2-D
+    contour: ContourDefaults
+
+    def run(self, N: int, disc: Discretization | None = None) -> ContourRun:
+        """The contour run at N nodes with this problem's contour shape."""
+        return ContourRun(
+            self.problem, N, disc, alpha=self.contour.alpha, delta_prime=self.contour.delta_prime
+        )
 
 
 def build_problem(example_id: str, beta: float, M: int, cd: ContourDefaults = ContourDefaults()) -> BuiltProblem:
@@ -124,7 +163,7 @@ def build_problem(example_id: str, beta: float, M: int, cd: ContourDefaults = Co
             )
         )
         p = Problem(sym=sym, domain=ScalarDomain(1.0), u0=1.0, source=src, **common)
-        return BuiltProblem(p, lambda t: 1.0 + c * t)
+        return BuiltProblem(p, lambda t: 1.0 + c * t, cd)
     if example_id == "ex2_vanishing":
         c_frac = gamma(2.5) / gamma(2.5 - beta)
         src = SourceTransform(
@@ -142,7 +181,7 @@ def build_problem(example_id: str, beta: float, M: int, cd: ContourDefaults = Co
             sym=sym, domain=Mesh1D(M), u0=InitialData1D.zero(), source=src,
             spatial_factors=factors, **common,
         )
-        return BuiltProblem(p, lambda x, t: t**1.5 * x * (1.0 - x))
+        return BuiltProblem(p, lambda x, t: t**1.5 * x * (1.0 - x), cd)
     if example_id == "ex3_1d_case1":
         u0 = InitialData1D.indicator(0.0, 0.75, pi**3)
     elif example_id == "ex3_1d_case2":
@@ -175,43 +214,22 @@ def build_problem(example_id: str, beta: float, M: int, cd: ContourDefaults = Co
             spatial_factors={"fxy": fxy},
             **common,
         )
-        return BuiltProblem(p, None)
+        return BuiltProblem(p, None, cd)
     else:
         raise BenchError(f"unknown example {example_id!r}")
     domain = Mesh2D(M) if example_id.startswith("ex4") else Mesh1D(M)
-    return BuiltProblem(Problem(sym=sym, domain=domain, u0=u0, **common), None)
+    return BuiltProblem(Problem(sym=sym, domain=domain, u0=u0, **common), None, cd)
 
 
-def _solve_at(p: Problem, N: int, times, disc, cd: ContourDefaults):
-    params = problem_parameters(
-        p, N, alpha=cd.alpha, delta_prime=cd.delta_prime, d_margin=cd.d_margin
-    )
-    quad = quadrature_nodes(params, N)
-    ns = solve_nodes(p, quad, disc)
-    window = (p.t0, p.lambda_ratio * p.t0)
-    return [evaluate(ns, t, window) for t in times]
+def error_tau(bp: BuiltProblem, disc: Discretization | None, times, sols, ref=None) -> float:
+    """Max over ``times`` of the L2 distance from ``sols`` to the reference.
 
-
-def error_tau(
-    bp: BuiltProblem,
-    N: int,
-    times,
-    reference: str = "numeric",
-    n_ref: int = 200,
-    cd: ContourDefaults = ContourDefaults(),
-    disc=None,
-    ref_sols=None,
-) -> float:
-    """Max over ``times`` of the L2 distance to the reference solution.
-
-    The numeric reference is the N_ref-node contour solution on the same
-    mesh; ``ref_sols`` can carry precomputed reference evaluations.
+    ``ref`` holds the reference solutions at ``times``, the N_ref-node
+    contour solution on the same mesh (mass-norm distance).  Without it
+    the exact solution is the reference (L2 quadrature error).
     """
     p = bp.problem
-    if disc is None:
-        disc = discretize(p)
-    sols = _solve_at(p, N, times, disc, cd)
-    if reference == "exact":
+    if ref is None:
         if bp.exact is None:
             raise BenchError("no exact solution for this example")
         if p.scalar:
@@ -219,45 +237,9 @@ def error_tau(
         return max(
             l2_error(p.domain, s, lambda x, t=t: bp.exact(x, t)) for s, t in zip(sols, times)
         )
-    if ref_sols is None:
-        ref_sols = _solve_at(p, n_ref, times, disc, cd)
     if p.scalar:
-        return max(abs(s - r) for s, r in zip(sols, ref_sols))
-    ops = disc.ops
-    return max(mass_norm(ops, s - r) for s, r in zip(sols, ref_sols))
-
-
-def error_h(
-    example_id: str,
-    beta: float,
-    N: int,
-    M: int,
-    t: float,
-    reference: str = "numeric",
-    cd: ContourDefaults = ContourDefaults(),
-    coarse_sol=None,
-    fine_sol=None,
-) -> float:
-    """Spatial error at one mesh size.
-
-    Exact reference: L2 quadrature error against the exact solution.
-    Numeric reference: mass-norm distance between the mesh-M solution
-    (prolonged) and the mesh-2M solution.
-    """
-    bp = build_problem(example_id, beta, M, cd)
-    p = bp.problem
-    if coarse_sol is None:
-        coarse_sol = _solve_at(p, N, [t], discretize(p), cd)[0]
-    if reference == "exact":
-        if bp.exact is None:
-            raise BenchError("no exact solution for this example")
-        return l2_error(p.domain, coarse_sol, lambda x: bp.exact(x, t))
-    bp2 = build_problem(example_id, beta, 2 * M, cd)
-    if fine_sol is None:
-        fine_sol = _solve_at(bp2.problem, N, [t], discretize(bp2.problem), cd)[0]
-    prolong = prolong_2d if isinstance(p.domain, Mesh2D) else prolong_1d
-    fine_ops = assemble(bp2.problem.domain)
-    return mass_norm(fine_ops, prolong(np.asarray(coarse_sol), M) - np.asarray(fine_sol))
+        return max(abs(s - r) for s, r in zip(sols, ref))
+    return max(mass_norm(disc.ops, s - r) for s, r in zip(sols, ref))
 
 
 def spatial_sweep(
@@ -268,124 +250,88 @@ def spatial_sweep(
     t: float,
     reference: str = "numeric",
     cd: ContourDefaults = ContourDefaults(),
-) -> list[tuple[int, float, float | None]]:
-    """(M, error, order) rows over a mesh sweep, reusing nested solves."""
+) -> list[tuple[int, float, float | None, float]]:
+    """(M, error, order, wall_ms) rows over a mesh sweep.
+
+    Every mesh is discretized and solved once; ``wall_ms`` is that work
+    for the row's own mesh.  Exact reference: L2 quadrature error
+    against the exact solution.  Numeric reference: mass-norm distance,
+    on the mesh-2M operators, between the prolonged mesh-M solution and
+    the mesh-2M solution.
+    """
     m_list = sorted(m_list)
-    sols: dict[int, np.ndarray] = {}
     needed = set(m_list) | ({2 * m for m in m_list} if reference == "numeric" else set())
+    solved = {}
     for m in sorted(needed):
         bp = build_problem(example_id, beta, m, cd)
-        sols[m] = _solve_at(bp.problem, N, [t], discretize(bp.problem), cd)[0]
+        start = time.perf_counter()
+        disc = discretize(bp.problem)
+        u = bp.run(N, disc).solve(t)
+        solved[m] = (bp, disc, u, (time.perf_counter() - start) * 1e3)
     rows = []
     prev = None
     for m in m_list:
+        bp, _, u, wall = solved[m]
         if reference == "exact":
-            err = error_h(example_id, beta, N, m, t, "exact", cd, coarse_sol=sols[m])
+            if bp.exact is None:
+                raise BenchError("no exact solution for this example")
+            err = l2_error(bp.problem.domain, u, lambda x: bp.exact(x, t))
         else:
-            err = error_h(example_id, beta, N, m, t, "numeric", cd, coarse_sol=sols[m], fine_sol=sols[2 * m])
+            _, fine_disc, fine_u, _ = solved[2 * m]
+            prolong = prolong_2d if isinstance(bp.problem.domain, Mesh2D) else prolong_1d
+            err = mass_norm(fine_disc.ops, prolong(u, m) - fine_u)
         order = None if prev is None else float(np.log2(prev / err)) if err > 0 else None
-        rows.append((m, err, order))
+        rows.append((m, err, order, wall))
         prev = err
     return rows
 
 
-def iar(
-    bp: BuiltProblem,
-    N: int,
-    n: int,
-    t: float,
-    cd: ContourDefaults = ContourDefaults(),
-    exact: Callable | None = None,
-    disc=None,
-) -> float:
-    """Relative L2 deviation of the accelerated solution from the exact one.
-
-    Without an exact solution, the plain contour solution at the same N
-    serves as the high-accuracy surrogate.
-    """
-    p = bp.problem
+def _relative_distance(disc: Discretization | None, u, ref) -> float:
     if disc is None:
-        disc = discretize(p)
-    params = problem_parameters(
-        p, N, alpha=cd.alpha, delta_prime=cd.delta_prime, d_margin=cd.d_margin
-    )
-    quad = quadrature_nodes(params, N)
-    ns_acc = solve_nodes_accelerated(p, params, quad, n, disc)
-    window = (p.t0, p.lambda_ratio * p.t0)
-    u_acc = evaluate(ns_acc, t, window)
-    exact = exact if exact is not None else bp.exact
-    if exact is not None and not p.scalar:
-        denom_fn = lambda *x: exact(*x, t)
-        num = l2_error(p.domain, u_acc, denom_fn)
-        zero = np.zeros_like(np.asarray(u_acc))
-        denom = l2_error(p.domain, zero, denom_fn)
+        num, denom = abs(u - ref), abs(ref)
     else:
-        u_ref = evaluate(solve_nodes(p, quad, disc), t, window)
-        if p.scalar:
-            num, denom = abs(u_acc - u_ref), abs(u_ref)
-        else:
-            num = mass_norm(disc.ops, np.asarray(u_acc) - np.asarray(u_ref))
-            denom = mass_norm(disc.ops, np.asarray(u_ref))
+        num, denom = mass_norm(disc.ops, u - ref), mass_norm(disc.ops, ref)
     if denom < 1e-14:
-        raise BenchError("reference solution vanishes; IAR undefined")
+        raise BenchError("reference solution vanishes; relative distance undefined")
     return num / denom
 
 
-def accel_deviation(bp: BuiltProblem, N: int, n: int, t: float, cd: ContourDefaults = ContourDefaults()) -> float:
-    """Relative L2 deviation between plain and accelerated solutions."""
+def _median_time(fn):
+    """Median wall time of 3 calls after one warm-up, and the warm-up's result."""
+    result = fn()
+    samples = []
+    for _ in range(3):
+        start = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - start)
+    return float(np.median(samples)), result
+
+
+def accel_compare(bp: BuiltProblem, N: int, n: int, t: float) -> tuple[float, float, float, float]:
+    """(deviation, IAR, plain seconds, accelerated seconds) at time t.
+
+    Wall times are medians of 3 solve-and-evaluate calls after one
+    warm-up; deviation and IAR come from the warm-up solutions, so the
+    comparison solves 4 (N + n + 1) node systems.  The deviation is the
+    relative L2 distance of the accelerated from the plain solution.
+    The IAR is the relative L2 error of the accelerated solution against
+    the exact solution where one exists on a mesh; otherwise the plain
+    solution serves as the high-accuracy surrogate and IAR equals the
+    deviation.
+    """
     p = bp.problem
     disc = discretize(p)
-    params = problem_parameters(
-        p, N, alpha=cd.alpha, delta_prime=cd.delta_prime, d_margin=cd.d_margin
-    )
-    quad = quadrature_nodes(params, N)
-    window = (p.t0, p.lambda_ratio * p.t0)
-    u_plain = evaluate(solve_nodes(p, quad, disc), t, window)
-    u_acc = evaluate(solve_nodes_accelerated(p, params, quad, n, disc), t, window)
-    if p.scalar:
-        return abs(u_acc - u_plain) / abs(u_plain)
-    return mass_norm(disc.ops, np.asarray(u_acc) - np.asarray(u_plain)) / mass_norm(
-        disc.ops, np.asarray(u_plain)
-    )
-
-
-def timing_compare(
-    example_id: str,
-    beta: float,
-    N: int,
-    M: int,
-    n: int,
-    t: float = 0.4,
-    cd: ContourDefaults = ContourDefaults(),
-) -> tuple[float, float, float]:
-    """Median-of-3 wall times (after one warm-up) for plain vs accelerated solves."""
-    bp = build_problem(example_id, beta, M, cd)
-    p = bp.problem
-    disc = discretize(p)
-    params = problem_parameters(
-        p, N, alpha=cd.alpha, delta_prime=cd.delta_prime, d_margin=cd.d_margin
-    )
-    quad = quadrature_nodes(params, N)
-    window = (p.t0, p.lambda_ratio * p.t0)
-
-    def plain():
-        return evaluate(solve_nodes(p, quad, disc), t, window)
-
-    def accel():
-        return evaluate(solve_nodes_accelerated(p, params, quad, n, disc), t, window)
-
-    def timed(fn):
-        fn()  # warm-up
-        samples = []
-        for _ in range(3):
-            start = time.perf_counter()
-            fn()
-            samples.append(time.perf_counter() - start)
-        return float(np.median(samples))
-
-    t_plain = timed(plain)
-    t_accel = timed(accel)
-    return t_plain, t_accel, t_plain / t_accel
+    run = bp.run(N, disc)
+    t_plain, u_plain = _median_time(lambda: run.solve(t))
+    t_accel, u_acc = _median_time(lambda: run.solve(t, n))
+    dev = _relative_distance(disc, u_acc, u_plain)
+    if bp.exact is None or p.scalar:
+        return dev, dev, t_plain, t_accel
+    exact = lambda *x: bp.exact(*x, t)
+    denom = l2_error(p.domain, np.zeros_like(u_acc), exact)
+    if denom < 1e-14:
+        raise BenchError("reference solution vanishes; IAR undefined")
+    return dev, l2_error(p.domain, u_acc, exact) / denom, t_plain, t_accel
 
 
 # ---------------------------------------------------------------------------
@@ -440,42 +386,48 @@ def window_times(cd: ContourDefaults, quoted=()) -> tuple[float, ...]:
     return tuple(sorted(set(np.round(grid, 12)) | set(quoted)))
 
 
-def _run_time_row(spec: ExperimentSpec, beta: float, N: int):
-    bp = build_problem(spec.example_id, beta, max(spec.m_list), spec.contour)
+def _time_rows(spec: ExperimentSpec, beta: float) -> list[dict]:
+    """Sweep-time rows of one beta; the N_ref reference is solved once for all of them."""
+    M = max(spec.m_list)
+    bp = build_problem(spec.example_id, beta, M, spec.contour)
     disc = discretize(bp.problem)
-    start = time.perf_counter()
-    err = error_tau(
-        bp, N, window_times(spec.contour, spec.eval_times), spec.reference, spec.n_ref,
-        spec.contour, disc=disc,
-    )
-    wall = (time.perf_counter() - start) * 1e3
-    return _row(spec.example_id, beta, N=N, M=None if bp.problem.scalar else max(spec.m_list),
-                t=max(spec.eval_times), error=err, wall_ms=wall)
+    times = window_times(spec.contour, spec.eval_times)
+    ref = None if spec.reference == "exact" else bp.run(spec.n_ref, disc).solve(times)
+    rows = []
+    for N in spec.n_list:
+        start = time.perf_counter()
+        sols = bp.run(N, disc).solve(times)
+        wall = (time.perf_counter() - start) * 1e3
+        rows.append(_row(spec.example_id, beta, N=N, M=None if bp.problem.scalar else M,
+                         t=max(spec.eval_times), error=error_tau(bp, disc, times, sols, ref), wall_ms=wall))
+    return rows
 
 
 def run(spec: ExperimentSpec) -> ErrorReport:
-    """Execute one sweep; per-row failures are recorded, not raised."""
+    """Execute one sweep; a failing job is recorded, not raised.
+
+    A job is one beta of sweep-time and sweep-space (its rows share the
+    reference), one (beta, M) of accel-compare and one (beta, N, M) of
+    solve.
+    """
     report = ErrorReport(rows=[])
     jobs: list[Callable[[], list[dict]]] = []
 
     if spec.mode == "sweep-time":
-        for beta in spec.betas:
-            for N in spec.n_list:
-                jobs.append(lambda beta=beta, N=N: [_run_time_row(spec, beta, N)])
+        if spec.n_list:
+            for beta in spec.betas:
+                jobs.append(lambda beta=beta: _time_rows(spec, beta))
     elif spec.mode == "sweep-space":
         t = max(spec.eval_times)
         N = max(spec.n_list)
 
         def space_job(beta):
-            rows = []
-            start = time.perf_counter()
-            for m, err, order in spatial_sweep(
-                spec.example_id, beta, N, spec.m_list, t, spec.reference, spec.contour
-            ):
-                wall = (time.perf_counter() - start) * 1e3
-                rows.append(_row(spec.example_id, beta, N=N, M=m, t=t, error=err, order=order, wall_ms=wall))
-                start = time.perf_counter()
-            return rows
+            return [
+                _row(spec.example_id, beta, N=N, M=m, t=t, error=err, order=order, wall_ms=wall)
+                for m, err, order, wall in spatial_sweep(
+                    spec.example_id, beta, N, spec.m_list, t, spec.reference, spec.contour
+                )
+            ]
 
         for beta in spec.betas:
             jobs.append(lambda beta=beta: space_job(beta))
@@ -485,9 +437,7 @@ def run(spec: ExperimentSpec) -> ErrorReport:
 
         def accel_job(beta, M):
             bp = build_problem(spec.example_id, beta, M, spec.contour)
-            dev = accel_deviation(bp, N, spec.n_interp, t, spec.contour)
-            iar_val = iar(bp, N, spec.n_interp, t, spec.contour)
-            t_plain, t_accel, _ = timing_compare(spec.example_id, beta, N, M, spec.n_interp, t, spec.contour)
+            dev, iar_val, t_plain, t_accel = accel_compare(bp, N, spec.n_interp, t)
             return [
                 _row(spec.example_id, beta, N=N, M=M, n=spec.n_interp, t=t,
                      error=dev, iar_val=iar_val, wall_ms=t_accel * 1e3),
@@ -502,9 +452,9 @@ def run(spec: ExperimentSpec) -> ErrorReport:
 
         def solve_job(beta, N, M):
             bp = build_problem(spec.example_id, beta, M, spec.contour)
-            disc = discretize(bp.problem)
             start = time.perf_counter()
-            sols = _solve_at(bp.problem, N, t_list, disc, spec.contour)
+            disc = discretize(bp.problem)
+            sols = bp.run(N, disc).solve(t_list)
             wall = (time.perf_counter() - start) * 1e3
             rows = []
             for t, s in zip(t_list, sols):
@@ -529,7 +479,7 @@ def run(spec: ExperimentSpec) -> ErrorReport:
     def safe(job):
         try:
             return job(), None
-        except Exception as exc:  # per-row failure: record and continue
+        except Exception as exc:  # per-job failure: record and continue
             return [], f"{type(exc).__name__}: {exc}"
 
     if spec.threads > 1:

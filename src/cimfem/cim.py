@@ -21,7 +21,17 @@ from typing import Mapping
 
 import numpy as np
 
-from .contour import ContourQuadrature, OptimalParameters, contour_point, quadrature_nodes, standard_parameters
+# ``quadrature_nodes`` is not called in this module.  It stays one of its
+# names because perfbench/tracing.py wraps cross-layer calls by module
+# attribute name and expects ``cimfem.cim.quadrature_nodes``.
+from .contour import (
+    ContourConfig,
+    ContourQuadrature,
+    OptimalParameters,
+    contour_point,
+    quadrature_nodes,
+    standard_parameters,
+)
 from .fem import (
     AssembledOperators,
     InitialData1D,
@@ -59,8 +69,8 @@ class Problem:
     u0: float | InitialData1D | InitialData2D
     source: SourceTransform = field(default_factory=SourceTransform)
     spatial_factors: Mapping[str, object] = field(default_factory=dict)
-    t0: float = 0.1
-    lambda_ratio: float = 10.0
+    t0: float = ContourConfig.t0
+    lambda_ratio: float = ContourConfig.lambda_ratio
 
     @property
     def scalar(self) -> bool:
@@ -189,36 +199,31 @@ def solve_nodes(p: Problem, quad: ContourQuadrature, disc: Discretization | None
     return NodeSolutionSet(quad=quad, values=values, scalar=p.scalar)
 
 
-def evaluate(ns: NodeSolutionSet, t: float, window: tuple[float, float] | None = None) -> float | np.ndarray:
-    """Trapezoid sum ``(tau/pi) Im sum_k exp(z_k t) u_hat_k z'_k`` at time t.
+def evaluate(ns: NodeSolutionSet, t, window: tuple[float, float] | None = None):
+    """Trapezoid sum ``(tau/pi) Im sum_k exp(z_k t) u_hat_k z'_k``.
 
-    Errors out when ``mu * t`` risks floating overflow of the node
-    exponentials; warns when ``t`` falls outside the window the contour
-    was optimized for.
+    ``t`` is one time or a sequence of times; all of them are summed in
+    one product ``exp(outer(t, z)) z' @ u_hat``, which stacks one row per
+    time (a single time gives its row alone).  Errors out when a
+    time is not positive or when ``mu * t`` risks floating overflow of
+    the node exponentials; warns for times outside the window the
+    contour was optimized for.
     """
-    if t <= 0.0:
-        raise CIMError(f"contour evaluation needs t > 0, got {t}")
-    if ns.quad.mu * t > 700.0:
-        raise CIMError(f"mu * t = {ns.quad.mu * t:.3g} > 700 would overflow exp")
-    if window is not None and not window[0] * (1.0 - 1e-12) <= t <= window[1] * (1.0 + 1e-12):
-        warnings.warn(
-            f"t = {t} lies outside the contour's accuracy window {window}", stacklevel=2
-        )
-    w = np.exp(ns.quad.nodes * t) * ns.quad.derivs
-    if ns.scalar:
-        total = np.sum(w * ns.values)
-        return ns.quad.tau / pi * float(np.imag(total))
-    total = w @ ns.values
-    return ns.quad.tau / pi * np.imag(total)
-
-
-def solve_and_evaluate(p: Problem, N: int, times, disc: Discretization | None = None, **contour_kw):
-    """Convenience wrapper: optimize contour, solve nodes, evaluate times."""
-    params = problem_parameters(p, N, **contour_kw)
-    quad = quadrature_nodes(params, N)
-    ns = solve_nodes(p, quad, disc)
-    window = (p.t0, p.lambda_ratio * p.t0)
-    return [evaluate(ns, t, window) for t in times]
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(ts <= 0.0):
+        raise CIMError(f"contour evaluation needs t > 0, got {ts[ts <= 0.0][0]}")
+    if ns.quad.mu * ts.max() > 700.0:
+        raise CIMError(f"mu * t = {ns.quad.mu * ts.max():.3g} > 700 would overflow exp")
+    if window is not None:
+        inside = (window[0] * (1.0 - 1e-12) <= ts) & (ts <= window[1] * (1.0 + 1e-12))
+        if not np.all(inside):
+            warnings.warn(
+                f"t = {ts[~inside].tolist()} lies outside the contour's accuracy window {window}",
+                stacklevel=2,
+            )
+    w = np.exp(np.outer(ts, ns.quad.nodes)) * ns.quad.derivs
+    values = ns.quad.tau / pi * np.imag(w @ ns.values)
+    return values if np.ndim(t) else values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +309,14 @@ def predicted_interp_decay(N: int, tau: float, alpha: float, eps_margin: float =
     """Predicted geometric decay rate K of the interpolation error C K^-n.
 
     Derived from the largest Bernstein ellipse with foci at the ends of
-    the phi-interval inside the strip of analyticity of half-width
-    ``pi/2 - alpha - eps_margin``.
+    the phi-interval (half-length ``c = (N - 1) tau / 2``) inside the
+    strip of analyticity of half-width ``p = pi/2 - alpha - eps_margin``:
+    its semi-minor axis is ``p``, so ``K = (p + sqrt(c^2 + p^2)) / c``.
     """
     if N < 2:
         raise ValueError("need N >= 2 for an interpolation interval")
     p_t = pi / 2.0 - alpha - eps_margin
     if p_t <= 0.0:
         raise ValueError("no analyticity strip: alpha + eps_margin >= pi/2")
-    q = p_t**2 / ((N - 1) ** 2 * tau**2)
-    big_l = sqrt((1.0 + 0.5 / (N - 1)) ** 2 + q) + sqrt(0.25 / (N - 1) ** 2 + q)
-    return big_l + sqrt(big_l**2 - 1.0)
+    ratio = p_t / ((N - 1) * tau / 2.0)
+    return ratio + sqrt(1.0 + ratio**2)

@@ -63,11 +63,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 _DEFAULTS = {
     "example": "ex1_scalar",
     "beta": "0.5",
-    "K": 1.0,
-    "lambda_ratio": 10.0,
-    "t0": 0.1,
-    "alpha": 0.6767,
-    "delta_prime": 0.1023,
+    "K": ContourDefaults.K,
+    "lambda_ratio": ContourDefaults.lambda_ratio,
+    "t0": ContourDefaults.t0,
+    "alpha": ContourDefaults.alpha,
+    "delta_prime": ContourDefaults.delta_prime,
     "N": "100",
     "M": "32",
     "n_interp": 10,

@@ -34,7 +34,9 @@ class ContourConfig:
     accurate.  ``alpha`` is the asymptotic half-angle of the hyperbola,
     ``delta_prime`` the sector safety margin of the symbol, and
     ``d_margin`` shrinks the analyticity strip slightly whenever the
-    strip is limited by ``alpha`` itself (the degenerate branch).
+    strip is limited by ``alpha`` itself (the degenerate branch).  These
+    class defaults are the package's single source for the default
+    contour shape and time window.
     """
 
     alpha: float = 0.6767
@@ -204,24 +206,24 @@ def quadrature_nodes(params: OptimalParameters, N: int) -> ContourQuadrature:
     return ContourQuadrature(nodes=nodes, derivs=derivs, phis=phis, tau=tau, mu=mu, alpha=alpha)
 
 
+# The optimizer's default strip margin (ContourConfig.d_margin = 1e-3) takes
+# the strip nearly up to alpha, which is optimal only asymptotically.  The
+# solver keeps the working strip at roughly half of alpha: at moderate N the
+# wider strip evaluates the integrand too close to the strip boundary and
+# loses several digits.
+SOLVER_D_MARGIN = 0.5
+
+
 def standard_parameters(
     N: int,
     t0: float,
     lambda_ratio: float,
     *,
-    alpha: float = 0.6767,
-    delta_prime: float = 0.1023,
-    d_margin: float = 0.5,
-    grid_size: int = 1000,
+    alpha: float = ContourConfig.alpha,
+    delta_prime: float = ContourConfig.delta_prime,
+    d_margin: float = SOLVER_D_MARGIN,
 ) -> OptimalParameters:
-    """Optimized parameters with the solver-facing defaults.
-
-    The solver default ``d_margin = 0.5`` keeps the working strip at
-    roughly half of ``alpha``; taking the strip nearly up to ``alpha``
-    is optimal only asymptotically and loses several digits at moderate
-    ``N`` because the integrand is evaluated too close to the strip
-    boundary.
-    """
+    """Optimized parameters with the solver's strip margin ``SOLVER_D_MARGIN``."""
     cfg = ContourConfig(
         alpha=alpha,
         delta_prime=delta_prime,
@@ -229,6 +231,5 @@ def standard_parameters(
         lambda_ratio=lambda_ratio,
         N=N,
         d_margin=d_margin,
-        grid_size=grid_size,
     )
     return optimize_rho(cfg)

@@ -416,34 +416,6 @@ def _load_2d(mesh: Mesh2D, g, include_boundary: bool) -> np.ndarray:
     return b_full if include_boundary else b_int
 
 
-def gradient_load_1d(mesh: Mesh1D, dg: Callable) -> np.ndarray:
-    """Ritz load ``b_i = integral of g' * phi_i'`` from the derivative ``dg``.
-
-    ``phi_i'`` is ``+1/h`` left of node i and ``-1/h`` right of it, so
-    only per-element integrals of ``dg`` are needed.
-    """
-    h, M = mesh.h, mesh.M
-    ints = np.empty(M)
-    for e in range(M):
-        xq, wq = _gauss_on(e * h, (e + 1) * h, _G5_X, _G5_W)
-        ints[e] = np.sum(wq * dg(xq))
-    return (ints[:-1] - ints[1:]) / h
-
-
-def project_l2(ops: AssembledOperators, b: np.ndarray) -> np.ndarray:
-    """Coefficients of the L2 projection with load vector ``b``."""
-    from scipy.sparse.linalg import spsolve
-
-    return spsolve(ops.mass.tocsc(), b)
-
-
-def project_ritz(ops: AssembledOperators, b_grad: np.ndarray) -> np.ndarray:
-    """Coefficients of the Ritz (elliptic) projection with gradient load ``b_grad``."""
-    from scipy.sparse.linalg import spsolve
-
-    return spsolve(ops.stiffness.tocsc(), b_grad)
-
-
 # degree-5, 7-point symmetric quadrature on the reference triangle
 _T7_L = np.array(
     [

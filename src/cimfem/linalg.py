@@ -2,10 +2,8 @@
 
 The contour method needs one solve of ``(eta(z_k) M + S) u = rhs`` per
 quadrature node: tridiagonal in 1-D, sparse with 5-point-style
-connectivity in 2-D.  Both solvers verify a residual bound after the
-solve; the 1-D elimination has no pivoting (it relies on the shifted
-systems staying well behaved) and falls back to a pivoted banded solve
-if that residual check fails.
+connectivity in 2-D.  Both are LAPACK/SuperLU factorizations with
+pivoting, and both verify a residual bound after the solve.
 """
 
 from __future__ import annotations
@@ -47,11 +45,10 @@ class ComplexTridiag:
 
 
 def thomas_solve(t: ComplexTridiag, rhs: np.ndarray, residual_tol: float = 1e-12) -> np.ndarray:
-    """Tridiagonal elimination without pivoting, with residual verification.
+    """Tridiagonal solve by pivoted LAPACK banded LU, with residual verification.
 
-    If the no-pivot sweep hits a (near-)zero pivot or leaves a relative
-    residual above ``residual_tol``, the system is re-solved with the
-    pivoted LAPACK banded solver; failure of both raises.
+    Raises if the factorization fails or the relative residual in the
+    infinity norm exceeds ``residual_tol``.
     """
     n = t.n
     rhs = np.asarray(rhs, dtype=complex)
@@ -65,48 +62,17 @@ def thomas_solve(t: ComplexTridiag, rhs: np.ndarray, residual_tol: float = 1e-12
     if n > 1:
         norm_t += np.max(np.abs(t.lower)) + np.max(np.abs(t.upper))
 
-    x = _thomas_nopivot(t, rhs)
-    if x is not None:
-        res = np.max(np.abs(t.matvec(x) - rhs))
-        if res <= residual_tol * (rhs_scale + norm_t * np.max(np.abs(x))):
-            return x
-
-    # pivoted fallback
     ab = np.zeros((3, n), dtype=complex)
     ab[0, 1:] = t.upper
     ab[1, :] = t.diag
     ab[2, :-1] = t.lower
     try:
         x = solve_banded((1, 1), ab, rhs)
-    except Exception as exc:
-        raise LinAlgError(f"banded fallback failed: {exc}") from exc
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise LinAlgError(f"banded solve failed: {exc}") from exc
     res = np.max(np.abs(t.matvec(x) - rhs))
     if not np.isfinite(res) or res > residual_tol * (rhs_scale + norm_t * np.max(np.abs(x))):
         raise LinAlgError(f"tridiagonal solve residual {res:.3e} exceeds tolerance")
-    return x
-
-
-def _thomas_nopivot(t: ComplexTridiag, rhs: np.ndarray) -> np.ndarray | None:
-    n = t.n
-    cp = np.empty(max(n - 1, 0), dtype=complex)
-    dp = np.empty(n, dtype=complex)
-    denom = t.diag[0]
-    if abs(denom) < 1e-300:
-        return None
-    if n > 1:
-        cp[0] = t.upper[0] / denom
-    dp[0] = rhs[0] / denom
-    for i in range(1, n):
-        denom = t.diag[i] - t.lower[i - 1] * cp[i - 1]
-        if abs(denom) < 1e-300:
-            return None
-        if i < n - 1:
-            cp[i] = t.upper[i] / denom
-        dp[i] = (rhs[i] - t.lower[i - 1] * dp[i - 1]) / denom
-    x = np.empty(n, dtype=complex)
-    x[-1] = dp[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
     return x
 
 
@@ -129,23 +95,3 @@ def sparse_solve(a: sp.spmatrix, rhs: np.ndarray, residual_tol: float = 1e-13) -
         raise LinAlgError(f"sparse solve residual {res:.3e} exceeds tolerance")
     return x
 
-
-class SparseFactor:
-    """Reusable LU factorization of one sparse matrix, with residual checks."""
-
-    def __init__(self, a: sp.spmatrix, residual_tol: float = 1e-13) -> None:
-        self._a = a.tocsc().astype(complex)
-        self._lu = splu(self._a)
-        self._norm = np.max(np.abs(self._a).sum(axis=1))
-        self._tol = residual_tol
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=complex)
-        rhs_scale = np.max(np.abs(rhs))
-        if rhs_scale == 0.0:
-            return np.zeros(len(rhs), dtype=complex)
-        x = self._lu.solve(rhs)
-        res = np.max(np.abs(self._a @ x - rhs))
-        if not np.isfinite(res) or res > self._tol * (rhs_scale + self._norm * np.max(np.abs(x))):
-            raise LinAlgError(f"sparse solve residual {res:.3e} exceeds tolerance")
-        return x

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .contour import ContourConfig, optimize_rho, quadrature_nodes
+from .contour import SOLVER_D_MARGIN, ContourConfig, optimize_rho, quadrature_nodes
 from .symbols import complex_pow
 
 
@@ -139,7 +139,7 @@ def ml_biv_contour(q: MLQuery, t: float, N: int = 80) -> float:
         raise MLError("contour route requires nonpositive arguments")
     w1 = abs(q.z1) / t**q.alpha_p
     w2 = abs(q.z2) / t**q.beta_p
-    cfg = ContourConfig(t0=t, lambda_ratio=2.0, N=N, d_margin=0.5)
+    cfg = ContourConfig(t0=t, lambda_ratio=2.0, N=N, d_margin=SOLVER_D_MARGIN)
     quad = quadrature_nodes(optimize_rho(cfg), N)
     z, dz = quad.nodes, quad.derivs
     denom = 1.0 + w1 * complex_pow(z, -q.alpha_p) + w2 * complex_pow(z, -q.beta_p)

@@ -35,23 +35,15 @@ import pytest
 
 from cimfem.bench import (
     ContourDefaults,
-    _solve_at,
-    accel_deviation,
+    ContourRun,
+    accel_compare,
     build_problem,
     error_tau,
     spatial_sweep,
-    timing_compare,
     window_times,
 )
-from cimfem.cim import (
-    discretize,
-    evaluate,
-    problem_parameters,
-    solve_and_evaluate,
-    solve_nodes,
-    solve_nodes_accelerated,
-)
-from cimfem.contour import ContourConfig, optimize_rho, quadrature_nodes
+from cimfem.cim import discretize
+from cimfem.contour import ContourConfig, optimize_rho
 from cimfem.fem import Mesh1D, assemble, mass_norm
 from cimfem.linalg import ComplexTridiag, thomas_solve
 from cimfem.mlf import MLError, MLQuery, SpectralProblem, ml_biv, ml_biv_contour, ml_biv_series, spectral_reference
@@ -67,7 +59,7 @@ def test_scalar_spectral_decay():
     t = 0.6
     errs = {}
     for N in (20, 80, 90, 100, 110, 120):
-        (val,) = solve_and_evaluate(bp.problem, N, (t,))
+        val = bp.run(N).solve(t)
         errs[N] = abs(val - bp.exact(t))
     assert errs[20] <= 1e-4
     assert errs[80] <= 1e-10
@@ -87,9 +79,9 @@ def test_1d_temporal_table():
     for beta, target in published.items():
         bp = build_problem("ex3_1d_case1", beta, 128, cd)
         disc = discretize(bp.problem)
-        ref = _solve_at(bp.problem, 200, times, disc, cd)
-        e40 = error_tau(bp, 40, times, "numeric", 200, cd, disc=disc, ref_sols=ref)
-        e80 = error_tau(bp, 80, times, "numeric", 200, cd, disc=disc, ref_sols=ref)
+        ref = bp.run(200, disc).solve(times)
+        e40 = error_tau(bp, disc, times, bp.run(40, disc).solve(times), ref)
+        e80 = error_tau(bp, disc, times, bp.run(80, disc).solve(times), ref)
         assert e40 <= 3.0 * target, f"beta={beta}: {e40:.3e} > 3 x {target:.3e}"
         assert e80 <= 1e-10, f"beta={beta}: Error_tau(80) = {e80:.3e}"
     assert time.perf_counter() - start < 10.0
@@ -100,7 +92,7 @@ def test_1d_spatial_orders():
     for example in ("ex3_1d_case1", "ex3_1d_case2", "ex3_1d_case3"):
         for beta in (0.25, 0.5, 0.75):
             rows = spatial_sweep(example, beta, 60, (32, 64, 128, 256), 0.6, "numeric")
-            for _, _, order in rows[1:]:
+            for _, _, order, _ in rows[1:]:
                 assert 1.9 <= order <= 2.1, f"{example} beta={beta}: order {order:.4f}"
     assert time.perf_counter() - start < 30.0
 
@@ -108,7 +100,7 @@ def test_1d_spatial_orders():
 def test_manufactured_solution_spatial_order():
     start = time.perf_counter()
     rows = spatial_sweep("ex2_vanishing", 0.5, 60, (2, 4, 8, 16, 32), 0.86, "exact")
-    for _, _, order in rows[1:]:
+    for _, _, order, _ in rows[1:]:
         assert 1.9 <= order <= 2.1, f"order {order:.4f}"
     assert time.perf_counter() - start < 5.0
 
@@ -155,8 +147,7 @@ def test_manufactured_solution_nodal_error():
     nodal_err = {}
     for M in (32, 64):
         bp = build_problem("ex2_vanishing", beta, M)
-        (uh,) = solve_and_evaluate(bp.problem, N, (t,))
-        uh = np.asarray(uh)
+        uh = bp.run(N).solve(t)
         if M == 32:
             cim_err = float(np.max(np.abs(uh - ref)))
             assert cim_err <= 1e-5, (
@@ -175,7 +166,7 @@ def test_2d_spatial_orders():
     start = time.perf_counter()
     for example in ("ex4_2d_case1", "ex4_2d_case2", "ex4_2d_case3"):
         rows = spatial_sweep(example, 0.5, 60, (8, 16, 32, 64), 0.6, "numeric")
-        for _, _, order in rows[1:]:
+        for _, _, order, _ in rows[1:]:
             assert 1.85 <= order <= 2.15, f"{example}: order {order:.4f}"
     assert time.perf_counter() - start < 240.0
 
@@ -193,8 +184,8 @@ def test_2d_temporal_errors():
         for beta, target in per_beta.items():
             bp = build_problem(example, beta, 32, cd)
             disc = discretize(bp.problem)
-            ref = _solve_at(bp.problem, 200, times, disc, cd)
-            err = error_tau(bp, 100, times, "numeric", 200, cd, disc=disc, ref_sols=ref)
+            ref = bp.run(200, disc).solve(times)
+            err = error_tau(bp, disc, times, bp.run(100, disc).solve(times), ref)
             assert err <= 5.0 * target, f"{example} beta={beta}: {err:.3e} > 5 x {target:.3e}"
     assert time.perf_counter() - start < 120.0
 
@@ -214,22 +205,12 @@ def test_acceleration_deviation():
     while n + 1 < N / 2:
         ns.append(n)
         n *= 2
-    cd = ContourDefaults()
     for example, M in (("ex3_1d_case1", 128), ("ex4_2d_case2", 32)):
-        p = build_problem(example, 0.5, M).problem
-        disc = discretize(p)
-        params = problem_parameters(
-            p, N, alpha=cd.alpha, delta_prime=cd.delta_prime, d_margin=cd.d_margin
-        )
-        quad = quadrature_nodes(params, N)
-        window = (p.t0, p.lambda_ratio * p.t0)
-
-        def solution(nodes):
-            return np.asarray(evaluate(nodes, t, window))
-
-        u_plain = solution(solve_nodes(p, quad, disc))
+        run = build_problem(example, 0.5, M).run(N)
+        disc = run.disc
+        u_plain = run.solve(t)
         scale = mass_norm(disc.ops, u_plain)
-        u_acc = {m: solution(solve_nodes_accelerated(p, params, quad, m, disc)) for m in ns + [2 * ns[-1]]}
+        u_acc = {m: run.solve(t, m) for m in ns + [2 * ns[-1]]}
         certified = None
         for n in ns:
             dev = mass_norm(disc.ops, u_acc[n] - u_plain) / scale
@@ -253,7 +234,7 @@ def test_acceleration_geometric_decay():
     start = time.perf_counter()
     bp = build_problem("ex1_scalar", 0.5, 4)
     ns = list(range(4, 21, 2))
-    devs = [accel_deviation(bp, 100, n, 0.6) for n in ns]
+    devs = [accel_compare(bp, 100, n, 0.6)[0] for n in ns]
     ratios = [devs[i + 1] / devs[i] for i in range(len(devs) - 1) if devs[i] > 0]
     geo_mean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
     assert geo_mean <= 0.5, f"geometric mean decay ratio per +2 nodes: {geo_mean:.3f}"
@@ -262,9 +243,11 @@ def test_acceleration_geometric_decay():
 
 def test_acceleration_speedup():
     start = time.perf_counter()
-    _, _, s1 = timing_compare("ex3_1d_case1", 0.5, 100, 2 ** 13, 10)
+    _, _, t_plain, t_accel = accel_compare(build_problem("ex3_1d_case1", 0.5, 2 ** 13), 100, 10, 0.4)
+    s1 = t_plain / t_accel
     assert s1 >= 2.0, f"1-D speedup {s1:.2f} < 2"
-    _, _, s2 = timing_compare("ex4_2d_case2", 0.5, 100, 64, 10)
+    _, _, t_plain, t_accel = accel_compare(build_problem("ex4_2d_case2", 0.5, 64), 100, 10, 0.4)
+    s2 = t_plain / t_accel
     assert s2 >= 2.0, f"2-D speedup {s2:.2f} < 2"
     assert time.perf_counter() - start < 120.0
 
@@ -352,8 +335,9 @@ def test_solver_oracle_equivalences():
     mesh = Mesh1D(M)
     u0 = lambda x: math.sqrt(2.0) * np.sin(np.pi * x)
     p = Problem(sym=FractionalSymbol(1.0, 0.5), domain=mesh, u0=u0)
-    disc = discretize(p)
-    sols = solve_and_evaluate(p, 100, (0.2, 0.8), disc)
+    run = ContourRun(p, 100)
+    disc = run.disc
+    sols = run.solve((0.2, 0.8))
     sp = SpectralProblem(K=1.0, beta=0.5, mode_coefficients=lambda j: 1.0 if j == 1 else 0.0)
     for t_eval, uh in zip((0.2, 0.8), sols):
         ue = spectral_reference(sp, mesh.nodes, t_eval)

@@ -15,16 +15,18 @@ from cimfem.bench import (
     ContourDefaults,
     ErrorReport,
     ExperimentSpec,
-    accel_deviation,
+    accel_compare,
     build_problem,
     error_tau,
-    iar,
     run,
     spatial_sweep,
     window_times,
     _fmt,
 )
+import cimfem.cim
+import cimfem.fem
 from cimfem.cim import ScalarDomain
+from cimfem.cli import main
 from cimfem.fem import Mesh1D, Mesh2D
 
 
@@ -74,20 +76,21 @@ class TestErrorMetrics:
     def test_error_tau_exact_scalar_decays(self):
         bp = build_problem("ex1_scalar", 0.5, 8)
         times = window_times(ContourDefaults(), (0.6,))
-        errs = [error_tau(bp, N, times, "exact") for N in (10, 20, 40)]
+        errs = [error_tau(bp, None, times, bp.run(N).solve(times)) for N in (10, 20, 40)]
         assert errs[0] > errs[1] > errs[2] or errs[2] < 1e-12
 
     def test_error_tau_numeric_close_to_exact(self):
         bp = build_problem("ex1_scalar", 0.5, 8)
         times = window_times(ContourDefaults(), (0.6,))
-        e_ex = error_tau(bp, 20, times, "exact")
-        e_num = error_tau(bp, 20, times, "numeric", 200)
+        sols = bp.run(20).solve(times)
+        e_ex = error_tau(bp, None, times, sols)
+        e_num = error_tau(bp, None, times, sols, bp.run(200).solve(times))
         assert e_num == pytest.approx(e_ex, rel=1e-3)
 
     def test_spatial_sweep_orders_ex2(self):
         rows = spatial_sweep("ex2_vanishing", 0.5, 60, (4, 8, 16, 32), 0.86, "exact")
         assert rows[0][2] is None
-        for _, err, order in rows[1:]:
+        for _, err, order, _ in rows[1:]:
             assert 1.8 < order < 2.2
             assert err > 0.0
 
@@ -95,18 +98,18 @@ class TestErrorMetrics:
         a = spatial_sweep("ex2_vanishing", 0.5, 60, (8, 16), 0.86, "exact")
         b = spatial_sweep("ex2_vanishing", 0.5, 60, (8, 16), 0.86, "numeric")
         # halved-mesh surrogate stays within a factor ~2 of the true error
-        for (_, ea, _), (_, eb, _) in zip(a, b):
+        for (_, ea, _, _), (_, eb, _, _) in zip(a, b):
             assert 0.3 < eb / ea < 3.0
 
     def test_iar_with_exact(self):
         bp = build_problem("ex2_vanishing", 0.5, 16)
-        val = iar(bp, 100, 12, 0.6)
+        _, val, _, _ = accel_compare(bp, 100, 12, 0.6)
         assert 0.0 < val < 1.0
 
     def test_accel_deviation_decreases(self):
         bp = build_problem("ex1_scalar", 0.5, 8)
-        d_small = accel_deviation(bp, 100, 6, 0.6)
-        d_large = accel_deviation(bp, 100, 20, 0.6)
+        d_small, _, _, _ = accel_compare(bp, 100, 6, 0.6)
+        d_large, _, _, _ = accel_compare(bp, 100, 20, 0.6)
         assert d_large < d_small
 
 
@@ -190,6 +193,49 @@ class TestReportAndRun:
         report = run(spec)
         assert report.failures
         assert report.rows == [] or all(r["error"] == "" for r in report.rows)
+
+
+class TestSharedWork:
+    """Each request solves and assembles only what its rows need."""
+
+    @staticmethod
+    def count_node_solves(monkeypatch):
+        calls = []
+        node_solve = cimfem.cim._node_solve
+
+        def counted(*args):
+            calls.append(args[2])
+            return node_solve(*args)
+
+        monkeypatch.setattr(cimfem.cim, "_node_solve", counted)
+        return calls
+
+    def test_sweep_time_solves_reference_once(self, monkeypatch, capsys):
+        calls = self.count_node_solves(monkeypatch)
+        argv = ["sweep-time", "--example", "ex3_1d_case1", "--N", "20,40,80", "--M", "32", "--times", "0.8"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 4
+        assert len(calls) == 20 + 40 + 80 + 200
+
+    def test_accel_compare_reuses_warmup_solves(self, monkeypatch, capsys):
+        calls = self.count_node_solves(monkeypatch)
+        argv = ["accel-compare", "--example", "ex3_1d_case1", "--N", "100", "--M", "32",
+                "--n-interp", "10", "--times", "0.6"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 3
+        assert len(calls) <= 4 * (100 + 11)
+
+    def test_spatial_sweep_assembles_each_mesh_once(self, monkeypatch):
+        meshes = []
+        assemble_1d = cimfem.fem._assemble_1d
+
+        def counted(mesh):
+            meshes.append(mesh.M)
+            return assemble_1d(mesh)
+
+        monkeypatch.setattr(cimfem.fem, "_assemble_1d", counted)
+        spatial_sweep("ex3_1d_case1", 0.5, 20, (8, 16), 0.6, "numeric")
+        assert sorted(meshes) == [8, 16, 32]
 
 
 def test_window_times_contains_quoted_and_sorted():

@@ -15,14 +15,13 @@ from cimfem.cim import (
     barycentric_interpolate,
     barycentric_weights,
     chebyshev_points,
-    discretize,
     evaluate,
     predicted_interp_decay,
     problem_parameters,
-    solve_and_evaluate,
     solve_nodes,
     solve_nodes_accelerated,
 )
+from cimfem.bench import ContourRun, accel_compare, build_problem
 from cimfem.contour import quadrature_nodes, standard_parameters
 from cimfem.fem import InitialData1D, Mesh1D, Mesh2D, l2_error, mass_norm
 from cimfem.mlf import mode_value
@@ -54,20 +53,20 @@ class TestScalarSolve:
     @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
     def test_exact_solution(self, beta):
         p, exact = scalar_benchmark(beta)
-        for t, val in zip((0.2, 0.6, 1.0), solve_and_evaluate(p, 80, (0.2, 0.6, 1.0))):
+        for t, val in zip((0.2, 0.6, 1.0), ContourRun(p, 80).solve((0.2, 0.6, 1.0))):
             assert val == pytest.approx(exact(t), abs=1e-10)
 
     def test_homogeneous_matches_relaxation_kernel(self):
         # K u' + d_t^beta u + a u = 0, u(0) = 1 has the closed-form kernel
         p = Problem(sym=FractionalSymbol(1.0, 0.5), domain=ScalarDomain(math.pi ** 2), u0=1.0)
-        for t, val in zip((0.2, 0.8), solve_and_evaluate(p, 80, (0.2, 0.8))):
+        for t, val in zip((0.2, 0.8), ContourRun(p, 80).solve((0.2, 0.8))):
             assert val == pytest.approx(mode_value(1.0, 0.5, math.pi ** 2, t), abs=1e-9)
 
     def test_spectral_decay(self):
         p, exact = scalar_benchmark(0.5)
         errs = []
         for N in (10, 20, 40):
-            (val,) = solve_and_evaluate(p, N, (0.6,))
+            val = ContourRun(p, N).solve(0.6)
             errs.append(abs(val - exact(0.6)))
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] < 1e-9
@@ -94,6 +93,29 @@ class TestEvaluateGuards:
         ns = solve_nodes(p, quadrature_nodes(params, 20))
         with pytest.warns(UserWarning):
             evaluate(ns, 5.0, window=(0.1, 1.0))
+
+    def test_guards_check_every_time_of_a_list(self):
+        p, _ = scalar_benchmark(0.5)
+        params = problem_parameters(p, 20)
+        ns = solve_nodes(p, quadrature_nodes(params, 20))
+        with pytest.raises(CIMError):
+            evaluate(ns, [0.5, 0.0])
+        with pytest.raises(CIMError):
+            evaluate(ns, [0.5, 1e6])
+        with pytest.warns(UserWarning):
+            evaluate(ns, [0.5, 5.0], window=(0.1, 1.0))
+
+    @pytest.mark.parametrize("example", ["ex1_scalar", "ex3_1d_case1", "ex4_2d_case2"])
+    def test_time_list_matches_single_times(self, example):
+        p = build_problem(example, 0.5, 8).problem
+        params = problem_parameters(p, 40)
+        ns = solve_nodes(p, quadrature_nodes(params, 40))
+        times = np.linspace(0.1, 1.0, 16)
+        together = evaluate(ns, times)
+        assert together.shape[0] == len(times)
+        for t, row in zip(times, together):
+            single = evaluate(ns, t)
+            assert np.max(np.abs(row - single)) <= 1e-14 * np.max(np.abs(single))
 
 
 class TestPoleHandling:
@@ -125,7 +147,7 @@ class TestPoleHandling:
         # growing-mode solutions at different N agree once the contour
         # always passes right of the pole
         p = self.pole_problem()
-        vals = [solve_and_evaluate(p, N, (0.6,))[0] for N in (60, 100, 200, 400)]
+        vals = [ContourRun(p, N).solve(0.6) for N in (60, 100, 200, 400)]
         devs = [abs(v - vals[-1]) / abs(vals[-1]) for v in vals[:-1]]
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < 1e-4
@@ -157,17 +179,16 @@ class TestSpatialSolve:
 
     def test_manufactured_solution_l2(self):
         p, exact = self.vanishing_problem(0.5, 64)
-        disc = discretize(p)
-        (uh,) = solve_and_evaluate(p, 60, (0.86,), disc)
-        err = l2_error(p.domain, np.asarray(uh), lambda x: exact(x, 0.86))
+        uh = ContourRun(p, 60).solve(0.86)
+        err = l2_error(p.domain, uh, lambda x: exact(x, 0.86))
         assert err < 5e-5  # O(h^2) regime at M = 64
 
     def test_second_order_in_space(self):
         errs = []
         for M in (8, 16, 32):
             p, exact = self.vanishing_problem(0.5, M)
-            (uh,) = solve_and_evaluate(p, 60, (0.86,))
-            errs.append(l2_error(p.domain, np.asarray(uh), lambda x: exact(x, 0.86)))
+            uh = ContourRun(p, 60).solve(0.86)
+            errs.append(l2_error(p.domain, uh, lambda x: exact(x, 0.86)))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(1.85 < o < 2.15 for o in orders)
 
@@ -177,9 +198,9 @@ class TestSpatialSolve:
 
         u0 = InitialData2D(InitialData1D.indicator(0.0, 1.0), InitialData1D.indicator(0.0, 1.0))
         p = Problem(sym=FractionalSymbol(1.0, 0.5), domain=mesh, u0=u0)
-        disc = discretize(p)
-        vals = solve_and_evaluate(p, 60, (0.1, 0.5, 1.0), disc)
-        norms = [mass_norm(disc.ops, np.asarray(v)) for v in vals]
+        run = ContourRun(p, 60)
+        vals = run.solve((0.1, 0.5, 1.0))
+        norms = [mass_norm(run.disc.ops, v) for v in vals]
         assert norms[0] > norms[1] > norms[2] > 0.0
 
 
@@ -243,3 +264,14 @@ class TestAcceleration:
         params = problem_parameters(p, 100)
         rate = predicted_interp_decay(100, params.tau_star, params.alpha)
         assert rate > 1.0
+
+    @pytest.mark.parametrize("example, M", [("ex1_scalar", 4), ("ex3_1d_case1", 128)])
+    def test_predicted_decay_bounds_measured_rate(self, example, M):
+        # the Bernstein-ellipse rate is a lower bound on the per-node decay
+        # of the deviation, measured here from n = 10 to n = 20
+        bp = build_problem(example, 0.5, M)
+        dev10, _, _, _ = accel_compare(bp, 100, 10, 0.6)
+        dev20, _, _, _ = accel_compare(bp, 100, 20, 0.6)
+        params = bp.run(100).params
+        predicted = predicted_interp_decay(100, params.tau_star, params.alpha)
+        assert (dev10 / dev20) ** (1.0 / 10.0) >= predicted

@@ -21,12 +21,9 @@ from cimfem.fem import (
     Mesh1D,
     Mesh2D,
     assemble,
-    gradient_load_1d,
     l2_error,
     load_vector,
     mass_norm,
-    project_l2,
-    project_ritz,
     prolong_1d,
     prolong_2d,
 )
@@ -251,18 +248,6 @@ class TestLoadVectors:
 
 
 class TestProjectionsAndErrors:
-    def test_l2_projection_reproduces_p1(self):
-        mesh = Mesh1D(16)
-        ops = assemble(mesh)
-        c = np.sin(np.pi * mesh.nodes)
-        assert np.allclose(project_l2(ops, ops.mass @ c), c, atol=1e-12)
-
-    def test_ritz_projection_reproduces_p1(self):
-        mesh = Mesh1D(16)
-        ops = assemble(mesh)
-        c = mesh.nodes * (1.0 - mesh.nodes)
-        assert np.allclose(project_ritz(ops, ops.stiffness @ c), c, atol=1e-12)
-
     def test_l2_error_of_zero_is_norm(self):
         mesh = Mesh1D(64)
         err = l2_error(mesh, np.zeros(mesh.ndof), lambda x: np.sin(np.pi * x))
@@ -290,17 +275,6 @@ class TestProjectionsAndErrors:
         c = np.cos(mesh.nodes)
         direct = l2_error(mesh, c, lambda x: np.zeros_like(x))
         assert mass_norm(ops, c) == pytest.approx(direct, rel=1e-12)
-
-    def test_gradient_load(self):
-        # b_i = int g' phi_i' for g = x(1-x): compare with S acting on the
-        # interpolant plus the O(h^2) consistency gap via direct quadrature
-        mesh = Mesh1D(8)
-        b = gradient_load_1d(mesh, lambda x: 1.0 - 2.0 * x)
-        h = mesh.h
-        for i, xi in enumerate(mesh.nodes):
-            left, _ = quad(lambda x: (1 - 2 * x) / h, xi - h, xi)
-            right, _ = quad(lambda x: -(1 - 2 * x) / h, xi, xi + h)
-            assert b[i] == pytest.approx(left + right, abs=1e-12)
 
 
 class TestProlongation:

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cimfem.linalg import ComplexTridiag, LinAlgError, SparseFactor, sparse_solve, thomas_solve
+from cimfem.linalg import ComplexTridiag, LinAlgError, sparse_solve, thomas_solve
 
 
 def random_tridiag(n, rng, boost=4.0):
@@ -41,8 +41,8 @@ class TestThomas:
         assert np.allclose(t.matvec(x), dense(t) @ x)
 
     def test_zero_pivot_falls_back(self):
-        # leading zero diagonal defeats the no-pivot pass but the matrix is
-        # perfectly conditioned; the banded fallback must handle it
+        # leading zero diagonal defeats elimination without pivoting, but
+        # the matrix is perfectly conditioned; the pivoted solve handles it
         t = ComplexTridiag(
             lower=np.array([1.0 + 0j, 1.0]), diag=np.array([0.0 + 0j, 0.0, 1.0]), upper=np.array([1.0 + 0j, 0.0])
         )
@@ -89,17 +89,6 @@ class TestSparse:
         x = sparse_solve(a, rhs)
         res = np.max(np.abs(a @ x - rhs))
         assert res <= 1e-13 * (np.max(np.abs(rhs)) + np.max(np.abs(a.toarray())) * np.max(np.abs(x)) + 1.0)
-
-    def test_factor_reuse_matches_direct(self):
-        rng = np.random.default_rng(2)
-        n = 30
-        a = sp.diags(
-            [np.full(n - 1, 1.0 + 0.5j), np.full(n, 6.0), np.full(n - 1, 1.0 - 0.5j)], [-1, 0, 1]
-        ).tocsc()
-        f = SparseFactor(a)
-        for _ in range(3):
-            rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            assert np.allclose(f.solve(rhs), sparse_solve(a, rhs), atol=1e-13)
 
     def test_singular_raises(self):
         a = sp.csc_matrix((3, 3), dtype=complex)
