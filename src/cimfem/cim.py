@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import pi, sin, sqrt
 from typing import Mapping
 
 import numpy as np
+import scipy.sparse as sp
 
 # ``quadrature_nodes`` is not called in this module.  It stays one of its
 # names because perfbench/tracing.py wraps cross-layer calls by module
@@ -84,6 +86,11 @@ class Discretization:
     ops: AssembledOperators
     b_u0: np.ndarray
     b_factors: dict[str, np.ndarray]
+
+    @cached_property
+    def bands(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(mass, stiffness) diagonals -1, 0 and 1 of a 1-D discretization."""
+        return tuple((self.ops.mass.diagonal(k), self.ops.stiffness.diagonal(k)) for k in (-1, 0, 1))
 
 
 def discretize(p: Problem) -> Discretization | None:
@@ -173,15 +180,12 @@ def _node_solve(p: Problem, disc: Discretization | None, z: complex, rhs) -> np.
     eta = p.sym.eta(z)
     if p.scalar:
         return rhs / (eta + p.domain.a)
-    mass, stiff = disc.ops.mass, disc.ops.stiffness
     if disc.ops.dim == 1:
-        t = ComplexTridiag(
-            lower=eta * mass.diagonal(-1) + stiff.diagonal(-1),
-            diag=eta * mass.diagonal(0) + stiff.diagonal(0),
-            upper=eta * mass.diagonal(1) + stiff.diagonal(1),
-        )
-        return thomas_solve(t, rhs)
-    return sparse_solve(eta * mass + stiff, rhs)
+        return thomas_solve(ComplexTridiag(*(eta * m + s for m, s in disc.bands)), rhs)
+    # mass and stiffness share one CSC pattern, so eta M + S is a sum of data arrays
+    mass, stiff = disc.ops.mass, disc.ops.stiffness
+    a = sp.csc_matrix((eta * mass.data + stiff.data, mass.indices, mass.indptr), shape=mass.shape)
+    return sparse_solve(a, rhs)
 
 
 def solve_nodes(p: Problem, quad: ContourQuadrature, disc: Discretization | None = None) -> NodeSolutionSet:

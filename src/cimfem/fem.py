@@ -153,49 +153,39 @@ class Mesh2D:
         X, Y = np.meshgrid(g, g, indexing="xy")
         return np.column_stack([X.ravel(), Y.ravel()])
 
-    def triangles(self) -> np.ndarray:
-        """Vertex coordinates of all triangles, shape (n_triangles, 3, 2).
+    def _triangle_grid(self) -> np.ndarray:
+        """Grid indices (i, j) of each triangle vertex, shape (n_triangles, 3, 2).
 
-        Each square cell is split along its lower-left to upper-right
-        diagonal.
+        Cells are taken row by row (x fastest); each square cell is split
+        along its lower-left to upper-right diagonal into the triangles
+        (00, 10, 11) and (00, 11, 01).
         """
-        h = self.h
-        tris = np.empty((self.n_triangles, 3, 2))
-        k = 0
-        for j in range(self.M):
-            for i in range(self.M):
-                x0, y0 = i * h, j * h
-                v00 = (x0, y0)
-                v10 = (x0 + h, y0)
-                v01 = (x0, y0 + h)
-                v11 = (x0 + h, y0 + h)
-                tris[k] = (v00, v10, v11)
-                tris[k + 1] = (v00, v11, v01)
-                k += 2
-        return tris
+        i, j = np.meshgrid(np.arange(self.M), np.arange(self.M), indexing="xy")
+        corners = np.column_stack([i.ravel(), j.ravel()])
+        offsets = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
+        return (corners[:, None, None] + offsets).reshape(self.n_triangles, 3, 2)
+
+    def triangles(self) -> np.ndarray:
+        """Vertex coordinates of all triangles, shape (n_triangles, 3, 2)."""
+        return self._triangle_grid() * self.h
 
     def triangle_dofs(self) -> np.ndarray:
         """Interior dof index (or -1) of each triangle vertex, shape (n_triangles, 3)."""
-        dofs = np.empty((self.n_triangles, 3), dtype=int)
-        k = 0
-        for j in range(self.M):
-            for i in range(self.M):
-                i00 = self.node_index(i, j)
-                i10 = self.node_index(i + 1, j)
-                i01 = self.node_index(i, j + 1)
-                i11 = self.node_index(i + 1, j + 1)
-                dofs[k] = (i00, i10, i11)
-                dofs[k + 1] = (i00, i11, i01)
-                k += 2
-        return dofs
+        i, j = np.moveaxis(self._triangle_grid(), -1, 0)
+        interior = (0 < i) & (i < self.M) & (0 < j) & (j < self.M)
+        return np.where(interior, (j - 1) * (self.M - 1) + (i - 1), -1)
 
 
 @dataclass(frozen=True)
 class AssembledOperators:
-    """Interior mass and stiffness matrices of a mesh."""
+    """Interior mass and stiffness matrices of a mesh.
 
-    mass: sp.csr_matrix
-    stiffness: sp.csr_matrix
+    In 2-D both are CSC matrices on one shared sparsity pattern, so a
+    shifted matrix ``eta M + S`` is formed from their ``data`` arrays.
+    """
+
+    mass: sp.spmatrix
+    stiffness: sp.spmatrix
     ndof: int
     dim: int
 
@@ -217,39 +207,38 @@ def _assemble_1d(mesh: Mesh1D) -> AssembledOperators:
     return AssembledOperators(mass=mass, stiffness=stiff, ndof=n, dim=1)
 
 
-def _element_matrices(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Element stiffness and mass of one triangle given its 3x2 vertices."""
-    x, y = verts[:, 0], verts[:, 1]
-    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
-    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    area2 = x[0] * b[0] + x[1] * b[1] + x[2] * b[2]  # = 2 * signed area
-    area = abs(area2) / 2.0
-    ke = (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
-    me = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
-    return ke, me, area
-
-
 def _assemble_2d(mesh: Mesh2D) -> AssembledOperators:
-    n = mesh.ndof
-    tris = mesh.triangles()
-    dofs = mesh.triangle_dofs()
-    rows, cols, sv, mv = [], [], [], []
-    for t in range(mesh.n_triangles):
-        ke, me, _ = _element_matrices(tris[t])
-        d = dofs[t]
-        for a in range(3):
-            if d[a] < 0:
-                continue
-            for b in range(3):
-                if d[b] < 0:
-                    continue
-                rows.append(d[a])
-                cols.append(d[b])
-                sv.append(ke[a, b])
-                mv.append(me[a, b])
-    stiff = sp.coo_matrix((sv, (rows, cols)), shape=(n, n)).tocsr()
-    mass = sp.coo_matrix((mv, (rows, cols)), shape=(n, n)).tocsr()
-    return AssembledOperators(mass=mass, stiffness=stiff, ndof=n, dim=2)
+    """Closed-form P1 operators of the diagonal-split grid, x index fastest.
+
+    ``S = kron(I, T) + kron(T, I)`` with ``T = tridiag(-1, 2, -1)`` is the
+    5-point Laplacian.  Every node has six triangles of area h^2/2 around
+    it, and each of its six edges (E, W, N, S, NE, SW) is shared by two, so
+    ``M = h^2/12 (6 I + kron(I, E + E^T) + kron(E + E^T, I) + kron(E, E)
+    + kron(E^T, E^T))`` with ``E`` the superdiagonal shift.
+    """
+    n, h = mesh.M - 1, mesh.h
+    eye = sp.identity(n, format="csr")
+    shift = sp.diags(np.ones(n - 1), 1, shape=(n, n), format="csr")
+    tri = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+    stiff = sp.kron(eye, tri) + sp.kron(tri, eye)
+    mass = (h * h / 12.0) * (
+        6.0 * sp.identity(n * n)
+        + sp.kron(eye, shift + shift.T)
+        + sp.kron(shift + shift.T, eye)
+        + sp.kron(shift, shift)
+        + sp.kron(shift.T, shift.T)
+    )
+    # M is positive on its whole pattern, which contains that of S, so no
+    # entry of S + iM cancels: its pattern is M's, and S keeps explicit
+    # zeros at the NE/SW couplings.
+    both = (stiff + 1j * mass).tocsc()
+    pattern = (both.indices, both.indptr)
+    return AssembledOperators(
+        mass=sp.csc_matrix((both.data.imag.copy(), *pattern), shape=both.shape),
+        stiffness=sp.csc_matrix((both.data.real.copy(), *pattern), shape=both.shape),
+        ndof=n * n,
+        dim=2,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +291,10 @@ def _load_1d(mesh: Mesh1D, g, include_boundary: bool) -> np.ndarray:
     return b if include_boundary else b[1:M]
 
 
+# a vertex within this distance of a clipping line counts as inside
+_CLIP_TOL = 1e-14
+
+
 def _clip_halfplane(poly: list[np.ndarray], fn: Callable, level: float, keep_below: bool) -> list[np.ndarray]:
     """Sutherland-Hodgman clip of a convex polygon against fn(p) <=/>= level."""
     if not poly:
@@ -313,7 +306,7 @@ def _clip_halfplane(poly: list[np.ndarray], fn: Callable, level: float, keep_bel
         fp, fq = fn(p) - level, fn(q) - level
         if not keep_below:
             fp, fq = -fp, -fq
-        pin, qin = fp <= 1e-14, fq <= 1e-14
+        pin, qin = fp <= _CLIP_TOL, fq <= _CLIP_TOL
         if pin:
             out.append(p)
         if pin != qin:
@@ -382,38 +375,39 @@ def _support_rectangles(g) -> list[tuple[float, float, float, float, Callable]]:
 
 
 def _load_2d(mesh: Mesh2D, g, include_boundary: bool) -> np.ndarray:
-    tris = mesh.triangles()
-    dofs = mesh.triangle_dofs()
-    n_full = (mesh.M + 1) ** 2
+    """Mid-edge rule on every triangle inside a support rectangle of ``g``.
 
-    def full_index(p: np.ndarray) -> int:
-        i = int(round(p[0] / mesh.h))
-        j = int(round(p[1] / mesh.h))
-        return j * (mesh.M + 1) + i
-
-    b_full = np.zeros(n_full)
-    b_int = np.zeros(mesh.ndof)
-    rects = _support_rectangles(g)
-    for t in range(mesh.n_triangles):
-        verts = tris[t]
-        contrib = np.zeros(3)
-        for x0, x1, y0, y1, smooth in rects:
-            poly = [verts[0], verts[1], verts[2]]
-            if np.isfinite(x0):
-                poly = _clip_halfplane(poly, lambda p: p[0], x0, keep_below=False)
-            if np.isfinite(x1):
-                poly = _clip_halfplane(poly, lambda p: p[0], x1, keep_below=True)
-            if np.isfinite(y0):
-                poly = _clip_halfplane(poly, lambda p: p[1], y0, keep_below=False)
-            if np.isfinite(y1):
-                poly = _clip_halfplane(poly, lambda p: p[1], y1, keep_below=True)
+    Triangles a rectangle edge cuts are clipped to the rectangle one by
+    one; triangles outside it add nothing.  "Inside" uses the tolerance of
+    ``_clip_halfplane``, so a triangle counts as inside exactly when
+    clipping would leave it whole.
+    """
+    M, tol = mesh.M, _CLIP_TOL
+    grid = mesh._triangle_grid()
+    tris = grid * mesh.h
+    lo, hi = tris.min(axis=1), tris.max(axis=1)
+    area = mesh.h**2 / 2.0
+    contrib = np.zeros((mesh.n_triangles, 3))
+    for x0, x1, y0, y1, smooth in _support_rectangles(g):
+        box_lo, box_hi = np.array([x0, y0]), np.array([x1, y1])
+        inside = np.all((lo >= box_lo - tol) & (hi <= box_hi + tol), axis=1)
+        outside = np.any((hi <= box_lo + tol) | (lo >= box_hi - tol), axis=1)
+        # mids[:, a] is the midpoint of edge (a, a + 1); the rule gives each
+        # end of an edge weight area/3 * 1/2 of f there
+        verts = tris[inside]
+        mids = (verts + np.roll(verts, -1, axis=1)) / 2.0
+        # a callable may return a scalar where its value is constant
+        f = np.broadcast_to(smooth(mids[..., 0], mids[..., 1]), mids.shape[:-1])
+        contrib[inside] += area / 6.0 * (f + np.roll(f, 1, axis=1))
+        for t in np.flatnonzero(~(inside | outside)):
+            poly = list(tris[t])
+            for axis, level, below in ((0, x0, False), (0, x1, True), (1, y0, False), (1, y1, True)):
+                poly = _clip_halfplane(poly, lambda p, axis=axis: p[axis], level, keep_below=below)
             if poly:
-                contrib += _midedge_integrate(poly, verts, smooth)
-        for a in range(3):
-            if dofs[t][a] >= 0:
-                b_int[dofs[t][a]] += contrib[a]
-            b_full[full_index(verts[a])] += contrib[a]
-    return b_full if include_boundary else b_int
+                contrib[t] += _midedge_integrate(poly, tris[t], smooth)
+    full = grid[..., 1] * (M + 1) + grid[..., 0]
+    b_full = np.bincount(full.ravel(), weights=contrib.ravel(), minlength=(M + 1) ** 2)
+    return b_full if include_boundary else b_full.reshape(M + 1, M + 1)[1:M, 1:M].ravel()
 
 
 # degree-5, 7-point symmetric quadrature on the reference triangle
@@ -455,17 +449,15 @@ def l2_error(mesh: Mesh1D | Mesh2D, coeffs: np.ndarray, exact: Callable) -> floa
             uh = full[e] + (full[e + 1] - full[e]) * (xq - xl) / h
             acc += np.sum(wq * np.abs(uh - exact(xq)) ** 2)
         return float(np.sqrt(acc))
-    tris = mesh.triangles()
-    dofs = mesh.triangle_dofs()
-    acc = 0.0
-    for t in range(mesh.n_triangles):
-        verts = tris[t]
-        vals = np.array([coeffs[d] if d >= 0 else 0.0 for d in dofs[t]], dtype=coeffs.dtype)
-        _, _, area = _element_matrices(verts)
-        pts = _T7_L @ verts
-        uh = _T7_L @ vals
-        acc += area * np.sum(_T7_W * np.abs(uh - exact(pts[:, 0], pts[:, 1])) ** 2)
-    return float(np.sqrt(acc))
+    M = mesh.M
+    full = np.zeros((M + 1, M + 1), dtype=coeffs.dtype)  # [j, i]
+    full[1:M, 1:M] = coeffs.reshape(M - 1, M - 1)
+    grid = mesh._triangle_grid()
+    vals = full[grid[..., 1], grid[..., 0]]  # (n_triangles, 3)
+    pts = np.einsum("qk,tkd->tqd", _T7_L, mesh.triangles())
+    uh = vals @ _T7_L.T
+    err2 = np.abs(uh - exact(pts[..., 0], pts[..., 1])) ** 2
+    return float(np.sqrt(mesh.h**2 / 2.0 * np.sum(err2 @ _T7_W)))
 
 
 def mass_norm(ops: AssembledOperators, c: np.ndarray) -> float:

@@ -12,6 +12,8 @@ from cimfem.cim import (
     CIMError,
     Problem,
     ScalarDomain,
+    _node_rhs,
+    _node_solve,
     barycentric_interpolate,
     barycentric_weights,
     chebyshev_points,
@@ -202,6 +204,17 @@ class TestSpatialSolve:
         vals = run.solve((0.1, 0.5, 1.0))
         norms = [mass_norm(run.disc.ops, v) for v in vals]
         assert norms[0] > norms[1] > norms[2] > 0.0
+
+    def test_2d_node_solves_match_dense(self):
+        # every node of the pole-floor contour of ex4_2d_case3 at M = 16, N = 60
+        run = build_problem("ex4_2d_case3", 0.5, 16).run(60)
+        p, disc = run.problem, run.disc
+        mass, stiff = disc.ops.mass.toarray(), disc.ops.stiffness.toarray()
+        for z in run.quad.nodes:
+            rhs = _node_rhs(p, disc, z)
+            ref = np.linalg.solve(p.sym.eta(z) * mass + stiff, rhs)
+            x = _node_solve(p, disc, z, rhs)
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestBarycentric:

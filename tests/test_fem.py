@@ -14,12 +14,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from cimfem.bench import build_problem
 from cimfem.fem import (
     FEMError,
     InitialData1D,
     InitialData2D,
     Mesh1D,
     Mesh2D,
+    Piece1D,
+    _clip_halfplane,
+    _midedge_integrate,
     assemble,
     l2_error,
     load_vector,
@@ -155,6 +159,108 @@ class TestAssembly2D:
         assert stiff[c, mesh.node_index(2, 1)] == pytest.approx(-1.0)
         assert stiff[c, mesh.node_index(1, 2)] == pytest.approx(-1.0)
         assert stiff[c, mesh.node_index(2, 2)] == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("M", [4, 7, 16])
+def test_closed_form_assembly_matches_elementwise(M):
+    # the test's own cell loop: grid corners, vertex order, element matrices
+    mesh = Mesh2D(M)
+    h, n = 1.0 / M, mesh.ndof
+
+    def dof(i, j):
+        return (j - 1) * (M - 1) + (i - 1) if 0 < i < M and 0 < j < M else -1
+
+    tris, dofs = [], []
+    for j in range(M):
+        for i in range(M):
+            for corners in (((i, j), (i + 1, j), (i + 1, j + 1)), ((i, j), (i + 1, j + 1), (i, j + 1))):
+                tris.append([(a * h, b * h) for a, b in corners])
+                dofs.append([dof(a, b) for a, b in corners])
+    assert np.allclose(mesh.triangles(), tris, rtol=0.0, atol=1e-15)
+    assert np.array_equal(mesh.triangle_dofs(), dofs)
+    mass = np.zeros((n, n))
+    stiff = np.zeros((n, n))
+    for v, d in zip(np.array(tris), dofs):
+        # gradients of the barycentric coordinates: rows of inv([1 x y])^T
+        coef = np.linalg.inv(np.column_stack([np.ones(3), v]))
+        grads = coef[1:].T
+        area = 0.5 * abs(np.linalg.det(np.column_stack([np.ones(3), v])))
+        ke = area * grads @ grads.T
+        me = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
+        for a in range(3):
+            for b in range(3):
+                if d[a] >= 0 and d[b] >= 0:
+                    mass[d[a], d[b]] += me[a, b]
+                    stiff[d[a], d[b]] += ke[a, b]
+    ops = assemble(mesh)
+    assert np.allclose(ops.mass.toarray(), mass, rtol=0.0, atol=1e-15)
+    assert np.allclose(ops.stiffness.toarray(), stiff, rtol=0.0, atol=1e-12)
+    # one shared pattern, so eta M + S is a sum of data arrays
+    assert ops.mass.format == ops.stiffness.format == "csc"
+    assert np.array_equal(ops.mass.indices, ops.stiffness.indices)
+    assert np.array_equal(ops.mass.indptr, ops.stiffness.indptr)
+
+
+def midedge_reference(mesh, rectangles):
+    """Load of ``sum over rectangles of f on it`` by clipping every triangle."""
+    M = mesh.M
+    b_full = np.zeros((M + 1) ** 2)
+    for v in mesh.triangles():
+        contrib = np.zeros(3)
+        for x0, x1, y0, y1, f in rectangles:
+            poly = [v[0], v[1], v[2]]
+            for axis, level, below in ((0, x0, False), (0, x1, True), (1, y0, False), (1, y1, True)):
+                poly = _clip_halfplane(poly, lambda p, axis=axis: p[axis], level, keep_below=below)
+            if poly:
+                contrib += _midedge_integrate(poly, v, f)
+        for a in range(3):
+            b_full[round(v[a, 1] * M) * (M + 1) + round(v[a, 0] * M)] += contrib[a]
+    return b_full, b_full.reshape(M + 1, M + 1)[1:M, 1:M].ravel()
+
+
+# breakpoints off the grid in x and in y for every M below, plus a piece
+# that is linear in x
+OFF_GRID = InitialData2D(
+    fx=InitialData1D((Piece1D(0.3, 0.7, (1.0,)), Piece1D(0.7, 0.95, (2.0, -1.5)))),
+    fy=InitialData1D.indicator(0.15, 0.55),
+    scale=2.5,
+)
+
+
+@pytest.mark.parametrize("M", [5, 8, 13])
+def test_off_grid_separable_load_matches_clipping(M):
+    mesh = Mesh2D(M)
+    rectangles = [
+        (px.a, px.b, py.a, py.b,
+         lambda x, y, cx=px.coeffs, cy=py.coeffs: OFF_GRID.scale
+         * np.polynomial.polynomial.polyval(x, cx) * np.polynomial.polynomial.polyval(y, cy))
+        for px in OFF_GRID.fx.pieces
+        for py in OFF_GRID.fy.pieces
+    ]
+    ref_full, ref = midedge_reference(mesh, rectangles)
+    assert np.allclose(load_vector(mesh, OFF_GRID), ref, rtol=0.0, atol=1e-15)
+    b_full = load_vector(mesh, OFF_GRID, include_boundary=True)
+    assert np.allclose(b_full, ref_full, rtol=0.0, atol=1e-15)
+    total = OFF_GRID.scale * OFF_GRID.fx.integral() * OFF_GRID.fy.integral()
+    assert np.sum(b_full) == pytest.approx(total, rel=1e-13)
+
+
+@pytest.mark.parametrize("M", [8, 13])
+def test_callable_load_matches_midedge_rule(M):
+    fxy = build_problem("ex4_2d_case3", 0.5, M).problem.spatial_factors["fxy"]
+    mesh = Mesh2D(M)
+    everywhere = [(-np.inf, np.inf, -np.inf, np.inf, fxy)]
+    ref_full, ref = midedge_reference(mesh, everywhere)
+    assert np.allclose(load_vector(mesh, fxy), ref, rtol=0.0, atol=1e-15)
+    assert np.allclose(load_vector(mesh, fxy, include_boundary=True), ref_full, rtol=0.0, atol=1e-15)
+
+
+def test_constant_callable_load_2d():
+    # a callable returning a scalar: each interior hat integrates to h^2
+    mesh = Mesh2D(4)
+    b = load_vector(mesh, lambda x, y: 2.0, include_boundary=True)
+    assert np.allclose(b.reshape(5, 5)[1:4, 1:4], 2.0 * mesh.h**2, rtol=1e-14)
+    assert np.sum(b) == pytest.approx(2.0, rel=1e-14)
 
 
 class TestLoadVectors:
