@@ -120,7 +120,6 @@ class NodeSolutionSet:
 
     quad: ContourQuadrature
     values: np.ndarray
-    scalar: bool
 
 
 def _warn_pole_location(p: Problem, quad: ContourQuadrature) -> None:
@@ -162,24 +161,8 @@ def problem_parameters(p: Problem, N: int, **contour_kw) -> OptimalParameters:
     return params
 
 
-def _node_rhs(p: Problem, disc: Discretization | None, z: complex) -> np.ndarray | complex:
-    w = p.sym.history_weight(z)
-    sources = p.source.evaluate(z) if p.source.terms else {}
-    if p.scalar:
-        rhs = w * p.u0
-        for name, mult in sources.items():
-            rhs += mult * complex(p.spatial_factors.get(name, 1.0))
-        return rhs
-    rhs = w * disc.b_u0
-    for name, mult in sources.items():
-        rhs = rhs + mult * disc.b_factors[name]
-    return rhs
-
-
-def _node_solve(p: Problem, disc: Discretization | None, z: complex, rhs) -> np.ndarray | complex:
-    eta = p.sym.eta(z)
-    if p.scalar:
-        return rhs / (eta + p.domain.a)
+def _node_solve(disc: Discretization, eta: complex, rhs: np.ndarray) -> np.ndarray:
+    """Solve the shifted system ``(eta M + S) u = rhs`` of one contour point."""
     if disc.ops.dim == 1:
         return thomas_solve(ComplexTridiag(*(eta * m + s for m, s in disc.bands)), rhs)
     # mass and stiffness share one CSC pattern, so eta M + S is a sum of data arrays
@@ -188,19 +171,30 @@ def _node_solve(p: Problem, disc: Discretization | None, z: complex, rhs) -> np.
     return sparse_solve(a, rhs)
 
 
+def _solve_at(p: Problem, disc: Discretization | None, z: np.ndarray) -> np.ndarray:
+    """Laplace-domain solutions at the contour points ``z``, one row per point.
+
+    The symbol and the source transforms are evaluated once on all of
+    ``z``; only the linear solves of PDE problems loop over the points.
+    """
+    eta = p.sym.eta(z)
+    rhs = np.multiply.outer(p.sym.history_weight(z), p.u0 if p.scalar else disc.b_u0)
+    for name, mult in p.source.evaluate(z).items():
+        factor = complex(p.spatial_factors.get(name, 1.0)) if p.scalar else disc.b_factors[name]
+        rhs += np.multiply.outer(mult, factor)
+    if p.scalar:
+        return rhs / (eta + p.domain.a)
+    for k, (e, r) in enumerate(zip(eta, rhs)):
+        rhs[k] = _node_solve(disc, e, r)  # each row turns into its solution
+    return rhs
+
+
 def solve_nodes(p: Problem, quad: ContourQuadrature, disc: Discretization | None = None) -> NodeSolutionSet:
     """Solve the shifted systems at every quadrature node."""
     if disc is None:
         disc = discretize(p)
     _warn_pole_location(p, quad)
-    n_nodes = len(quad.nodes)
-    if p.scalar:
-        values = np.empty(n_nodes, dtype=complex)
-    else:
-        values = np.empty((n_nodes, disc.ops.ndof), dtype=complex)
-    for k, z in enumerate(quad.nodes):
-        values[k] = _node_solve(p, disc, z, _node_rhs(p, disc, z))
-    return NodeSolutionSet(quad=quad, values=values, scalar=p.scalar)
+    return NodeSolutionSet(quad=quad, values=_solve_at(p, disc, quad.nodes))
 
 
 def evaluate(ns: NodeSolutionSet, t, window: tuple[float, float] | None = None):
@@ -234,16 +228,6 @@ def evaluate(ns: NodeSolutionSet, t, window: tuple[float, float] | None = None):
 # barycentric Chebyshev acceleration
 
 
-@dataclass(frozen=True)
-class InterpolantSet:
-    """Node solutions at Chebyshev points in the contour parameter phi."""
-
-    points: np.ndarray  # phi-coordinates, length n + 1
-    weights: np.ndarray  # barycentric weights
-    values: np.ndarray  # shape (n + 1,) or (n + 1, ndof)
-    interval: tuple[float, float]
-
-
 def chebyshev_points(quad: ContourQuadrature, n: int) -> np.ndarray:
     """Chebyshev-Lobatto points on the phi-interval covered by the nodes."""
     if n < 1:
@@ -264,49 +248,30 @@ def barycentric_weights(n: int) -> np.ndarray:
 def barycentric_interpolate(points: np.ndarray, weights: np.ndarray, values: np.ndarray, x: np.ndarray, span: float) -> np.ndarray:
     """Barycentric interpolation of ``values`` at ``x``.
 
-    Query points within ``1e-14 * span`` of an interpolation point take
-    that point's value exactly (the 0/0 guard of the barycentric form).
+    One row of normalized weights ``(w_j / (x_i - p_j)) / sum_j (...)``
+    per query point multiplies ``values``.  Query points within
+    ``1e-14 * span`` of an interpolation point take that point's value
+    exactly (the 0/0 guard of the barycentric form).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    flat_vals = values if values.ndim > 1 else values[:, None]
-    out = np.empty((len(x), flat_vals.shape[1]), dtype=flat_vals.dtype)
-    for i, xi in enumerate(x):
-        d = xi - points
-        hit = np.abs(d) < 1e-14 * span
-        if np.any(hit):
-            out[i] = flat_vals[np.argmax(hit)]
-            continue
-        c = weights / d
-        out[i] = (c @ flat_vals) / np.sum(c)
-    return out if values.ndim > 1 else out[:, 0]
-
-
-def solve_chebyshev(p: Problem, params: OptimalParameters, quad: ContourQuadrature, n: int, disc: Discretization | None = None) -> InterpolantSet:
-    """Solve the shifted systems only at n + 1 Chebyshev points."""
-    if disc is None:
-        disc = discretize(p)
-    pts = chebyshev_points(quad, n)
-    if p.scalar:
-        values = np.empty(n + 1, dtype=complex)
-    else:
-        values = np.empty((n + 1, disc.ops.ndof), dtype=complex)
-    for j, phi in enumerate(pts):
-        z, _ = contour_point(params, phi)
-        values[j] = _node_solve(p, disc, z, _node_rhs(p, disc, z))
-    return InterpolantSet(
-        points=pts,
-        weights=barycentric_weights(n),
-        values=values,
-        interval=(float(quad.phis[0]), float(quad.phis[-1])),
-    )
+    d = np.subtract.outer(np.atleast_1d(np.asarray(x, dtype=float)), points)
+    hit = np.abs(d) < 1e-14 * span
+    c = weights / np.where(hit, 1.0, d)
+    c /= c.sum(axis=1, keepdims=True)
+    on_point = hit.any(axis=1)
+    c[on_point] = np.eye(len(points))[np.argmax(hit[on_point], axis=1)]
+    return c @ values
 
 
 def solve_nodes_accelerated(p: Problem, params: OptimalParameters, quad: ContourQuadrature, n: int, disc: Discretization | None = None) -> NodeSolutionSet:
-    """Node solutions recovered from the Chebyshev interpolant."""
-    iset = solve_chebyshev(p, params, quad, n, disc)
-    span = iset.interval[1] - iset.interval[0]
-    vals = barycentric_interpolate(iset.points, iset.weights, iset.values, quad.phis, span)
-    return NodeSolutionSet(quad=quad, values=vals, scalar=p.scalar)
+    """Node solutions interpolated from solves at n + 1 Chebyshev points only."""
+    if disc is None:
+        disc = discretize(p)
+    _warn_pole_location(p, quad)
+    pts = chebyshev_points(quad, n)
+    z, _ = contour_point(params, pts)
+    span = quad.phis[-1] - quad.phis[0]
+    values = barycentric_interpolate(pts, barycentric_weights(n), _solve_at(p, disc, z), quad.phis, span)
+    return NodeSolutionSet(quad=quad, values=values)
 
 
 def predicted_interp_decay(N: int, tau: float, alpha: float, eps_margin: float = 1e-3) -> float:

@@ -16,7 +16,7 @@ truncation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import acosh, cos, cosh, exp, pi, sin, sinh
+from math import acosh, cos, exp, pi, sin
 
 import numpy as np
 
@@ -186,11 +186,11 @@ def optimize_rho(cfg: ContourConfig) -> OptimalParameters:
     )
 
 
-def contour_point(params: OptimalParameters, phi: float) -> tuple[complex, complex]:
-    """Return ``(z(phi), z'(phi))`` on the hyperbola."""
+def contour_point(params: OptimalParameters, phi):
+    """Return ``(z(phi), z'(phi))`` on the hyperbola, for a scalar or an array ``phi``."""
     mu, alpha = params.mu_star, params.alpha
-    z = complex(mu * (1.0 - sin(alpha) * cosh(phi)), mu * cos(alpha) * sinh(phi))
-    dz = complex(-mu * sin(alpha) * sinh(phi), mu * cos(alpha) * cosh(phi))
+    z = mu * (1.0 - sin(alpha) * np.cosh(phi)) + 1j * mu * cos(alpha) * np.sinh(phi)
+    dz = -mu * sin(alpha) * np.sinh(phi) + 1j * mu * cos(alpha) * np.cosh(phi)
     return z, dz
 
 
@@ -199,11 +199,11 @@ def quadrature_nodes(params: OptimalParameters, N: int) -> ContourQuadrature:
     if N < 1:
         raise ContourError(f"need N >= 1, got {N}")
     tau = params.tau_star
-    mu, alpha = params.mu_star, params.alpha
     phis = (np.arange(N) + 0.5) * tau
-    nodes = mu * (1.0 - sin(alpha) * np.cosh(phis)) + 1j * mu * cos(alpha) * np.sinh(phis)
-    derivs = -mu * sin(alpha) * np.sinh(phis) + 1j * mu * cos(alpha) * np.cosh(phis)
-    return ContourQuadrature(nodes=nodes, derivs=derivs, phis=phis, tau=tau, mu=mu, alpha=alpha)
+    nodes, derivs = contour_point(params, phis)
+    return ContourQuadrature(
+        nodes=nodes, derivs=derivs, phis=phis, tau=tau, mu=params.mu_star, alpha=params.alpha
+    )
 
 
 # The optimizer's default strip margin (ContourConfig.d_margin = 1e-3) takes

@@ -271,23 +271,26 @@ def load_vector(
     return _load_2d(mesh, g, include_boundary)
 
 
-def _gauss_on(a: float, b: float, xg: np.ndarray, wg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_on(a: np.ndarray, b: np.ndarray, xg: np.ndarray, wg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss points and weights on each interval (a_k, b_k), one row per interval."""
     mid, half = (a + b) / 2.0, (b - a) / 2.0
-    return mid + half * xg, half * wg
+    return mid[:, None] + half[:, None] * xg, half[:, None] * wg
 
 
 def _load_1d(mesh: Mesh1D, g, include_boundary: bool) -> np.ndarray:
+    """3-point Gauss rule on every piece of the grid cut at the data's breakpoints."""
     h, M = mesh.h, mesh.M
-    breaks = g.breakpoints if isinstance(g, InitialData1D) else ()
-    b = np.zeros(M + 1)
-    for e in range(M):
-        xl, xr = e * h, (e + 1) * h
-        cuts = [xl] + [p for p in breaks if xl < p < xr] + [xr]
-        for s in range(len(cuts) - 1):
-            xq, wq = _gauss_on(cuts[s], cuts[s + 1], _G3_X, _G3_W)
-            gq = g(xq)
-            b[e] += np.sum(wq * gq * (xr - xq) / h)
-            b[e + 1] += np.sum(wq * gq * (xq - xl) / h)
+    grid = np.arange(M + 1) * h
+    breaks = np.asarray(g.breakpoints if isinstance(g, InitialData1D) else (), dtype=float)
+    cuts = np.union1d(grid, breaks[(0.0 < breaks) & (breaks < grid[-1])])
+    e = np.searchsorted(grid, cuts[:-1], side="right") - 1  # element of each piece
+    xl, xr = (e * h)[:, None], ((e + 1) * h)[:, None]
+    xq, wq = _gauss_on(cuts[:-1], cuts[1:], _G3_X, _G3_W)
+    gq = g(xq)
+    left = np.sum(wq * gq * (xr - xq) / h, axis=1)
+    right = np.sum(wq * gq * (xq - xl) / h, axis=1)
+    # interleaved, so every node sums its terms in element order
+    b = np.bincount(np.column_stack([e, e + 1]).ravel(), np.column_stack([left, right]).ravel(), M + 1)
     return b if include_boundary else b[1:M]
 
 
@@ -442,13 +445,10 @@ def l2_error(mesh: Mesh1D | Mesh2D, coeffs: np.ndarray, exact: Callable) -> floa
         h, M = mesh.h, mesh.M
         full = np.zeros(M + 1, dtype=coeffs.dtype)
         full[1:M] = coeffs
-        acc = 0.0
-        for e in range(M):
-            xl = e * h
-            xq, wq = _gauss_on(xl, xl + h, _G5_X, _G5_W)
-            uh = full[e] + (full[e + 1] - full[e]) * (xq - xl) / h
-            acc += np.sum(wq * np.abs(uh - exact(xq)) ** 2)
-        return float(np.sqrt(acc))
+        xl = np.arange(M) * h
+        xq, wq = _gauss_on(xl, xl + h, _G5_X, _G5_W)
+        uh = full[:-1, None] + (full[1:, None] - full[:-1, None]) * (xq - xl[:, None]) / h
+        return float(np.sqrt(np.sum(wq * np.abs(uh - exact(xq)) ** 2)))
     M = mesh.M
     full = np.zeros((M + 1, M + 1), dtype=coeffs.dtype)  # [j, i]
     full[1:M, 1:M] = coeffs.reshape(M - 1, M - 1)

@@ -12,8 +12,8 @@ from cimfem.cim import (
     CIMError,
     Problem,
     ScalarDomain,
-    _node_rhs,
     _node_solve,
+    _solve_at,
     barycentric_interpolate,
     barycentric_weights,
     chebyshev_points,
@@ -145,6 +145,16 @@ class TestPoleHandling:
         with pytest.warns(UserWarning):
             solve_nodes(p, quad)
 
+    def test_accelerated_path_warns_when_pole_missed(self):
+        # the unfloored N = 20 contour of ex4_2d_case3 has its vertex near 0.37,
+        # left of the source pole at 1.5
+        p = build_problem("ex4_2d_case3", 0.5, 8).problem
+        params = standard_parameters(20, p.t0, p.lambda_ratio)
+        quad = quadrature_nodes(params, 20)
+        assert quad.mu * (1.0 - math.sin(quad.alpha)) < 1.5
+        with pytest.warns(UserWarning, match="source pole"):
+            solve_nodes_accelerated(p, params, quad, 10)
+
     def test_pole_solution_consistent_across_n(self):
         # growing-mode solutions at different N agree once the contour
         # always passes right of the pole
@@ -206,15 +216,20 @@ class TestSpatialSolve:
         assert norms[0] > norms[1] > norms[2] > 0.0
 
     def test_2d_node_solves_match_dense(self):
-        # every node of the pole-floor contour of ex4_2d_case3 at M = 16, N = 60
+        # every node of the pole-floor contour of ex4_2d_case3 at M = 16, N = 60;
+        # its source is 3 pi^5 exp(1.5 t) fxy(x, y) and its initial datum zero
         run = build_problem("ex4_2d_case3", 0.5, 16).run(60)
-        p, disc = run.problem, run.disc
+        p, disc, z = run.problem, run.disc, run.quad.nodes
         mass, stiff = disc.ops.mass.toarray(), disc.ops.stiffness.toarray()
-        for z in run.quad.nodes:
-            rhs = _node_rhs(p, disc, z)
-            ref = np.linalg.solve(p.sym.eta(z) * mass + stiff, rhs)
-            x = _node_solve(p, disc, z, rhs)
-            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        eta = z + z ** 0.5
+        rhs = np.outer(1.0 + z ** -0.5, disc.b_u0)
+        rhs += np.outer(3.0 * math.pi ** 5 / (z - 1.5), disc.b_factors["fxy"])
+        together = _solve_at(p, disc, z)
+        for k in range(len(z)):
+            ref = np.linalg.solve(eta[k] * mass + stiff, rhs[k])
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(_node_solve(disc, eta[k], rhs[k]) - ref)) <= 1e-12 * scale
+            assert np.max(np.abs(together[k] - ref)) <= 1e-12 * scale
 
 
 class TestBarycentric:
@@ -240,6 +255,25 @@ class TestBarycentric:
         vals = np.sin(pts)
         out = barycentric_interpolate(pts, w, vals, pts.copy(), 2.0)
         assert np.allclose(out, vals, atol=1e-14)
+
+    def test_matches_pointwise_formula_on_complex_rows(self):
+        # (n + 1, ndof) complex values; some query points are interpolation points
+        n, a, b = 7, 0.2, 1.9
+        pts = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * np.arange(n + 1) / n)
+        w = barycentric_weights(n)
+        rng = np.random.default_rng(5)
+        vals = rng.standard_normal((n + 1, 4)) + 1j * rng.standard_normal((n + 1, 4))
+        xq = np.concatenate([np.linspace(a, b, 13), pts[[0, 3, n]]])
+        ref = np.empty((len(xq), 4), dtype=complex)
+        for i, xi in enumerate(xq):
+            d = xi - pts
+            if np.any(d == 0.0):
+                ref[i] = vals[np.argmin(np.abs(d))]
+            else:
+                ref[i] = (w / d) @ vals / np.sum(w / d)
+        out = barycentric_interpolate(pts, w, vals, xq, b - a)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_chebyshev_points_span_quadrature_range(self):
         p, _ = scalar_benchmark(0.5)

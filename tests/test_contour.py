@@ -153,6 +153,17 @@ class TestQuadratureNodes:
             fd = (zp - zm) / (2 * h)
             assert abs(fd - quad.derivs[k]) < 1e-5 * (1 + abs(quad.derivs[k]))
 
+    def test_vectorized_contour_point_matches_scalar_calls_and_nodes(self):
+        p = standard_parameters(30, 0.1, 10.0)
+        quad = quadrature_nodes(p, 30)
+        z, dz = contour_point(p, quad.phis)
+        for k, phi in enumerate(quad.phis):
+            zs, dzs = contour_point(p, float(phi))
+            assert abs(z[k] - zs) <= 1e-15 * abs(zs)
+            assert abs(dz[k] - dzs) <= 1e-15 * abs(dzs)
+        assert np.max(np.abs(z - quad.nodes)) <= 1e-15 * np.max(np.abs(quad.nodes))
+        assert np.max(np.abs(dz - quad.derivs)) <= 1e-15 * np.max(np.abs(quad.derivs))
+
     def test_invalid_n_rejected(self):
         p = standard_parameters(10, 0.1, 10.0)
         with pytest.raises(ContourError):

@@ -23,6 +23,7 @@ from cimfem.fem import (
     Mesh2D,
     Piece1D,
     _clip_halfplane,
+    _load_1d,
     _midedge_integrate,
     assemble,
     l2_error,
@@ -261,6 +262,40 @@ def test_constant_callable_load_2d():
     b = load_vector(mesh, lambda x, y: 2.0, include_boundary=True)
     assert np.allclose(b.reshape(5, 5)[1:4, 1:4], 2.0 * mesh.h**2, rtol=1e-14)
     assert np.sum(b) == pytest.approx(2.0, rel=1e-14)
+
+
+def load_1d_per_element(M, g, breaks):
+    """Hat-function loads by the 3-point Gauss rule on each element piece between breakpoints."""
+    h = 1.0 / M
+    xg, wg = np.polynomial.legendre.leggauss(3)
+    b = np.zeros(M + 1)
+    for e in range(M):
+        xl, xr = e * h, (e + 1) * h
+        cuts = [xl] + [p for p in breaks if xl < p < xr] + [xr]
+        for a, c in zip(cuts[:-1], cuts[1:]):
+            xq = (a + c) / 2.0 + (c - a) / 2.0 * xg
+            gw = (c - a) / 2.0 * wg * g(xq)
+            b[e] += np.sum(gw * (xr - xq)) / h
+            b[e + 1] += np.sum(gw * (xq - xl)) / h
+    return b
+
+
+@pytest.mark.parametrize("M", [7, 64, 1000])
+def test_load_1d_matches_per_element_loop(M):
+    # one piece with ends on grid nodes, one inside a single element, one off the grid
+    h = 1.0 / M
+    g = InitialData1D(
+        (
+            Piece1D(1 * h, 3 * h, (1.0, 2.0)),
+            Piece1D((M // 2 + 0.25) * h, (M // 2 + 0.65) * h, (4.0,)),
+            Piece1D(0.6 + h / 3.0, 0.9, (0.5, 0.0, -3.0)),
+        )
+    )
+    smooth = lambda x: np.sin(3.0 * x) * np.exp(x)
+    for data, breaks in ((g, g.breakpoints), (smooth, ())):
+        ref = load_1d_per_element(M, data, breaks)
+        b = _load_1d(Mesh1D(M), data, include_boundary=True)
+        assert np.max(np.abs(b - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestLoadVectors:
