@@ -28,7 +28,7 @@ def main() -> int:
         for lam in (float(x) for x in args.lambdas.split(",")):
             cd = ContourDefaults(lambda_ratio=lam)
             bp = build_problem("ex1_scalar", beta, 4, cd)
-            t = 0.6 * lam * cd.t0
+            t = round(0.6 * lam * cd.t0, 12)  # the rounding window_times applies
             for n in range(10, args.n_max + 1, 10):
                 val = bp.run(n).solve(t)
                 writer.writerow([beta, lam, n, t, f"{abs(val - bp.exact(t)):.4E}"])

@@ -67,6 +67,8 @@ EXAMPLE_IDS = (
     "ex4_2d_case3",
 )
 
+N_REF = 200  # contour nodes of the numeric temporal reference
+
 CSV_HEADER = ["example", "beta", "N", "M", "n", "t", "error", "order", "iar", "wall_ms"]
 
 
@@ -93,7 +95,6 @@ class ExperimentSpec:
     n_interp: int = 10
     eval_times: tuple[float, ...] = (0.6,)
     reference: str = "numeric"  # "exact" | "numeric"
-    n_ref: int = 200
     output_path: str | None = None
     threads: int = 1
     contour: ContourDefaults = field(default_factory=ContourDefaults)
@@ -101,8 +102,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.example_id not in EXAMPLE_IDS:
             raise BenchError(f"unknown example {self.example_id!r}")
-        if self.reference == "numeric" and self.n_list and self.n_ref <= max(self.n_list):
-            raise BenchError("numeric reference needs n_ref > every N in the sweep")
+        if self.reference == "numeric" and self.n_list and N_REF <= max(self.n_list):
+            raise BenchError(f"numeric reference needs N_REF = {N_REF} > every N in the sweep")
         if self.reference == "exact" and self.example_id not in ("ex1_scalar", "ex2_vanishing"):
             raise BenchError("exact reference only available for ex1_scalar/ex2_vanishing")
         if self.reference not in ("exact", "numeric"):
@@ -221,25 +222,32 @@ def build_problem(example_id: str, beta: float, M: int, cd: ContourDefaults = Co
     return BuiltProblem(Problem(sym=sym, domain=domain, u0=u0, **common), None, cd)
 
 
+def _distance(bp: BuiltProblem, disc: Discretization | None, u, t: float, ref=None) -> float:
+    """Distance from the solution ``u`` at time ``t`` to ``ref``, or to the exact solution.
+
+    With ``ref`` it is the mass-norm distance on ``disc``'s operators;
+    without it, the L2 quadrature error against the exact solution at
+    ``t``.  Scalar problems use the absolute difference.
+    """
+    p = bp.problem
+    if ref is not None:
+        return abs(u - ref) if p.scalar else mass_norm(disc.ops, u - ref)
+    if bp.exact is None:
+        raise BenchError("no exact solution for this example")
+    if p.scalar:
+        return abs(u - bp.exact(t))
+    return l2_error(p.domain, u, lambda *x: bp.exact(*x, t))
+
+
 def error_tau(bp: BuiltProblem, disc: Discretization | None, times, sols, ref=None) -> float:
-    """Max over ``times`` of the L2 distance from ``sols`` to the reference.
+    """Max over ``times`` of the distance from ``sols`` to the reference.
 
     ``ref`` holds the reference solutions at ``times``, the N_ref-node
     contour solution on the same mesh (mass-norm distance).  Without it
     the exact solution is the reference (L2 quadrature error).
     """
-    p = bp.problem
-    if ref is None:
-        if bp.exact is None:
-            raise BenchError("no exact solution for this example")
-        if p.scalar:
-            return max(abs(s - bp.exact(t)) for s, t in zip(sols, times))
-        return max(
-            l2_error(p.domain, s, lambda x, t=t: bp.exact(x, t)) for s, t in zip(sols, times)
-        )
-    if p.scalar:
-        return max(abs(s - r) for s, r in zip(sols, ref))
-    return max(mass_norm(disc.ops, s - r) for s, r in zip(sols, ref))
+    refs = [None] * len(times) if ref is None else ref
+    return max(_distance(bp, disc, s, t, r) for s, t, r in zip(sols, times, refs))
 
 
 def spatial_sweep(
@@ -271,29 +279,25 @@ def spatial_sweep(
     rows = []
     prev = None
     for m in m_list:
-        bp, _, u, wall = solved[m]
+        bp, disc, u, wall = solved[m]
         if reference == "exact":
-            if bp.exact is None:
-                raise BenchError("no exact solution for this example")
-            err = l2_error(bp.problem.domain, u, lambda x: bp.exact(x, t))
+            err = _distance(bp, disc, u, t)
         else:
-            _, fine_disc, fine_u, _ = solved[2 * m]
+            fine_bp, fine_disc, fine_u, _ = solved[2 * m]
             prolong = prolong_2d if isinstance(bp.problem.domain, Mesh2D) else prolong_1d
-            err = mass_norm(fine_disc.ops, prolong(u, m) - fine_u)
+            err = _distance(fine_bp, fine_disc, prolong(u, m), t, fine_u)
         order = None if prev is None else float(np.log2(prev / err)) if err > 0 else None
         rows.append((m, err, order, wall))
         prev = err
     return rows
 
 
-def _relative_distance(disc: Discretization | None, u, ref) -> float:
-    if disc is None:
-        num, denom = abs(u - ref), abs(ref)
-    else:
-        num, denom = mass_norm(disc.ops, u - ref), mass_norm(disc.ops, ref)
+def _relative(bp: BuiltProblem, disc: Discretization | None, u, t: float, ref=None) -> float:
+    """``_distance`` of ``u`` divided by that of zero: the relative distance."""
+    denom = _distance(bp, disc, np.zeros_like(u), t, ref)
     if denom < 1e-14:
         raise BenchError("reference solution vanishes; relative distance undefined")
-    return num / denom
+    return _distance(bp, disc, u, t, ref) / denom
 
 
 def _median_time(fn):
@@ -324,14 +328,9 @@ def accel_compare(bp: BuiltProblem, N: int, n: int, t: float) -> tuple[float, fl
     run = bp.run(N, disc)
     t_plain, u_plain = _median_time(lambda: run.solve(t))
     t_accel, u_acc = _median_time(lambda: run.solve(t, n))
-    dev = _relative_distance(disc, u_acc, u_plain)
-    if bp.exact is None or p.scalar:
-        return dev, dev, t_plain, t_accel
-    exact = lambda *x: bp.exact(*x, t)
-    denom = l2_error(p.domain, np.zeros_like(u_acc), exact)
-    if denom < 1e-14:
-        raise BenchError("reference solution vanishes; IAR undefined")
-    return dev, l2_error(p.domain, u_acc, exact) / denom, t_plain, t_accel
+    dev = _relative(bp, disc, u_acc, t, u_plain)
+    iar = dev if bp.exact is None or p.scalar else _relative(bp, disc, u_acc, t)
+    return dev, iar, t_plain, t_accel
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +391,7 @@ def _time_rows(spec: ExperimentSpec, beta: float) -> list[dict]:
     bp = build_problem(spec.example_id, beta, M, spec.contour)
     disc = discretize(bp.problem)
     times = window_times(spec.contour, spec.eval_times)
-    ref = None if spec.reference == "exact" else bp.run(spec.n_ref, disc).solve(times)
+    ref = None if spec.reference == "exact" else bp.run(N_REF, disc).solve(times)
     rows = []
     for N in spec.n_list:
         start = time.perf_counter()
@@ -458,14 +457,9 @@ def run(spec: ExperimentSpec) -> ErrorReport:
             wall = (time.perf_counter() - start) * 1e3
             rows = []
             for t, s in zip(t_list, sols):
-                if bp.problem.scalar:
-                    val = abs(s - bp.exact(t)) if bp.exact else abs(s)
-                elif bp.exact is not None:
-                    val = l2_error(bp.problem.domain, s, lambda x, t=t: bp.exact(x, t))
-                else:
-                    val = mass_norm(disc.ops, np.asarray(s))
+                ref = None if bp.exact is not None else np.zeros_like(s)
                 rows.append(_row(spec.example_id, beta, N=N, M=None if bp.problem.scalar else M,
-                                 t=t, error=val, wall_ms=wall))
+                                 t=t, error=_distance(bp, disc, s, t, ref), wall_ms=wall))
                 wall = None
             return rows
 

@@ -2,7 +2,9 @@
 
 Subcommands: solve, sweep-time, sweep-space, accel-compare, ml-eval.
 Every flag can also be given in a flat key=value config file passed with
---config; command-line flags override file values.
+--config: a key is the flag's name without "--", spelled in full, and its
+value goes through the flag's type and choices.  Command-line flags
+override file values.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from .bench import (
 from .mlf import MLQuery, ml_biv, ml_biv_series
 
 
-def _parse_config(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _config_args(path: str) -> list[str]:
+    """Each ``key = value`` line of a config file as the flag ``--key=value``."""
+    out: list[str] = []
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -29,8 +32,10 @@ def _parse_config(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise BenchError(f"config line without '=': {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key == "config":
+                raise BenchError("unknown config key 'config'")
+            out.append(f"--{key}={value}")
     return out
 
 
@@ -43,109 +48,59 @@ def _ints(s: str) -> tuple[int, ...]:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file; flags override")
-    p.add_argument("--example", choices=EXAMPLE_IDS)
-    p.add_argument("--beta", help="comma-separated fractional orders")
-    p.add_argument("--K", type=float, help="normal-diffusion coefficient")
-    p.add_argument("--Lambda", type=float, dest="lambda_ratio", help="time-window ratio")
-    p.add_argument("--t0", type=float, help="left end of the time window")
-    p.add_argument("--alpha", type=float, help="contour asymptote angle")
-    p.add_argument("--delta-prime", type=float, help="sector safety margin")
-    p.add_argument("--N", help="comma-separated contour node counts")
-    p.add_argument("--M", help="comma-separated mesh interval counts")
-    p.add_argument("--n-interp", type=int, help="interpolation order for acceleration")
-    p.add_argument("--times", help="comma-separated evaluation times")
-    p.add_argument("--reference", choices=("exact", "numeric"))
+    cd, spec = ContourDefaults, ExperimentSpec
+    p.add_argument("--config", help="flat key=value config file of these flags; flags override")
+    p.add_argument("--example", choices=EXAMPLE_IDS, default="ex1_scalar")
+    p.add_argument("--beta", type=_floats, default=spec.betas, help="comma-separated fractional orders")
+    p.add_argument("--K", type=float, default=cd.K, help="normal-diffusion coefficient")
+    p.add_argument("--Lambda", type=float, dest="lambda_ratio", default=cd.lambda_ratio,
+                   help="time-window ratio")
+    p.add_argument("--t0", type=float, default=cd.t0, help="left end of the time window")
+    p.add_argument("--alpha", type=float, default=cd.alpha, help="contour asymptote angle")
+    p.add_argument("--delta-prime", type=float, default=cd.delta_prime, help="sector safety margin")
+    p.add_argument("--N", type=_ints, default=spec.n_list, help="comma-separated contour node counts")
+    p.add_argument("--M", type=_ints, default=spec.m_list, help="comma-separated mesh interval counts")
+    p.add_argument("--n-interp", type=int, default=spec.n_interp,
+                   help="interpolation order for acceleration")
+    p.add_argument("--times", type=_floats, default=spec.eval_times, help="comma-separated evaluation times")
+    p.add_argument("--reference", choices=("exact", "numeric"), default=spec.reference)
     p.add_argument("--out", help="CSV output path")
-    p.add_argument("--threads", type=int, help="concurrent sweep rows")
+    p.add_argument("--threads", type=int, default=spec.threads, help="concurrent sweep rows")
 
 
-_DEFAULTS = {
-    "example": "ex1_scalar",
-    "beta": "0.5",
-    "K": ContourDefaults.K,
-    "lambda_ratio": ContourDefaults.lambda_ratio,
-    "t0": ContourDefaults.t0,
-    "alpha": ContourDefaults.alpha,
-    "delta_prime": ContourDefaults.delta_prime,
-    "N": "100",
-    "M": "32",
-    "n_interp": 10,
-    "times": "0.6",
-    "reference": "numeric",
-    "out": None,
-    "threads": 1,
-}
-
-# config-file key -> argparse dest, with type conversion at spec build time
-_CONFIG_KEYS = {
-    "example": "example",
-    "beta": "beta",
-    "K": "K",
-    "Lambda": "lambda_ratio",
-    "t0": "t0",
-    "alpha": "alpha",
-    "delta-prime": "delta_prime",
-    "N": "N",
-    "M": "M",
-    "n-interp": "n_interp",
-    "times": "times",
-    "reference": "reference",
-    "out": "out",
-    "threads": "threads",
-}
-
-_FLOAT_KEYS = {"K", "lambda_ratio", "t0", "alpha", "delta_prime"}
-_INT_KEYS = {"n_interp", "threads"}
+def _with_config(p: argparse.ArgumentParser, path: str, flags: list[str]) -> argparse.Namespace:
+    """Parse the config file's flags, then the command-line ``flags``, which override them."""
+    args, unknown = p.parse_known_args(_config_args(path) + flags)
+    if unknown:
+        raise BenchError(f"unknown config key {unknown[0].lstrip('-').split('=', 1)[0]!r}")
+    return args
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    merged = dict(_DEFAULTS)
-    if args.config:
-        cfg = _parse_config(args.config)
-        for key, value in cfg.items():
-            if key not in _CONFIG_KEYS:
-                raise BenchError(f"unknown config key {key!r}")
-            dest = _CONFIG_KEYS[key]
-            if dest in _FLOAT_KEYS:
-                merged[dest] = float(value)
-            elif dest in _INT_KEYS:
-                merged[dest] = int(value)
-            else:
-                merged[dest] = value
-    for dest in _DEFAULTS:
-        value = getattr(args, dest, None)
-        if value is not None:
-            merged[dest] = value
-    return merged
-
-
-def _build_spec(mode: str, merged: dict) -> ExperimentSpec:
+def _build_spec(mode: str, args: argparse.Namespace) -> ExperimentSpec:
     contour = ContourDefaults(
-        alpha=merged["alpha"],
-        delta_prime=merged["delta_prime"],
-        t0=merged["t0"],
-        lambda_ratio=merged["lambda_ratio"],
-        K=merged["K"],
+        alpha=args.alpha,
+        delta_prime=args.delta_prime,
+        t0=args.t0,
+        lambda_ratio=args.lambda_ratio,
+        K=args.K,
     )
     return ExperimentSpec(
         mode=mode,
-        example_id=merged["example"],
-        betas=_floats(merged["beta"]),
-        n_list=_ints(merged["N"]),
-        m_list=_ints(merged["M"]),
-        n_interp=merged["n_interp"],
-        eval_times=_floats(merged["times"]),
-        reference=merged["reference"],
-        output_path=merged["out"],
-        threads=merged["threads"],
+        example_id=args.example,
+        betas=args.beta,
+        n_list=args.N,
+        m_list=args.M,
+        n_interp=args.n_interp,
+        eval_times=args.times,
+        reference=args.reference,
+        output_path=args.out,
+        threads=args.threads,
         contour=contour,
     )
 
 
 def _cmd_sweep(mode: str, args: argparse.Namespace) -> int:
-    spec = _build_spec(mode, _resolve(args))
-    report = run(spec)
+    report = run(_build_spec(mode, args))
     sys.stdout.write(report.to_csv())
     for failure in report.failures:
         print(f"row failed: {failure}", file=sys.stderr)
@@ -179,16 +134,21 @@ def main(argv: list[str] | None = None) -> int:
         description="Contour-integral FEM solver benchmarks for normal subdiffusion",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    modes = {}
     for mode in ("solve", "sweep-time", "sweep-space", "accel-compare"):
-        p = sub.add_parser(mode)
-        _add_common(p)
+        modes[mode] = sub.add_parser(mode, allow_abbrev=False)
+        _add_common(modes[mode])
     p_ml = sub.add_parser("ml-eval", help="evaluate the bivariate relaxation function")
     p_ml.add_argument(
         "query", nargs="*", help="alpha beta gamma z1 z2 [t]; reads stdin lines if omitted"
     )
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if args.command == "ml-eval":
         return _cmd_ml_eval(args)
+    if args.config:
+        # argv[0] is the command: the top-level parser has no flag of its own
+        return _cmd_sweep(args.command, _with_config(modes[args.command], args.config, argv[1:]))
     return _cmd_sweep(args.command, args)
 
 

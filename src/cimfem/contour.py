@@ -16,13 +16,16 @@ truncation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import acosh, cos, exp, pi, sin
+from math import cos, pi, sin
 
 import numpy as np
 
 
 class ContourError(ValueError):
     """Raised when contour parameters are infeasible."""
+
+
+EPS_ROUND = 2.22e-16  # rounding level amplified by the quadrature sum
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,6 @@ class ContourConfig:
     t0: float = 0.1
     lambda_ratio: float = 10.0
     N: int = 100
-    eps_round: float = 2.22e-16
     grid_size: int = 1000
     d_margin: float = 1e-3
 
@@ -111,32 +113,6 @@ def strip_half_width(cfg: ContourConfig) -> float:
     return other
 
 
-def epsilon_n(rho: float, cfg: ContourConfig, d_tilde: float | None = None) -> tuple[float, float]:
-    """Return ``(a(rho), eps_N(rho))`` for one split parameter.
-
-    ``a(rho)`` is the truncation half-length of the phi-interval and
-    ``eps_N`` the resulting discretization-error factor
-    ``exp(-2*pi*d_tilde*N / a(rho))``.
-    """
-    if d_tilde is None:
-        d_tilde = strip_half_width(cfg)
-    if not 0.0 <= rho < 1.0:
-        raise ContourError(f"rho must lie in [0, 1), got {rho}")
-    arg = cfg.lambda_ratio / ((1.0 - rho) * sin(cfg.alpha - d_tilde))
-    if arg <= 1.0:
-        raise ContourError(f"acosh argument {arg} <= 1: rho = {rho} infeasible")
-    a_rho = acosh(arg)
-    eps = exp(-2.0 * pi * d_tilde * cfg.N / a_rho)
-    return a_rho, eps
-
-
-def objective(rho: float, eps_n_val: float, eps_round: float) -> float:
-    """Total predicted error: rounding amplified by 1/eps_N**(1-rho) plus truncation."""
-    if not 0.0 < eps_n_val < 1.0:
-        raise ContourError(f"eps_N must lie in (0, 1), got {eps_n_val}")
-    return eps_round * eps_n_val ** (rho - 1.0) + eps_n_val**rho / (1.0 - eps_n_val)
-
-
 def optimize_rho(cfg: ContourConfig) -> OptimalParameters:
     """Grid search for the error-split parameter ``rho``.
 
@@ -163,7 +139,7 @@ def optimize_rho(cfg: ContourConfig) -> OptimalParameters:
     feasible &= (eps > 0.0) & (eps < 1.0)
     total = np.where(
         feasible,
-        cfg.eps_round * eps ** (rho - 1.0) + eps**rho / (1.0 - eps),
+        EPS_ROUND * eps ** (rho - 1.0) + eps**rho / (1.0 - eps),
         np.inf,
     )
     k = int(np.argmin(total))  # argmin takes the first minimizer: smallest rho
@@ -221,7 +197,6 @@ def standard_parameters(
     *,
     alpha: float = ContourConfig.alpha,
     delta_prime: float = ContourConfig.delta_prime,
-    d_margin: float = SOLVER_D_MARGIN,
 ) -> OptimalParameters:
     """Optimized parameters with the solver's strip margin ``SOLVER_D_MARGIN``."""
     cfg = ContourConfig(
@@ -230,6 +205,6 @@ def standard_parameters(
         t0=t0,
         lambda_ratio=lambda_ratio,
         N=N,
-        d_margin=d_margin,
+        d_margin=SOLVER_D_MARGIN,
     )
     return optimize_rho(cfg)

@@ -140,12 +140,6 @@ class Mesh2D:
     def n_triangles(self) -> int:
         return 2 * self.M**2
 
-    def node_index(self, i: int, j: int) -> int:
-        """Interior index of grid node (i*h, j*h); -1 on the boundary."""
-        if 0 < i < self.M and 0 < j < self.M:
-            return (j - 1) * (self.M - 1) + (i - 1)
-        return -1
-
     @property
     def nodes(self) -> np.ndarray:
         """Interior node coordinates, shape (ndof, 2), x fastest."""
@@ -168,12 +162,6 @@ class Mesh2D:
     def triangles(self) -> np.ndarray:
         """Vertex coordinates of all triangles, shape (n_triangles, 3, 2)."""
         return self._triangle_grid() * self.h
-
-    def triangle_dofs(self) -> np.ndarray:
-        """Interior dof index (or -1) of each triangle vertex, shape (n_triangles, 3)."""
-        i, j = np.moveaxis(self._triangle_grid(), -1, 0)
-        interior = (0 < i) & (i < self.M) & (0 < j) & (j < self.M)
-        return np.where(interior, (j - 1) * (self.M - 1) + (i - 1), -1)
 
 
 @dataclass(frozen=True)

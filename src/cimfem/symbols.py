@@ -104,14 +104,6 @@ class SourceTransform:
     terms: tuple[SourceTerm, ...] = field(default=())
 
     @property
-    def spatial_ids(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for term in self.terms:
-            if term.spatial_id not in seen:
-                seen.append(term.spatial_id)
-        return tuple(seen)
-
-    @property
     def max_pole(self) -> float | None:
         """Largest real pole among exponential terms, if any."""
         poles = [t.exponent for t in self.terms if t.kind == "pole"]

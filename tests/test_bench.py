@@ -11,7 +11,9 @@ import pytest
 
 from cimfem.bench import (
     EXAMPLE_IDS,
+    N_REF,
     BenchError,
+    BuiltProblem,
     ContourDefaults,
     ErrorReport,
     ExperimentSpec,
@@ -25,9 +27,10 @@ from cimfem.bench import (
 )
 import cimfem.cim
 import cimfem.fem
-from cimfem.cim import ScalarDomain
+from cimfem.cim import Problem, ScalarDomain
 from cimfem.cli import main
-from cimfem.fem import Mesh1D, Mesh2D
+from cimfem.fem import InitialData1D, Mesh1D, Mesh2D
+from cimfem.symbols import FractionalSymbol
 
 
 class TestBuildProblem:
@@ -61,7 +64,7 @@ class TestBuildProblem:
 class TestSpecValidation:
     def test_numeric_reference_needs_larger_n_ref(self):
         with pytest.raises(BenchError):
-            ExperimentSpec(mode="sweep-time", example_id="ex1_scalar", n_list=(300,), n_ref=200)
+            ExperimentSpec(mode="sweep-time", example_id="ex1_scalar", n_list=(N_REF,))
 
     def test_exact_reference_restricted(self):
         with pytest.raises(BenchError):
@@ -111,6 +114,16 @@ class TestErrorMetrics:
         d_small, _, _, _ = accel_compare(bp, 100, 6, 0.6)
         d_large, _, _, _ = accel_compare(bp, 100, 20, 0.6)
         assert d_large < d_small
+
+    @pytest.mark.parametrize(
+        "domain, u0", [(ScalarDomain(1.0), 0.0), (Mesh1D(16), InitialData1D.zero())]
+    )
+    def test_accel_compare_rejects_vanishing_reference(self, domain, u0):
+        # zero data and no source: the plain solution is identically zero, so
+        # a relative deviation from it is undefined
+        p = Problem(sym=FractionalSymbol(1.0, 0.5), domain=domain, u0=u0)
+        with pytest.raises(BenchError, match="vanishes"):
+            accel_compare(BuiltProblem(p, None, ContourDefaults()), 20, 4, 0.6)
 
 
 class TestReportAndRun:
@@ -179,7 +192,7 @@ class TestReportAndRun:
         assert len(text.strip().splitlines()) == 1 + len(report.rows)
 
     def test_failures_recorded_not_raised(self):
-        # n_ref equal to an N would be rejected by the spec; per-row failures
+        # N_REF equal to an N would be rejected by the spec; per-row failures
         # are exercised through a time outside any representable window
         spec = ExperimentSpec(
             mode="sweep-time",

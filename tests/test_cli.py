@@ -1,10 +1,14 @@
 """Command-line interface tests."""
 
+import csv
+import io
 import math
 
 import pytest
 
+from cimfem.bench import BenchError, ContourRun, ErrorReport, build_problem
 from cimfem.cli import main
+from cimfem.fem import mass_norm
 
 
 def test_sweep_time_exact_reference(capsys):
@@ -124,3 +128,82 @@ def test_accel_compare_mode(capsys):
     assert len(lines) >= 2
     # iar column populated for acceleration rows
     assert lines[1].split(",")[8] != ""
+
+
+# every config key with a non-default value, as its flag and as its file line
+CONFIG_KEYS = [
+    ("example", "ex3_1d_case1"),
+    ("beta", "0.25,0.75"),
+    ("K", "2.5"),
+    ("Lambda", "5"),
+    ("t0", "0.2"),
+    ("alpha", "0.6"),
+    ("delta-prime", "0.12"),
+    ("N", "10,20"),
+    ("M", "8,16"),
+    ("n-interp", "6"),
+    ("times", "0.3,0.9"),
+    ("reference", "exact"),
+    ("out", "rows.csv"),
+    ("threads", "2"),
+]
+
+
+def _spec_of(monkeypatch, argv):
+    """The ExperimentSpec that ``main(argv)`` hands to ``run``."""
+    seen = []
+
+    def fake_run(spec):
+        seen.append(spec)
+        return ErrorReport(rows=[])
+
+    monkeypatch.setattr("cimfem.cli.run", fake_run)
+    assert main(argv) == 0
+    return seen[0]
+
+
+@pytest.mark.parametrize("key, value", CONFIG_KEYS, ids=[k for k, _ in CONFIG_KEYS])
+def test_config_key_matches_flag(tmp_path, monkeypatch, key, value):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    from_flag = _spec_of(monkeypatch, ["sweep-time", f"--{key}", value])
+    from_file = _spec_of(monkeypatch, ["sweep-time", "--config", str(cfg)])
+    assert from_file == from_flag
+    assert from_file != _spec_of(monkeypatch, ["sweep-time"])
+
+
+@pytest.mark.parametrize("line", ["Lam = 5", "delta_prime = 0.1"])
+def test_config_key_must_spell_a_flag_in_full(tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(BenchError, match="unknown config key"):
+        main(["sweep-time", "--config", str(cfg)])
+
+
+def _solve_rows(capsys, argv):
+    assert main(["solve", *argv]) == 0
+    return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+
+
+def test_solve_mode_scalar_rows_are_exact_errors(capsys):
+    rows = _solve_rows(capsys, ["--example", "ex1_scalar", "--N", "20,40", "--times", "0.3,0.9"])
+    bp = build_problem("ex1_scalar", 0.5, 32)
+    expected = []
+    for N in (20, 40):
+        u = bp.run(N).solve((0.3, 0.9))
+        expected += [(str(N), str(t), f"{abs(v - bp.exact(t)):.4E}") for v, t in zip(u, (0.3, 0.9))]
+    assert [(r["N"], r["t"], r["error"]) for r in rows] == expected
+    assert [r["M"] for r in rows] == ["", "", "", ""]
+    assert [r["wall_ms"] != "" for r in rows] == [True, False, True, False]
+
+
+def test_solve_mode_1d_rows_are_mass_norms(capsys):
+    rows = _solve_rows(
+        capsys, ["--example", "ex3_1d_case1", "--N", "40", "--M", "16", "--times", "0.3,0.6"]
+    )
+    bp = build_problem("ex3_1d_case1", 0.5, 16)
+    run = ContourRun(bp.problem, 40)
+    u = run.solve((0.3, 0.6))
+    assert [r["error"] for r in rows] == [f"{mass_norm(run.disc.ops, v):.4E}" for v in u]
+    assert [r["M"] for r in rows] == ["16", "16"]
+    assert [r["wall_ms"] != "" for r in rows] == [True, False]

@@ -14,16 +14,39 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cimfem.contour import (
+    EPS_ROUND,
     ContourConfig,
     ContourError,
-    epsilon_n,
-    objective,
     optimize_rho,
     contour_point,
     quadrature_nodes,
     standard_parameters,
     strip_half_width,
 )
+
+
+def epsilon_n(rho: float, cfg: ContourConfig) -> tuple[float, float]:
+    """Scalar ``(a(rho), eps_N(rho))`` for one split parameter: the oracle of ``optimize_rho``.
+
+    ``a(rho)`` is the truncation half-length of the phi-interval and
+    ``eps_N`` the resulting discretization-error factor
+    ``exp(-2*pi*d_tilde*N / a(rho))``.
+    """
+    d_tilde = strip_half_width(cfg)
+    if not 0.0 <= rho < 1.0:
+        raise ContourError(f"rho must lie in [0, 1), got {rho}")
+    arg = cfg.lambda_ratio / ((1.0 - rho) * math.sin(cfg.alpha - d_tilde))
+    if arg <= 1.0:
+        raise ContourError(f"acosh argument {arg} <= 1: rho = {rho} infeasible")
+    a_rho = math.acosh(arg)
+    return a_rho, math.exp(-2.0 * math.pi * d_tilde * cfg.N / a_rho)
+
+
+def objective(rho: float, eps_n_val: float, eps_round: float) -> float:
+    """Total predicted error: rounding amplified by 1/eps_N**(1-rho) plus truncation."""
+    if not 0.0 < eps_n_val < 1.0:
+        raise ContourError(f"eps_N must lie in (0, 1), got {eps_n_val}")
+    return eps_round * eps_n_val ** (rho - 1.0) + eps_n_val**rho / (1.0 - eps_n_val)
 
 
 def trapezoid_invert(quad, fhat, t):
@@ -95,7 +118,7 @@ class TestOptimizeRho:
             rho = j / cfg.grid_size
             try:
                 _, eps = epsilon_n(rho, cfg)
-                val = objective(rho, eps, cfg.eps_round)
+                val = objective(rho, eps, EPS_ROUND)
             except ContourError:
                 continue
             if val < best[0]:
@@ -208,5 +231,5 @@ def test_standard_parameters_widened_strip_margin():
     # solver-facing default keeps a wider safety margin than the
     # analysis-facing ContourConfig default
     wide = standard_parameters(40, 0.1, 10.0)
-    tight = standard_parameters(40, 0.1, 10.0, d_margin=1e-3)
+    tight = optimize_rho(ContourConfig(N=40, t0=0.1, lambda_ratio=10.0, d_margin=1e-3))
     assert wide.d_tilde < tight.d_tilde

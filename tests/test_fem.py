@@ -34,6 +34,18 @@ from cimfem.fem import (
 )
 
 
+def node_index(mesh, i, j):
+    """Interior index of the 2-D grid node (i h, j h), -1 on the boundary; i, j may be arrays."""
+    interior = (0 < i) & (i < mesh.M) & (0 < j) & (j < mesh.M)
+    return np.where(interior, (j - 1) * (mesh.M - 1) + (i - 1), -1)
+
+
+def triangle_dofs(mesh):
+    """Interior index (or -1) of each vertex of ``mesh.triangles()``, shape (n_triangles, 3)."""
+    i, j = np.moveaxis(np.rint(mesh.triangles() / mesh.h).astype(int), -1, 0)
+    return node_index(mesh, i, j)
+
+
 class TestInitialData:
     def test_indicator_values(self):
         g = InitialData1D.indicator(0.0, 0.75, scale=2.0)
@@ -122,7 +134,7 @@ class TestAssembly2D:
         mesh = Mesh2D(4)
         ops = assemble(mesh)
         tris = mesh.triangles()
-        dofs = mesh.triangle_dofs()
+        dofs = triangle_dofs(mesh)
         n = mesh.ndof
         mass = np.zeros((n, n))
         stiff = np.zeros((n, n))
@@ -155,11 +167,11 @@ class TestAssembly2D:
         # this diagonal split reproduces the classical 5-point Laplacian
         mesh = Mesh2D(4)
         stiff = assemble(mesh).stiffness.toarray()
-        c = mesh.node_index(1, 1)
+        c = node_index(mesh, 1, 1)
         assert stiff[c, c] == pytest.approx(4.0)
-        assert stiff[c, mesh.node_index(2, 1)] == pytest.approx(-1.0)
-        assert stiff[c, mesh.node_index(1, 2)] == pytest.approx(-1.0)
-        assert stiff[c, mesh.node_index(2, 2)] == pytest.approx(0.0)
+        assert stiff[c, node_index(mesh, 2, 1)] == pytest.approx(-1.0)
+        assert stiff[c, node_index(mesh, 1, 2)] == pytest.approx(-1.0)
+        assert stiff[c, node_index(mesh, 2, 2)] == pytest.approx(0.0)
 
 
 @pytest.mark.parametrize("M", [4, 7, 16])
@@ -178,7 +190,7 @@ def test_closed_form_assembly_matches_elementwise(M):
                 tris.append([(a * h, b * h) for a, b in corners])
                 dofs.append([dof(a, b) for a, b in corners])
     assert np.allclose(mesh.triangles(), tris, rtol=0.0, atol=1e-15)
-    assert np.array_equal(mesh.triangle_dofs(), dofs)
+    assert np.array_equal(triangle_dofs(mesh), dofs)
     mass = np.zeros((n, n))
     stiff = np.zeros((n, n))
     for v, d in zip(np.array(tris), dofs):
@@ -339,7 +351,7 @@ class TestLoadVectors:
         b = load_vector(mesh, g)
         ref = np.zeros(mesh.ndof)
         tris = mesh.triangles()
-        dofs = mesh.triangle_dofs()
+        dofs = triangle_dofs(mesh)
         for t in range(mesh.n_triangles):
             v = tris[t]
             area = mesh.h ** 2 / 2.0
@@ -358,9 +370,9 @@ class TestLoadVectors:
         g = InitialData2D(InitialData1D.indicator(0.0, 0.75), InitialData1D.indicator(0.0, 1.0))
         b = load_vector(mesh, g)
         h = mesh.h
-        away = mesh.node_index(2, 4)
+        away = node_index(mesh, 2, 4)
         assert b[away] == pytest.approx(h ** 2, rel=1e-12)
-        past = mesh.node_index(7, 4)
+        past = node_index(mesh, 7, 4)
         assert b[past] == pytest.approx(0.0, abs=1e-14)
 
     def test_indicator_load_2d_against_brute_force(self):
@@ -385,7 +397,7 @@ class TestLoadVectors:
             ),
         )
         val = np.sum(hat * (X <= 0.7)) * (2 * h / n) ** 2
-        assert b[mesh.node_index(i, j)] == pytest.approx(val, abs=5e-5)
+        assert b[node_index(mesh, i, j)] == pytest.approx(val, abs=5e-5)
 
 
 class TestProjectionsAndErrors:
@@ -460,8 +472,8 @@ class TestProlongation:
         out = prolong_2d(vals, M)
         for i in range(1, M):
             for j in range(1, M):
-                assert out[fine.node_index(2 * i, 2 * j)] == pytest.approx(
-                    vals[mesh.node_index(i, j)], abs=1e-14
+                assert out[node_index(fine, 2 * i, 2 * j)] == pytest.approx(
+                    vals[node_index(mesh, i, j)], abs=1e-14
                 )
 
     def test_wrong_size_rejected(self):

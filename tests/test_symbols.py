@@ -143,7 +143,3 @@ class TestSourceTransforms:
         tr = SourceTransform(terms=(power_term("a", 1.0, 1.0), pole_term("b", 1.0, 1.5)))
         assert tr.max_pole == pytest.approx(1.5)
         assert SourceTransform().max_pole is None
-
-    def test_spatial_ids(self):
-        tr = SourceTransform(terms=(power_term("a", 1.0, 1.0), pole_term("b", 1.0, 0.5)))
-        assert set(tr.spatial_ids) == {"a", "b"}
