@@ -102,8 +102,12 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.example_id not in EXAMPLE_IDS:
             raise BenchError(f"unknown example {self.example_id!r}")
-        if self.reference == "numeric" and self.n_list and N_REF <= max(self.n_list):
+        # only sweep-time solves the N_REF reference
+        time_ref = self.mode == "sweep-time" and self.reference == "numeric"
+        if time_ref and self.n_list and N_REF <= max(self.n_list):
             raise BenchError(f"numeric reference needs N_REF = {N_REF} > every N in the sweep")
+        if self.mode == "sweep-space" and self.example_id == "ex1_scalar":
+            raise BenchError("sweep-space needs a mesh example; ex1_scalar has no mesh")
         if self.reference == "exact" and self.example_id not in ("ex1_scalar", "ex2_vanishing"):
             raise BenchError("exact reference only available for ex1_scalar/ex2_vanishing")
         if self.reference not in ("exact", "numeric"):

@@ -99,8 +99,8 @@ def _build_spec(mode: str, args: argparse.Namespace) -> ExperimentSpec:
     )
 
 
-def _cmd_sweep(mode: str, args: argparse.Namespace) -> int:
-    report = run(_build_spec(mode, args))
+def _cmd_sweep(spec: ExperimentSpec) -> int:
+    report = run(spec)
     sys.stdout.write(report.to_csv())
     for failure in report.failures:
         print(f"row failed: {failure}", file=sys.stderr)
@@ -146,10 +146,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "ml-eval":
         return _cmd_ml_eval(args)
-    if args.config:
-        # argv[0] is the command: the top-level parser has no flag of its own
-        return _cmd_sweep(args.command, _with_config(modes[args.command], args.config, argv[1:]))
-    return _cmd_sweep(args.command, args)
+    mode = args.command
+    try:
+        if args.config:
+            # argv[0] is the command: the top-level parser has no flag of its own
+            args = _with_config(modes[mode], args.config, argv[1:])
+        spec = _build_spec(mode, args)
+    except BenchError as exc:
+        # a bad spec or config file exits like an argparse error, without a traceback
+        print(f"cimfem: error: {exc}", file=sys.stderr)
+        return 2
+    return _cmd_sweep(spec)
 
 
 if __name__ == "__main__":

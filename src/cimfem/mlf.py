@@ -11,9 +11,10 @@ can be written through the bivariate Mittag-Leffler function
 evaluated at ``z1 = -t**(1-beta)/K`` and ``z2 = -lam t / K``.  Two
 evaluation routes are provided: the double series summed along
 anti-diagonals (small arguments) and a contour-integral form of its
-Laplace transform (large arguments).  ``spectral_reference`` combines
-these with a sine eigenbasis into closed-form reference solutions on
-the unit interval.
+Laplace transform (large arguments), which takes an array of ``z2`` on
+one contour.  ``spectral_reference`` evaluates every mode of a sine
+eigenbasis that way, one contour per (t, gamma), into closed-form
+reference solutions on the unit interval.
 """
 
 from __future__ import annotations
@@ -125,26 +126,31 @@ def _check_cancellation(peak: float, total: float) -> None:
         )
 
 
-def ml_biv_contour(q: MLQuery, t: float, N: int = 80) -> float:
+def ml_biv_contour(q: MLQuery, t: float, N: int = 80) -> float | np.ndarray:
     """Contour form, valid for ``z1 = -|w1| t**alpha_p`` and ``z2 = -|w2| t**beta_p``.
 
     Uses the Laplace transform ``z**-gamma / (1 + |w1| z**-alpha_p +
     |w2| z**-beta_p)`` inverted on a dedicated contour optimized for the
     single time ``t`` (window ratio 2).  Requires both arguments
     nonpositive, which is the only case arising from the mode ODE.
+    ``q.z2`` may be a 1-D array: every entry shares ``z1`` and ``t``, so
+    one contour serves them all and an array of values is returned; a
+    scalar ``z2`` gives a float.
     """
     if t <= 0.0:
         raise ValueError(f"need t > 0, got {t}")
-    if q.z1 > 0.0 or q.z2 > 0.0:
+    z2 = np.asarray(q.z2, dtype=float)
+    if q.z1 > 0.0 or np.any(z2 > 0.0):
         raise MLError("contour route requires nonpositive arguments")
     w1 = abs(q.z1) / t**q.alpha_p
-    w2 = abs(q.z2) / t**q.beta_p
+    w2 = np.abs(z2) / t**q.beta_p
     cfg = ContourConfig(t0=t, lambda_ratio=2.0, N=N, d_margin=SOLVER_D_MARGIN)
     quad = quadrature_nodes(optimize_rho(cfg), N)
     z, dz = quad.nodes, quad.derivs
-    denom = 1.0 + w1 * complex_pow(z, -q.alpha_p) + w2 * complex_pow(z, -q.beta_p)
+    denom = 1.0 + w1 * complex_pow(z, -q.alpha_p) + np.multiply.outer(w2, complex_pow(z, -q.beta_p))
     vals = np.exp(z * t) * complex_pow(z, -q.gamma) / denom * dz
-    return t ** (1.0 - q.gamma) * quad.tau / pi * float(np.imag(np.sum(vals)))
+    value = t ** (1.0 - q.gamma) * quad.tau / pi * np.imag(np.sum(vals, axis=-1))
+    return float(value) if z2.ndim == 0 else value
 
 
 def ml_biv(q: MLQuery, t: float | None = None) -> float:
@@ -177,43 +183,45 @@ class SpectralProblem:
     tail_tol: float = 1e-10
 
 
-def mode_value(K: float, beta: float, lam: float, t: float) -> float:
-    """Solution of ``K v' + d_t^beta v + lam v = 0, v(0) = 1`` at time t."""
+def mode_value(K: float, beta: float, lam: float | np.ndarray, t: float) -> float | np.ndarray:
+    """Solution of ``K v' + d_t^beta v + lam v = 0, v(0) = 1`` at time t.
+
+    ``lam`` may be a scalar or an array; all entries share the two
+    contours (gamma = 1 and gamma = 2 - beta) of time ``t``.
+    """
     if t == 0.0:
-        return 1.0
+        return np.ones(np.shape(lam))[()]
     z1 = -t ** (1.0 - beta) / K
-    z2 = -lam * t / K
-    e1 = ml_biv(MLQuery(1.0 - beta, 1.0, 1.0, z1, z2), t)
-    e2 = ml_biv(MLQuery(1.0 - beta, 1.0, 2.0 - beta, z1, z2), t)
+    z2 = -np.asarray(lam, dtype=float) * t / K
+    e1 = ml_biv_contour(MLQuery(1.0 - beta, 1.0, 1.0, z1, z2), t)
+    e2 = ml_biv_contour(MLQuery(1.0 - beta, 1.0, 2.0 - beta, z1, z2), t)
     return e1 + t ** (1.0 - beta) / K * e2
 
 
 def spectral_reference(sp: SpectralProblem, x: np.ndarray, t: float) -> np.ndarray:
     """Reference solution by eigenfunction expansion.
 
-    Sums modes until the contribution estimate ``|c_j| * |v_j(t)|``
-    drops below ``tail_tol`` for three consecutive modes (decay in j is
-    not monotone through zero coefficients); warns if ``j_max`` is hit
-    first.
+    Sums modes up to the third consecutive one whose contribution
+    ``|c_j| * |v_j(t)|`` is below ``tail_tol`` (decay in j is not
+    monotone through zero coefficients); warns if ``j_max`` is reached
+    with a contribution that is not small.  The mode values of all
+    nonzero coefficients come from one call of ``mode_value``, and the
+    sine series is summed by Horner's rule in ``w = exp(i pi x)``.
     """
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    small_streak = 0
-    for j in range(1, sp.j_max + 1):
-        c = sp.mode_coefficients(j)
-        lam = (j * pi) ** 2
-        if c == 0.0:
-            contrib = 0.0
-        else:
-            v = mode_value(sp.K, sp.beta, lam, t)
-            contrib = c * v
-            out += contrib * np.sqrt(2.0) * np.sin(j * pi * x)
-        if abs(contrib) < sp.tail_tol:
-            small_streak += 1
-            if small_streak >= 3:
-                return out
-        else:
-            small_streak = 0
-    if small_streak == 0:
-        warnings.warn(f"spectral reference truncated at j_max = {sp.j_max}", stacklevel=2)
-    return out
+    j = np.arange(1, sp.j_max + 1)
+    c = np.array([sp.mode_coefficients(int(k)) for k in j], dtype=float)
+    contrib = np.zeros(sp.j_max)
+    nz = c != 0.0
+    contrib[nz] = c[nz] * mode_value(sp.K, sp.beta, (j[nz] * pi) ** 2, t)
+    small = np.abs(contrib) < sp.tail_tol
+    streak = small[:-2] & small[1:-1] & small[2:]
+    if np.any(streak):
+        stop = int(np.argmax(streak)) + 3
+    else:
+        stop = sp.j_max
+        if not np.any(small[-1:]):  # the last contribution is not small, or there is none
+            warnings.warn(f"spectral reference truncated at j_max = {sp.j_max}", stacklevel=2)
+    # sum_j c_j v_j sin(j pi x) = Im(w * sum_j c_j v_j w^(j-1)),  w = exp(i pi x)
+    w = np.exp(1j * pi * x)
+    return np.sqrt(2.0) * np.imag(w * np.polyval(contrib[:stop][::-1], w))

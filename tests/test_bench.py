@@ -74,6 +74,10 @@ class TestSpecValidation:
         with pytest.raises(BenchError):
             ExperimentSpec(mode="solve", example_id="bogus")
 
+    def test_sweep_space_needs_a_mesh(self):
+        with pytest.raises(BenchError, match="sweep-space needs a mesh example"):
+            ExperimentSpec(mode="sweep-space", example_id="ex1_scalar")
+
 
 class TestErrorMetrics:
     def test_error_tau_exact_scalar_decays(self):

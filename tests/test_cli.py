@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from cimfem.bench import BenchError, ContourRun, ErrorReport, build_problem
+from cimfem.bench import ContourRun, ErrorReport, build_problem
 from cimfem.cli import main
 from cimfem.fem import mass_norm
 
@@ -61,11 +61,25 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert rows[1].split(",")[1] == "0.25"
 
 
+def _error_exit(capsys, argv) -> str:
+    """stderr of ``main(argv)``, which must exit 2 like argparse, printing no rows or traceback."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cimfem: error: ")
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
 def test_unknown_config_key_fails(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")
-    with pytest.raises(Exception):
-        main(["sweep-time", "--config", str(cfg)])
+    assert "unknown config key 'bogus'" in _error_exit(capsys, ["sweep-time", "--config", str(cfg)])
+
+
+def test_spec_error_exits_2(capsys):
+    err = _error_exit(capsys, ["sweep-space", "--example", "ex1_scalar"])
+    assert "sweep-space needs a mesh example" in err
 
 
 def test_bad_example_rejected(capsys):
@@ -173,11 +187,10 @@ def test_config_key_matches_flag(tmp_path, monkeypatch, key, value):
 
 
 @pytest.mark.parametrize("line", ["Lam = 5", "delta_prime = 0.1"])
-def test_config_key_must_spell_a_flag_in_full(tmp_path, line):
+def test_config_key_must_spell_a_flag_in_full(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
-    with pytest.raises(BenchError, match="unknown config key"):
-        main(["sweep-time", "--config", str(cfg)])
+    assert "unknown config key" in _error_exit(capsys, ["sweep-time", "--config", str(cfg)])
 
 
 def _solve_rows(capsys, argv):
@@ -207,3 +220,12 @@ def test_solve_mode_1d_rows_are_mass_norms(capsys):
     assert [r["error"] for r in rows] == [f"{mass_norm(run.disc.ops, v):.4E}" for v in u]
     assert [r["M"] for r in rows] == ["16", "16"]
     assert [r["wall_ms"] != "" for r in rows] == [True, False]
+
+
+@pytest.mark.parametrize("mode", ["solve", "accel-compare", "sweep-space"])
+def test_modes_without_n_ref_run_beyond_it(capsys, mode):
+    # N = 300 exceeds N_REF, which only sweep-time solves
+    argv = [mode, "--example", "ex3_1d_case1", "--N", "300", "--M", "8", "--times", "0.6"]
+    assert main(argv) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert rows and all(r["N"] == "300" for r in rows)

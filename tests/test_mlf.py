@@ -4,9 +4,12 @@ Frozen reference values come from a 40-digit arbitrary-precision double
 sum computed independently; the contour route is cross-checked against
 the series route in the region where both are reliable, and against the
 single-mode relaxation ODE integrated with a graded history scheme.
+Mode values are also checked against mpmath's Talbot inversion of the
+mode's Laplace transform at 30 digits.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +98,19 @@ class TestContour:
     def test_requires_nonpositive_arguments(self):
         with pytest.raises(MLError):
             ml_biv_contour(MLQuery(0.5, 1.0, 1.0, 1.0, -1.0), 1.0)
+        with pytest.raises(MLError):
+            ml_biv_contour(MLQuery(0.5, 1.0, 1.0, -1.0, np.array([-1.0, 0.5])), 1.0)
+
+    @pytest.mark.parametrize("t", [0.1, 1.0, 7.0])
+    def test_array_matches_scalar(self, t):
+        # one contour for all z2 gives each entry's scalar value
+        z2 = -np.geomspace(1e-3, 1e6, 40) * t
+        q = MLQuery(0.5, 1.0, 1.5, -(t ** 0.5), z2)
+        values = ml_biv_contour(q, t)
+        assert values.shape == z2.shape
+        scalar = [ml_biv_contour(MLQuery(0.5, 1.0, 1.5, -(t ** 0.5), float(w)), t) for w in z2]
+        assert all(type(v) is float for v in scalar)
+        np.testing.assert_allclose(values, scalar, rtol=1e-14, atol=0.0)
 
 
 class TestDispatch:
@@ -136,9 +152,28 @@ class TestDispatch:
         assert lhs == pytest.approx(rhs, abs=1e-6)
 
 
+def _talbot_mode_value(mpmath, K, beta, lam, t):
+    """v(t) from the mode's transform (K + z^(beta-1)) / (K z + z^beta + lam)."""
+    K, beta, lam = mpmath.mpf(K), mpmath.mpf(beta), mpmath.mpf(lam)
+    transform = lambda z: (K + z ** (beta - 1)) / (K * z + z**beta + lam)
+    return float(mpmath.invertlaplace(transform, t, method="talbot"))
+
+
 class TestModeAndSpectral:
     def test_mode_value_initial_condition(self):
         assert mode_value(1.0, 0.5, math.pi ** 2, 0.0) == 1.0
+        np.testing.assert_array_equal(mode_value(1.0, 0.5, np.array([1.0, 4.0]), 0.0), [1.0, 1.0])
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("t", [0.1, 1.0])
+    def test_mode_value_against_talbot(self, beta, t):
+        mpmath = pytest.importorskip("mpmath")
+        lam = (np.arange(1, 11) * math.pi) ** 2
+        with mpmath.workdps(30):
+            expected = [_talbot_mode_value(mpmath, 1.0, beta, float(x), t) for x in lam]
+        values = mode_value(1.0, beta, lam, t)
+        assert np.max(np.abs(values - expected)) <= 1e-15
+        assert mode_value(1.0, beta, float(lam[0]), t) == pytest.approx(values[0], rel=1e-14)
 
     def test_mode_value_against_history_stepping(self):
         # independent oracle: backward-Euler step of K v' + d_t^beta v + lam v = 0
@@ -180,3 +215,37 @@ class TestModeAndSpectral:
         x = np.array([0.5])
         vals = [float(spectral_reference(sp, x, t)[0]) for t in np.linspace(0.1, 10.0, 12)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    @staticmethod
+    def _reference(coeffs, j_max, t, x):
+        sp = SpectralProblem(K=1.0, beta=0.5, mode_coefficients=coeffs, j_max=j_max)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            u = spectral_reference(sp, x, t)
+        return u, [str(w.message) for w in caught]
+
+    def test_stops_after_three_small_contributions(self):
+        # modes 7.. come after a streak of three zero coefficients: not summed, no warning
+        coeffs = lambda j: 1.0 if j <= 3 or j >= 7 else 0.0
+        x = np.linspace(0.0, 1.0, 9)
+        u, caught = self._reference(coeffs, 20, 0.0, x)
+        expected = sum(math.sqrt(2.0) * np.sin(j * math.pi * x) for j in range(1, 4))
+        assert caught == []
+        assert np.allclose(u, expected, atol=1e-14)
+
+    def test_warns_when_truncated_at_j_max(self):
+        x = np.linspace(0.0, 1.0, 9)
+        u, caught = self._reference(lambda j: 1.0 / j, 6, 0.1, x)
+        assert caught == ["spectral reference truncated at j_max = 6"]
+        v = [mode_value(1.0, 0.5, (j * math.pi) ** 2, 0.1) for j in range(1, 7)]
+        expected = sum(v[j - 1] / j * math.sqrt(2.0) * np.sin(j * math.pi * x) for j in range(1, 7))
+        assert np.allclose(u, expected, rtol=1e-13, atol=1e-14)
+
+    def test_no_warning_when_last_contribution_is_small(self):
+        # no streak of three before j_max, but the last mode is negligible
+        coeffs = lambda j: 1.0 if j <= 8 else 0.0
+        x = np.linspace(0.0, 1.0, 9)
+        u, caught = self._reference(coeffs, 10, 0.0, x)
+        assert caught == []
+        expected = sum(math.sqrt(2.0) * np.sin(j * math.pi * x) for j in range(1, 9))
+        assert np.allclose(u, expected, atol=1e-14)
