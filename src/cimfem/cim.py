@@ -6,7 +6,8 @@ shifted elliptic problem
     (eta(z_k) M + S) u_hat_k = (K + z_k**(beta-1)) b_u0 + sum_m b_m T_m(z_k)
 
 is solved (``M`` mass, ``S`` stiffness, ``b_*`` load vectors, ``T_m``
-closed-form source transforms); the solution at time ``t`` is then the
+closed-form source transforms; in 1-D one modal solve serves all nodes,
+in 2-D each node is one sparse LU); the solution at time ``t`` is then the
 imaginary part of a trapezoid sum over the nodes.  The accelerated
 variant solves only ``n + 1`` systems at Chebyshev points in the contour
 parameter and recovers all node values by barycentric interpolation.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from math import pi, sin, sqrt
 from typing import Mapping
 
@@ -42,8 +42,9 @@ from .fem import (
     Mesh2D,
     assemble,
     load_vector,
+    stencil_1d,
 )
-from .linalg import ComplexTridiag, sparse_solve, thomas_solve
+from .linalg import ComplexTridiag, combine, modal_solve, sparse_solve, thomas_solve
 from .symbols import FractionalSymbol, SourceTransform
 
 
@@ -86,11 +87,6 @@ class Discretization:
     ops: AssembledOperators
     b_u0: np.ndarray
     b_factors: dict[str, np.ndarray]
-
-    @cached_property
-    def bands(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(mass, stiffness) diagonals -1, 0 and 1 of a 1-D discretization."""
-        return tuple((self.ops.mass.diagonal(k), self.ops.stiffness.diagonal(k)) for k in (-1, 0, 1))
 
 
 def discretize(p: Problem) -> Discretization | None:
@@ -162,9 +158,7 @@ def problem_parameters(p: Problem, N: int, **contour_kw) -> OptimalParameters:
 
 
 def _node_solve(disc: Discretization, eta: complex, rhs: np.ndarray) -> np.ndarray:
-    """Solve the shifted system ``(eta M + S) u = rhs`` of one contour point."""
-    if disc.ops.dim == 1:
-        return thomas_solve(ComplexTridiag(*(eta * m + s for m, s in disc.bands)), rhs)
+    """Solve the shifted 2-D system ``(eta M + S) u = rhs`` of one contour point."""
     # mass and stiffness share one CSC pattern, so eta M + S is a sum of data arrays
     mass, stiff = disc.ops.mass, disc.ops.stiffness
     a = sp.csc_matrix((eta * mass.data + stiff.data, mass.indices, mass.indptr), shape=mass.shape)
@@ -175,13 +169,25 @@ def _solve_at(p: Problem, disc: Discretization | None, z: np.ndarray) -> np.ndar
     """Laplace-domain solutions at the contour points ``z``, one row per point.
 
     The symbol and the source transforms are evaluated once on all of
-    ``z``; only the linear solves of PDE problems loop over the points.
+    ``z``; each row's right-hand side combines the same few load vectors.
+    1-D problems take one modal solve over all points, and only the rows
+    that fail its backward-error test are solved again by
+    ``thomas_solve``; 2-D problems take one sparse solve per point.
     """
     eta = p.sym.eta(z)
-    rhs = np.multiply.outer(p.sym.history_weight(z), p.u0 if p.scalar else disc.b_u0)
+    loads = [(p.sym.history_weight(z), p.u0 if p.scalar else disc.b_u0)]
     for name, mult in p.source.evaluate(z).items():
-        factor = complex(p.spatial_factors.get(name, 1.0)) if p.scalar else disc.b_factors[name]
-        rhs += np.multiply.outer(mult, factor)
+        loads.append((mult, complex(p.spatial_factors.get(name, 1.0)) if p.scalar else disc.b_factors[name]))
+    if isinstance(p.domain, Mesh1D):
+        mass, stiff = stencil_1d(p.domain)
+        u, ok = modal_solve(eta, mass, stiff, loads)
+        n = u.shape[1]
+        for k in np.flatnonzero(~ok):
+            diag, off = (eta[k] * m + s for m, s in zip(mass, stiff))
+            tri = ComplexTridiag(np.full(n - 1, off), np.full(n, diag), np.full(n - 1, off))
+            u[k] = thomas_solve(tri, combine(loads, k))
+        return u
+    rhs = combine(loads)
     if p.scalar:
         return rhs / (eta + p.domain.a)
     for k, (e, r) in enumerate(zip(eta, rhs)):

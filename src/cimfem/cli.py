@@ -24,18 +24,22 @@ from .mlf import MLQuery, ml_biv, ml_biv_series
 
 def _config_args(path: str) -> list[str]:
     """Each ``key = value`` line of a config file as the flag ``--key=value``."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BenchError(f"cannot read config file {path!r}: {exc}") from exc
     out: list[str] = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise BenchError(f"config line without '=': {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key == "config":
-                raise BenchError("unknown config key 'config'")
-            out.append(f"--{key}={value}")
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise BenchError(f"config line without '=': {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key == "config":
+            raise BenchError("unknown config key 'config'")
+        out.append(f"--{key}={value}")
     return out
 
 

@@ -175,7 +175,6 @@ class AssembledOperators:
     mass: sp.spmatrix
     stiffness: sp.spmatrix
     ndof: int
-    dim: int
 
 
 def assemble(mesh: Mesh1D | Mesh2D) -> AssembledOperators:
@@ -184,15 +183,22 @@ def assemble(mesh: Mesh1D | Mesh2D) -> AssembledOperators:
     return _assemble_2d(mesh)
 
 
+def stencil_1d(mesh: Mesh1D) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(diagonal, off-diagonal) of the mass and of the stiffness matrix.
+
+    On the uniform mesh both matrices are symmetric tridiagonal Toeplitz.
+    """
+    h = mesh.h
+    return (4.0 * h / 6.0, h / 6.0), (2.0 / h, -1.0 / h)
+
+
 def _assemble_1d(mesh: Mesh1D) -> AssembledOperators:
-    n, h = mesh.ndof, mesh.h
-    main_m = np.full(n, 4.0 * h / 6.0)
-    off_m = np.full(n - 1, h / 6.0)
-    mass = sp.diags([off_m, main_m, off_m], [-1, 0, 1], format="csr")
-    main_s = np.full(n, 2.0 / h)
-    off_s = np.full(n - 1, -1.0 / h)
-    stiff = sp.diags([off_s, main_s, off_s], [-1, 0, 1], format="csr")
-    return AssembledOperators(mass=mass, stiffness=stiff, ndof=n, dim=1)
+    n = mesh.ndof
+    mass, stiff = (
+        sp.diags([np.full(n - 1, off), np.full(n, diag), np.full(n - 1, off)], [-1, 0, 1], format="csr")
+        for diag, off in stencil_1d(mesh)
+    )
+    return AssembledOperators(mass=mass, stiffness=stiff, ndof=n)
 
 
 def _assemble_2d(mesh: Mesh2D) -> AssembledOperators:
@@ -225,7 +231,6 @@ def _assemble_2d(mesh: Mesh2D) -> AssembledOperators:
         mass=sp.csc_matrix((both.data.imag.copy(), *pattern), shape=both.shape),
         stiffness=sp.csc_matrix((both.data.real.copy(), *pattern), shape=both.shape),
         ndof=n * n,
-        dim=2,
     )
 
 

@@ -13,7 +13,7 @@ evaluation routes are provided: the double series summed along
 anti-diagonals (small arguments) and a contour-integral form of its
 Laplace transform (large arguments), which takes an array of ``z2`` on
 one contour.  ``spectral_reference`` evaluates every mode of a sine
-eigenbasis that way, one contour per (t, gamma), into closed-form
+eigenbasis that way, one contour per time, into closed-form
 reference solutions on the unit interval.
 """
 
@@ -126,7 +126,7 @@ def _check_cancellation(peak: float, total: float) -> None:
         )
 
 
-def ml_biv_contour(q: MLQuery, t: float, N: int = 80) -> float | np.ndarray:
+def ml_biv_contour(q: MLQuery, t: float, N: int = 80, with_z1_term: bool = False) -> float | np.ndarray:
     """Contour form, valid for ``z1 = -|w1| t**alpha_p`` and ``z2 = -|w2| t**beta_p``.
 
     Uses the Laplace transform ``z**-gamma / (1 + |w1| z**-alpha_p +
@@ -135,7 +135,10 @@ def ml_biv_contour(q: MLQuery, t: float, N: int = 80) -> float | np.ndarray:
     nonpositive, which is the only case arising from the mode ODE.
     ``q.z2`` may be a 1-D array: every entry shares ``z1`` and ``t``, so
     one contour serves them all and an array of values is returned; a
-    scalar ``z2`` gives a float.
+    scalar ``z2`` gives a float.  With ``with_z1_term`` the value is
+    ``E_gamma(z1, z2) - z1 E_{gamma + alpha_p}(z1, z2)``, whose transform
+    has the numerator ``z**-gamma (1 + |w1| z**-alpha_p)`` over the same
+    denominator.
     """
     if t <= 0.0:
         raise ValueError(f"need t > 0, got {t}")
@@ -147,8 +150,10 @@ def ml_biv_contour(q: MLQuery, t: float, N: int = 80) -> float | np.ndarray:
     cfg = ContourConfig(t0=t, lambda_ratio=2.0, N=N, d_margin=SOLVER_D_MARGIN)
     quad = quadrature_nodes(optimize_rho(cfg), N)
     z, dz = quad.nodes, quad.derivs
-    denom = 1.0 + w1 * complex_pow(z, -q.alpha_p) + np.multiply.outer(w2, complex_pow(z, -q.beta_p))
-    vals = np.exp(z * t) * complex_pow(z, -q.gamma) / denom * dz
+    z_alpha = w1 * complex_pow(z, -q.alpha_p)
+    denom = 1.0 + z_alpha + np.multiply.outer(w2, complex_pow(z, -q.beta_p))
+    numer = complex_pow(z, -q.gamma) * (1.0 + z_alpha if with_z1_term else 1.0)
+    vals = np.exp(z * t) * numer / denom * dz
     value = t ** (1.0 - q.gamma) * quad.tau / pi * np.imag(np.sum(vals, axis=-1))
     return float(value) if z2.ndim == 0 else value
 
@@ -186,16 +191,16 @@ class SpectralProblem:
 def mode_value(K: float, beta: float, lam: float | np.ndarray, t: float) -> float | np.ndarray:
     """Solution of ``K v' + d_t^beta v + lam v = 0, v(0) = 1`` at time t.
 
-    ``lam`` may be a scalar or an array; all entries share the two
-    contours (gamma = 1 and gamma = 2 - beta) of time ``t``.
+    The solution is ``E_1 + t**(1-beta)/K E_{2-beta}`` at ``(z1, z2)``,
+    one contour sum with the numerator ``z**-1 + z**(beta-2)/K``.
+    ``lam`` may be a scalar or an array; all entries share the contour of
+    time ``t``.
     """
     if t == 0.0:
         return np.ones(np.shape(lam))[()]
     z1 = -t ** (1.0 - beta) / K
     z2 = -np.asarray(lam, dtype=float) * t / K
-    e1 = ml_biv_contour(MLQuery(1.0 - beta, 1.0, 1.0, z1, z2), t)
-    e2 = ml_biv_contour(MLQuery(1.0 - beta, 1.0, 2.0 - beta, z1, z2), t)
-    return e1 + t ** (1.0 - beta) / K * e2
+    return ml_biv_contour(MLQuery(1.0 - beta, 1.0, 1.0, z1, z2), t, with_z1_term=True)
 
 
 def spectral_reference(sp: SpectralProblem, x: np.ndarray, t: float) -> np.ndarray:

@@ -217,30 +217,31 @@ class TestSharedWork:
 
     @staticmethod
     def count_node_solves(monkeypatch):
-        calls = []
-        node_solve = cimfem.cim._node_solve
+        """Contour points whose shifted systems ``cim._solve_at`` solves, one entry per call."""
+        rows = []
+        solve_at = cimfem.cim._solve_at
 
-        def counted(*args):
-            calls.append(args[2])
-            return node_solve(*args)
+        def counted(p, disc, z):
+            rows.append(len(z))
+            return solve_at(p, disc, z)
 
-        monkeypatch.setattr(cimfem.cim, "_node_solve", counted)
-        return calls
+        monkeypatch.setattr(cimfem.cim, "_solve_at", counted)
+        return rows
 
     def test_sweep_time_solves_reference_once(self, monkeypatch, capsys):
-        calls = self.count_node_solves(monkeypatch)
+        rows = self.count_node_solves(monkeypatch)
         argv = ["sweep-time", "--example", "ex3_1d_case1", "--N", "20,40,80", "--M", "32", "--times", "0.8"]
         assert main(argv) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 4
-        assert len(calls) == 20 + 40 + 80 + 200
+        assert sum(rows) == 20 + 40 + 80 + 200
 
     def test_accel_compare_reuses_warmup_solves(self, monkeypatch, capsys):
-        calls = self.count_node_solves(monkeypatch)
+        rows = self.count_node_solves(monkeypatch)
         argv = ["accel-compare", "--example", "ex3_1d_case1", "--N", "100", "--M", "32",
                 "--n-interp", "10", "--times", "0.6"]
         assert main(argv) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
-        assert len(calls) <= 4 * (100 + 11)
+        assert 0 < sum(rows) <= 4 * (100 + 11)
 
     def test_spatial_sweep_assembles_each_mesh_once(self, monkeypatch):
         meshes = []

@@ -8,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
+import cimfem.cim
+import cimfem.linalg
 from cimfem.cim import (
     CIMError,
     Problem,
@@ -24,8 +26,9 @@ from cimfem.cim import (
     solve_nodes_accelerated,
 )
 from cimfem.bench import ContourRun, accel_compare, build_problem
-from cimfem.contour import quadrature_nodes, standard_parameters
-from cimfem.fem import InitialData1D, Mesh1D, Mesh2D, l2_error, mass_norm
+from cimfem.contour import contour_point, quadrature_nodes, standard_parameters
+from cimfem.fem import InitialData1D, Mesh1D, Mesh2D, l2_error, mass_norm, stencil_1d
+from cimfem.linalg import toeplitz_eigenvalues
 from cimfem.mlf import mode_value
 from cimfem.symbols import FractionalSymbol, SourceTransform, pole_term, power_term
 
@@ -230,6 +233,63 @@ class TestSpatialSolve:
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(_node_solve(disc, eta[k], rhs[k]) - ref)) <= 1e-12 * scale
             assert np.max(np.abs(together[k] - ref)) <= 1e-12 * scale
+
+
+def dense_node_solutions(p, disc, z):
+    """Right-hand sides and dense LAPACK solutions of ``(eta M + S) u = rhs``, one row per point."""
+    eta = p.sym.eta(z)
+    rhs = np.outer(p.sym.history_weight(z), disc.b_u0)
+    for name, mult in p.source.evaluate(z).items():
+        rhs += np.outer(mult, disc.b_factors[name])
+    mass, stiff = disc.ops.mass.toarray(), disc.ops.stiffness.toarray()
+    return rhs, np.array([np.linalg.solve(e * mass + stiff, r) for e, r in zip(eta, rhs)])
+
+
+class TestModalNodeSolves:
+    """1-D node solves: one DST-I modal division for all contour points."""
+
+    # row blocks hold 4096 // (M - 1) points, so every N here spans several blocks
+    @pytest.mark.parametrize("example, M, N", [("ex2_vanishing", 7, 1400), ("ex3_1d_case1", 64, 300), ("ex2_vanishing", 1000, 30)])
+    def test_rows_match_dense(self, example, M, N):
+        run = build_problem(example, 0.5, M).run(80)
+        p, disc = run.problem, run.disc
+        z, _ = contour_point(run.params, np.linspace(run.quad.phis[0], run.quad.phis[-1], N))
+        _, ref = dense_node_solutions(p, disc, z)
+        u = _solve_at(p, disc, z)
+        # both solves are backward stable, so rows differ by a few eps times the
+        # condition number max|eta m_j + s_j| / min|eta m_j + s_j| of the normal matrix
+        (m_diag, m_off), (s_diag, s_off) = stencil_1d(p.domain)
+        m, s = toeplitz_eigenvalues(m_diag, m_off, M - 1), toeplitz_eigenvalues(s_diag, s_off, M - 1)
+        lam = np.abs(np.outer(p.sym.eta(z), m) + s)
+        cond = lam.max(axis=1) / lam.min(axis=1)
+        gap = np.max(np.abs(u - ref), axis=1) / np.max(np.abs(ref), axis=1)
+        assert np.all(gap <= 1e-14 * cond)
+
+    def test_failed_row_falls_back_to_thomas(self, monkeypatch):
+        run = build_problem("ex2_vanishing", 0.5, 16).run(40)
+        p, disc, z = run.problem, run.disc, run.quad.nodes
+        rhs, ref = dense_node_solutions(p, disc, z)
+        dst1 = cimfem.linalg.dst1
+
+        def corrupted(x):
+            y = dst1(x)
+            if y.ndim == 2:  # the transform back to nodal values of a block of rows
+                y[5, 3] += 1e-6 * np.max(np.abs(y[5]))
+            return y
+
+        solved = []
+        thomas_solve = cimfem.cim.thomas_solve
+
+        def counted(t, b):
+            solved.append(b)
+            return thomas_solve(t, b)
+
+        monkeypatch.setattr(cimfem.linalg, "dst1", corrupted)
+        monkeypatch.setattr(cimfem.cim, "thomas_solve", counted)
+        u = _solve_at(p, disc, z)
+        assert len(solved) == 1
+        np.testing.assert_allclose(solved[0], rhs[5], rtol=1e-14)
+        assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestBarycentric:

@@ -77,6 +77,13 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert "unknown config key 'bogus'" in _error_exit(capsys, ["sweep-time", "--config", str(cfg)])
 
 
+@pytest.mark.parametrize("name", ["nope.cfg", "a_directory"])
+def test_unreadable_config_file_fails(tmp_path, capsys, name):
+    (tmp_path / "a_directory").mkdir()
+    err = _error_exit(capsys, ["sweep-time", "--config", str(tmp_path / name)])
+    assert "cannot read config file" in err
+
+
 def test_spec_error_exits_2(capsys):
     err = _error_exit(capsys, ["sweep-space", "--example", "ex1_scalar"])
     assert "sweep-space needs a mesh example" in err

@@ -2,11 +2,21 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cimfem.linalg import ComplexTridiag, LinAlgError, sparse_solve, thomas_solve
+from cimfem.fem import Mesh1D, assemble, stencil_1d
+from cimfem.linalg import (
+    ComplexTridiag,
+    LinAlgError,
+    dst1,
+    modal_solve,
+    sparse_solve,
+    thomas_solve,
+    toeplitz_eigenvalues,
+)
 
 
 def random_tridiag(n, rng, boost=4.0):
@@ -66,6 +76,54 @@ class TestThomas:
                 diag=np.zeros(3, dtype=complex),
                 upper=np.zeros(2, dtype=complex),
             )
+
+
+class TestModal:
+    @pytest.mark.parametrize("n", [1, 6, 63])
+    def test_dst1_matches_sine_matrix(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        j = np.arange(1, n + 1)
+        sines = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * np.pi / (n + 1))
+        assert np.max(np.abs(dst1(x) - x @ sines)) <= 1e-14 * np.max(np.abs(x)) * n
+        assert np.max(np.abs(dst1(dst1(x)) - x)) <= 1e-14 * np.max(np.abs(x)) * n
+
+    @pytest.mark.parametrize("M", [2, 7, 64])
+    def test_eigenvalues_match_generalized_eigh(self, M):
+        # eigh(S, M) returns M-orthonormal eigenvectors V_j = q_j / sqrt(m_j) for the
+        # orthonormal DST-I vectors q_j, so m_j = 1 / |V_j|^2 and s_j = lambda_j m_j
+        ops = assemble(Mesh1D(M))
+        lam, v = scipy.linalg.eigh(ops.stiffness.toarray(), ops.mass.toarray())
+        (m_diag, m_off), (s_diag, s_off) = stencil_1d(Mesh1D(M))
+        m, s = toeplitz_eigenvalues(m_diag, m_off, M - 1), toeplitz_eigenvalues(s_diag, s_off, M - 1)
+        m_ref = 1.0 / np.sum(v**2, axis=0)
+        np.testing.assert_allclose(m, m_ref, rtol=1e-12)
+        np.testing.assert_allclose(s, lam * m_ref, rtol=1e-12)
+
+    def test_rows_match_dense_and_pass_the_test(self):
+        rng = np.random.default_rng(3)
+        n, rows = 20, 9
+        eta = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+        loads = [(rng.standard_normal(rows) + 1j * rng.standard_normal(rows), rng.standard_normal(n)) for _ in range(2)]
+        x, ok = modal_solve(eta, (4.0, 1.0), (2.0, -1.0), loads)
+        assert ok.all()
+        tri = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+        for k in range(rows):
+            a = eta[k] * (4.0 * np.eye(n) + tri) + 2.0 * np.eye(n) - tri
+            rhs = sum(c[k] * b for c, b in loads)
+            assert np.max(np.abs(x[k] - np.linalg.solve(a, rhs))) <= 1e-12 * np.max(np.abs(x[k]))
+
+    def test_zero_rows_are_zero(self):
+        x, ok = modal_solve(np.array([1.0 + 1j, 2.0]), (4.0, 1.0), (2.0, -1.0), [(np.zeros(2), np.ones(5))])
+        assert ok.all() and not x.any()
+
+    def test_singular_row_is_flagged(self):
+        # eta = -s_1 / m_1 makes the first mode's divisor vanish
+        m, s = toeplitz_eigenvalues(4.0, 1.0, 5), toeplitz_eigenvalues(2.0, -1.0, 5)
+        eta = np.array([1.0, -s[0] / m[0], 2.0 + 0j])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, ok = modal_solve(eta, (4.0, 1.0), (2.0, -1.0), [(np.ones(3), np.ones(5))])
+        assert list(ok) == [True, False, True]
 
 
 class TestSparse:

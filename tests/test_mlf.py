@@ -175,6 +175,15 @@ class TestModeAndSpectral:
         assert np.max(np.abs(values - expected)) <= 1e-15
         assert mode_value(1.0, beta, float(lam[0]), t) == pytest.approx(values[0], rel=1e-14)
 
+    @pytest.mark.parametrize("beta", [0.25, 0.75])
+    def test_z1_term_is_the_two_gamma_combination(self, beta):
+        # E_g - z1 E_{g + alpha'} from one numerator equals the two separate contour sums
+        t, z1, z2 = 0.4, -(0.4 ** (1.0 - beta)) / 2.0, -np.array([1.0, 30.0, 900.0]) * 0.4 / 2.0
+        q = MLQuery(1.0 - beta, 1.0, 1.0, z1, z2)
+        shifted = MLQuery(1.0 - beta, 1.0, 2.0 - beta, z1, z2)
+        expected = ml_biv_contour(q, t) - z1 * ml_biv_contour(shifted, t)
+        np.testing.assert_allclose(ml_biv_contour(q, t, with_z1_term=True), expected, rtol=1e-13, atol=1e-16)
+
     def test_mode_value_against_history_stepping(self):
         # independent oracle: backward-Euler step of K v' + d_t^beta v + lam v = 0
         # with an L1 discretization of the fractional history term
