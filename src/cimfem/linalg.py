@@ -4,7 +4,7 @@ The contour method needs one solve of ``(eta(z_k) M + S) u = rhs`` per
 quadrature node.  In 1-D, ``M`` and ``S`` are symmetric tridiagonal
 Toeplitz matrices that the DST-I diagonalizes, so ``modal_solve`` treats
 all nodes at once (fast diagonalization): a DST-I of each load vector
-the right-hand sides combine, one elementwise division by
+that the right-hand sides combine, one elementwise division by
 ``eta_k m_j + s_j`` and a DST-I back.  It checks the backward error of
 every row and reports the rows that fail, for ``thomas_solve`` (pivoted
 LAPACK banded LU) to solve again.  In 2-D the matrices are sparse with
@@ -52,11 +52,15 @@ class ComplexTridiag:
         return y
 
 
-def thomas_solve(t: ComplexTridiag, rhs: np.ndarray, residual_tol: float = 1e-12) -> np.ndarray:
+# relative backward-error bound of every tridiagonal solve, modal or banded
+TRIDIAG_RESIDUAL_TOL = 1e-12
+
+
+def thomas_solve(t: ComplexTridiag, rhs: np.ndarray) -> np.ndarray:
     """Tridiagonal solve by pivoted LAPACK banded LU, with residual verification.
 
     Raises if the factorization fails or the relative residual in the
-    infinity norm exceeds ``residual_tol``.
+    infinity norm exceeds ``TRIDIAG_RESIDUAL_TOL``.
     """
     n = t.n
     rhs = np.asarray(rhs, dtype=complex)
@@ -79,7 +83,7 @@ def thomas_solve(t: ComplexTridiag, rhs: np.ndarray, residual_tol: float = 1e-12
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise LinAlgError(f"banded solve failed: {exc}") from exc
     res = np.max(np.abs(t.matvec(x) - rhs))
-    if not np.isfinite(res) or res > residual_tol * (rhs_scale + norm_t * np.max(np.abs(x))):
+    if not np.isfinite(res) or res > TRIDIAG_RESIDUAL_TOL * (rhs_scale + norm_t * np.max(np.abs(x))):
         raise LinAlgError(f"tridiagonal solve residual {res:.3e} exceeds tolerance")
     return x
 
@@ -125,7 +129,6 @@ def modal_solve(
     mass: tuple[float, float],
     stiff: tuple[float, float],
     loads: Sequence[tuple[np.ndarray, np.ndarray]],
-    residual_tol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``u_k`` of ``(eta_k M + S) u_k = rhs_k`` by fast diagonalization.
 
@@ -134,9 +137,10 @@ def modal_solve(
     ``rhs_k = sum_m c_m[k] b_m`` over the (coefficients ``c_m``, vector
     ``b_m``) pairs of ``loads``, so each ``b_m`` is transformed once.
     Returns the solutions and a mask of the rows that pass the
-    backward-error test of ``thomas_solve``: the residual, in the infinity
-    norm, at most ``residual_tol`` times ``|rhs_k| + ||A_k|| |u_k|``.  Rows
-    outside the mask must be solved again.
+    backward-error test of ``thomas_solve``: the residual, in the
+    infinity norm, at most ``TRIDIAG_RESIDUAL_TOL`` times
+    ``|rhs_k| + ||A_k|| |u_k|``.  Rows outside the mask must be solved
+    again.
     """
     n = len(loads[0][1])
     (m_diag, m_off), (s_diag, s_off) = mass, stiff
@@ -158,7 +162,7 @@ def modal_solve(
         res[:, :-1] += off * u[:, 1:]
         norm_a = np.abs(diag[:, 0]) + (2.0 * np.abs(off[:, 0]) if n > 1 else 0.0)
         res_max = np.max(np.abs(res), axis=1)
-        bound = residual_tol * (np.max(np.abs(r), axis=1) + norm_a * np.max(np.abs(u), axis=1))
+        bound = TRIDIAG_RESIDUAL_TOL * (np.max(np.abs(r), axis=1) + norm_a * np.max(np.abs(u), axis=1))
         ok[block] = np.isfinite(res_max) & (res_max <= bound)
         x[block] = u
     return x, ok
