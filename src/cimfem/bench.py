@@ -92,7 +92,7 @@ class ExperimentSpec:
     betas: tuple[float, ...] = (0.5,)
     n_list: tuple[int, ...] = (100,)
     m_list: tuple[int, ...] = (32,)
-    n_interp: int = 10
+    n_interp: tuple[int, ...] = (10,)
     eval_times: tuple[float, ...] = (0.6,)
     reference: str = "numeric"  # "exact" | "numeric"
     output_path: str | None = None
@@ -121,14 +121,13 @@ class ContourRun:
     parameters and the quadrature are made once.  ``solve`` serves the
     plain solution (N node systems) and the accelerated one (n + 1
     systems), each evaluated at every requested time from one set of node
-    values.  Keyword arguments set the contour shape (``alpha``,
-    ``delta_prime``) as in ``standard_parameters``.
+    values.  The contour shape and time window are the problem's.
     """
 
-    def __init__(self, p: Problem, N: int, disc: Discretization | None = None, **contour_kw) -> None:
+    def __init__(self, p: Problem, N: int, disc: Discretization | None = None) -> None:
         self.problem = p
         self.disc = discretize(p) if disc is None else disc
-        self.params = problem_parameters(p, N, **contour_kw)
+        self.params = problem_parameters(p, N)
         self.quad = quadrature_nodes(self.params, N)
         self.window = (p.t0, p.lambda_ratio * p.t0)
 
@@ -145,19 +144,16 @@ class ContourRun:
 class BuiltProblem:
     problem: Problem
     exact: Callable | None  # exact(t) scalar / exact(x, t) 1-D / exact(x, y, t) 2-D
-    contour: ContourDefaults
 
     def run(self, N: int, disc: Discretization | None = None) -> ContourRun:
-        """The contour run at N nodes with this problem's contour shape."""
-        return ContourRun(
-            self.problem, N, disc, alpha=self.contour.alpha, delta_prime=self.contour.delta_prime
-        )
+        """The contour run at N nodes."""
+        return ContourRun(self.problem, N, disc)
 
 
 def build_problem(example_id: str, beta: float, M: int, cd: ContourDefaults = ContourDefaults()) -> BuiltProblem:
     """Instantiate one catalog problem on an M-interval mesh (M ignored for scalar)."""
     sym = FractionalSymbol(cd.K, beta)
-    common = dict(t0=cd.t0, lambda_ratio=cd.lambda_ratio)
+    common = dict(alpha=cd.alpha, delta_prime=cd.delta_prime, t0=cd.t0, lambda_ratio=cd.lambda_ratio)
     if example_id == "ex1_scalar":
         c = 1.5 * sqrt(pi)
         src = SourceTransform(
@@ -168,7 +164,7 @@ def build_problem(example_id: str, beta: float, M: int, cd: ContourDefaults = Co
             )
         )
         p = Problem(sym=sym, domain=ScalarDomain(1.0), u0=1.0, source=src, **common)
-        return BuiltProblem(p, lambda t: 1.0 + c * t, cd)
+        return BuiltProblem(p, lambda t: 1.0 + c * t)
     if example_id == "ex2_vanishing":
         c_frac = gamma(2.5) / gamma(2.5 - beta)
         src = SourceTransform(
@@ -186,7 +182,7 @@ def build_problem(example_id: str, beta: float, M: int, cd: ContourDefaults = Co
             sym=sym, domain=Mesh1D(M), u0=InitialData1D.zero(), source=src,
             spatial_factors=factors, **common,
         )
-        return BuiltProblem(p, lambda x, t: t**1.5 * x * (1.0 - x), cd)
+        return BuiltProblem(p, lambda x, t: t**1.5 * x * (1.0 - x))
     if example_id == "ex3_1d_case1":
         u0 = InitialData1D.indicator(0.0, 0.75, pi**3)
     elif example_id == "ex3_1d_case2":
@@ -219,11 +215,11 @@ def build_problem(example_id: str, beta: float, M: int, cd: ContourDefaults = Co
             spatial_factors={"fxy": fxy},
             **common,
         )
-        return BuiltProblem(p, None, cd)
+        return BuiltProblem(p, None)
     else:
         raise BenchError(f"unknown example {example_id!r}")
     domain = Mesh2D(M) if example_id.startswith("ex4") else Mesh1D(M)
-    return BuiltProblem(Problem(sym=sym, domain=domain, u0=u0, **common), None, cd)
+    return BuiltProblem(Problem(sym=sym, domain=domain, u0=u0, **common), None)
 
 
 def _distance(bp: BuiltProblem, disc: Discretization | None, u, t: float, ref=None) -> float:
@@ -440,12 +436,15 @@ def run(spec: ExperimentSpec) -> ErrorReport:
 
         def accel_job(beta, M):
             bp = build_problem(spec.example_id, beta, M, spec.contour)
-            dev, iar_val, t_plain, t_accel = accel_compare(bp, N, spec.n_interp, t)
-            return [
-                _row(spec.example_id, beta, N=N, M=M, n=spec.n_interp, t=t,
-                     error=dev, iar_val=iar_val, wall_ms=t_accel * 1e3),
-                _row(spec.example_id, beta, N=N, M=M, n=None, t=t, wall_ms=t_plain * 1e3),
-            ]
+            rows = []
+            for n in spec.n_interp:
+                dev, iar_val, t_plain, t_accel = accel_compare(bp, N, n, t)
+                rows += [
+                    _row(spec.example_id, beta, N=N, M=M, n=n, t=t,
+                         error=dev, iar_val=iar_val, wall_ms=t_accel * 1e3),
+                    _row(spec.example_id, beta, N=N, M=M, n=None, t=t, wall_ms=t_plain * 1e3),
+                ]
+            return rows
 
         for beta in spec.betas:
             for M in spec.m_list:

@@ -72,6 +72,8 @@ class Problem:
     u0: float | InitialData1D | InitialData2D
     source: SourceTransform = field(default_factory=SourceTransform)
     spatial_factors: Mapping[str, object] = field(default_factory=dict)
+    alpha: float = ContourConfig.alpha  # contour shape, as in standard_parameters
+    delta_prime: float = ContourConfig.delta_prime
     t0: float = ContourConfig.t0
     lambda_ratio: float = ContourConfig.lambda_ratio
 
@@ -135,7 +137,7 @@ def _warn_pole_location(p: Problem, quad: ContourQuadrature) -> None:
 POLE_VERTEX_MARGIN = 1.2
 
 
-def problem_parameters(p: Problem, N: int, **contour_kw) -> OptimalParameters:
+def problem_parameters(p: Problem, N: int) -> OptimalParameters:
     """Optimized contour parameters, adjusted for exponential sources.
 
     When the source carries a factor ``exp(sigma t)`` with ``sigma > 0``
@@ -148,7 +150,7 @@ def problem_parameters(p: Problem, N: int, **contour_kw) -> OptimalParameters:
     truncation of the node exponentials only improves with larger
     ``mu``, so spectral accuracy is kept.
     """
-    params = standard_parameters(N, p.t0, p.lambda_ratio, **contour_kw)
+    params = standard_parameters(N, p.t0, p.lambda_ratio, alpha=p.alpha, delta_prime=p.delta_prime)
     sigma = p.source.max_pole
     if sigma is not None and sigma > 0.0:
         mu_floor = POLE_VERTEX_MARGIN * sigma / (1.0 - sin(params.alpha))
@@ -280,18 +282,21 @@ def solve_nodes_accelerated(p: Problem, params: OptimalParameters, quad: Contour
     return NodeSolutionSet(quad=quad, values=values)
 
 
-def predicted_interp_decay(N: int, tau: float, alpha: float, eps_margin: float = 1e-3) -> float:
+INTERP_EPS_MARGIN = 1e-3  # gap between the analyticity strip and the contour angle
+
+
+def predicted_interp_decay(N: int, tau: float, alpha: float) -> float:
     """Predicted geometric decay rate K of the interpolation error C K^-n.
 
     Derived from the largest Bernstein ellipse with foci at the ends of
     the phi-interval (half-length ``c = (N - 1) tau / 2``) inside the
-    strip of analyticity of half-width ``p = pi/2 - alpha - eps_margin``:
+    strip of analyticity of half-width ``p = pi/2 - alpha - INTERP_EPS_MARGIN``:
     its semi-minor axis is ``p``, so ``K = (p + sqrt(c^2 + p^2)) / c``.
     """
     if N < 2:
         raise ValueError("need N >= 2 for an interpolation interval")
-    p_t = pi / 2.0 - alpha - eps_margin
+    p_t = pi / 2.0 - alpha - INTERP_EPS_MARGIN
     if p_t <= 0.0:
-        raise ValueError("no analyticity strip: alpha + eps_margin >= pi/2")
+        raise ValueError("no analyticity strip: alpha + INTERP_EPS_MARGIN >= pi/2")
     ratio = p_t / ((N - 1) * tau / 2.0)
     return ratio + sqrt(1.0 + ratio**2)

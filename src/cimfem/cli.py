@@ -64,8 +64,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta-prime", type=float, default=cd.delta_prime, help="sector safety margin")
     p.add_argument("--N", type=_ints, default=spec.n_list, help="comma-separated contour node counts")
     p.add_argument("--M", type=_ints, default=spec.m_list, help="comma-separated mesh interval counts")
-    p.add_argument("--n-interp", type=int, default=spec.n_interp,
-                   help="interpolation order for acceleration")
+    p.add_argument("--n-interp", type=_ints, default=spec.n_interp,
+                   help="comma-separated interpolation orders for acceleration")
     p.add_argument("--times", type=_floats, default=spec.eval_times, help="comma-separated evaluation times")
     p.add_argument("--reference", choices=("exact", "numeric"), default=spec.reference)
     p.add_argument("--out", help="CSV output path")

@@ -137,11 +137,12 @@ def optimize_rho(cfg: ContourConfig) -> OptimalParameters:
     a_rho[feasible] = np.arccosh(arg[feasible])
     eps = np.exp(-2.0 * pi * d_tilde * cfg.N / a_rho)
     feasible &= (eps > 0.0) & (eps < 1.0)
-    total = np.where(
-        feasible,
-        EPS_ROUND * eps ** (rho - 1.0) + eps**rho / (1.0 - eps),
-        np.inf,
-    )
+    total = np.full_like(rho, np.inf)
+    e, r = eps[feasible], rho[feasible]
+    # For large N a tiny eps to a negative power overflows to inf; such a
+    # split has an infinite predicted error and can never win the argmin.
+    with np.errstate(over="ignore"):
+        total[feasible] = EPS_ROUND * e ** (r - 1.0) + e**r / (1.0 - e)
     k = int(np.argmin(total))  # argmin takes the first minimizer: smallest rho
     if not np.isfinite(total[k]):
         raise ContourError("no feasible rho on the grid")

@@ -52,8 +52,10 @@ class ComplexTridiag:
         return y
 
 
-# relative backward-error bound of every tridiagonal solve, modal or banded
+# relative backward-error bounds of every tridiagonal solve (modal or
+# banded) and of every sparse solve
 TRIDIAG_RESIDUAL_TOL = 1e-12
+SPARSE_RESIDUAL_TOL = 1e-13
 
 
 def thomas_solve(t: ComplexTridiag, rhs: np.ndarray) -> np.ndarray:
@@ -168,14 +170,14 @@ def modal_solve(
     return x, ok
 
 
-def sparse_solve(a: sp.spmatrix, rhs: np.ndarray, residual_tol: float = 1e-13) -> np.ndarray:
+def sparse_solve(a: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
     """Sparse direct solve with residual verification.
 
     SuperLU orders the columns by minimum degree on ``A^T + A`` and runs
     in symmetric mode (diagonal pivots preferred, partial pivoting kept),
     which suits the symmetric pattern of the shifted FEM matrices.
     Raises if the relative residual in the infinity norm exceeds
-    ``residual_tol``.
+    ``SPARSE_RESIDUAL_TOL``.
     """
     rhs = np.asarray(rhs, dtype=complex)
     rhs_scale = np.max(np.abs(rhs))
@@ -187,6 +189,6 @@ def sparse_solve(a: sp.spmatrix, rhs: np.ndarray, residual_tol: float = 1e-13) -
     x = lu.solve(rhs)
     res = np.max(np.abs(a @ x - rhs))
     norm_a = np.max(np.bincount(a.indices, weights=np.abs(a.data), minlength=a.shape[0]))
-    if not np.isfinite(res) or res > residual_tol * (rhs_scale + norm_a * np.max(np.abs(x))):
+    if not np.isfinite(res) or res > SPARSE_RESIDUAL_TOL * (rhs_scale + norm_a * np.max(np.abs(x))):
         raise LinAlgError(f"sparse solve residual {res:.3e} exceeds tolerance")
     return x

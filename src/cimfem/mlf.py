@@ -35,6 +35,9 @@ class MLError(ArithmeticError):
 
 
 SERIES_ARG_LIMIT = 20.0  # switch series -> contour at max(|z1|, |z2|) = 20
+SERIES_TOL = 1e-12  # relative size of an anti-diagonal sum counted as small
+SERIES_MAX_ORDER = 400  # anti-diagonals summed before the series gives up
+CONTOUR_NODES = 80  # quadrature nodes of the contour route
 
 
 @dataclass(frozen=True)
@@ -52,13 +55,13 @@ class MLQuery:
             raise ValueError("need alpha_p, beta_p, gamma > 0")
 
 
-def ml_biv_series(q: MLQuery, tol: float = 1e-12, max_order: int = 400) -> float:
+def ml_biv_series(q: MLQuery) -> float:
     """Double series summed along anti-diagonals m = k + l.
 
     Terms are accumulated in log-magnitude/sign form so large
     intermediate binomials and powers never overflow.  Summation stops
-    after three consecutive anti-diagonal sums below ``tol`` relative to
-    the running total.  Exhausting ``max_order`` without converging, or
+    after three consecutive anti-diagonal sums below ``SERIES_TOL`` of
+    the running total.  Exhausting ``SERIES_MAX_ORDER`` anti-diagonals, or
     converging to a value dwarfed by the largest summed term, raises
     ``MLError`` so callers can switch to the contour form.
     """
@@ -70,7 +73,7 @@ def ml_biv_series(q: MLQuery, tol: float = 1e-12, max_order: int = 400) -> float
     total = 0.0
     peak = 0.0
     small_streak = 0
-    for m in range(max_order + 1):
+    for m in range(SERIES_MAX_ORDER + 1):
         k = np.arange(m + 1)
         l = m - k
         logmag = np.full(m + 1, -np.inf)
@@ -99,7 +102,7 @@ def ml_biv_series(q: MLQuery, tol: float = 1e-12, max_order: int = 400) -> float
             peak = max(peak, exp(shift))
         total += s_m
         abs_m = abs(s_m)
-        if abs_m <= tol * max(abs(total), 1e-300):
+        if abs_m <= SERIES_TOL * max(abs(total), 1e-300):
             small_streak += 1
             if small_streak >= 3:
                 _check_cancellation(peak, total)
@@ -107,7 +110,7 @@ def ml_biv_series(q: MLQuery, tol: float = 1e-12, max_order: int = 400) -> float
         else:
             small_streak = 0
     raise MLError(
-        f"bivariate series did not converge within {max_order} anti-diagonals "
+        f"bivariate series did not converge within {SERIES_MAX_ORDER} anti-diagonals "
         f"(|z1| = {abs(q.z1):.3g}, |z2| = {abs(q.z2):.3g})"
     )
 
@@ -126,7 +129,7 @@ def _check_cancellation(peak: float, total: float) -> None:
         )
 
 
-def ml_biv_contour(q: MLQuery, t: float, N: int = 80, with_z1_term: bool = False) -> float | np.ndarray:
+def ml_biv_contour(q: MLQuery, t: float, with_z1_term: bool = False) -> float | np.ndarray:
     """Contour form, valid for ``z1 = -|w1| t**alpha_p`` and ``z2 = -|w2| t**beta_p``.
 
     Uses the Laplace transform ``z**-gamma / (1 + |w1| z**-alpha_p +
@@ -147,8 +150,8 @@ def ml_biv_contour(q: MLQuery, t: float, N: int = 80, with_z1_term: bool = False
         raise MLError("contour route requires nonpositive arguments")
     w1 = abs(q.z1) / t**q.alpha_p
     w2 = np.abs(z2) / t**q.beta_p
-    cfg = ContourConfig(t0=t, lambda_ratio=2.0, N=N, d_margin=SOLVER_D_MARGIN)
-    quad = quadrature_nodes(optimize_rho(cfg), N)
+    cfg = ContourConfig(t0=t, lambda_ratio=2.0, N=CONTOUR_NODES, d_margin=SOLVER_D_MARGIN)
+    quad = quadrature_nodes(optimize_rho(cfg), CONTOUR_NODES)
     z, dz = quad.nodes, quad.derivs
     z_alpha = w1 * complex_pow(z, -q.alpha_p)
     denom = 1.0 + z_alpha + np.multiply.outer(w2, complex_pow(z, -q.beta_p))

@@ -127,7 +127,7 @@ class TestErrorMetrics:
         # a relative deviation from it is undefined
         p = Problem(sym=FractionalSymbol(1.0, 0.5), domain=domain, u0=u0)
         with pytest.raises(BenchError, match="vanishes"):
-            accel_compare(BuiltProblem(p, None, ContourDefaults()), 20, 4, 0.6)
+            accel_compare(BuiltProblem(p, None), 20, 4, 0.6)
 
 
 class TestReportAndRun:

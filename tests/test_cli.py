@@ -3,10 +3,11 @@
 import csv
 import io
 import math
+from pathlib import Path
 
 import pytest
 
-from cimfem.bench import ContourRun, ErrorReport, build_problem
+from cimfem.bench import ContourRun, ErrorReport, ExperimentSpec, accel_compare, build_problem
 from cimfem.cli import main
 from cimfem.fem import mass_norm
 
@@ -162,7 +163,7 @@ CONFIG_KEYS = [
     ("delta-prime", "0.12"),
     ("N", "10,20"),
     ("M", "8,16"),
-    ("n-interp", "6"),
+    ("n-interp", "6,12"),
     ("times", "0.3,0.9"),
     ("reference", "exact"),
     ("out", "rows.csv"),
@@ -191,6 +192,42 @@ def test_config_key_matches_flag(tmp_path, monkeypatch, key, value):
     from_file = _spec_of(monkeypatch, ["sweep-time", "--config", str(cfg)])
     assert from_file == from_flag
     assert from_file != _spec_of(monkeypatch, ["sweep-time"])
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+# The paper's tables as the retired driver scripts built them with their defaults.
+SHIPPED_CONFIGS = {
+    "temporal_tables.cfg": ExperimentSpec(
+        "sweep-time", "ex3_1d_case1", betas=(0.25, 0.5, 0.75), n_list=(20, 40, 60, 80, 100),
+        m_list=(128,), eval_times=(0.8,), reference="numeric", output_path=None, threads=1),
+    "spatial_tables.cfg": ExperimentSpec(
+        "sweep-space", "ex3_1d_case1", betas=(0.25, 0.5, 0.75), n_list=(60,),
+        m_list=(32, 64, 128, 256), eval_times=(0.6,), reference="numeric", output_path=None, threads=1),
+    "acceleration_report.cfg": ExperimentSpec(
+        "accel-compare", "ex3_1d_case1", betas=(0.5,), n_list=(100,), m_list=(1024,),
+        n_interp=(4, 6, 8, 10, 12, 14, 16, 18, 20), eval_times=(0.6,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+def test_shipped_config_builds_the_table_spec(monkeypatch, name):
+    spec = SHIPPED_CONFIGS[name]
+    assert _spec_of(monkeypatch, [spec.mode, "--config", str(SCRIPTS / name)]) == spec
+
+
+def test_accel_compare_rows_for_each_n_interp(capsys):
+    argv = ["accel-compare", "--example", "ex3_1d_case1", "--M", "64", "--N", "60",
+            "--n-interp", "6,10", "--times", "0.6"]
+    assert main(argv) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["n"] for r in rows] == ["6", "", "10", ""]
+    bp = build_problem("ex3_1d_case1", 0.5, 64)
+    for accel, plain, n in zip(rows[::2], rows[1::2], (6, 10)):
+        dev, iar, _, _ = accel_compare(bp, 60, n, 0.6)
+        assert (accel["error"], accel["iar"]) == (f"{dev:.4E}", f"{iar:.4E}")
+        assert (plain["error"], plain["iar"]) == ("", "")
+        assert all(r["N"] == "60" and r["M"] == "64" and r["t"] == "0.6" for r in (accel, plain))
 
 
 @pytest.mark.parametrize("line", ["Lam = 5", "delta_prime = 0.1"])

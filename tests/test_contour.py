@@ -7,6 +7,7 @@ pipeline.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,3 +234,21 @@ def test_standard_parameters_widened_strip_margin():
     wide = standard_parameters(40, 0.1, 10.0)
     tight = optimize_rho(ContourConfig(N=40, t0=0.1, lambda_ratio=10.0, d_margin=1e-3))
     assert wide.d_tilde < tight.d_tilde
+
+
+@pytest.mark.parametrize("N", [1400, 2000])
+def test_optimize_rho_large_n_is_free_of_float_warnings(N):
+    # the rounding term eps ** (rho - 1) overflows at N = 1400, and eps
+    # underflows to 0 at N = 2000; neither may reach the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = standard_parameters(N, 0.1, 10.0)
+    assert 0.0 < p.eps_n < 1.0
+    assert math.isfinite(p.predicted_error)
+
+
+def test_optimize_rho_without_finite_split_raises():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContourError, match="no feasible rho"):
+            standard_parameters(5000, 0.1, 10.0)
