@@ -102,9 +102,12 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.example_id not in EXAMPLE_IDS:
             raise BenchError(f"unknown example {self.example_id!r}")
+        for name in ("betas", "n_list", "m_list", "n_interp", "eval_times"):
+            if not getattr(self, name):
+                raise BenchError(f"{name} must not be empty")
         # only sweep-time solves the N_REF reference
         time_ref = self.mode == "sweep-time" and self.reference == "numeric"
-        if time_ref and self.n_list and N_REF <= max(self.n_list):
+        if time_ref and N_REF <= max(self.n_list):
             raise BenchError(f"numeric reference needs N_REF = {N_REF} > every N in the sweep")
         if self.mode == "sweep-space" and self.example_id == "ex1_scalar":
             raise BenchError("sweep-space needs a mesh example; ex1_scalar has no mesh")
@@ -413,9 +416,8 @@ def run(spec: ExperimentSpec) -> ErrorReport:
     jobs: list[Callable[[], list[dict]]] = []
 
     if spec.mode == "sweep-time":
-        if spec.n_list:
-            for beta in spec.betas:
-                jobs.append(lambda beta=beta: _time_rows(spec, beta))
+        for beta in spec.betas:
+            jobs.append(lambda beta=beta: _time_rows(spec, beta))
     elif spec.mode == "sweep-space":
         t = max(spec.eval_times)
         N = max(spec.n_list)

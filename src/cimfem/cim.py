@@ -6,8 +6,9 @@ shifted elliptic problem
     (eta(z_k) M + S) u_hat_k = (K + z_k**(beta-1)) b_u0 + sum_m b_m T_m(z_k)
 
 is solved (``M`` mass, ``S`` stiffness, ``b_*`` load vectors, ``T_m``
-closed-form source transforms; in 1-D one modal solve serves all nodes,
-in 2-D each node is one sparse LU); the solution at time ``t`` is then the
+closed-form source transforms; one modal solve serves all nodes, in 2-D
+by COCG in DST-I coordinates, and only the rows it leaves take a banded
+or sparse LU); the solution at time ``t`` is then the
 imaginary part of a trapezoid sum over the nodes.  The accelerated
 variant solves only ``n + 1`` systems at Chebyshev points in the contour
 parameter and recovers all node values by barycentric interpolation.
@@ -42,9 +43,10 @@ from .fem import (
     Mesh2D,
     assemble,
     load_vector,
+    modes_2d,
     stencil_1d,
 )
-from .linalg import ComplexTridiag, combine, modal_solve, sparse_solve, thomas_solve
+from .linalg import ComplexTridiag, combine, modal_solve, modal_solve_2d, sparse_solve, thomas_solve
 from .symbols import FractionalSymbol, SourceTransform
 
 
@@ -172,9 +174,9 @@ def _solve_at(p: Problem, disc: Discretization | None, z: np.ndarray) -> np.ndar
 
     The symbol and the source transforms are evaluated once on all of
     ``z``; each row's right-hand side combines the same few load vectors.
-    1-D problems take one modal solve over all points, and only the rows
-    that fail its backward-error test are solved again by
-    ``thomas_solve``; 2-D problems take one sparse solve per point.
+    1-D and 2-D problems take one modal solve over all points, and only
+    the rows that fail its backward-error test (or, in 2-D, its iteration
+    cap) are solved again, by ``thomas_solve`` and ``_node_solve``.
     """
     eta = p.sym.eta(z)
     loads = [(p.sym.history_weight(z), p.u0 if p.scalar else disc.b_u0)]
@@ -189,12 +191,12 @@ def _solve_at(p: Problem, disc: Discretization | None, z: np.ndarray) -> np.ndar
             tri = ComplexTridiag(np.full(n - 1, off), np.full(n, diag), np.full(n - 1, off))
             u[k] = thomas_solve(tri, combine(loads, k))
         return u
-    rhs = combine(loads)
     if p.scalar:
-        return rhs / (eta + p.domain.a)
-    for k, (e, r) in enumerate(zip(eta, rhs)):
-        rhs[k] = _node_solve(disc, e, r)  # each row turns into its solution
-    return rhs
+        return combine(loads) / (eta + p.domain.a)
+    u, ok = modal_solve_2d(eta, modes_2d(p.domain), disc.ops.mass, disc.ops.stiffness, loads)
+    for k in np.flatnonzero(~ok):
+        u[k] = _node_solve(disc, eta[k], combine(loads, k))
+    return u
 
 
 def solve_nodes(p: Problem, quad: ContourQuadrature, disc: Discretization | None = None) -> NodeSolutionSet:

@@ -234,6 +234,22 @@ def _assemble_2d(mesh: Mesh2D) -> AssembledOperators:
     )
 
 
+def modes_2d(mesh: Mesh2D) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenvalues of ``M_sep`` and ``S`` on the 2-D DST-I basis, and the weight of ``kron(D, D)``.
+
+    With ``C = E + E^T`` and ``D = E - E^T``, ``kron(E, E) + kron(E^T, E^T)
+    = (kron(C, C) + kron(D, D)) / 2``, so ``M = M_sep + h^2/24 kron(D, D)``
+    where ``M_sep = h^2/12 (6 I + kron(I, C) + kron(C, I) + kron(C, C) / 2)``.
+    ``C`` has the DST-I eigenvalues ``c_j = 2 cos(j pi / M)``, so entry
+    ``[j, l]`` (y mode j, x mode l) of the two (n, n) arrays is
+    ``h^2/12 (6 + c_j + c_l + c_j c_l / 2)`` and ``4 - c_j - c_l``.
+    """
+    h = mesh.h
+    c = 2.0 * np.cos(np.arange(1, mesh.M) * np.pi / mesh.M)
+    cy, cx = c[:, None], c[None, :]
+    return h * h / 12.0 * (6.0 + cy + cx + cy * cx / 2.0), 4.0 - cy - cx, h * h / 24.0
+
+
 # ---------------------------------------------------------------------------
 # load vectors
 

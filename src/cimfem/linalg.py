@@ -7,9 +7,13 @@ all nodes at once (fast diagonalization): a DST-I of each load vector
 that the right-hand sides combine, one elementwise division by
 ``eta_k m_j + s_j`` and a DST-I back.  It checks the backward error of
 every row and reports the rows that fail, for ``thomas_solve`` (pivoted
-LAPACK banded LU) to solve again.  In 2-D the matrices are sparse with
-5-point-style connectivity and each node is one SuperLU factorization
-with pivoting.  Every solve verifies a residual bound.
+LAPACK banded LU) to solve again.  In 2-D the two-dimensional DST-I
+diagonalizes ``S`` and all of ``M`` but a small Kronecker term, so
+``modal_solve_2d`` runs COCG in modal coordinates on all nodes at once,
+preconditioned by the diagonal part; the rows that fail its
+backward-error test, or do not converge within ``COCG_MAX_ITER``
+iterations, are solved again by ``sparse_solve`` (SuperLU with
+pivoting).  Every solve verifies a residual bound.
 """
 
 from __future__ import annotations
@@ -170,8 +174,131 @@ def modal_solve(
     return x, ok
 
 
+def dst2(x: np.ndarray) -> np.ndarray:
+    """Orthonormal 2-D DST-I of each trailing (n, n) slice of ``x``; its own inverse."""
+    return dst1(dst1(x).swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+# iterations after which a 2-D modal row stops and is solved again; on the
+# N = 60 contours of ex4_2d_case1/ex4_2d_case3 the worst row needs 17 at
+# M = 8 and 5 at M = 128
+COCG_MAX_ITER = 60
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """2-norm of each complex row ``x[k]``, from its real view."""
+    v = x.reshape(len(x), -1).view(float)
+    return np.sqrt(np.einsum("ki,ki->k", v, v))
+
+
+def _kron_apply(d_hat: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``D P_k D^T`` for every (n, n) slice ``P_k`` of ``p``: two real GEMMs on its parts."""
+    rows, n, _ = p.shape
+    parts = np.concatenate((p.real, p.imag))
+    parts = np.matmul(d_hat, (parts.reshape(-1, n) @ d_hat.T).reshape(parts.shape))
+    return parts[:rows] + 1j * parts[rows:]
+
+
+def _cocg(
+    d: np.ndarray, c: np.ndarray, d_hat: np.ndarray, b: np.ndarray, norm_a: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``d_k * X + c_k D X D^T = B_k`` by diagonally preconditioned COCG.
+
+    Each row's operator is complex symmetric, so conjugate gradients run
+    with the unconjugated form ``x^T y`` (van der Vorst & Melissen 1990),
+    preconditioned by the diagonal ``d_k``, on all rows at once.  A row
+    stops when its residual 2-norm is at most ``SPARSE_RESIDUAL_TOL
+    (|B_k| + norm_a_k |X_k|) / n``, where ``n^2`` is the row length, so
+    that the infinity-norm test of ``sparse_solve`` holds.  Returns the
+    iterates and a mask of the rows that stopped so within
+    ``COCG_MAX_ITER`` iterations; rows that reach non-finite values stop
+    unconverged.
+    """
+    rows, n, _ = b.shape
+    x_out, ok = np.zeros_like(b), np.zeros(rows, dtype=bool)
+    live = np.arange(rows)
+    x, r, d_inv = np.zeros_like(b), b.copy(), 1.0 / d
+    p = r * d_inv
+    rho = np.einsum("kij,kij->k", r, p)
+    scale = SPARSE_RESIDUAL_TOL / n * _row_norms(b)
+    slope = SPARSE_RESIDUAL_TOL / n * norm_a
+    for it in range(COCG_MAX_ITER + 1):
+        r_norm, x_norm = _row_norms(r), _row_norms(x)
+        done = r_norm <= scale + slope * x_norm
+        stop = done | ~np.isfinite(r_norm + x_norm) | (it == COCG_MAX_ITER)
+        if stop.any():
+            x_out[live[stop]], ok[live[stop]] = x[stop], done[stop]
+            keep = ~stop
+            live, x, r, p, rho, d, d_inv, c, scale, slope = (
+                a[keep] for a in (live, x, r, p, rho, d, d_inv, c, scale, slope)
+            )
+            if not len(live):
+                break
+        q = d * p
+        q += c[:, None, None] * _kron_apply(d_hat, p)
+        alpha = (rho / np.einsum("kij,kij->k", p, q))[:, None, None]
+        x += alpha * p
+        r -= alpha * q
+        z = r * d_inv
+        rho_new = np.einsum("kij,kij->k", r, z)
+        p *= (rho_new / rho)[:, None, None]
+        p += z
+        rho = rho_new
+    return x_out, ok
+
+
+def modal_solve_2d(
+    eta: np.ndarray,
+    modes: tuple[np.ndarray, np.ndarray, float],
+    mass: sp.csc_matrix,
+    stiff: sp.csc_matrix,
+    loads: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``u_k`` of ``(eta_k M + S) u_k = rhs_k`` on the 2-D grid, by COCG in DST-I coordinates.
+
+    ``modes = (m, s, g)`` (from ``fem.modes_2d``) gives the (n, n)
+    eigenvalues of ``M_sep`` and ``S`` on the 2-D DST-I basis and the
+    weight of ``M = M_sep + g kron(D, D)``, ``D = E - E^T``; ``mass`` and
+    ``stiff`` are ``M`` and ``S`` in CSC on one shared pattern.  In modal
+    coordinates row ``k`` is ``(eta_k m + s) X + eta_k g D_hat X D_hat^T
+    = B_k`` with the real ``D_hat = Q D Q``, which ``_cocg`` solves with
+    the preconditioner ``eta_k m + s``.  The right-hand sides are
+    ``rhs_k = sum_m c_m[k] b_m`` over ``loads`` as in ``modal_solve``, so
+    each ``b_m`` is transformed once, and blocks of ``MODAL_BLOCK``
+    entries are transformed back once.  Returns the solutions and a mask
+    of the rows that converged and pass the backward-error test of
+    ``sparse_solve`` on the assembled matrices: the residual, in the
+    infinity norm, at most ``SPARSE_RESIDUAL_TOL`` times
+    ``|rhs_k| + ||A_k|| |u_k|``.  Rows outside the mask must be solved
+    again.
+    """
+    m, s, g = modes
+    n = len(m)
+    d_mat = np.eye(n, k=1) - np.eye(n, k=-1)
+    d_hat = -dst1(dst1(d_mat).T).real  # Q D Q = -dst1((D Q)^T), as Q = Q^T and D^T = -D
+    modal_loads = [(c, dst2(b.reshape(n, n))) for c, b in loads]
+    x = np.empty((len(eta), n * n), dtype=complex)
+    ok = np.empty(len(eta), dtype=bool)
+    rows = max(1, MODAL_BLOCK // (n * n))
+    for a in range(0, len(eta), rows):
+        block = slice(a, a + rows)
+        e = eta[block]
+        # ||eta M + S||_inf from the pattern's column sums (both matrices are symmetric)
+        a_abs = np.abs(np.multiply.outer(e, mass.data) + stiff.data)
+        norm_a = np.max(np.add.reduceat(a_abs, mass.indptr[:-1], axis=1), axis=1)
+        u_hat, done = _cocg(e[:, None, None] * m + s, g * e, d_hat, combine(modal_loads, block), norm_a)
+        u = dst2(u_hat).reshape(len(e), n * n)
+        r = combine(loads, block)
+        res = (mass @ u.T).T * e[:, None] + (stiff @ u.T).T - r
+        res_max = np.max(np.abs(res), axis=1)
+        bound = SPARSE_RESIDUAL_TOL * (np.max(np.abs(r), axis=1) + norm_a * np.max(np.abs(u), axis=1))
+        ok[block] = done & np.isfinite(res_max) & (res_max <= bound)
+        x[block] = u
+    return x, ok
+
+
 def sparse_solve(a: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """Sparse direct solve with residual verification.
+    """Sparse direct solve with residual verification: the fallback of ``modal_solve_2d``.
 
     SuperLU orders the columns by minimum degree on ``A^T + A`` and runs
     in symmetric mode (diagonal pivots preferred, partial pivoting kept),

@@ -78,6 +78,12 @@ class TestSpecValidation:
         with pytest.raises(BenchError, match="sweep-space needs a mesh example"):
             ExperimentSpec(mode="sweep-space", example_id="ex1_scalar")
 
+    @pytest.mark.parametrize("name", ["betas", "n_list", "m_list", "n_interp", "eval_times"])
+    @pytest.mark.parametrize("mode", ["solve", "sweep-time", "sweep-space", "accel-compare"])
+    def test_empty_list_rejected(self, mode, name):
+        with pytest.raises(BenchError, match=f"{name} must not be empty"):
+            ExperimentSpec(mode=mode, example_id="ex3_1d_case1", **{name: ()})
+
 
 class TestErrorMetrics:
     def test_error_tau_exact_scalar_decays(self):
@@ -137,11 +143,8 @@ class TestReportAndRun:
         assert _fmt(None, "sci") == ""
 
     def test_empty_report_header_only(self):
-        spec = ExperimentSpec(
-            mode="sweep-time", example_id="ex1_scalar", betas=(), n_list=(), m_list=(4,)
-        )
-        report = run(spec)
-        lines = report.to_csv().strip().splitlines()
+        # an empty parameter list is a spec error, so a report without rows is built directly
+        lines = ErrorReport(rows=[]).to_csv().strip().splitlines()
         assert lines == ["example,beta,N,M,n,t,error,order,iar,wall_ms"]
 
     def test_sweep_time_rows(self):

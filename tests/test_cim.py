@@ -292,6 +292,60 @@ class TestModalNodeSolves:
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+class TestModal2DNodeSolves:
+    """2-D node solves: COCG in DST-I coordinates for all contour points, splu for the rows it leaves."""
+
+    # row blocks hold 4096 // (M - 1)**2 points, so every N here spans several blocks
+    @pytest.mark.parametrize("example, M, N", [("ex4_2d_case1", 8, 200), ("ex4_2d_case3", 24, 30)])
+    def test_rows_match_dense(self, example, M, N):
+        run = build_problem(example, 0.5, M).run(80)
+        p, disc = run.problem, run.disc
+        z, _ = contour_point(run.params, np.linspace(run.quad.phis[0], run.quad.phis[-1], N))
+        _, ref = dense_node_solutions(p, disc, z)
+        u = _solve_at(p, disc, z)
+        assert np.all(np.max(np.abs(u - ref), axis=1) <= 1e-12 * np.max(np.abs(ref), axis=1))
+
+    def fallback_run(self, monkeypatch):
+        """ex4_2d_case3 at M = 8, N = 40, with every ``_node_solve`` call recorded."""
+        run = build_problem("ex4_2d_case3", 0.5, 8).run(40)
+        solved = []
+        node_solve = cimfem.cim._node_solve
+
+        def counted(disc, eta, b):
+            solved.append(b)
+            return node_solve(disc, eta, b)
+
+        monkeypatch.setattr(cimfem.cim, "_node_solve", counted)
+        return run, solved
+
+    def test_failed_row_falls_back_to_splu(self, monkeypatch):
+        run, solved = self.fallback_run(monkeypatch)
+        p, disc, z = run.problem, run.disc, run.quad.nodes
+        rhs, ref = dense_node_solutions(p, disc, z)
+        dst2 = cimfem.linalg.dst2
+
+        def corrupted(x):
+            y = dst2(x)
+            if y.ndim == 3:  # the transform back to nodal values of a block of rows
+                y[5, 3, 2] += 1e-6 * np.max(np.abs(y[5]))
+            return y
+
+        monkeypatch.setattr(cimfem.linalg, "dst2", corrupted)
+        u = _solve_at(p, disc, z)
+        assert len(solved) == 1
+        np.testing.assert_allclose(solved[0], rhs[5], rtol=1e-14)
+        assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_iteration_cap_falls_back_to_splu(self, monkeypatch):
+        run, solved = self.fallback_run(monkeypatch)
+        p, disc, z = run.problem, run.disc, run.quad.nodes
+        _, ref = dense_node_solutions(p, disc, z)
+        monkeypatch.setattr(cimfem.linalg, "COCG_MAX_ITER", 2)
+        u = _solve_at(p, disc, z)
+        assert len(solved) == len(z)
+        assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 class TestBarycentric:
     def test_weights_alternate_with_halved_ends(self):
         w = barycentric_weights(4)

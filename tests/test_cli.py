@@ -90,6 +90,17 @@ def test_spec_error_exits_2(capsys):
     assert "sweep-space needs a mesh example" in err
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["accel-compare", "--example", "ex3_1d_case1", "--N", ""], "n_list"),
+        (["sweep-space", "--example", "ex3_1d_case1", "--times", ""], "eval_times"),
+    ],
+)
+def test_empty_list_exits_2(capsys, argv, name):
+    assert f"{name} must not be empty" in _error_exit(capsys, argv)
+
+
 def test_bad_example_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["sweep-time", "--example", "not_a_thing"])

@@ -7,12 +7,14 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cimfem.fem import Mesh1D, assemble, stencil_1d
+from cimfem.fem import Mesh1D, Mesh2D, assemble, modes_2d, stencil_1d
 from cimfem.linalg import (
     ComplexTridiag,
     LinAlgError,
     dst1,
+    dst2,
     modal_solve,
+    modal_solve_2d,
     sparse_solve,
     thomas_solve,
     toeplitz_eigenvalues,
@@ -124,6 +126,52 @@ class TestModal:
         with np.errstate(divide="ignore", invalid="ignore"):
             _, ok = modal_solve(eta, (4.0, 1.0), (2.0, -1.0), [(np.ones(3), np.ones(5))])
         assert list(ok) == [True, False, True]
+
+
+def sine_matrix(n):
+    j = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * np.pi / (n + 1))
+
+
+class TestModal2D:
+    @pytest.mark.parametrize("M", [4, 7, 16])
+    def test_splitting_identity(self, M):
+        # Q (eta M + S) u Q = (eta m + s) u_hat + eta g D_hat u_hat D_hat^T on the assembled matrices,
+        # with the sine matrix Q and D_hat = Q (E - E^T) Q formed densely here
+        n = M - 1
+        rng = np.random.default_rng(M)
+        ops = assemble(Mesh2D(M))
+        m, s, g = modes_2d(Mesh2D(M))
+        q = sine_matrix(n)
+        d_hat = q @ (np.eye(n, k=1) - np.eye(n, k=-1)) @ q
+        eta = 3.0 - 40.0j
+        u = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
+        u_hat = q @ u.reshape(n, n) @ q
+        lhs = dst2(((eta * ops.mass + ops.stiffness) @ u).reshape(n, n))
+        rhs = (eta * m + s) * u_hat + eta * g * d_hat @ u_hat @ d_hat.T
+        assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(lhs))
+        assert np.max(np.abs(dst2(u.reshape(n, n)) - u_hat)) <= 1e-14 * n * np.max(np.abs(u_hat))
+
+    def test_rows_match_dense_across_blocks(self):
+        # 4096 // 15**2 = 18 rows per block, so 50 rows take three blocks
+        M, rows = 16, 50
+        rng = np.random.default_rng(5)
+        mesh = Mesh2D(M)
+        ops = assemble(mesh)
+        eta = np.abs(rng.standard_normal(rows)) * 1e3 * np.exp(1j * rng.uniform(-2.5, 2.5, rows))
+        loads = [(rng.standard_normal(rows) + 1j * rng.standard_normal(rows), rng.standard_normal(mesh.ndof)) for _ in range(2)]
+        x, ok = modal_solve_2d(eta, modes_2d(mesh), ops.mass, ops.stiffness, loads)
+        assert ok.all()
+        mass, stiff = ops.mass.toarray(), ops.stiffness.toarray()
+        for k in range(rows):
+            ref = np.linalg.solve(eta[k] * mass + stiff, sum(c[k] * b for c, b in loads))
+            assert np.max(np.abs(x[k] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_zero_rows_are_zero(self):
+        mesh = Mesh2D(5)
+        ops = assemble(mesh)
+        x, ok = modal_solve_2d(np.array([1.0 + 1j, 2.0]), modes_2d(mesh), ops.mass, ops.stiffness, [(np.zeros(2), np.ones(16))])
+        assert ok.all() and not x.any()
 
 
 class TestSparse:
