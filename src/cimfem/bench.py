@@ -225,16 +225,16 @@ def build_problem(example_id: str, beta: float, M: int, cd: ContourDefaults = Co
     return BuiltProblem(Problem(sym=sym, domain=domain, u0=u0, **common), None)
 
 
-def _distance(bp: BuiltProblem, disc: Discretization | None, u, t: float, ref=None) -> float:
+def _distance(bp: BuiltProblem, u, t: float, ref=None) -> float:
     """Distance from the solution ``u`` at time ``t`` to ``ref``, or to the exact solution.
 
-    With ``ref`` it is the mass-norm distance on ``disc``'s operators;
+    With ``ref`` it is the mass-norm distance on the problem's mesh;
     without it, the L2 quadrature error against the exact solution at
     ``t``.  Scalar problems use the absolute difference.
     """
     p = bp.problem
     if ref is not None:
-        return abs(u - ref) if p.scalar else mass_norm(disc.ops, u - ref)
+        return abs(u - ref) if p.scalar else mass_norm(p.domain, u - ref)
     if bp.exact is None:
         raise BenchError("no exact solution for this example")
     if p.scalar:
@@ -242,7 +242,7 @@ def _distance(bp: BuiltProblem, disc: Discretization | None, u, t: float, ref=No
     return l2_error(p.domain, u, lambda *x: bp.exact(*x, t))
 
 
-def error_tau(bp: BuiltProblem, disc: Discretization | None, times, sols, ref=None) -> float:
+def error_tau(bp: BuiltProblem, times, sols, ref=None) -> float:
     """Max over ``times`` of the distance from ``sols`` to the reference.
 
     ``ref`` holds the reference solutions at ``times``, the N_ref-node
@@ -250,7 +250,7 @@ def error_tau(bp: BuiltProblem, disc: Discretization | None, times, sols, ref=No
     the exact solution is the reference (L2 quadrature error).
     """
     refs = [None] * len(times) if ref is None else ref
-    return max(_distance(bp, disc, s, t, r) for s, t, r in zip(sols, times, refs))
+    return max(_distance(bp, s, t, r) for s, t, r in zip(sols, times, refs))
 
 
 def spatial_sweep(
@@ -267,7 +267,7 @@ def spatial_sweep(
     Every mesh is discretized and solved once; ``wall_ms`` is that work
     for the row's own mesh.  Exact reference: L2 quadrature error
     against the exact solution.  Numeric reference: mass-norm distance,
-    on the mesh-2M operators, between the prolonged mesh-M solution and
+    on mesh 2M, between the prolonged mesh-M solution and
     the mesh-2M solution.
     """
     m_list = sorted(m_list)
@@ -276,31 +276,30 @@ def spatial_sweep(
     for m in sorted(needed):
         bp = build_problem(example_id, beta, m, cd)
         start = time.perf_counter()
-        disc = discretize(bp.problem)
-        u = bp.run(N, disc).solve(t)
-        solved[m] = (bp, disc, u, (time.perf_counter() - start) * 1e3)
+        u = bp.run(N).solve(t)
+        solved[m] = (bp, u, (time.perf_counter() - start) * 1e3)
     rows = []
     prev = None
     for m in m_list:
-        bp, disc, u, wall = solved[m]
+        bp, u, wall = solved[m]
         if reference == "exact":
-            err = _distance(bp, disc, u, t)
+            err = _distance(bp, u, t)
         else:
-            fine_bp, fine_disc, fine_u, _ = solved[2 * m]
+            fine_bp, fine_u, _ = solved[2 * m]
             prolong = prolong_2d if isinstance(bp.problem.domain, Mesh2D) else prolong_1d
-            err = _distance(fine_bp, fine_disc, prolong(u, m), t, fine_u)
+            err = _distance(fine_bp, prolong(u, m), t, fine_u)
         order = None if prev is None else float(np.log2(prev / err)) if err > 0 else None
         rows.append((m, err, order, wall))
         prev = err
     return rows
 
 
-def _relative(bp: BuiltProblem, disc: Discretization | None, u, t: float, ref=None) -> float:
+def _relative(bp: BuiltProblem, u, t: float, ref=None) -> float:
     """``_distance`` of ``u`` divided by that of zero: the relative distance."""
-    denom = _distance(bp, disc, np.zeros_like(u), t, ref)
+    denom = _distance(bp, np.zeros_like(u), t, ref)
     if denom < 1e-14:
         raise BenchError("reference solution vanishes; relative distance undefined")
-    return _distance(bp, disc, u, t, ref) / denom
+    return _distance(bp, u, t, ref) / denom
 
 
 def _median_time(fn):
@@ -327,12 +326,11 @@ def accel_compare(bp: BuiltProblem, N: int, n: int, t: float) -> tuple[float, fl
     deviation.
     """
     p = bp.problem
-    disc = discretize(p)
-    run = bp.run(N, disc)
+    run = bp.run(N)
     t_plain, u_plain = _median_time(lambda: run.solve(t))
     t_accel, u_acc = _median_time(lambda: run.solve(t, n))
-    dev = _relative(bp, disc, u_acc, t, u_plain)
-    iar = dev if bp.exact is None or p.scalar else _relative(bp, disc, u_acc, t)
+    dev = _relative(bp, u_acc, t, u_plain)
+    iar = dev if bp.exact is None or p.scalar else _relative(bp, u_acc, t)
     return dev, iar, t_plain, t_accel
 
 
@@ -401,7 +399,7 @@ def _time_rows(spec: ExperimentSpec, beta: float) -> list[dict]:
         sols = bp.run(N, disc).solve(times)
         wall = (time.perf_counter() - start) * 1e3
         rows.append(_row(spec.example_id, beta, N=N, M=None if bp.problem.scalar else M,
-                         t=max(spec.eval_times), error=error_tau(bp, disc, times, sols, ref), wall_ms=wall))
+                         t=max(spec.eval_times), error=error_tau(bp, times, sols, ref), wall_ms=wall))
     return rows
 
 
@@ -457,14 +455,13 @@ def run(spec: ExperimentSpec) -> ErrorReport:
         def solve_job(beta, N, M):
             bp = build_problem(spec.example_id, beta, M, spec.contour)
             start = time.perf_counter()
-            disc = discretize(bp.problem)
-            sols = bp.run(N, disc).solve(t_list)
+            sols = bp.run(N).solve(t_list)
             wall = (time.perf_counter() - start) * 1e3
             rows = []
             for t, s in zip(t_list, sols):
                 ref = None if bp.exact is not None else np.zeros_like(s)
                 rows.append(_row(spec.example_id, beta, N=N, M=None if bp.problem.scalar else M,
-                                 t=t, error=_distance(bp, disc, s, t, ref), wall_ms=wall))
+                                 t=t, error=_distance(bp, s, t, ref), wall_ms=wall))
                 wall = None
             return rows
 

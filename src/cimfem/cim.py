@@ -6,12 +6,14 @@ shifted elliptic problem
     (eta(z_k) M + S) u_hat_k = (K + z_k**(beta-1)) b_u0 + sum_m b_m T_m(z_k)
 
 is solved (``M`` mass, ``S`` stiffness, ``b_*`` load vectors, ``T_m``
-closed-form source transforms; one modal solve serves all nodes, in 2-D
-by COCG in DST-I coordinates, and only the rows it leaves take a banded
-or sparse LU); the solution at time ``t`` is then the
-imaginary part of a trapezoid sum over the nodes.  The accelerated
-variant solves only ``n + 1`` systems at Chebyshev points in the contour
-parameter and recovers all node values by barycentric interpolation.
+closed-form source transforms).  One modal solve serves all nodes, in
+2-D by COCG in DST-I coordinates; it applies ``M`` and ``S`` from their
+closed-form stencils, and only the rows it leaves take a banded or
+sparse LU, for which the sparse matrices are assembled.  The solution
+at time ``t`` is then the imaginary part of a trapezoid sum over the
+nodes.  The accelerated variant solves only ``n + 1`` systems at
+Chebyshev points in the contour parameter and recovers all node values
+by barycentric interpolation.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .fem import (
     load_vector,
     modes_2d,
     stencil_1d,
+    stencil_2d,
 )
 from .linalg import ComplexTridiag, combine, modal_solve, modal_solve_2d, sparse_solve, thomas_solve
 from .symbols import FractionalSymbol, SourceTransform
@@ -88,16 +91,14 @@ class Problem:
 class Discretization:
     """Mesh-dependent data reused across contour nodes and sweeps."""
 
-    ops: AssembledOperators
     b_u0: np.ndarray
     b_factors: dict[str, np.ndarray]
 
 
 def discretize(p: Problem) -> Discretization | None:
-    """Assemble operators and load vectors; None for scalar problems."""
+    """Load vectors of the initial datum and the source factors; None for scalar problems."""
     if p.scalar:
         return None
-    ops = assemble(p.domain)
     if isinstance(p.u0, (int, float)):
         raise ValueError("PDE problems need initial data on the mesh, not a scalar")
     b_u0 = load_vector(p.domain, p.u0).astype(complex)
@@ -107,7 +108,7 @@ def discretize(p: Problem) -> Discretization | None:
     for name in {t.spatial_id for t in p.source.terms}:
         if name not in b_factors:
             raise ValueError(f"source references unknown spatial factor {name!r}")
-    return Discretization(ops=ops, b_u0=b_u0, b_factors=b_factors)
+    return Discretization(b_u0=b_u0, b_factors=b_factors)
 
 
 @dataclass(frozen=True)
@@ -161,10 +162,10 @@ def problem_parameters(p: Problem, N: int) -> OptimalParameters:
     return params
 
 
-def _node_solve(disc: Discretization, eta: complex, rhs: np.ndarray) -> np.ndarray:
+def _node_solve(ops: AssembledOperators, eta: complex, rhs: np.ndarray) -> np.ndarray:
     """Solve the shifted 2-D system ``(eta M + S) u = rhs`` of one contour point."""
     # mass and stiffness share one CSC pattern, so eta M + S is a sum of data arrays
-    mass, stiff = disc.ops.mass, disc.ops.stiffness
+    mass, stiff = ops.mass, ops.stiffness
     a = sp.csc_matrix((eta * mass.data + stiff.data, mass.indices, mass.indptr), shape=mass.shape)
     return sparse_solve(a, rhs)
 
@@ -176,7 +177,9 @@ def _solve_at(p: Problem, disc: Discretization | None, z: np.ndarray) -> np.ndar
     ``z``; each row's right-hand side combines the same few load vectors.
     1-D and 2-D problems take one modal solve over all points, and only
     the rows that fail its backward-error test (or, in 2-D, its iteration
-    cap) are solved again, by ``thomas_solve`` and ``_node_solve``.
+    cap) are solved again, by ``thomas_solve`` and ``_node_solve``.  The
+    2-D sparse matrices are assembled only when a row is left, once per
+    call.
     """
     eta = p.sym.eta(z)
     loads = [(p.sym.history_weight(z), p.u0 if p.scalar else disc.b_u0)]
@@ -193,9 +196,12 @@ def _solve_at(p: Problem, disc: Discretization | None, z: np.ndarray) -> np.ndar
         return u
     if p.scalar:
         return combine(loads) / (eta + p.domain.a)
-    u, ok = modal_solve_2d(eta, modes_2d(p.domain), disc.ops.mass, disc.ops.stiffness, loads)
-    for k in np.flatnonzero(~ok):
-        u[k] = _node_solve(disc, eta[k], combine(loads, k))
+    u, ok = modal_solve_2d(eta, modes_2d(p.domain), stencil_2d(p.domain), loads)
+    left = np.flatnonzero(~ok)
+    if len(left):
+        ops = assemble(p.domain)
+        for k in left:
+            u[k] = _node_solve(ops, eta[k], combine(loads, k))
     return u
 
 

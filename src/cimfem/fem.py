@@ -170,6 +170,8 @@ class AssembledOperators:
 
     In 2-D both are CSC matrices on one shared sparsity pattern, so a
     shifted matrix ``eta M + S`` is formed from their ``data`` arrays.
+    Solvers apply the operators from ``stencil_1d`` and ``stencil_2d``;
+    only a sparse direct fallback needs them assembled.
     """
 
     mass: sp.spmatrix
@@ -192,6 +194,52 @@ def stencil_1d(mesh: Mesh1D) -> tuple[tuple[float, float], tuple[float, float]]:
     return (4.0 * h / 6.0, h / 6.0), (2.0 / h, -1.0 / h)
 
 
+def stencil_2d(mesh: Mesh2D) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """(centre, E/W/N/S, NE/SW) weights of the mass and of the stiffness stencil.
+
+    The stiffness matrix is the 5-point Laplacian.  Every node has six
+    triangles of area h^2/2 around it, and each of its six edges (E, W,
+    N, S, NE, SW) is shared by two, so the mass stencil is ``h^2/12``
+    times 6 at the centre and 1 at each of those six neighbours.  On the
+    ``[j, i]`` grid (x index ``i`` fastest) NE of ``[j, i]`` is
+    ``[j + 1, i + 1]``.
+    """
+    a = mesh.h * mesh.h / 12.0
+    return (6.0 * a, a, a), (4.0, -1.0, 0.0)
+
+
+def apply_stencil_1d(x: np.ndarray, diag, off) -> np.ndarray:
+    """``diag x_i + off (x_{i-1} + x_{i+1})`` along the last axis of ``x``, zero beyond its ends.
+
+    The weights broadcast against the leading axes of ``x``.
+    """
+    nb = np.zeros_like(x)
+    nb[..., 1:] = x[..., :-1]
+    nb[..., :-1] += x[..., 1:]
+    return diag * x + off * nb
+
+
+def apply_stencil_2d(x: np.ndarray, centre, axial, diagonal) -> np.ndarray:
+    """A 7-point stencil of ``stencil_2d``'s shape on each trailing ``[j, i]`` grid slice of ``x``.
+
+    Returns ``centre x + axial (E + W + N + S) + diagonal (NE + SW)``
+    with zero values outside the grid; the weights broadcast against the
+    leading axes of ``x``.
+    """
+    ax = np.zeros_like(x)
+    ax[..., 1:, :] = x[..., :-1, :]
+    ax[..., :-1, :] += x[..., 1:, :]
+    ax[..., :, 1:] += x[..., :, :-1]
+    ax[..., :, :-1] += x[..., :, 1:]
+    dg = np.zeros_like(x)
+    dg[..., 1:, 1:] = x[..., :-1, :-1]
+    dg[..., :-1, :-1] += x[..., 1:, 1:]
+    out = centre * x
+    out += axial * ax
+    out += diagonal * dg
+    return out
+
+
 def _assemble_1d(mesh: Mesh1D) -> AssembledOperators:
     n = mesh.ndof
     mass, stiff = (
@@ -202,30 +250,22 @@ def _assemble_1d(mesh: Mesh1D) -> AssembledOperators:
 
 
 def _assemble_2d(mesh: Mesh2D) -> AssembledOperators:
-    """Closed-form P1 operators of the diagonal-split grid, x index fastest.
+    """The stencils of ``stencil_2d`` as CSC matrices on one shared pattern, x index fastest.
 
-    ``S = kron(I, T) + kron(T, I)`` with ``T = tridiag(-1, 2, -1)`` is the
-    5-point Laplacian.  Every node has six triangles of area h^2/2 around
-    it, and each of its six edges (E, W, N, S, NE, SW) is shared by two, so
-    ``M = h^2/12 (6 I + kron(I, E + E^T) + kron(E + E^T, I) + kron(E, E)
-    + kron(E^T, E^T))`` with ``E`` the superdiagonal shift.
+    With ``E`` the superdiagonal shift, the E/W/N/S couplings are
+    ``kron(I, E + E^T) + kron(E + E^T, I)`` and the NE/SW couplings
+    ``kron(E, E) + kron(E^T, E^T)``.
     """
-    n, h = mesh.M - 1, mesh.h
+    n = mesh.M - 1
     eye = sp.identity(n, format="csr")
     shift = sp.diags(np.ones(n - 1), 1, shape=(n, n), format="csr")
-    tri = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
-    stiff = sp.kron(eye, tri) + sp.kron(tri, eye)
-    mass = (h * h / 12.0) * (
-        6.0 * sp.identity(n * n)
-        + sp.kron(eye, shift + shift.T)
-        + sp.kron(shift + shift.T, eye)
-        + sp.kron(shift, shift)
-        + sp.kron(shift.T, shift.T)
-    )
-    # M is positive on its whole pattern, which contains that of S, so no
-    # entry of S + iM cancels: its pattern is M's, and S keeps explicit
-    # zeros at the NE/SW couplings.
-    both = (stiff + 1j * mass).tocsc()
+    axial = sp.kron(eye, shift + shift.T) + sp.kron(shift + shift.T, eye)
+    diagonal = sp.kron(shift, shift) + sp.kron(shift.T, shift.T)
+    # every mass weight is positive, so no entry of S + iM cancels: its
+    # pattern is the whole stencil's, and S keeps explicit zeros at the
+    # NE/SW couplings
+    (m_c, m_a, m_d), (s_c, s_a, s_d) = stencil_2d(mesh)
+    both = ((s_c + 1j * m_c) * sp.identity(n * n) + (s_a + 1j * m_a) * axial + (s_d + 1j * m_d) * diagonal).tocsc()
     pattern = (both.indices, both.indptr)
     return AssembledOperators(
         mass=sp.csc_matrix((both.data.imag.copy(), *pattern), shape=both.shape),
@@ -469,10 +509,18 @@ def l2_error(mesh: Mesh1D | Mesh2D, coeffs: np.ndarray, exact: Callable) -> floa
     return float(np.sqrt(mesh.h**2 / 2.0 * np.sum(err2 @ _T7_W)))
 
 
-def mass_norm(ops: AssembledOperators, c: np.ndarray) -> float:
-    """Discrete L2 norm ``sqrt(Re(c* M c))``: the L2 norm of the P1 function."""
+def mass_norm(mesh: Mesh1D | Mesh2D, c: np.ndarray) -> float:
+    """Discrete L2 norm ``sqrt(Re(c* M c))``: the L2 norm of the P1 function.
+
+    ``M c`` is applied from the mesh's mass stencil.
+    """
     c = np.asarray(c)
-    return float(np.sqrt(abs(np.real(np.conj(c) @ (ops.mass @ c)))))
+    if isinstance(mesh, Mesh1D):
+        mc = apply_stencil_1d(c, *stencil_1d(mesh)[0])
+    else:
+        n = mesh.M - 1
+        mc = apply_stencil_2d(c.reshape(n, n), *stencil_2d(mesh)[0]).ravel()
+    return float(np.sqrt(abs(np.real(np.conj(c) @ mc))))
 
 
 def prolong_1d(coarse: np.ndarray, M: int) -> np.ndarray:

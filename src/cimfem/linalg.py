@@ -13,7 +13,9 @@ diagonalizes ``S`` and all of ``M`` but a small Kronecker term, so
 preconditioned by the diagonal part; the rows that fail its
 backward-error test, or do not converge within ``COCG_MAX_ITER``
 iterations, are solved again by ``sparse_solve`` (SuperLU with
-pivoting).  Every solve verifies a residual bound.
+pivoting).  Every solve verifies a residual bound; the modal solves
+take their residuals from the closed-form stencils of ``fem``, so only
+the sparse fallback needs assembled matrices.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
+
+from .fem import apply_stencil_1d, apply_stencil_2d
 
 
 class LinAlgError(ArithmeticError):
@@ -162,10 +166,8 @@ def modal_solve(
         r_hat /= e * m + s
         u = dst1(r_hat)
         diag, off = e * m_diag + s_diag, e * m_off + s_off
-        res = diag * u
+        res = apply_stencil_1d(u, diag, off)
         res -= r
-        res[:, 1:] += off * u[:, :-1]
-        res[:, :-1] += off * u[:, 1:]
         norm_a = np.abs(diag[:, 0]) + (2.0 * np.abs(off[:, 0]) if n > 1 else 0.0)
         res_max = np.max(np.abs(res), axis=1)
         bound = TRIDIAG_RESIDUAL_TOL * (np.max(np.abs(r), axis=1) + norm_a * np.max(np.abs(u), axis=1))
@@ -247,30 +249,41 @@ def _cocg(
     return x_out, ok
 
 
+def _stencil_norm_2d(weights: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """``||A||_inf`` of the stencil with (centre, E/W/N/S, NE/SW) ``weights`` on the n x n grid.
+
+    The largest row sum is that of a node with the most neighbours: 4
+    E/W/N/S and 2 NE/SW ones for n >= 3, 2 and 1 at a corner for n = 2,
+    none for n = 1.
+    """
+    k = min(n - 1, 2)
+    centre, axial, diagonal = (np.abs(w) for w in weights)
+    return centre + 2 * k * axial + k * diagonal
+
+
 def modal_solve_2d(
     eta: np.ndarray,
     modes: tuple[np.ndarray, np.ndarray, float],
-    mass: sp.csc_matrix,
-    stiff: sp.csc_matrix,
+    stencil: tuple[tuple[float, float, float], tuple[float, float, float]],
     loads: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``u_k`` of ``(eta_k M + S) u_k = rhs_k`` on the 2-D grid, by COCG in DST-I coordinates.
 
     ``modes = (m, s, g)`` (from ``fem.modes_2d``) gives the (n, n)
     eigenvalues of ``M_sep`` and ``S`` on the 2-D DST-I basis and the
-    weight of ``M = M_sep + g kron(D, D)``, ``D = E - E^T``; ``mass`` and
-    ``stiff`` are ``M`` and ``S`` in CSC on one shared pattern.  In modal
-    coordinates row ``k`` is ``(eta_k m + s) X + eta_k g D_hat X D_hat^T
-    = B_k`` with the real ``D_hat = Q D Q``, which ``_cocg`` solves with
-    the preconditioner ``eta_k m + s``.  The right-hand sides are
-    ``rhs_k = sum_m c_m[k] b_m`` over ``loads`` as in ``modal_solve``, so
-    each ``b_m`` is transformed once, and blocks of ``MODAL_BLOCK``
-    entries are transformed back once.  Returns the solutions and a mask
-    of the rows that converged and pass the backward-error test of
-    ``sparse_solve`` on the assembled matrices: the residual, in the
-    infinity norm, at most ``SPARSE_RESIDUAL_TOL`` times
-    ``|rhs_k| + ||A_k|| |u_k|``.  Rows outside the mask must be solved
-    again.
+    weight of ``M = M_sep + g kron(D, D)``, ``D = E - E^T``; ``stencil``
+    gives the (centre, E/W/N/S, NE/SW) weights of ``M`` and of ``S``
+    (from ``fem.stencil_2d``).  In modal coordinates row ``k`` is
+    ``(eta_k m + s) X + eta_k g D_hat X D_hat^T = B_k`` with the real
+    ``D_hat = Q D Q``, which ``_cocg`` solves with the preconditioner
+    ``eta_k m + s``.  The right-hand sides are ``rhs_k = sum_m c_m[k]
+    b_m`` over ``loads`` as in ``modal_solve``, so each ``b_m`` is
+    transformed once, and blocks of ``MODAL_BLOCK`` entries are
+    transformed back once.  Returns the solutions and a mask of the rows
+    that converged and pass the backward-error test of ``sparse_solve``,
+    with the residual taken from the stencil: the residual, in the
+    infinity norm, at most ``SPARSE_RESIDUAL_TOL`` times ``|rhs_k| +
+    ||A_k|| |u_k|``.  Rows outside the mask must be solved again.
     """
     m, s, g = modes
     n = len(m)
@@ -283,13 +296,14 @@ def modal_solve_2d(
     for a in range(0, len(eta), rows):
         block = slice(a, a + rows)
         e = eta[block]
-        # ||eta M + S||_inf from the pattern's column sums (both matrices are symmetric)
-        a_abs = np.abs(np.multiply.outer(e, mass.data) + stiff.data)
-        norm_a = np.max(np.add.reduceat(a_abs, mass.indptr[:-1], axis=1), axis=1)
+        weights = [e[:, None, None] * w_m + w_s for w_m, w_s in zip(*stencil)]
+        norm_a = _stencil_norm_2d(weights, n)[:, 0, 0]
         u_hat, done = _cocg(e[:, None, None] * m + s, g * e, d_hat, combine(modal_loads, block), norm_a)
-        u = dst2(u_hat).reshape(len(e), n * n)
+        u = dst2(u_hat)
         r = combine(loads, block)
-        res = (mass @ u.T).T * e[:, None] + (stiff @ u.T).T - r
+        res = apply_stencil_2d(u, *weights).reshape(len(e), n * n)
+        res -= r
+        u = u.reshape(len(e), n * n)
         res_max = np.max(np.abs(res), axis=1)
         bound = SPARSE_RESIDUAL_TOL * (np.max(np.abs(r), axis=1) + norm_a * np.max(np.abs(u), axis=1))
         ok[block] = done & np.isfinite(res_max) & (res_max <= bound)

@@ -80,8 +80,8 @@ def test_1d_temporal_table():
         bp = build_problem("ex3_1d_case1", beta, 128, cd)
         disc = discretize(bp.problem)
         ref = bp.run(200, disc).solve(times)
-        e40 = error_tau(bp, disc, times, bp.run(40, disc).solve(times), ref)
-        e80 = error_tau(bp, disc, times, bp.run(80, disc).solve(times), ref)
+        e40 = error_tau(bp, times, bp.run(40, disc).solve(times), ref)
+        e80 = error_tau(bp, times, bp.run(80, disc).solve(times), ref)
         assert e40 <= 3.0 * target, f"beta={beta}: {e40:.3e} > 3 x {target:.3e}"
         assert e80 <= 1e-10, f"beta={beta}: Error_tau(80) = {e80:.3e}"
     assert time.perf_counter() - start < 10.0
@@ -185,7 +185,7 @@ def test_2d_temporal_errors():
             bp = build_problem(example, beta, 32, cd)
             disc = discretize(bp.problem)
             ref = bp.run(200, disc).solve(times)
-            err = error_tau(bp, disc, times, bp.run(100, disc).solve(times), ref)
+            err = error_tau(bp, times, bp.run(100, disc).solve(times), ref)
             assert err <= 5.0 * target, f"{example} beta={beta}: {err:.3e} > 5 x {target:.3e}"
     assert time.perf_counter() - start < 120.0
 
@@ -207,14 +207,14 @@ def test_acceleration_deviation():
         n *= 2
     for example, M in (("ex3_1d_case1", 128), ("ex4_2d_case2", 32)):
         run = build_problem(example, 0.5, M).run(N)
-        disc = run.disc
+        domain = run.problem.domain
         u_plain = run.solve(t)
-        scale = mass_norm(disc.ops, u_plain)
+        scale = mass_norm(domain, u_plain)
         u_acc = {m: run.solve(t, m) for m in ns + [2 * ns[-1]]}
         certified = None
         for n in ns:
-            dev = mass_norm(disc.ops, u_acc[n] - u_plain) / scale
-            est = mass_norm(disc.ops, u_acc[n] - u_acc[2 * n]) / scale
+            dev = mass_norm(domain, u_acc[n] - u_plain) / scale
+            est = mass_norm(domain, u_acc[n] - u_acc[2 * n]) / scale
             assert 0.5 * dev <= est <= 2.0 * dev, (
                 f"{example} n = {n}: doubling estimate {est:.3e} is not within a "
                 f"factor 2 of the deviation {dev:.3e}"
@@ -336,12 +336,11 @@ def test_solver_oracle_equivalences():
     u0 = lambda x: math.sqrt(2.0) * np.sin(np.pi * x)
     p = Problem(sym=FractionalSymbol(1.0, 0.5), domain=mesh, u0=u0)
     run = ContourRun(p, 100)
-    disc = run.disc
     sols = run.solve((0.2, 0.8))
     sp = SpectralProblem(K=1.0, beta=0.5, mode_coefficients=lambda j: 1.0 if j == 1 else 0.0)
     for t_eval, uh in zip((0.2, 0.8), sols):
         ue = spectral_reference(sp, mesh.nodes, t_eval)
-        rel = mass_norm(disc.ops, np.asarray(uh) - ue) / mass_norm(disc.ops, ue)
+        rel = mass_norm(mesh, np.asarray(uh) - ue) / mass_norm(mesh, ue)
         assert rel <= 1e-6, f"t={t_eval}: relative gap {rel:.3e}"
     assert time.perf_counter() - start < 30.0
 

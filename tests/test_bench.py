@@ -27,6 +27,7 @@ from cimfem.bench import (
 )
 import cimfem.cim
 import cimfem.fem
+import cimfem.linalg
 from cimfem.cim import Problem, ScalarDomain
 from cimfem.cli import main
 from cimfem.fem import InitialData1D, Mesh1D, Mesh2D
@@ -89,15 +90,15 @@ class TestErrorMetrics:
     def test_error_tau_exact_scalar_decays(self):
         bp = build_problem("ex1_scalar", 0.5, 8)
         times = window_times(ContourDefaults(), (0.6,))
-        errs = [error_tau(bp, None, times, bp.run(N).solve(times)) for N in (10, 20, 40)]
+        errs = [error_tau(bp, times, bp.run(N).solve(times)) for N in (10, 20, 40)]
         assert errs[0] > errs[1] > errs[2] or errs[2] < 1e-12
 
     def test_error_tau_numeric_close_to_exact(self):
         bp = build_problem("ex1_scalar", 0.5, 8)
         times = window_times(ContourDefaults(), (0.6,))
         sols = bp.run(20).solve(times)
-        e_ex = error_tau(bp, None, times, sols)
-        e_num = error_tau(bp, None, times, sols, bp.run(200).solve(times))
+        e_ex = error_tau(bp, times, sols)
+        e_num = error_tau(bp, times, sols, bp.run(200).solve(times))
         assert e_num == pytest.approx(e_ex, rel=1e-3)
 
     def test_spatial_sweep_orders_ex2(self):
@@ -246,17 +247,28 @@ class TestSharedWork:
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
         assert 0 < sum(rows) <= 4 * (100 + 11)
 
-    def test_spatial_sweep_assembles_each_mesh_once(self, monkeypatch):
+    def test_sweeps_assemble_only_for_the_fallback(self, monkeypatch):
+        # the modal solves apply M and S from their stencils, so sparse
+        # matrices are assembled only when a row falls back to splu: once
+        # per _solve_at call, here forced by the iteration cap
         meshes = []
-        assemble_1d = cimfem.fem._assemble_1d
+        for name in ("_assemble_1d", "_assemble_2d"):
+            assemble = getattr(cimfem.fem, name)
 
-        def counted(mesh):
-            meshes.append(mesh.M)
-            return assemble_1d(mesh)
+            def counted(mesh, assemble=assemble):
+                meshes.append(mesh)
+                return assemble(mesh)
 
-        monkeypatch.setattr(cimfem.fem, "_assemble_1d", counted)
+            monkeypatch.setattr(cimfem.fem, name, counted)
+        rows = self.count_node_solves(monkeypatch)
         spatial_sweep("ex3_1d_case1", 0.5, 20, (8, 16), 0.6, "numeric")
-        assert sorted(meshes) == [8, 16, 32]
+        spatial_sweep("ex4_2d_case3", 0.5, 20, (4, 8), 0.6, "numeric")
+        assert meshes == [] and len(rows) == 6
+        rows.clear()
+        monkeypatch.setattr(cimfem.linalg, "COCG_MAX_ITER", 2)
+        spatial_sweep("ex4_2d_case3", 0.5, 20, (4, 8), 0.6, "numeric")
+        assert len(rows) == 3
+        assert meshes == [Mesh2D(4), Mesh2D(8), Mesh2D(16)]
 
 
 def test_window_times_contains_quoted_and_sorted():

@@ -218,6 +218,12 @@ SHIPPED_CONFIGS = {
     "acceleration_report.cfg": ExperimentSpec(
         "accel-compare", "ex3_1d_case1", betas=(0.5,), n_list=(100,), m_list=(1024,),
         n_interp=(4, 6, 8, 10, 12, 14, 16, 18, 20), eval_times=(0.6,)),
+    "ex4_spatial_tables.cfg": ExperimentSpec(
+        "sweep-space", "ex4_2d_case3", betas=(0.25, 0.5, 0.75), n_list=(60,),
+        m_list=(16, 32, 64), eval_times=(0.6,), reference="numeric", output_path=None, threads=1),
+    "ex4_temporal_tables.cfg": ExperimentSpec(
+        "sweep-time", "ex4_2d_case1", betas=(0.5,), n_list=(20, 40, 60, 80),
+        m_list=(32,), eval_times=(0.6,), reference="numeric", output_path=None, threads=1),
 }
 
 
@@ -272,7 +278,7 @@ def test_solve_mode_1d_rows_are_mass_norms(capsys):
     bp = build_problem("ex3_1d_case1", 0.5, 16)
     run = ContourRun(bp.problem, 40)
     u = run.solve((0.3, 0.6))
-    assert [r["error"] for r in rows] == [f"{mass_norm(run.disc.ops, v):.4E}" for v in u]
+    assert [r["error"] for r in rows] == [f"{mass_norm(run.problem.domain, v):.4E}" for v in u]
     assert [r["M"] for r in rows] == ["16", "16"]
     assert [r["wall_ms"] != "" for r in rows] == [True, False]
 

@@ -25,12 +25,16 @@ from cimfem.fem import (
     _clip_halfplane,
     _load_1d,
     _midedge_integrate,
+    apply_stencil_1d,
+    apply_stencil_2d,
     assemble,
     l2_error,
     load_vector,
     mass_norm,
     prolong_1d,
     prolong_2d,
+    stencil_1d,
+    stencil_2d,
 )
 
 
@@ -212,6 +216,34 @@ def test_closed_form_assembly_matches_elementwise(M):
     assert ops.mass.format == ops.stiffness.format == "csc"
     assert np.array_equal(ops.mass.indices, ops.stiffness.indices)
     assert np.array_equal(ops.mass.indptr, ops.stiffness.indptr)
+
+
+class TestStencils:
+    """Stencil products of M, S and eta M + S against the assembled matrices' matvecs."""
+
+    @staticmethod
+    def products(mesh, x, eta):
+        """(stencil product, matvec, |A| |x|) of A = M, S and eta M + S with the rows of ``x``."""
+        ops = assemble(mesh)
+        if isinstance(mesh, Mesh1D):
+            stencil, apply, grid = stencil_1d(mesh), apply_stencil_1d, x
+        else:
+            n = mesh.M - 1
+            stencil, apply, grid = stencil_2d(mesh), apply_stencil_2d, x.reshape(len(x), n, n)
+        mass, stiff = stencil
+        shifted = [eta * m + s for m, s in zip(mass, stiff)]
+        for weights, matrix in ((mass, ops.mass), (stiff, ops.stiffness), (shifted, eta * ops.mass + ops.stiffness)):
+            yield apply(grid, *weights).reshape(x.shape), (matrix @ x.T).T, (abs(matrix) @ abs(x).T).T
+
+    @pytest.mark.parametrize("M", [2, 3, 4, 9, 16])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_products_match_matvecs(self, M, dim):
+        mesh = Mesh1D(M) if dim == 1 else Mesh2D(M)
+        rng = np.random.default_rng(M)
+        x = rng.standard_normal((3, mesh.ndof)) + 1j * rng.standard_normal((3, mesh.ndof))
+        for by_stencil, by_matrix, size in self.products(mesh, x, 2.5 - 7.0j):
+            # both sum at most 7 products per entry, in different orders
+            assert np.all(np.abs(by_stencil - by_matrix) <= 16 * np.finfo(float).eps * size)
 
 
 def midedge_reference(mesh, rectangles):
@@ -424,10 +456,16 @@ class TestProjectionsAndErrors:
 
     def test_mass_norm_matches_l2_error(self):
         mesh = Mesh1D(32)
-        ops = assemble(mesh)
         c = np.cos(mesh.nodes)
         direct = l2_error(mesh, c, lambda x: np.zeros_like(x))
-        assert mass_norm(ops, c) == pytest.approx(direct, rel=1e-12)
+        assert mass_norm(mesh, c) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("mesh", [Mesh1D(2), Mesh1D(9), Mesh1D(64), Mesh2D(2), Mesh2D(3), Mesh2D(9), Mesh2D(16)])
+    def test_mass_norm_matches_assembled_mass(self, mesh):
+        rng = np.random.default_rng(mesh.M)
+        c = rng.standard_normal(mesh.ndof) + 1j * rng.standard_normal(mesh.ndof)
+        direct = math.sqrt(np.real(np.conj(c) @ (assemble(mesh).mass @ c)))
+        assert mass_norm(mesh, c) == pytest.approx(direct, rel=1e-13)
 
 
 class TestProlongation:
@@ -447,20 +485,16 @@ class TestProlongation:
         M = 8
         rng = np.random.default_rng(7)
         c = rng.standard_normal(M - 1)
-        coarse_ops = assemble(Mesh1D(M))
-        fine_ops = assemble(Mesh1D(2 * M))
-        assert mass_norm(fine_ops, prolong_1d(c, M)) == pytest.approx(
-            mass_norm(coarse_ops, c), rel=1e-12
+        assert mass_norm(Mesh1D(2 * M), prolong_1d(c, M)) == pytest.approx(
+            mass_norm(Mesh1D(M), c), rel=1e-12
         )
 
     def test_prolong_2d_exact_in_mass_norm(self):
         M = 4
         rng = np.random.default_rng(11)
         c = rng.standard_normal((M - 1) ** 2)
-        coarse_ops = assemble(Mesh2D(M))
-        fine_ops = assemble(Mesh2D(2 * M))
-        assert mass_norm(fine_ops, prolong_2d(c, M)) == pytest.approx(
-            mass_norm(coarse_ops, c), rel=1e-12
+        assert mass_norm(Mesh2D(2 * M), prolong_2d(c, M)) == pytest.approx(
+            mass_norm(Mesh2D(M), c), rel=1e-12
         )
 
     def test_prolong_2d_nodal_values(self):

@@ -7,10 +7,12 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cimfem.fem import Mesh1D, Mesh2D, assemble, modes_2d, stencil_1d
+from cimfem.bench import build_problem
+from cimfem.fem import Mesh1D, Mesh2D, assemble, modes_2d, stencil_1d, stencil_2d
 from cimfem.linalg import (
     ComplexTridiag,
     LinAlgError,
+    _stencil_norm_2d,
     dst1,
     dst2,
     modal_solve,
@@ -160,7 +162,7 @@ class TestModal2D:
         ops = assemble(mesh)
         eta = np.abs(rng.standard_normal(rows)) * 1e3 * np.exp(1j * rng.uniform(-2.5, 2.5, rows))
         loads = [(rng.standard_normal(rows) + 1j * rng.standard_normal(rows), rng.standard_normal(mesh.ndof)) for _ in range(2)]
-        x, ok = modal_solve_2d(eta, modes_2d(mesh), ops.mass, ops.stiffness, loads)
+        x, ok = modal_solve_2d(eta, modes_2d(mesh), stencil_2d(mesh), loads)
         assert ok.all()
         mass, stiff = ops.mass.toarray(), ops.stiffness.toarray()
         for k in range(rows):
@@ -169,9 +171,22 @@ class TestModal2D:
 
     def test_zero_rows_are_zero(self):
         mesh = Mesh2D(5)
-        ops = assemble(mesh)
-        x, ok = modal_solve_2d(np.array([1.0 + 1j, 2.0]), modes_2d(mesh), ops.mass, ops.stiffness, [(np.zeros(2), np.ones(16))])
+        x, ok = modal_solve_2d(np.array([1.0 + 1j, 2.0]), modes_2d(mesh), stencil_2d(mesh), [(np.zeros(2), np.ones(16))])
         assert ok.all() and not x.any()
+
+    @pytest.mark.parametrize("M", [2, 3, 4, 5, 9, 16])
+    def test_closed_form_norm_matches_column_sums(self, M):
+        # eta at every node of the N = 60 contour of ex4_2d_case3, against the
+        # column sums that sparse_solve takes of the assembled eta M + S
+        run = build_problem("ex4_2d_case3", 0.5, M).run(60)
+        mesh, eta = run.problem.domain, run.problem.sym.eta(run.quad.nodes)
+        ops = assemble(mesh)
+        mass, stiff = stencil_2d(mesh)
+        norm = _stencil_norm_2d([eta * m + s for m, s in zip(mass, stiff)], M - 1)
+        for e, got in zip(eta, norm):
+            a = (e * ops.mass + ops.stiffness).tocsc()
+            want = np.max(np.bincount(a.indices, weights=np.abs(a.data), minlength=a.shape[0]))
+            assert got == pytest.approx(want, rel=1e-14)
 
 
 class TestSparse:
