@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import gamma, pi, sqrt
 from typing import Callable
@@ -87,7 +87,7 @@ class ContourDefaults:
 class ExperimentSpec:
     """One sweep: which example, which parameter lists, which reference."""
 
-    mode: str  # "solve" | "sweep-time" | "sweep-space" | "accel-compare"
+    mode: str  # a key of MODES
     example_id: str
     betas: tuple[float, ...] = (0.5,)
     n_list: tuple[int, ...] = (100,)
@@ -96,10 +96,11 @@ class ExperimentSpec:
     eval_times: tuple[float, ...] = (0.6,)
     reference: str = "numeric"  # "exact" | "numeric"
     output_path: str | None = None
-    threads: int = 1
     contour: ContourDefaults = field(default_factory=ContourDefaults)
 
     def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise BenchError(f"unknown mode {self.mode!r}")
         if self.example_id not in EXAMPLE_IDS:
             raise BenchError(f"unknown example {self.example_id!r}")
         for name in ("betas", "n_list", "m_list", "n_interp", "eval_times"):
@@ -403,90 +404,70 @@ def _time_rows(spec: ExperimentSpec, beta: float) -> list[dict]:
     return rows
 
 
-def run(spec: ExperimentSpec) -> ErrorReport:
-    """Execute one sweep; a failing job is recorded, not raised.
+def _space_rows(spec: ExperimentSpec, beta: float) -> list[dict]:
+    """Sweep-space rows of one beta at the largest N and time; each mesh is solved once."""
+    t, N = max(spec.eval_times), max(spec.n_list)
+    return [
+        _row(spec.example_id, beta, N=N, M=m, t=t, error=err, order=order, wall_ms=wall)
+        for m, err, order, wall in spatial_sweep(
+            spec.example_id, beta, N, spec.m_list, t, spec.reference, spec.contour
+        )
+    ]
 
-    A job is one beta of sweep-time and sweep-space (its rows share the
-    reference), one (beta, M) of accel-compare and one (beta, N, M) of
-    solve.
+
+def _accel_rows(spec: ExperimentSpec, beta: float, M: int) -> list[dict]:
+    """An accelerated and a plain row for each n at the largest N and time."""
+    t, N = max(spec.eval_times), max(spec.n_list)
+    bp = build_problem(spec.example_id, beta, M, spec.contour)
+    rows = []
+    for n in spec.n_interp:
+        dev, iar_val, t_plain, t_accel = accel_compare(bp, N, n, t)
+        rows += [
+            _row(spec.example_id, beta, N=N, M=M, n=n, t=t,
+                 error=dev, iar_val=iar_val, wall_ms=t_accel * 1e3),
+            _row(spec.example_id, beta, N=N, M=M, n=None, t=t, wall_ms=t_plain * 1e3),
+        ]
+    return rows
+
+
+def _solve_rows(spec: ExperimentSpec, beta: float, N: int, M: int) -> list[dict]:
+    """One row per time: the error where an exact solution exists, else the solution's norm.
+
+    The first row carries the wall time of the one solve behind all of them.
     """
+    bp = build_problem(spec.example_id, beta, M, spec.contour)
+    start = time.perf_counter()
+    sols = bp.run(N).solve(spec.eval_times)
+    wall = (time.perf_counter() - start) * 1e3
+    rows = []
+    for t, s in zip(spec.eval_times, sols):
+        ref = None if bp.exact is not None else np.zeros_like(s)
+        rows.append(_row(spec.example_id, beta, N=N, M=None if bp.problem.scalar else M,
+                         t=t, error=_distance(bp, s, t, ref), wall_ms=wall))
+        wall = None
+    return rows
+
+
+# Each mode's row builder and the spec fields whose product are its jobs.  A
+# job is one beta of sweep-time and sweep-space (its rows share the
+# reference), one (beta, M) of accel-compare and one (beta, N, M) of solve.
+MODES: dict[str, tuple[Callable[..., list[dict]], tuple[str, ...]]] = {
+    "solve": (_solve_rows, ("betas", "n_list", "m_list")),
+    "sweep-time": (_time_rows, ("betas",)),
+    "sweep-space": (_space_rows, ("betas",)),
+    "accel-compare": (_accel_rows, ("betas", "m_list")),
+}
+
+
+def run(spec: ExperimentSpec) -> ErrorReport:
+    """Execute one sweep, job after job; a failing job is recorded, not raised."""
+    rows_of, axes = MODES[spec.mode]
     report = ErrorReport(rows=[])
-    jobs: list[Callable[[], list[dict]]] = []
-
-    if spec.mode == "sweep-time":
-        for beta in spec.betas:
-            jobs.append(lambda beta=beta: _time_rows(spec, beta))
-    elif spec.mode == "sweep-space":
-        t = max(spec.eval_times)
-        N = max(spec.n_list)
-
-        def space_job(beta):
-            return [
-                _row(spec.example_id, beta, N=N, M=m, t=t, error=err, order=order, wall_ms=wall)
-                for m, err, order, wall in spatial_sweep(
-                    spec.example_id, beta, N, spec.m_list, t, spec.reference, spec.contour
-                )
-            ]
-
-        for beta in spec.betas:
-            jobs.append(lambda beta=beta: space_job(beta))
-    elif spec.mode == "accel-compare":
-        t = max(spec.eval_times)
-        N = max(spec.n_list)
-
-        def accel_job(beta, M):
-            bp = build_problem(spec.example_id, beta, M, spec.contour)
-            rows = []
-            for n in spec.n_interp:
-                dev, iar_val, t_plain, t_accel = accel_compare(bp, N, n, t)
-                rows += [
-                    _row(spec.example_id, beta, N=N, M=M, n=n, t=t,
-                         error=dev, iar_val=iar_val, wall_ms=t_accel * 1e3),
-                    _row(spec.example_id, beta, N=N, M=M, n=None, t=t, wall_ms=t_plain * 1e3),
-                ]
-            return rows
-
-        for beta in spec.betas:
-            for M in spec.m_list:
-                jobs.append(lambda beta=beta, M=M: accel_job(beta, M))
-    elif spec.mode == "solve":
-        t_list = spec.eval_times
-
-        def solve_job(beta, N, M):
-            bp = build_problem(spec.example_id, beta, M, spec.contour)
-            start = time.perf_counter()
-            sols = bp.run(N).solve(t_list)
-            wall = (time.perf_counter() - start) * 1e3
-            rows = []
-            for t, s in zip(t_list, sols):
-                ref = None if bp.exact is not None else np.zeros_like(s)
-                rows.append(_row(spec.example_id, beta, N=N, M=None if bp.problem.scalar else M,
-                                 t=t, error=_distance(bp, s, t, ref), wall_ms=wall))
-                wall = None
-            return rows
-
-        for beta in spec.betas:
-            for N in spec.n_list:
-                for M in spec.m_list:
-                    jobs.append(lambda beta=beta, N=N, M=M: solve_job(beta, N, M))
-    else:
-        raise BenchError(f"unknown mode {spec.mode!r}")
-
-    def safe(job):
+    for job in itertools.product(*(getattr(spec, axis) for axis in axes)):
         try:
-            return job(), None
+            report.rows.extend(rows_of(spec, *job))
         except Exception as exc:  # per-job failure: record and continue
-            return [], f"{type(exc).__name__}: {exc}"
-
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            results = list(pool.map(safe, jobs))
-    else:
-        results = [safe(j) for j in jobs]
-    for rows, failure in results:
-        report.rows.extend(rows)
-        if failure:
-            report.failures.append(failure)
+            report.failures.append(f"{type(exc).__name__}: {exc}")
     if spec.output_path:
         report.write(spec.output_path)
     return report

@@ -14,12 +14,13 @@ import sys
 
 from .bench import (
     EXAMPLE_IDS,
+    MODES,
     BenchError,
     ContourDefaults,
     ExperimentSpec,
     run,
 )
-from .mlf import MLQuery, ml_biv, ml_biv_series
+from .mlf import MLError, MLQuery, ml_biv, ml_biv_series
 
 
 def _config_args(path: str) -> list[str]:
@@ -69,7 +70,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--times", type=_floats, default=spec.eval_times, help="comma-separated evaluation times")
     p.add_argument("--reference", choices=("exact", "numeric"), default=spec.reference)
     p.add_argument("--out", help="CSV output path")
-    p.add_argument("--threads", type=int, default=spec.threads, help="concurrent sweep rows")
 
 
 def _with_config(p: argparse.ArgumentParser, path: str, flags: list[str]) -> argparse.Namespace:
@@ -98,7 +98,6 @@ def _build_spec(mode: str, args: argparse.Namespace) -> ExperimentSpec:
         eval_times=args.times,
         reference=args.reference,
         output_path=args.out,
-        threads=args.threads,
         contour=contour,
     )
 
@@ -111,6 +110,16 @@ def _cmd_sweep(spec: ExperimentSpec) -> int:
     return 1 if report.failures else 0
 
 
+def _ml_value(line: str) -> float:
+    """The relaxation function at one ``alpha beta gamma z1 z2 [t]`` query."""
+    parts = line.replace(",", " ").split()
+    if len(parts) not in (5, 6):
+        raise ValueError(f"expected 'alpha beta gamma z1 z2 [t]', got: {line}")
+    a, b, g, z1, z2 = (float(x) for x in parts[:5])
+    q = MLQuery(a, b, g, z1, z2)
+    return ml_biv(q, float(parts[5])) if len(parts) == 6 else ml_biv_series(q)
+
+
 def _cmd_ml_eval(args: argparse.Namespace) -> int:
     lines: list[str]
     if args.query:
@@ -118,16 +127,12 @@ def _cmd_ml_eval(args: argparse.Namespace) -> int:
     else:
         lines = [ln for ln in sys.stdin.read().splitlines() if ln.strip()]
     for line in lines:
-        parts = line.replace(",", " ").split()
-        if len(parts) not in (5, 6):
-            print(f"expected 'alpha beta gamma z1 z2 [t]', got: {line}", file=sys.stderr)
+        try:
+            value = _ml_value(line)
+        except (ValueError, MLError) as exc:
+            # a bad query exits like an argparse error, without a traceback
+            print(f"cimfem: error: {exc}", file=sys.stderr)
             return 2
-        a, b, g, z1, z2 = (float(x) for x in parts[:5])
-        q = MLQuery(a, b, g, z1, z2)
-        if len(parts) == 6:
-            value = ml_biv(q, float(parts[5]))
-        else:
-            value = ml_biv_series(q)
         print(f"{value:.15e}")
     return 0
 
@@ -139,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     modes = {}
-    for mode in ("solve", "sweep-time", "sweep-space", "accel-compare"):
+    for mode in MODES:
         modes[mode] = sub.add_parser(mode, allow_abbrev=False)
         _add_common(modes[mode])
     p_ml = sub.add_parser("ml-eval", help="evaluate the bivariate relaxation function")

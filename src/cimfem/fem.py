@@ -176,7 +176,6 @@ class AssembledOperators:
 
     mass: sp.spmatrix
     stiffness: sp.spmatrix
-    ndof: int
 
 
 def assemble(mesh: Mesh1D | Mesh2D) -> AssembledOperators:
@@ -246,7 +245,7 @@ def _assemble_1d(mesh: Mesh1D) -> AssembledOperators:
         sp.diags([np.full(n - 1, off), np.full(n, diag), np.full(n - 1, off)], [-1, 0, 1], format="csr")
         for diag, off in stencil_1d(mesh)
     )
-    return AssembledOperators(mass=mass, stiffness=stiff, ndof=n)
+    return AssembledOperators(mass=mass, stiffness=stiff)
 
 
 def _assemble_2d(mesh: Mesh2D) -> AssembledOperators:
@@ -270,7 +269,6 @@ def _assemble_2d(mesh: Mesh2D) -> AssembledOperators:
     return AssembledOperators(
         mass=sp.csc_matrix((both.data.imag.copy(), *pattern), shape=both.shape),
         stiffness=sp.csc_matrix((both.data.real.copy(), *pattern), shape=both.shape),
-        ndof=n * n,
     )
 
 

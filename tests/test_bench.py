@@ -75,6 +75,10 @@ class TestSpecValidation:
         with pytest.raises(BenchError):
             ExperimentSpec(mode="solve", example_id="bogus")
 
+    def test_unknown_mode(self):
+        with pytest.raises(BenchError, match="unknown mode 'sweep-tme'"):
+            ExperimentSpec(mode="sweep-tme", example_id="ex1_scalar")
+
     def test_sweep_space_needs_a_mesh(self):
         with pytest.raises(BenchError, match="sweep-space needs a mesh example"):
             ExperimentSpec(mode="sweep-space", example_id="ex1_scalar")
@@ -163,8 +167,8 @@ class TestReportAndRun:
         errs = [float(r["error"]) for r in report.rows]
         assert errs[1] < errs[0]
 
-    def test_deterministic_and_thread_invariant(self, tmp_path):
-        def csv_without_walltime(threads):
+    def test_deterministic(self):
+        def csv_without_walltime():
             spec = ExperimentSpec(
                 mode="sweep-time",
                 example_id="ex1_scalar",
@@ -172,14 +176,12 @@ class TestReportAndRun:
                 n_list=(10, 20),
                 m_list=(4,),
                 reference="exact",
-                threads=threads,
             )
             out = run(spec).to_csv()
             rows = list(csv.reader(io.StringIO(out)))
             return [r[:-1] for r in rows]
 
-        assert csv_without_walltime(1) == csv_without_walltime(1)
-        assert csv_without_walltime(1) == csv_without_walltime(2)
+        assert csv_without_walltime() == csv_without_walltime()
 
     def test_csv_written(self, tmp_path):
         path = tmp_path / "out.csv"

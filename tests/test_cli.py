@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from cimfem.bench import ContourRun, ErrorReport, ExperimentSpec, accel_compare, build_problem
+from cimfem.bench import (
+    ContourDefaults,
+    ContourRun,
+    ErrorReport,
+    ExperimentSpec,
+    accel_compare,
+    build_problem,
+)
 from cimfem.cli import main
 from cimfem.fem import mass_norm
 
@@ -135,6 +142,19 @@ def test_ml_eval_malformed(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        (["0.5", "1", "1", "x", "-1"], "could not convert"),
+        (["0", "1", "1", "-1", "-1"], "need alpha_p, beta_p, gamma > 0"),
+        (["0.5", "1", "1", "-400", "-400"], "overflow double precision"),
+    ],
+    ids=["not-a-number", "zero-order", "series-overflow"],
+)
+def test_ml_eval_bad_query_exits_2(capsys, query, message):
+    assert message in _error_exit(capsys, ["ml-eval", *query])
+
+
 def test_accel_compare_mode(capsys):
     rc = main(
         [
@@ -178,7 +198,6 @@ CONFIG_KEYS = [
     ("times", "0.3,0.9"),
     ("reference", "exact"),
     ("out", "rows.csv"),
-    ("threads", "2"),
 ]
 
 
@@ -211,19 +230,22 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 SHIPPED_CONFIGS = {
     "temporal_tables.cfg": ExperimentSpec(
         "sweep-time", "ex3_1d_case1", betas=(0.25, 0.5, 0.75), n_list=(20, 40, 60, 80, 100),
-        m_list=(128,), eval_times=(0.8,), reference="numeric", output_path=None, threads=1),
+        m_list=(128,), eval_times=(0.8,), reference="numeric", output_path=None),
     "spatial_tables.cfg": ExperimentSpec(
         "sweep-space", "ex3_1d_case1", betas=(0.25, 0.5, 0.75), n_list=(60,),
-        m_list=(32, 64, 128, 256), eval_times=(0.6,), reference="numeric", output_path=None, threads=1),
+        m_list=(32, 64, 128, 256), eval_times=(0.6,), reference="numeric", output_path=None),
     "acceleration_report.cfg": ExperimentSpec(
         "accel-compare", "ex3_1d_case1", betas=(0.5,), n_list=(100,), m_list=(1024,),
         n_interp=(4, 6, 8, 10, 12, 14, 16, 18, 20), eval_times=(0.6,)),
+    "scalar_decay.cfg": ExperimentSpec(
+        "solve", "ex1_scalar", betas=(0.25, 0.5, 0.75), n_list=tuple(range(10, 121, 10)),
+        eval_times=(0.6,), contour=ContourDefaults(lambda_ratio=10.0)),
     "ex4_spatial_tables.cfg": ExperimentSpec(
         "sweep-space", "ex4_2d_case3", betas=(0.25, 0.5, 0.75), n_list=(60,),
-        m_list=(16, 32, 64), eval_times=(0.6,), reference="numeric", output_path=None, threads=1),
+        m_list=(16, 32, 64), eval_times=(0.6,), reference="numeric", output_path=None),
     "ex4_temporal_tables.cfg": ExperimentSpec(
         "sweep-time", "ex4_2d_case1", betas=(0.5,), n_list=(20, 40, 60, 80),
-        m_list=(32,), eval_times=(0.6,), reference="numeric", output_path=None, threads=1),
+        m_list=(32,), eval_times=(0.6,), reference="numeric", output_path=None),
 }
 
 
