@@ -154,6 +154,11 @@ class BuiltProblem:
         return ContourRun(self.problem, N, disc)
 
 
+def _ex4_case3_fxy(x, y):
+    """Spatial factor of the ex4_2d_case3 source; one function, so one load-vector cache key."""
+    return np.sin(x) * (1.0 - x) ** 2 * y * (y - 1.0)
+
+
 def build_problem(example_id: str, beta: float, M: int, cd: ContourDefaults = ContourDefaults()) -> BuiltProblem:
     """Instantiate one catalog problem on an M-interval mesh (M ignored for scalar)."""
     sym = FractionalSymbol(cd.K, beta)
@@ -207,16 +212,12 @@ def build_problem(example_id: str, beta: float, M: int, cd: ContourDefaults = Co
         )
     elif example_id == "ex4_2d_case3":
         src = SourceTransform((pole_term("fxy", 3.0 * pi**5, 1.5),))
-
-        def fxy(x, y):
-            return np.sin(x) * (1.0 - x) ** 2 * y * (y - 1.0)
-
         p = Problem(
             sym=sym,
             domain=Mesh2D(M),
             u0=InitialData2D(fx=InitialData1D.zero(), fy=InitialData1D.zero()),
             source=src,
-            spatial_factors={"fxy": fxy},
+            spatial_factors={"fxy": _ex4_case3_fxy},
             **common,
         )
         return BuiltProblem(p, None)

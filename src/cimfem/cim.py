@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from math import pi, sin, sqrt
 from typing import Mapping
 
@@ -95,16 +96,29 @@ class Discretization:
     b_factors: dict[str, np.ndarray]
 
 
+# A load vector depends only on the mesh and the datum, never on beta or N, so
+# a process integrates each pair once.  Callers share the array, hence it is
+# read-only; the bound keeps a long mesh sweep from holding every vector.
+@lru_cache(maxsize=32)
+def _load(mesh: Mesh1D | Mesh2D, g) -> np.ndarray:
+    b = load_vector(mesh, g).astype(complex)
+    b.flags.writeable = False
+    return b
+
+
 def discretize(p: Problem) -> Discretization | None:
-    """Load vectors of the initial datum and the source factors; None for scalar problems."""
+    """Load vectors of the initial datum and the source factors; None for scalar problems.
+
+    Each (mesh, datum) pair is integrated once per process and its
+    read-only vector shared, so data must be hashable; a callable hashes
+    by identity.
+    """
     if p.scalar:
         return None
     if isinstance(p.u0, (int, float)):
         raise ValueError("PDE problems need initial data on the mesh, not a scalar")
-    b_u0 = load_vector(p.domain, p.u0).astype(complex)
-    b_factors = {
-        name: load_vector(p.domain, g).astype(complex) for name, g in p.spatial_factors.items()
-    }
+    b_u0 = _load(p.domain, p.u0)
+    b_factors = {name: _load(p.domain, g) for name, g in p.spatial_factors.items()}
     for name in {t.spatial_id for t in p.source.terms}:
         if name not in b_factors:
             raise ValueError(f"source references unknown spatial factor {name!r}")

@@ -10,6 +10,7 @@ override file values.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .bench import (
@@ -137,7 +138,13 @@ def _cmd_ml_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``cimfem`` parser and its sweep subparsers by mode, built on first use.
+
+    Parsing leaves no state in a parser, so one pair serves every call of
+    ``main`` in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="cimfem",
         description="Contour-integral FEM solver benchmarks for normal subdiffusion",
@@ -151,6 +158,11 @@ def main(argv: list[str] | None = None) -> int:
     p_ml.add_argument(
         "query", nargs="*", help="alpha beta gamma z1 z2 [t]; reads stdin lines if omitted"
     )
+    return parser, modes
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser, modes = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if args.command == "ml-eval":

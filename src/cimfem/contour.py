@@ -16,6 +16,7 @@ truncation).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import cos, pi, sin
 
 import numpy as np
@@ -191,6 +192,10 @@ def quadrature_nodes(params: OptimalParameters, N: int) -> ContourQuadrature:
 SOLVER_D_MARGIN = 0.5
 
 
+# A pure function of floats with a frozen result, so one optimization serves
+# every beta, mesh and request of a process that asks for the same N and
+# window; the bound keeps long parameter sweeps from growing it.
+@lru_cache(maxsize=256)
 def standard_parameters(
     N: int,
     t0: float,
@@ -199,7 +204,11 @@ def standard_parameters(
     alpha: float = ContourConfig.alpha,
     delta_prime: float = ContourConfig.delta_prime,
 ) -> OptimalParameters:
-    """Optimized parameters with the solver's strip margin ``SOLVER_D_MARGIN``."""
+    """Optimized parameters with the solver's strip margin ``SOLVER_D_MARGIN``.
+
+    Memoized for the life of the process (``standard_parameters.cache_clear()``
+    empties the cache); callers share the returned frozen object.
+    """
     cfg = ContourConfig(
         alpha=alpha,
         delta_prime=delta_prime,

@@ -40,6 +40,8 @@ class Piece1D:
     def __post_init__(self) -> None:
         if not self.a < self.b:
             raise FEMError(f"empty piece ({self.a}, {self.b}]")
+        # a tuple keeps the datum hashable: it keys a cached load vector
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,9 @@ class InitialData1D:
     """Piecewise polynomial on (0, 1); zero outside the listed pieces."""
 
     pieces: tuple[Piece1D, ...] = field(default=())
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pieces", tuple(self.pieces))  # hashable, as Piece1D.coeffs
 
     @staticmethod
     def zero() -> "InitialData1D":

@@ -165,8 +165,11 @@ def ml_biv(q: MLQuery, t: float | None = None) -> float:
     """Series for small arguments, contour form otherwise.
 
     The series raises when cancellation eats its accuracy; with a time
-    ``t`` available the contour form takes over in that case.
+    ``t`` available the contour form takes over in that case.  A given
+    ``t`` must be positive on either route.
     """
+    if t is not None and not t > 0.0:  # a NaN time fails too
+        raise ValueError(f"need t > 0, got {t}")
     if max(abs(q.z1), abs(q.z2)) <= SERIES_ARG_LIMIT or t is None:
         try:
             return ml_biv_series(q)

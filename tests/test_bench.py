@@ -26,6 +26,7 @@ from cimfem.bench import (
     _fmt,
 )
 import cimfem.cim
+import cimfem.contour
 import cimfem.fem
 import cimfem.linalg
 from cimfem.cim import Problem, ScalarDomain
@@ -248,6 +249,22 @@ class TestSharedWork:
         assert main(argv) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
         assert 0 < sum(rows) <= 4 * (100 + 11)
+
+    def test_sweep_time_optimizes_and_integrates_once_per_process(self, monkeypatch, capsys):
+        # contour parameters depend on N and the window, load vectors on the
+        # mesh and the datum: another beta rebuilds neither
+        optimized, loaded = [], []
+        optimize, load = cimfem.contour.optimize_rho, cimfem.cim.load_vector
+        monkeypatch.setattr(cimfem.contour, "optimize_rho", lambda cfg: optimized.append(cfg.N) or optimize(cfg))
+        monkeypatch.setattr(cimfem.cim, "load_vector", lambda mesh, g: loaded.append(mesh) or load(mesh, g))
+        cimfem.contour.standard_parameters.cache_clear()
+        cimfem.cim._load.cache_clear()
+        argv = ["sweep-time", "--example", "ex3_1d_case1", "--beta", "0.25,0.5,0.75", "--N", "20,40",
+                "--M", "16", "--times", "0.8"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 7
+        assert sorted(optimized) == [20, 40, 200]
+        assert loaded == [Mesh1D(16)]
 
     def test_sweeps_assemble_only_for_the_fallback(self, monkeypatch):
         # the modal solves apply M and S from their stencils, so sparse

@@ -19,6 +19,7 @@ from cimfem.cim import (
     barycentric_interpolate,
     barycentric_weights,
     chebyshev_points,
+    discretize,
     evaluate,
     predicted_interp_decay,
     problem_parameters,
@@ -27,7 +28,7 @@ from cimfem.cim import (
 )
 from cimfem.bench import ContourRun, accel_compare, build_problem
 from cimfem.contour import contour_point, quadrature_nodes, standard_parameters
-from cimfem.fem import InitialData1D, Mesh1D, Mesh2D, assemble, l2_error, mass_norm, stencil_1d
+from cimfem.fem import InitialData1D, Mesh1D, Mesh2D, assemble, l2_error, load_vector, mass_norm, stencil_1d
 from cimfem.linalg import toeplitz_eigenvalues
 from cimfem.mlf import mode_value
 from cimfem.symbols import FractionalSymbol, SourceTransform, pole_term, power_term
@@ -166,6 +167,33 @@ class TestPoleHandling:
         devs = [abs(v - vals[-1]) / abs(vals[-1]) for v in vals[:-1]]
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < 1e-4
+
+
+class TestProcessCaches:
+    """Contour parameters and load vectors are built once per process and shared safely."""
+
+    def test_pole_floor_leaves_the_shared_parameters_alone(self):
+        standard_parameters.cache_clear()
+        floored = problem_parameters(build_problem("ex4_2d_case3", 0.5, 4).problem, 40)
+        plain = problem_parameters(build_problem("ex4_2d_case1", 0.5, 4).problem, 40)
+        fresh = standard_parameters.__wrapped__(40, 0.1, 10.0)
+        assert plain == fresh
+        assert floored.mu_star > plain.mu_star
+
+    @pytest.mark.parametrize("example", ["ex2_vanishing", "ex3_1d_case2", "ex4_2d_case1", "ex4_2d_case3"])
+    def test_load_vectors_are_shared_read_only_and_exact(self, example):
+        cimfem.cim._load.cache_clear()
+        p = build_problem(example, 0.5, 8).problem
+        disc = discretize(p)
+        data = [(p.u0, disc.b_u0)] + [(p.spatial_factors[n], b) for n, b in disc.b_factors.items()]
+        for g, b in data:
+            assert not b.flags.writeable
+            assert b.tobytes() == load_vector(p.domain, g).astype(complex).tobytes()
+        again = discretize(build_problem(example, 0.25, 8).problem)
+        assert again.b_u0 is disc.b_u0
+        assert all(again.b_factors[n] is b for n, b in disc.b_factors.items())
+        with pytest.raises(ValueError, match="read-only"):
+            disc.b_u0[0] = 1.0
 
 
 class TestSpatialSolve:

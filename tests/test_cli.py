@@ -15,6 +15,7 @@ from cimfem.bench import (
     accel_compare,
     build_problem,
 )
+import cimfem.cli
 from cimfem.cli import main
 from cimfem.fem import mass_norm
 
@@ -148,11 +149,51 @@ def test_ml_eval_malformed(capsys):
         (["0.5", "1", "1", "x", "-1"], "could not convert"),
         (["0", "1", "1", "-1", "-1"], "need alpha_p, beta_p, gamma > 0"),
         (["0.5", "1", "1", "-400", "-400"], "overflow double precision"),
+        (["0.5", "1", "1", "-1", "-1", "-2"], "need t > 0"),
+        (["0.5", "1", "1", "-1", "-1", "0"], "need t > 0"),
+        (["0.5", "1", "1", "-30", "-30", "nan"], "need t > 0"),
     ],
-    ids=["not-a-number", "zero-order", "series-overflow"],
+    ids=["not-a-number", "zero-order", "series-overflow", "negative-time", "zero-time", "nan-time"],
 )
 def test_ml_eval_bad_query_exits_2(capsys, query, message):
     assert message in _error_exit(capsys, ["ml-eval", *query])
+
+
+def _outcome(capsys, argv):
+    """(exit status, stdout without wall_ms, stderr) of ``main(argv)``, an argparse exit included."""
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    out, err = capsys.readouterr()
+    return status, [line.rsplit(",", 1)[0] for line in out.splitlines()], err
+
+
+def test_reused_parser_keeps_no_state(tmp_path, capsys):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("example = ex3_1d_case1\nbeta = 0.25\nN = 10,20\nM = 8\n")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("Lam = 5\n")
+    calls = [
+        ["sweep-time", "--config", str(cfg)],
+        ["sweep-time"],  # the defaults again, none of the config file's values
+        ["sweep-time", "--bogus"],
+        ["sweep-time", "--config", str(bad)],
+        ["ml-eval", "0.5", "1", "1", "-1", "-1", "1"],
+    ]
+    cimfem.cli._parser.cache_clear()
+    reused = [_outcome(capsys, argv) for argv in calls]
+    assert cimfem.cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cimfem.cli._parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert reused == fresh
+    assert [status for status, _, _ in reused] == [0, 0, 2, 2, 0]
+    assert reused[0][1][1].startswith("ex3_1d_case1,0.25,10,8,")
+    [plain_row] = reused[1][1][1:]
+    assert plain_row.startswith("ex1_scalar,0.5,100,,,0.6,")
+    assert "unrecognized arguments: --bogus" in reused[2][2]
 
 
 def test_accel_compare_mode(capsys):

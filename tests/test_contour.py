@@ -240,6 +240,7 @@ def test_standard_parameters_widened_strip_margin():
 def test_optimize_rho_large_n_is_free_of_float_warnings(N):
     # the rounding term eps ** (rho - 1) overflows at N = 1400, and eps
     # underflows to 0 at N = 2000; neither may reach the caller
+    standard_parameters.cache_clear()  # optimize here, under the filter
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         p = standard_parameters(N, 0.1, 10.0)

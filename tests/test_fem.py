@@ -76,6 +76,12 @@ class TestInitialData:
         with pytest.raises(FEMError):
             InitialData1D.indicator(0.5, 0.5)
 
+    def test_sequences_become_tuples(self):
+        # data key the load-vector cache, so a list must not leave them unhashable
+        g = InitialData1D([Piece1D(0.0, 1.0, [0.0, 1.0])])
+        assert g == InitialData1D.polynomial((0.0, 1.0))
+        assert hash(g) == hash(InitialData1D.polynomial((0.0, 1.0)))
+
 
 class TestMeshes:
     def test_mesh1d_basics(self):

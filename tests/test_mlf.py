@@ -125,6 +125,12 @@ class TestDispatch:
         with pytest.raises(MLError):
             ml_biv(MLQuery(0.25, 1.0, 1.0, -3.0, -15.0), None)
 
+    @pytest.mark.parametrize("t", [0.0, -2.0, math.nan])
+    @pytest.mark.parametrize("z", [-1.0, -30.0], ids=["series", "contour"])
+    def test_time_must_be_positive_on_both_routes(self, z, t):
+        with pytest.raises(ValueError, match="need t > 0"):
+            ml_biv(MLQuery(0.5, 1.0, 1.0, z, 2.0 * z), t)
+
     def test_decay_bound_sweep(self):
         # |E(w1 t^a, w2 t^b)| * (1 + |w2 t^b|) stays O(1) for all t
         worst = 0.0
