@@ -53,6 +53,6 @@ from .cim import (
     solve_nodes,
     solve_nodes_accelerated,
 )
-from .bench import BenchError, ContourDefaults, ContourRun, ErrorReport, ExperimentSpec, build_problem, run
+from .bench import BenchError, ContourRun, ErrorReport, ExperimentSpec, build_problem, run
 
 __all__ = [name for name in dir() if not name.startswith("_")]

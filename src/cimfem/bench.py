@@ -18,7 +18,7 @@ import io
 import itertools
 import time
 from dataclasses import dataclass, field
-from math import gamma, pi, sqrt
+from math import gamma, inf, pi, sqrt
 from typing import Callable
 
 import numpy as np
@@ -73,17 +73,6 @@ CSV_HEADER = ["example", "beta", "N", "M", "n", "t", "error", "order", "iar", "w
 
 
 @dataclass(frozen=True)
-class ContourDefaults:
-    """Contour shape, time window and normal-diffusion coefficient of every benchmark run."""
-
-    alpha: float = ContourConfig.alpha
-    delta_prime: float = ContourConfig.delta_prime
-    t0: float = ContourConfig.t0
-    lambda_ratio: float = ContourConfig.lambda_ratio
-    K: float = 1.0
-
-
-@dataclass(frozen=True)
 class ExperimentSpec:
     """One sweep: which example, which parameter lists, which reference."""
 
@@ -96,7 +85,8 @@ class ExperimentSpec:
     eval_times: tuple[float, ...] = (0.6,)
     reference: str = "numeric"  # "exact" | "numeric"
     output_path: str | None = None
-    contour: ContourDefaults = field(default_factory=ContourDefaults)
+    contour: ContourConfig = ContourConfig()
+    K: float = 1.0  # normal-diffusion coefficient
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -106,6 +96,9 @@ class ExperimentSpec:
         for name in ("betas", "n_list", "m_list", "n_interp", "eval_times"):
             if not getattr(self, name):
                 raise BenchError(f"{name} must not be empty")
+        for t in self.eval_times:
+            if not 0.0 < t < inf:  # a NaN time fails too
+                raise BenchError(f"evaluation times must be finite and > 0, got {t}")
         # only sweep-time solves the N_REF reference
         time_ref = self.mode == "sweep-time" and self.reference == "numeric"
         if time_ref and N_REF <= max(self.n_list):
@@ -125,23 +118,21 @@ class ContourRun:
     parameters and the quadrature are made once.  ``solve`` serves the
     plain solution (N node systems) and the accelerated one (n + 1
     systems), each evaluated at every requested time from one set of node
-    values.  The contour shape and time window are the problem's.
+    values.  The contour is the problem's.
     """
 
     def __init__(self, p: Problem, N: int, disc: Discretization | None = None) -> None:
         self.problem = p
         self.disc = discretize(p) if disc is None else disc
-        self.params = problem_parameters(p, N)
-        self.quad = quadrature_nodes(self.params, N)
-        self.window = (p.t0, p.lambda_ratio * p.t0)
+        self.quad = quadrature_nodes(problem_parameters(p, N))
 
     def solve(self, times, n: int | None = None):
         """Solution at ``times``: plain, or from ``n + 1`` Chebyshev solves when ``n`` is given."""
         if n is None:
             ns = solve_nodes(self.problem, self.quad, self.disc)
         else:
-            ns = solve_nodes_accelerated(self.problem, self.params, self.quad, n, self.disc)
-        return evaluate(ns, times, self.window)
+            ns = solve_nodes_accelerated(self.problem, self.quad, n, self.disc)
+        return evaluate(ns, times, self.problem.contour.window)
 
 
 @dataclass(frozen=True)
@@ -159,26 +150,27 @@ def _ex4_case3_fxy(x, y):
     return np.sin(x) * (1.0 - x) ** 2 * y * (y - 1.0)
 
 
-def build_problem(example_id: str, beta: float, M: int, cd: ContourDefaults = ContourDefaults()) -> BuiltProblem:
+def build_problem(
+    example_id: str, beta: float, M: int, contour: ContourConfig = ContourConfig(), K: float = 1.0
+) -> BuiltProblem:
     """Instantiate one catalog problem on an M-interval mesh (M ignored for scalar)."""
-    sym = FractionalSymbol(cd.K, beta)
-    common = dict(alpha=cd.alpha, delta_prime=cd.delta_prime, t0=cd.t0, lambda_ratio=cd.lambda_ratio)
+    sym = FractionalSymbol(K, beta)
     if example_id == "ex1_scalar":
         c = 1.5 * sqrt(pi)
         src = SourceTransform(
             (
-                power_term("one", 1.0 + c * cd.K, 0.0),
+                power_term("one", 1.0 + c * K, 0.0),
                 power_term("one", c / gamma(2.0 - beta), 1.0 - beta),
                 power_term("one", c, 1.0),
             )
         )
-        p = Problem(sym=sym, domain=ScalarDomain(1.0), u0=1.0, source=src, **common)
+        p = Problem(sym=sym, domain=ScalarDomain(1.0), u0=1.0, source=src, contour=contour)
         return BuiltProblem(p, lambda t: 1.0 + c * t)
     if example_id == "ex2_vanishing":
         c_frac = gamma(2.5) / gamma(2.5 - beta)
         src = SourceTransform(
             (
-                power_term("xx", 1.5 * cd.K, 0.5),
+                power_term("xx", 1.5 * K, 0.5),
                 power_term("xx", c_frac, 1.5 - beta),
                 power_term("one", 2.0, 1.5),
             )
@@ -189,7 +181,7 @@ def build_problem(example_id: str, beta: float, M: int, cd: ContourDefaults = Co
         }
         p = Problem(
             sym=sym, domain=Mesh1D(M), u0=InitialData1D.zero(), source=src,
-            spatial_factors=factors, **common,
+            spatial_factors=factors, contour=contour,
         )
         return BuiltProblem(p, lambda x, t: t**1.5 * x * (1.0 - x))
     if example_id == "ex3_1d_case1":
@@ -218,13 +210,13 @@ def build_problem(example_id: str, beta: float, M: int, cd: ContourDefaults = Co
             u0=InitialData2D(fx=InitialData1D.zero(), fy=InitialData1D.zero()),
             source=src,
             spatial_factors={"fxy": _ex4_case3_fxy},
-            **common,
+            contour=contour,
         )
         return BuiltProblem(p, None)
     else:
         raise BenchError(f"unknown example {example_id!r}")
     domain = Mesh2D(M) if example_id.startswith("ex4") else Mesh1D(M)
-    return BuiltProblem(Problem(sym=sym, domain=domain, u0=u0, **common), None)
+    return BuiltProblem(Problem(sym=sym, domain=domain, u0=u0, contour=contour), None)
 
 
 def _distance(bp: BuiltProblem, u, t: float, ref=None) -> float:
@@ -262,7 +254,8 @@ def spatial_sweep(
     m_list,
     t: float,
     reference: str = "numeric",
-    cd: ContourDefaults = ContourDefaults(),
+    contour: ContourConfig = ContourConfig(),
+    K: float = 1.0,
 ) -> list[tuple[int, float, float | None, float]]:
     """(M, error, order, wall_ms) rows over a mesh sweep.
 
@@ -276,7 +269,7 @@ def spatial_sweep(
     needed = set(m_list) | ({2 * m for m in m_list} if reference == "numeric" else set())
     solved = {}
     for m in sorted(needed):
-        bp = build_problem(example_id, beta, m, cd)
+        bp = build_problem(example_id, beta, m, contour, K)
         start = time.perf_counter()
         u = bp.run(N).solve(t)
         solved[m] = (bp, u, (time.perf_counter() - start) * 1e3)
@@ -382,16 +375,16 @@ class ErrorReport:
             fh.write(self.to_csv())
 
 
-def window_times(cd: ContourDefaults, quoted=()) -> tuple[float, ...]:
-    """16 equispaced window samples plus any quoted times, deduplicated."""
-    grid = np.linspace(cd.t0, cd.lambda_ratio * cd.t0, 16)
+def window_times(contour: ContourConfig, quoted=()) -> tuple[float, ...]:
+    """16 equispaced samples of the contour's window plus any quoted times, deduplicated."""
+    grid = np.linspace(*contour.window, 16)
     return tuple(sorted(set(np.round(grid, 12)) | set(quoted)))
 
 
 def _time_rows(spec: ExperimentSpec, beta: float) -> list[dict]:
     """Sweep-time rows of one beta; the N_ref reference is solved once for all of them."""
     M = max(spec.m_list)
-    bp = build_problem(spec.example_id, beta, M, spec.contour)
+    bp = build_problem(spec.example_id, beta, M, spec.contour, spec.K)
     disc = discretize(bp.problem)
     times = window_times(spec.contour, spec.eval_times)
     ref = None if spec.reference == "exact" else bp.run(N_REF, disc).solve(times)
@@ -411,7 +404,7 @@ def _space_rows(spec: ExperimentSpec, beta: float) -> list[dict]:
     return [
         _row(spec.example_id, beta, N=N, M=m, t=t, error=err, order=order, wall_ms=wall)
         for m, err, order, wall in spatial_sweep(
-            spec.example_id, beta, N, spec.m_list, t, spec.reference, spec.contour
+            spec.example_id, beta, N, spec.m_list, t, spec.reference, spec.contour, spec.K
         )
     ]
 
@@ -419,7 +412,7 @@ def _space_rows(spec: ExperimentSpec, beta: float) -> list[dict]:
 def _accel_rows(spec: ExperimentSpec, beta: float, M: int) -> list[dict]:
     """An accelerated and a plain row for each n at the largest N and time."""
     t, N = max(spec.eval_times), max(spec.n_list)
-    bp = build_problem(spec.example_id, beta, M, spec.contour)
+    bp = build_problem(spec.example_id, beta, M, spec.contour, spec.K)
     rows = []
     for n in spec.n_interp:
         dev, iar_val, t_plain, t_accel = accel_compare(bp, N, n, t)
@@ -436,7 +429,7 @@ def _solve_rows(spec: ExperimentSpec, beta: float, N: int, M: int) -> list[dict]
 
     The first row carries the wall time of the one solve behind all of them.
     """
-    bp = build_problem(spec.example_id, beta, M, spec.contour)
+    bp = build_problem(spec.example_id, beta, M, spec.contour, spec.K)
     start = time.perf_counter()
     sols = bp.run(N).solve(spec.eval_times)
     wall = (time.perf_counter() - start) * 1e3

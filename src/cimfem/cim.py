@@ -21,7 +21,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from math import pi, sin, sqrt
+from math import inf, pi, sin, sqrt
 from typing import Mapping
 
 import numpy as np
@@ -71,17 +71,14 @@ class ScalarDomain:
 
 @dataclass(frozen=True)
 class Problem:
-    """One transport problem over a fixed time window [t0, lambda_ratio * t0]."""
+    """One transport problem; ``contour`` gives the contour shape and its time window."""
 
     sym: FractionalSymbol
     domain: ScalarDomain | Mesh1D | Mesh2D
     u0: float | InitialData1D | InitialData2D
     source: SourceTransform = field(default_factory=SourceTransform)
     spatial_factors: Mapping[str, object] = field(default_factory=dict)
-    alpha: float = ContourConfig.alpha  # contour shape, as in standard_parameters
-    delta_prime: float = ContourConfig.delta_prime
-    t0: float = ContourConfig.t0
-    lambda_ratio: float = ContourConfig.lambda_ratio
+    contour: ContourConfig = ContourConfig()
 
     @property
     def scalar(self) -> bool:
@@ -141,7 +138,7 @@ def _warn_pole_location(p: Problem, quad: ContourQuadrature) -> None:
     sigma = p.source.max_pole
     if sigma is None:
         return
-    vertex = quad.mu * (1.0 - sin(quad.alpha))
+    vertex = quad.params.mu_star * (1.0 - sin(quad.params.alpha))
     if vertex <= sigma:
         warnings.warn(
             f"contour vertex {vertex:.4g} does not pass right of the source pole "
@@ -167,7 +164,7 @@ def problem_parameters(p: Problem, N: int) -> OptimalParameters:
     truncation of the node exponentials only improves with larger
     ``mu``, so spectral accuracy is kept.
     """
-    params = standard_parameters(N, p.t0, p.lambda_ratio, alpha=p.alpha, delta_prime=p.delta_prime)
+    params = standard_parameters(p.contour, N)
     sigma = p.source.max_pole
     if sigma is not None and sigma > 0.0:
         mu_floor = POLE_VERTEX_MARGIN * sigma / (1.0 - sin(params.alpha))
@@ -233,15 +230,17 @@ def evaluate(ns: NodeSolutionSet, t, window: tuple[float, float] | None = None):
     ``t`` is one time or a sequence of times; all of them are summed in
     one product ``exp(outer(t, z)) z' @ u_hat``, which stacks one row per
     time (a single time gives its row alone).  Errors out when a
-    time is not positive or when ``mu * t`` risks floating overflow of
-    the node exponentials; warns for times outside the window the
-    contour was optimized for.
+    time is not finite and positive or when ``mu * t`` risks floating
+    overflow of the node exponentials; warns for times outside the window
+    the contour was optimized for.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts <= 0.0):
-        raise CIMError(f"contour evaluation needs t > 0, got {ts[ts <= 0.0][0]}")
-    if ns.quad.mu * ts.max() > 700.0:
-        raise CIMError(f"mu * t = {ns.quad.mu * ts.max():.3g} > 700 would overflow exp")
+    bad = ~((0.0 < ts) & (ts < inf))  # a NaN time is bad too
+    if np.any(bad):
+        raise CIMError(f"contour evaluation needs finite t > 0, got {ts[bad][0]}")
+    mu = ns.quad.params.mu_star
+    if mu * ts.max() > 700.0:
+        raise CIMError(f"mu * t = {mu * ts.max():.3g} > 700 would overflow exp")
     if window is not None:
         inside = (window[0] * (1.0 - 1e-12) <= ts) & (ts <= window[1] * (1.0 + 1e-12))
         if not np.all(inside):
@@ -250,7 +249,7 @@ def evaluate(ns: NodeSolutionSet, t, window: tuple[float, float] | None = None):
                 stacklevel=2,
             )
     w = np.exp(np.outer(ts, ns.quad.nodes)) * ns.quad.derivs
-    values = ns.quad.tau / pi * np.imag(w @ ns.values)
+    values = ns.quad.params.tau_star / pi * np.imag(w @ ns.values)
     return values if np.ndim(t) else values[0]
 
 
@@ -292,13 +291,13 @@ def barycentric_interpolate(points: np.ndarray, weights: np.ndarray, values: np.
     return c @ values
 
 
-def solve_nodes_accelerated(p: Problem, params: OptimalParameters, quad: ContourQuadrature, n: int, disc: Discretization | None = None) -> NodeSolutionSet:
+def solve_nodes_accelerated(p: Problem, quad: ContourQuadrature, n: int, disc: Discretization | None = None) -> NodeSolutionSet:
     """Node solutions interpolated from solves at n + 1 Chebyshev points only."""
     if disc is None:
         disc = discretize(p)
     _warn_pole_location(p, quad)
     pts = chebyshev_points(quad, n)
-    z, _ = contour_point(params, pts)
+    z, _ = contour_point(quad.params, pts)
     span = quad.phis[-1] - quad.phis[0]
     values = barycentric_interpolate(pts, barycentric_weights(n), _solve_at(p, disc, z), quad.phis, span)
     return NodeSolutionSet(quad=quad, values=values)

@@ -13,14 +13,8 @@ import argparse
 import functools
 import sys
 
-from .bench import (
-    EXAMPLE_IDS,
-    MODES,
-    BenchError,
-    ContourDefaults,
-    ExperimentSpec,
-    run,
-)
+from .bench import EXAMPLE_IDS, MODES, BenchError, ExperimentSpec, run
+from .contour import ContourConfig, ContourError
 from .mlf import MLError, MLQuery, ml_biv, ml_biv_series
 
 
@@ -54,11 +48,11 @@ def _ints(s: str) -> tuple[int, ...]:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    cd, spec = ContourDefaults, ExperimentSpec
+    cd, spec = ContourConfig, ExperimentSpec
     p.add_argument("--config", help="flat key=value config file of these flags; flags override")
     p.add_argument("--example", choices=EXAMPLE_IDS, default="ex1_scalar")
     p.add_argument("--beta", type=_floats, default=spec.betas, help="comma-separated fractional orders")
-    p.add_argument("--K", type=float, default=cd.K, help="normal-diffusion coefficient")
+    p.add_argument("--K", type=float, default=spec.K, help="normal-diffusion coefficient")
     p.add_argument("--Lambda", type=float, dest="lambda_ratio", default=cd.lambda_ratio,
                    help="time-window ratio")
     p.add_argument("--t0", type=float, default=cd.t0, help="left end of the time window")
@@ -82,13 +76,6 @@ def _with_config(p: argparse.ArgumentParser, path: str, flags: list[str]) -> arg
 
 
 def _build_spec(mode: str, args: argparse.Namespace) -> ExperimentSpec:
-    contour = ContourDefaults(
-        alpha=args.alpha,
-        delta_prime=args.delta_prime,
-        t0=args.t0,
-        lambda_ratio=args.lambda_ratio,
-        K=args.K,
-    )
     return ExperimentSpec(
         mode=mode,
         example_id=args.example,
@@ -99,7 +86,10 @@ def _build_spec(mode: str, args: argparse.Namespace) -> ExperimentSpec:
         eval_times=args.times,
         reference=args.reference,
         output_path=args.out,
-        contour=contour,
+        contour=ContourConfig(
+            alpha=args.alpha, delta_prime=args.delta_prime, t0=args.t0, lambda_ratio=args.lambda_ratio
+        ),
+        K=args.K,
     )
 
 
@@ -173,8 +163,8 @@ def main(argv: list[str] | None = None) -> int:
             # argv[0] is the command: the top-level parser has no flag of its own
             args = _with_config(modes[mode], args.config, argv[1:])
         spec = _build_spec(mode, args)
-    except BenchError as exc:
-        # a bad spec or config file exits like an argparse error, without a traceback
+    except (BenchError, ContourError) as exc:
+        # a bad spec, contour or config file exits like an argparse error, without a traceback
         print(f"cimfem: error: {exc}", file=sys.stderr)
         return 2
     return _cmd_sweep(spec)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, pi, sin
+from math import cos, inf, pi, sin
 
 import numpy as np
 
@@ -31,37 +31,53 @@ EPS_ROUND = 2.22e-16  # rounding level amplified by the quadrature sum
 
 @dataclass(frozen=True)
 class ContourConfig:
-    """Inputs of the contour-parameter optimization.
+    """The requested contour: its shape, its time window and the optimizer's grid.
 
     ``t0`` and ``lambda_ratio`` describe the time window
     ``[t0, lambda_ratio * t0]`` on which one fixed contour must stay
     accurate.  ``alpha`` is the asymptotic half-angle of the hyperbola,
     ``delta_prime`` the sector safety margin of the symbol, and
-    ``d_margin`` shrinks the analyticity strip slightly whenever the
-    strip is limited by ``alpha`` itself (the degenerate branch).  These
-    class defaults are the package's single source for the default
-    contour shape and time window.
+    ``d_margin`` shrinks the analyticity strip whenever the strip is
+    limited by ``alpha`` itself (the degenerate branch).  These class
+    defaults are the package's single source for the default contour.
+
+    The default ``d_margin`` keeps the working strip at half of
+    ``alpha``: a margin near 0 takes the strip nearly up to ``alpha``,
+    which is optimal only asymptotically, and at moderate N evaluates the
+    integrand too close to the strip boundary and loses several digits.
     """
 
     alpha: float = 0.6767
     delta_prime: float = 0.1023
     t0: float = 0.1
     lambda_ratio: float = 10.0
-    N: int = 100
     grid_size: int = 1000
-    d_margin: float = 1e-3
+    d_margin: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < pi / 2:
             raise ContourError(f"alpha must lie in (0, pi/2), got {self.alpha}")
-        if self.delta_prime < 0.0:
-            raise ContourError("delta_prime must be nonnegative")
-        if self.t0 <= 0.0 or self.lambda_ratio < 1.0:
-            raise ContourError("need t0 > 0 and lambda_ratio >= 1")
-        if self.N < 1 or self.grid_size < 2:
-            raise ContourError("need N >= 1 and grid_size >= 2")
+        if not 0.0 <= self.delta_prime < inf:
+            raise ContourError(f"delta_prime must be finite and nonnegative, got {self.delta_prime}")
+        if not self.alpha + self.delta_prime < pi / 2:
+            raise ContourError(
+                f"alpha + delta_prime = {self.alpha + self.delta_prime} leaves no "
+                "analyticity sector; need alpha + delta_prime < pi/2"
+            )
+        if not (0.0 < self.t0 < inf and 1.0 <= self.lambda_ratio < inf):
+            raise ContourError(
+                f"need finite t0 > 0 and lambda_ratio >= 1, got t0 = {self.t0}, "
+                f"lambda_ratio = {self.lambda_ratio}"
+            )
+        if self.grid_size < 2:
+            raise ContourError("need grid_size >= 2")
         if not 0.0 < self.d_margin < 1.0:
             raise ContourError("d_margin must lie in (0, 1)")
+
+    @property
+    def window(self) -> tuple[float, float]:
+        """The time window ``(t0, lambda_ratio * t0)`` the contour is optimized for."""
+        return self.t0, self.lambda_ratio * self.t0
 
 
 @dataclass(frozen=True)
@@ -76,23 +92,23 @@ class OptimalParameters:
     eps_n: float
     predicted_error: float
     alpha: float
+    N: int  # quadrature nodes the step tau_star was optimized for
 
 
 @dataclass(frozen=True)
 class ContourQuadrature:
-    """Mid-point trapezoid nodes on the upper half of the contour.
+    """Mid-point trapezoid nodes on the upper half of the contour of ``params``.
 
     ``nodes[k] = z(phi_k)`` and ``derivs[k] = z'(phi_k)`` with
-    ``phi_k = (k + 1/2) * tau``.  Only the upper half is stored; the
-    lower half is recovered by conjugate symmetry when summing.
+    ``phi_k = (k + 1/2) * params.tau_star``, ``k < params.N``.  Only the
+    upper half is stored; the lower half is recovered by conjugate
+    symmetry when summing.
     """
 
     nodes: np.ndarray
     derivs: np.ndarray
     phis: np.ndarray
-    tau: float
-    mu: float
-    alpha: float
+    params: OptimalParameters
 
 
 def strip_half_width(cfg: ContourConfig) -> float:
@@ -104,24 +120,21 @@ def strip_half_width(cfg: ContourConfig) -> float:
     width is shrunk by ``d_margin`` so the strip stays open.
     """
     other = pi / 2 - cfg.alpha - cfg.delta_prime
-    if other <= 0.0:
-        raise ContourError(
-            f"alpha + delta_prime = {cfg.alpha + cfg.delta_prime} leaves no "
-            "analyticity sector; need alpha + delta_prime < pi/2"
-        )
     if cfg.alpha <= other:
         return cfg.alpha * (1.0 - cfg.d_margin)
     return other
 
 
-def optimize_rho(cfg: ContourConfig) -> OptimalParameters:
-    """Grid search for the error-split parameter ``rho``.
+def optimize_rho(cfg: ContourConfig, N: int) -> OptimalParameters:
+    """Grid search for the error-split parameter ``rho`` of the contour ``cfg`` at N nodes.
 
     Evaluates the predicted total error on the grid ``rho_j = j / D``,
     ``j = 0 .. D-1``, skipping infeasible points, and keeps the smallest
     feasible minimizer.  From the winner the step ``tau`` and the scale
     ``mu`` of the contour follow in closed form.
     """
+    if N < 1:
+        raise ContourError(f"need N >= 1, got {N}")
     d_tilde = strip_half_width(cfg)
     sin_gap = sin(cfg.alpha - d_tilde)
     if sin_gap <= 0.0:
@@ -136,7 +149,7 @@ def optimize_rho(cfg: ContourConfig) -> OptimalParameters:
 
     a_rho = np.full_like(rho, np.nan)
     a_rho[feasible] = np.arccosh(arg[feasible])
-    eps = np.exp(-2.0 * pi * d_tilde * cfg.N / a_rho)
+    eps = np.exp(-2.0 * pi * d_tilde * N / a_rho)
     feasible &= (eps > 0.0) & (eps < 1.0)
     total = np.full_like(rho, np.inf)
     e, r = eps[feasible], rho[feasible]
@@ -150,8 +163,8 @@ def optimize_rho(cfg: ContourConfig) -> OptimalParameters:
 
     rho_star = float(rho[k])
     a_star = float(a_rho[k])
-    tau_star = a_star / cfg.N
-    mu_star = 2.0 * pi * d_tilde * cfg.N * (1.0 - rho_star) / (cfg.t0 * cfg.lambda_ratio * a_star)
+    tau_star = a_star / N
+    mu_star = 2.0 * pi * d_tilde * N * (1.0 - rho_star) / (cfg.t0 * cfg.lambda_ratio * a_star)
     return OptimalParameters(
         rho_star=rho_star,
         a_rho=a_star,
@@ -161,6 +174,7 @@ def optimize_rho(cfg: ContourConfig) -> OptimalParameters:
         eps_n=float(eps[k]),
         predicted_error=float(total[k]),
         alpha=cfg.alpha,
+        N=N,
     )
 
 
@@ -172,49 +186,21 @@ def contour_point(params: OptimalParameters, phi):
     return z, dz
 
 
-def quadrature_nodes(params: OptimalParameters, N: int) -> ContourQuadrature:
-    """Mid-point nodes ``phi_k = (k + 1/2) tau`` on the upper half-contour."""
-    if N < 1:
-        raise ContourError(f"need N >= 1, got {N}")
-    tau = params.tau_star
-    phis = (np.arange(N) + 0.5) * tau
+def quadrature_nodes(params: OptimalParameters) -> ContourQuadrature:
+    """Mid-point nodes ``phi_k = (k + 1/2) tau`` on the upper half-contour, one per optimized node."""
+    phis = (np.arange(params.N) + 0.5) * params.tau_star
     nodes, derivs = contour_point(params, phis)
-    return ContourQuadrature(
-        nodes=nodes, derivs=derivs, phis=phis, tau=tau, mu=params.mu_star, alpha=params.alpha
-    )
+    return ContourQuadrature(nodes=nodes, derivs=derivs, phis=phis, params=params)
 
 
-# The optimizer's default strip margin (ContourConfig.d_margin = 1e-3) takes
-# the strip nearly up to alpha, which is optimal only asymptotically.  The
-# solver keeps the working strip at roughly half of alpha: at moderate N the
-# wider strip evaluates the integrand too close to the strip boundary and
-# loses several digits.
-SOLVER_D_MARGIN = 0.5
-
-
-# A pure function of floats with a frozen result, so one optimization serves
-# every beta, mesh and request of a process that asks for the same N and
-# window; the bound keeps long parameter sweeps from growing it.
+# A pure function of a frozen config and N with a frozen result, so one
+# optimization serves every beta, mesh and request of a process that asks for
+# the same contour; the bound keeps long parameter sweeps from growing it.
 @lru_cache(maxsize=256)
-def standard_parameters(
-    N: int,
-    t0: float,
-    lambda_ratio: float,
-    *,
-    alpha: float = ContourConfig.alpha,
-    delta_prime: float = ContourConfig.delta_prime,
-) -> OptimalParameters:
-    """Optimized parameters with the solver's strip margin ``SOLVER_D_MARGIN``.
+def standard_parameters(cfg: ContourConfig, N: int) -> OptimalParameters:
+    """``optimize_rho(cfg, N)``, memoized for the life of the process.
 
-    Memoized for the life of the process (``standard_parameters.cache_clear()``
-    empties the cache); callers share the returned frozen object.
+    ``standard_parameters.cache_clear()`` empties the cache; callers share
+    the returned frozen object.
     """
-    cfg = ContourConfig(
-        alpha=alpha,
-        delta_prime=delta_prime,
-        t0=t0,
-        lambda_ratio=lambda_ratio,
-        N=N,
-        d_margin=SOLVER_D_MARGIN,
-    )
-    return optimize_rho(cfg)
+    return optimize_rho(cfg, N)

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import exp, lgamma, log, pi
+from math import exp, inf, lgamma, log, pi
 from typing import Callable
 
 import numpy as np
 
-from .contour import SOLVER_D_MARGIN, ContourConfig, optimize_rho, quadrature_nodes
+from .contour import ContourConfig, optimize_rho, quadrature_nodes
 from .symbols import complex_pow
 
 
@@ -129,6 +129,11 @@ def _check_cancellation(peak: float, total: float) -> None:
         )
 
 
+def _check_time(t: float) -> None:
+    if not 0.0 < t < inf:  # a NaN time fails too
+        raise ValueError(f"need finite t > 0, got {t}")
+
+
 def ml_biv_contour(q: MLQuery, t: float, with_z1_term: bool = False) -> float | np.ndarray:
     """Contour form, valid for ``z1 = -|w1| t**alpha_p`` and ``z2 = -|w2| t**beta_p``.
 
@@ -143,21 +148,19 @@ def ml_biv_contour(q: MLQuery, t: float, with_z1_term: bool = False) -> float | 
     has the numerator ``z**-gamma (1 + |w1| z**-alpha_p)`` over the same
     denominator.
     """
-    if t <= 0.0:
-        raise ValueError(f"need t > 0, got {t}")
+    _check_time(t)
     z2 = np.asarray(q.z2, dtype=float)
     if q.z1 > 0.0 or np.any(z2 > 0.0):
         raise MLError("contour route requires nonpositive arguments")
     w1 = abs(q.z1) / t**q.alpha_p
     w2 = np.abs(z2) / t**q.beta_p
-    cfg = ContourConfig(t0=t, lambda_ratio=2.0, N=CONTOUR_NODES, d_margin=SOLVER_D_MARGIN)
-    quad = quadrature_nodes(optimize_rho(cfg), CONTOUR_NODES)
+    quad = quadrature_nodes(optimize_rho(ContourConfig(t0=t, lambda_ratio=2.0), CONTOUR_NODES))
     z, dz = quad.nodes, quad.derivs
     z_alpha = w1 * complex_pow(z, -q.alpha_p)
     denom = 1.0 + z_alpha + np.multiply.outer(w2, complex_pow(z, -q.beta_p))
     numer = complex_pow(z, -q.gamma) * (1.0 + z_alpha if with_z1_term else 1.0)
     vals = np.exp(z * t) * numer / denom * dz
-    value = t ** (1.0 - q.gamma) * quad.tau / pi * np.imag(np.sum(vals, axis=-1))
+    value = t ** (1.0 - q.gamma) * quad.params.tau_star / pi * np.imag(np.sum(vals, axis=-1))
     return float(value) if z2.ndim == 0 else value
 
 
@@ -166,10 +169,10 @@ def ml_biv(q: MLQuery, t: float | None = None) -> float:
 
     The series raises when cancellation eats its accuracy; with a time
     ``t`` available the contour form takes over in that case.  A given
-    ``t`` must be positive on either route.
+    ``t`` must be finite and positive on either route.
     """
-    if t is not None and not t > 0.0:  # a NaN time fails too
-        raise ValueError(f"need t > 0, got {t}")
+    if t is not None:
+        _check_time(t)
     if max(abs(q.z1), abs(q.z2)) <= SERIES_ARG_LIMIT or t is None:
         try:
             return ml_biv_series(q)

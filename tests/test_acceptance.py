@@ -34,7 +34,6 @@ import numpy as np
 import pytest
 
 from cimfem.bench import (
-    ContourDefaults,
     ContourRun,
     accel_compare,
     build_problem,
@@ -74,7 +73,7 @@ def test_scalar_spectral_decay():
 def test_1d_temporal_table():
     start = time.perf_counter()
     published = {0.25: 9.85e-5, 0.5: 9.0973e-5, 0.75: 9.0822e-5}
-    cd = ContourDefaults()
+    cd = ContourConfig()
     times = window_times(cd, (0.8,))
     for beta, target in published.items():
         bp = build_problem("ex3_1d_case1", beta, 128, cd)
@@ -178,7 +177,7 @@ def test_2d_temporal_errors():
         "ex4_2d_case2": {0.25: 3.4184e-6, 0.5: 3.2967e-6, 0.75: 2.7505e-6},
         "ex4_2d_case3": {0.25: 3.2602e-3, 0.5: 3.2009e-3, 0.75: 2.9225e-3},
     }
-    cd = ContourDefaults()
+    cd = ContourConfig()
     times = window_times(cd, (0.6,))
     for example, per_beta in published.items():
         for beta, target in per_beta.items():
@@ -347,8 +346,9 @@ def test_solver_oracle_equivalences():
 
 def test_optimizer_grid_oracle():
     start = time.perf_counter()
-    coarse = optimize_rho(ContourConfig(grid_size=1000))
-    fine = optimize_rho(ContourConfig(grid_size=10 ** 6))
+    N = 100
+    coarse = optimize_rho(ContourConfig(grid_size=1000), N)
+    fine = optimize_rho(ContourConfig(grid_size=10 ** 6), N)
     assert abs(coarse.rho_star - fine.rho_star) <= 2e-3
     assert coarse.predicted_error <= 1.01 * fine.predicted_error
     assert time.perf_counter() - start < 5.0

@@ -14,7 +14,6 @@ from cimfem.bench import (
     N_REF,
     BenchError,
     BuiltProblem,
-    ContourDefaults,
     ErrorReport,
     ExperimentSpec,
     accel_compare,
@@ -27,6 +26,7 @@ from cimfem.bench import (
 )
 import cimfem.cim
 import cimfem.contour
+from cimfem.contour import ContourConfig
 import cimfem.fem
 import cimfem.linalg
 from cimfem.cim import Problem, ScalarDomain
@@ -94,13 +94,13 @@ class TestSpecValidation:
 class TestErrorMetrics:
     def test_error_tau_exact_scalar_decays(self):
         bp = build_problem("ex1_scalar", 0.5, 8)
-        times = window_times(ContourDefaults(), (0.6,))
+        times = window_times(ContourConfig(), (0.6,))
         errs = [error_tau(bp, times, bp.run(N).solve(times)) for N in (10, 20, 40)]
         assert errs[0] > errs[1] > errs[2] or errs[2] < 1e-12
 
     def test_error_tau_numeric_close_to_exact(self):
         bp = build_problem("ex1_scalar", 0.5, 8)
-        times = window_times(ContourDefaults(), (0.6,))
+        times = window_times(ContourConfig(), (0.6,))
         sols = bp.run(20).solve(times)
         e_ex = error_tau(bp, times, sols)
         e_num = error_tau(bp, times, sols, bp.run(200).solve(times))
@@ -255,7 +255,7 @@ class TestSharedWork:
         # mesh and the datum: another beta rebuilds neither
         optimized, loaded = [], []
         optimize, load = cimfem.contour.optimize_rho, cimfem.cim.load_vector
-        monkeypatch.setattr(cimfem.contour, "optimize_rho", lambda cfg: optimized.append(cfg.N) or optimize(cfg))
+        monkeypatch.setattr(cimfem.contour, "optimize_rho", lambda cfg, N: optimized.append(N) or optimize(cfg, N))
         monkeypatch.setattr(cimfem.cim, "load_vector", lambda mesh, g: loaded.append(mesh) or load(mesh, g))
         cimfem.contour.standard_parameters.cache_clear()
         cimfem.cim._load.cache_clear()
@@ -291,7 +291,7 @@ class TestSharedWork:
 
 
 def test_window_times_contains_quoted_and_sorted():
-    ts = window_times(ContourDefaults(), (0.6, 0.37))
+    ts = window_times(ContourConfig(), (0.6, 0.37))
     assert 0.6 in ts and 0.37 in ts
     assert list(ts) == sorted(ts)
     assert ts[0] == pytest.approx(0.1) and ts[-1] == pytest.approx(1.0)

@@ -27,7 +27,7 @@ from cimfem.cim import (
     solve_nodes_accelerated,
 )
 from cimfem.bench import ContourRun, accel_compare, build_problem
-from cimfem.contour import contour_point, quadrature_nodes, standard_parameters
+from cimfem.contour import ContourConfig, contour_point, quadrature_nodes, standard_parameters
 from cimfem.fem import InitialData1D, Mesh1D, Mesh2D, assemble, l2_error, load_vector, mass_norm, stencil_1d
 from cimfem.linalg import toeplitz_eigenvalues
 from cimfem.mlf import mode_value
@@ -82,28 +82,35 @@ class TestEvaluateGuards:
     def test_negative_time_rejected(self):
         p, _ = scalar_benchmark(0.5)
         params = problem_parameters(p, 20)
-        ns = solve_nodes(p, quadrature_nodes(params, 20))
+        ns = solve_nodes(p, quadrature_nodes(params))
         with pytest.raises(CIMError):
             evaluate(ns, 0.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, [0.5, math.nan]])
+    def test_time_that_is_not_finite_rejected(self, t):
+        p, _ = scalar_benchmark(0.5)
+        ns = solve_nodes(p, quadrature_nodes(problem_parameters(p, 20)))
+        with pytest.raises(CIMError, match="needs finite t > 0"):
+            evaluate(ns, t)
 
     def test_overflow_guard(self):
         p, _ = scalar_benchmark(0.5)
         params = problem_parameters(p, 20)
-        ns = solve_nodes(p, quadrature_nodes(params, 20))
+        ns = solve_nodes(p, quadrature_nodes(params))
         with pytest.raises(CIMError):
             evaluate(ns, 1e6)
 
     def test_window_warning(self):
         p, _ = scalar_benchmark(0.5)
         params = problem_parameters(p, 20)
-        ns = solve_nodes(p, quadrature_nodes(params, 20))
+        ns = solve_nodes(p, quadrature_nodes(params))
         with pytest.warns(UserWarning):
             evaluate(ns, 5.0, window=(0.1, 1.0))
 
     def test_guards_check_every_time_of_a_list(self):
         p, _ = scalar_benchmark(0.5)
         params = problem_parameters(p, 20)
-        ns = solve_nodes(p, quadrature_nodes(params, 20))
+        ns = solve_nodes(p, quadrature_nodes(params))
         with pytest.raises(CIMError):
             evaluate(ns, [0.5, 0.0])
         with pytest.raises(CIMError):
@@ -115,7 +122,7 @@ class TestEvaluateGuards:
     def test_time_list_matches_single_times(self, example):
         p = build_problem(example, 0.5, 8).problem
         params = problem_parameters(p, 40)
-        ns = solve_nodes(p, quadrature_nodes(params, 40))
+        ns = solve_nodes(p, quadrature_nodes(params))
         times = np.linspace(0.1, 1.0, 16)
         together = evaluate(ns, times)
         assert together.shape[0] == len(times)
@@ -143,9 +150,9 @@ class TestPoleHandling:
 
     def test_unadjusted_contour_warns_when_pole_missed(self):
         p = self.pole_problem()
-        params = standard_parameters(200, p.t0, p.lambda_ratio)
-        quad = quadrature_nodes(params, 200)
-        assert quad.mu * (1.0 - math.sin(quad.alpha)) <= 1.5
+        params = standard_parameters(p.contour, 200)
+        quad = quadrature_nodes(params)
+        assert params.mu_star * (1.0 - math.sin(params.alpha)) <= 1.5
         with pytest.warns(UserWarning):
             solve_nodes(p, quad)
 
@@ -153,11 +160,11 @@ class TestPoleHandling:
         # the unfloored N = 20 contour of ex4_2d_case3 has its vertex near 0.37,
         # left of the source pole at 1.5
         p = build_problem("ex4_2d_case3", 0.5, 8).problem
-        params = standard_parameters(20, p.t0, p.lambda_ratio)
-        quad = quadrature_nodes(params, 20)
-        assert quad.mu * (1.0 - math.sin(quad.alpha)) < 1.5
+        params = standard_parameters(p.contour, 20)
+        quad = quadrature_nodes(params)
+        assert params.mu_star * (1.0 - math.sin(params.alpha)) < 1.5
         with pytest.warns(UserWarning, match="source pole"):
-            solve_nodes_accelerated(p, params, quad, 10)
+            solve_nodes_accelerated(p, quad, 10)
 
     def test_pole_solution_consistent_across_n(self):
         # growing-mode solutions at different N agree once the contour
@@ -176,7 +183,7 @@ class TestProcessCaches:
         standard_parameters.cache_clear()
         floored = problem_parameters(build_problem("ex4_2d_case3", 0.5, 4).problem, 40)
         plain = problem_parameters(build_problem("ex4_2d_case1", 0.5, 4).problem, 40)
-        fresh = standard_parameters.__wrapped__(40, 0.1, 10.0)
+        fresh = standard_parameters.__wrapped__(ContourConfig(), 40)
         assert plain == fresh
         assert floored.mu_star > plain.mu_star
 
@@ -283,7 +290,7 @@ class TestModalNodeSolves:
     def test_rows_match_dense(self, example, M, N):
         run = build_problem(example, 0.5, M).run(80)
         p, disc = run.problem, run.disc
-        z, _ = contour_point(run.params, np.linspace(run.quad.phis[0], run.quad.phis[-1], N))
+        z, _ = contour_point(run.quad.params, np.linspace(run.quad.phis[0], run.quad.phis[-1], N))
         _, ref = dense_node_solutions(p, disc, z)
         u = _solve_at(p, disc, z)
         # both solves are backward stable, so rows differ by a few eps times the
@@ -330,7 +337,7 @@ class TestModal2DNodeSolves:
     def test_rows_match_dense(self, example, M, N):
         run = build_problem(example, 0.5, M).run(80)
         p, disc = run.problem, run.disc
-        z, _ = contour_point(run.params, np.linspace(run.quad.phis[0], run.quad.phis[-1], N))
+        z, _ = contour_point(run.quad.params, np.linspace(run.quad.phis[0], run.quad.phis[-1], N))
         _, ref = dense_node_solutions(p, disc, z)
         u = _solve_at(p, disc, z)
         assert np.all(np.max(np.abs(u - ref), axis=1) <= 1e-12 * np.max(np.abs(ref), axis=1))
@@ -422,7 +429,7 @@ class TestBarycentric:
     def test_chebyshev_points_span_quadrature_range(self):
         p, _ = scalar_benchmark(0.5)
         params = problem_parameters(p, 40)
-        quad = quadrature_nodes(params, 40)
+        quad = quadrature_nodes(params)
         pts = chebyshev_points(quad, 10)
         assert pts.min() == pytest.approx(quad.phis[0])
         assert pts.max() == pytest.approx(quad.phis[-1])
@@ -432,20 +439,20 @@ class TestAcceleration:
     def test_accelerated_close_to_plain(self):
         p, exact = scalar_benchmark(0.5)
         params = problem_parameters(p, 100)
-        quad = quadrature_nodes(params, 100)
+        quad = quadrature_nodes(params)
         ns_plain = solve_nodes(p, quad)
-        ns_acc = solve_nodes_accelerated(p, params, quad, 30)
+        ns_acc = solve_nodes_accelerated(p, quad, 30)
         t = 0.6
         assert evaluate(ns_acc, t) == pytest.approx(evaluate(ns_plain, t), rel=1e-5)
 
     def test_deviation_decreases_with_n(self):
         p, _ = scalar_benchmark(0.5)
         params = problem_parameters(p, 100)
-        quad = quadrature_nodes(params, 100)
+        quad = quadrature_nodes(params)
         u_plain = evaluate(solve_nodes(p, quad), 0.6)
         devs = []
         for n in (6, 12, 18):
-            u_acc = evaluate(solve_nodes_accelerated(p, params, quad, n), 0.6)
+            u_acc = evaluate(solve_nodes_accelerated(p, quad, n), 0.6)
             devs.append(abs(u_acc - u_plain) / abs(u_plain))
         assert devs[2] < devs[0]
 
@@ -463,6 +470,6 @@ class TestAcceleration:
         bp = build_problem(example, 0.5, M)
         dev10, _, _, _ = accel_compare(bp, 100, 10, 0.6)
         dev20, _, _, _ = accel_compare(bp, 100, 20, 0.6)
-        params = bp.run(100).params
+        params = bp.run(100).quad.params
         predicted = predicted_interp_decay(100, params.tau_star, params.alpha)
         assert (dev10 / dev20) ** (1.0 / 10.0) >= predicted

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from cimfem.bench import (
-    ContourDefaults,
     ContourRun,
     ErrorReport,
     ExperimentSpec,
@@ -17,6 +16,7 @@ from cimfem.bench import (
 )
 import cimfem.cli
 from cimfem.cli import main
+from cimfem.contour import ContourConfig
 from cimfem.fem import mass_norm
 
 
@@ -99,6 +99,25 @@ def test_spec_error_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("sweep-time", ["--alpha", "2.0"], "alpha must lie in (0, pi/2)"),
+        ("sweep-time", ["--alpha", "1.5", "--delta-prime", "0.1"], "need alpha + delta_prime < pi/2"),
+        ("sweep-time", ["--t0", "nan"], "need finite t0 > 0"),
+        ("sweep-space", ["--Lambda", "0.5"], "lambda_ratio >= 1"),
+        ("solve", ["--times", "nan"], "evaluation times must be finite and > 0"),
+        ("sweep-time", ["--times", "0.6,0"], "evaluation times must be finite and > 0"),
+    ],
+    ids=["alpha", "alpha-plus-delta-prime", "t0-nan", "Lambda", "times-nan", "times-zero"],
+)
+def test_bad_contour_or_time_exits_2_before_any_row(capsys, command, flags, message):
+    argv = [command, "--example", "ex3_1d_case1", "--N", "10", "--M", "8", *flags]
+    err = _error_exit(capsys, argv)
+    assert err.count("cimfem: error:") == 1 and len(err.splitlines()) == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "argv, name",
     [
         (["accel-compare", "--example", "ex3_1d_case1", "--N", ""], "n_list"),
@@ -149,11 +168,13 @@ def test_ml_eval_malformed(capsys):
         (["0.5", "1", "1", "x", "-1"], "could not convert"),
         (["0", "1", "1", "-1", "-1"], "need alpha_p, beta_p, gamma > 0"),
         (["0.5", "1", "1", "-400", "-400"], "overflow double precision"),
-        (["0.5", "1", "1", "-1", "-1", "-2"], "need t > 0"),
-        (["0.5", "1", "1", "-1", "-1", "0"], "need t > 0"),
-        (["0.5", "1", "1", "-30", "-30", "nan"], "need t > 0"),
+        (["0.5", "1", "1", "-1", "-1", "-2"], "need finite t > 0"),
+        (["0.5", "1", "1", "-1", "-1", "0"], "need finite t > 0"),
+        (["0.5", "1", "1", "-30", "-30", "nan"], "need finite t > 0"),
+        (["0.5", "1", "1", "-30", "-30", "inf"], "need finite t > 0"),
     ],
-    ids=["not-a-number", "zero-order", "series-overflow", "negative-time", "zero-time", "nan-time"],
+    ids=["not-a-number", "zero-order", "series-overflow", "negative-time", "zero-time", "nan-time",
+         "inf-time"],
 )
 def test_ml_eval_bad_query_exits_2(capsys, query, message):
     assert message in _error_exit(capsys, ["ml-eval", *query])
@@ -280,7 +301,7 @@ SHIPPED_CONFIGS = {
         n_interp=(4, 6, 8, 10, 12, 14, 16, 18, 20), eval_times=(0.6,)),
     "scalar_decay.cfg": ExperimentSpec(
         "solve", "ex1_scalar", betas=(0.25, 0.5, 0.75), n_list=tuple(range(10, 121, 10)),
-        eval_times=(0.6,), contour=ContourDefaults(lambda_ratio=10.0)),
+        eval_times=(0.6,), contour=ContourConfig(lambda_ratio=10.0)),
     "ex4_spatial_tables.cfg": ExperimentSpec(
         "sweep-space", "ex4_2d_case3", betas=(0.25, 0.5, 0.75), n_list=(60,),
         m_list=(16, 32, 64), eval_times=(0.6,), reference="numeric", output_path=None),

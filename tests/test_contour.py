@@ -26,7 +26,7 @@ from cimfem.contour import (
 )
 
 
-def epsilon_n(rho: float, cfg: ContourConfig) -> tuple[float, float]:
+def epsilon_n(rho: float, cfg: ContourConfig, N: int) -> tuple[float, float]:
     """Scalar ``(a(rho), eps_N(rho))`` for one split parameter: the oracle of ``optimize_rho``.
 
     ``a(rho)`` is the truncation half-length of the phi-interval and
@@ -40,7 +40,7 @@ def epsilon_n(rho: float, cfg: ContourConfig) -> tuple[float, float]:
     if arg <= 1.0:
         raise ContourError(f"acosh argument {arg} <= 1: rho = {rho} infeasible")
     a_rho = math.acosh(arg)
-    return a_rho, math.exp(-2.0 * math.pi * d_tilde * cfg.N / a_rho)
+    return a_rho, math.exp(-2.0 * math.pi * d_tilde * N / a_rho)
 
 
 def objective(rho: float, eps_n_val: float, eps_round: float) -> float:
@@ -53,7 +53,7 @@ def objective(rho: float, eps_n_val: float, eps_round: float) -> float:
 def trapezoid_invert(quad, fhat, t):
     """(tau/pi) Im sum exp(z t) fhat(z) z' for a scalar transform."""
     vals = np.exp(quad.nodes * t) * fhat(quad.nodes) * quad.derivs
-    return quad.tau / math.pi * float(np.imag(np.sum(vals)))
+    return quad.params.tau_star / math.pi * float(np.imag(np.sum(vals)))
 
 
 class TestConfigValidation:
@@ -69,10 +69,20 @@ class TestConfigValidation:
             {"delta_prime": -0.1},
             {"t0": 0.0},
             {"lambda_ratio": 0.5},
-            {"N": 0},
             {"d_margin": 0.0},
             {"d_margin": 1.0},
             {"grid_size": 1},
+            {"alpha": math.nan},
+            {"delta_prime": math.nan},
+            {"t0": math.nan},
+            {"lambda_ratio": math.nan},
+            {"d_margin": math.nan},
+            {"t0": math.inf},
+            {"lambda_ratio": math.inf},
+            {"delta_prime": math.inf},
+            {"t0": -math.inf},
+            {"alpha": 1.5, "delta_prime": 0.1},
+            {"alpha": 1.0, "delta_prime": math.pi / 2 - 1.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -92,33 +102,32 @@ class TestStripAndEpsilon:
         assert strip_half_width(cfg) == pytest.approx(math.pi / 2 - 1.0 - 0.1023)
 
     def test_epsilon_n_closed_form(self):
-        cfg = ContourConfig(N=100)
+        cfg, N = ContourConfig(), 100
         d = strip_half_width(cfg)
         rho = 0.4
         a = math.acosh(
             cfg.lambda_ratio / ((1 - rho) * math.sin(cfg.alpha - d))
         )
-        a_out, eps = epsilon_n(rho, cfg)
+        a_out, eps = epsilon_n(rho, cfg, N)
         assert a_out == pytest.approx(a, rel=1e-14)
-        assert eps == pytest.approx(math.exp(-2 * math.pi * d * cfg.N / a), rel=1e-14)
+        assert eps == pytest.approx(math.exp(-2 * math.pi * d * N / a), rel=1e-14)
 
     def test_epsilon_n_in_unit_interval(self):
-        cfg = ContourConfig(N=40)
         for rho in (0.01, 0.5, 0.99):
-            _, eps = epsilon_n(rho, cfg)
+            _, eps = epsilon_n(rho, ContourConfig(), 40)
             assert 0.0 < eps < 1.0
 
 
 class TestOptimizeRho:
     def test_matches_direct_grid_argmin(self):
-        cfg = ContourConfig()
-        params = optimize_rho(cfg)
+        cfg, N = ContourConfig(), 100
+        params = optimize_rho(cfg, N)
         # independent re-evaluation of the objective on the same grid
         best = (np.inf, None)
         for j in range(cfg.grid_size):
             rho = j / cfg.grid_size
             try:
-                _, eps = epsilon_n(rho, cfg)
+                _, eps = epsilon_n(rho, cfg, N)
                 val = objective(rho, eps, EPS_ROUND)
             except ContourError:
                 continue
@@ -128,12 +137,12 @@ class TestOptimizeRho:
         assert params.predicted_error == pytest.approx(best[0], rel=1e-12)
 
     def test_derived_quantities_consistent(self):
-        cfg = ContourConfig(N=60)
-        p = optimize_rho(cfg)
-        assert p.tau_star == pytest.approx(p.a_rho / cfg.N, rel=1e-14)
+        cfg, N = ContourConfig(), 60
+        p = optimize_rho(cfg, N)
+        assert p.tau_star == pytest.approx(p.a_rho / N, rel=1e-14)
         d = strip_half_width(cfg)
         mu = (
-            2 * math.pi * d * cfg.N * (1 - p.rho_star)
+            2 * math.pi * d * N * (1 - p.rho_star)
             / (cfg.t0 * cfg.lambda_ratio * p.a_rho)
         )
         assert p.mu_star == pytest.approx(mu, rel=1e-14)
@@ -144,7 +153,7 @@ class TestOptimizeRho:
         lam=st.floats(min_value=2.0, max_value=50.0),
     )
     def test_parameters_positive(self, n, t0, lam):
-        p = optimize_rho(ContourConfig(N=n, t0=t0, lambda_ratio=lam))
+        p = optimize_rho(ContourConfig(t0=t0, lambda_ratio=lam), n)
         assert 0.0 < p.rho_star < 1.0
         assert p.tau_star > 0.0
         assert p.mu_star > 0.0
@@ -153,22 +162,30 @@ class TestOptimizeRho:
 
 class TestQuadratureNodes:
     def test_nodes_on_hyperbola(self):
-        p = standard_parameters(40, 0.1, 10.0)
-        quad = quadrature_nodes(p, 40)
+        p = standard_parameters(ContourConfig(), 40)
+        quad = quadrature_nodes(p)
         x, y = quad.nodes.real, quad.nodes.imag
-        lhs = ((quad.mu - x) / (quad.mu * math.sin(quad.alpha))) ** 2 - (
-            y / (quad.mu * math.cos(quad.alpha))
+        lhs = ((p.mu_star - x) / (p.mu_star * math.sin(p.alpha))) ** 2 - (
+            y / (p.mu_star * math.cos(p.alpha))
         ) ** 2
         assert np.allclose(lhs, 1.0, rtol=1e-12)
 
     def test_midpoint_phis(self):
-        p = standard_parameters(10, 0.1, 10.0)
-        quad = quadrature_nodes(p, 10)
-        assert np.allclose(quad.phis, (np.arange(10) + 0.5) * quad.tau)
+        p = standard_parameters(ContourConfig(), 10)
+        quad = quadrature_nodes(p)
+        assert np.allclose(quad.phis, (np.arange(10) + 0.5) * p.tau_star)
+
+    @pytest.mark.parametrize("N", [1, 10, 57])
+    def test_one_node_per_optimized_n(self, N):
+        params = standard_parameters(ContourConfig(), N)
+        quad = quadrature_nodes(params)
+        assert params.N == N
+        assert len(quad.nodes) == len(quad.derivs) == len(quad.phis) == params.N
+        assert quad.params is params
 
     def test_derivs_match_finite_differences(self):
-        p = standard_parameters(20, 0.1, 10.0)
-        quad = quadrature_nodes(p, 20)
+        p = standard_parameters(ContourConfig(), 20)
+        quad = quadrature_nodes(p)
         h = 1e-7
         for k in (0, 7, 19):
             phi = quad.phis[k]
@@ -178,8 +195,8 @@ class TestQuadratureNodes:
             assert abs(fd - quad.derivs[k]) < 1e-5 * (1 + abs(quad.derivs[k]))
 
     def test_vectorized_contour_point_matches_scalar_calls_and_nodes(self):
-        p = standard_parameters(30, 0.1, 10.0)
-        quad = quadrature_nodes(p, 30)
+        p = standard_parameters(ContourConfig(), 30)
+        quad = quadrature_nodes(p)
         z, dz = contour_point(p, quad.phis)
         for k, phi in enumerate(quad.phis):
             zs, dzs = contour_point(p, float(phi))
@@ -189,9 +206,10 @@ class TestQuadratureNodes:
         assert np.max(np.abs(dz - quad.derivs)) <= 1e-15 * np.max(np.abs(quad.derivs))
 
     def test_invalid_n_rejected(self):
-        p = standard_parameters(10, 0.1, 10.0)
-        with pytest.raises(ContourError):
-            quadrature_nodes(p, 0)
+        with pytest.raises(ContourError, match="need N >= 1"):
+            optimize_rho(ContourConfig(), 0)
+        with pytest.raises(ContourError, match="need N >= 1"):
+            standard_parameters(ContourConfig(), 0)
 
 
 class TestInverseLaplaceOracles:
@@ -199,21 +217,21 @@ class TestInverseLaplaceOracles:
 
     @pytest.mark.parametrize("t", [0.1, 0.4, 1.0])
     def test_constant(self, t):
-        p = standard_parameters(60, 0.1, 10.0)
-        quad = quadrature_nodes(p, 60)
+        p = standard_parameters(ContourConfig(), 60)
+        quad = quadrature_nodes(p)
         val = trapezoid_invert(quad, lambda z: 1.0 / z, t)
         assert abs(val - 1.0) < 1e-10
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
     def test_linear_growth(self, t):
-        p = standard_parameters(60, 0.1, 10.0)
-        quad = quadrature_nodes(p, 60)
+        p = standard_parameters(ContourConfig(), 60)
+        quad = quadrature_nodes(p)
         val = trapezoid_invert(quad, lambda z: z ** -2.0, t)
         assert abs(val - t) < 1e-10
 
     def test_decaying_exponential(self):
-        p = standard_parameters(80, 0.1, 10.0)
-        quad = quadrature_nodes(p, 80)
+        p = standard_parameters(ContourConfig(), 80)
+        quad = quadrature_nodes(p)
         for t in (0.2, 0.9):
             val = trapezoid_invert(quad, lambda z: 1.0 / (z + 1.0), t)
             assert abs(val - math.exp(-t)) < 1e-10
@@ -221,18 +239,18 @@ class TestInverseLaplaceOracles:
     def test_spectral_decay_in_n(self):
         errs = []
         for n in (10, 20, 40):
-            p = standard_parameters(n, 0.1, 10.0)
-            quad = quadrature_nodes(p, n)
+            p = standard_parameters(ContourConfig(), n)
+            quad = quadrature_nodes(p)
             errs.append(abs(trapezoid_invert(quad, lambda z: 1.0 / z, 0.5) - 1.0))
         assert errs[1] < 0.2 * errs[0] or errs[1] < 1e-12
         assert errs[2] < 0.2 * errs[1] or errs[2] < 1e-12
 
 
 def test_standard_parameters_widened_strip_margin():
-    # solver-facing default keeps a wider safety margin than the
-    # analysis-facing ContourConfig default
-    wide = standard_parameters(40, 0.1, 10.0)
-    tight = optimize_rho(ContourConfig(N=40, t0=0.1, lambda_ratio=10.0, d_margin=1e-3))
+    # the default strip margin keeps a wider safety gap to alpha than a
+    # near-zero margin, which is optimal only asymptotically
+    wide = standard_parameters(ContourConfig(), 40)
+    tight = optimize_rho(ContourConfig(d_margin=1e-3), 40)
     assert wide.d_tilde < tight.d_tilde
 
 
@@ -243,7 +261,7 @@ def test_optimize_rho_large_n_is_free_of_float_warnings(N):
     standard_parameters.cache_clear()  # optimize here, under the filter
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        p = standard_parameters(N, 0.1, 10.0)
+        p = standard_parameters(ContourConfig(), N)
     assert 0.0 < p.eps_n < 1.0
     assert math.isfinite(p.predicted_error)
 
@@ -252,4 +270,4 @@ def test_optimize_rho_without_finite_split_raises():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ContourError, match="no feasible rho"):
-            standard_parameters(5000, 0.1, 10.0)
+            standard_parameters(ContourConfig(), 5000)

@@ -125,11 +125,16 @@ class TestDispatch:
         with pytest.raises(MLError):
             ml_biv(MLQuery(0.25, 1.0, 1.0, -3.0, -15.0), None)
 
-    @pytest.mark.parametrize("t", [0.0, -2.0, math.nan])
+    @pytest.mark.parametrize("t", [0.0, -2.0, math.nan, math.inf])
     @pytest.mark.parametrize("z", [-1.0, -30.0], ids=["series", "contour"])
     def test_time_must_be_positive_on_both_routes(self, z, t):
-        with pytest.raises(ValueError, match="need t > 0"):
+        with pytest.raises(ValueError, match="need finite t > 0"):
             ml_biv(MLQuery(0.5, 1.0, 1.0, z, 2.0 * z), t)
+
+    @pytest.mark.parametrize("t", [0.0, -2.0, math.nan, math.inf])
+    def test_contour_route_rejects_a_time_that_is_not_finite_and_positive(self, t):
+        with pytest.raises(ValueError, match="need finite t > 0"):
+            ml_biv_contour(MLQuery(0.5, 1.0, 1.0, -30.0, -60.0), t)
 
     def test_decay_bound_sweep(self):
         # |E(w1 t^a, w2 t^b)| * (1 + |w2 t^b|) stays O(1) for all t
