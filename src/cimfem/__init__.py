@@ -40,7 +40,7 @@ from .fem import (
     prolong_1d,
     prolong_2d,
 )
-from .linalg import ComplexTridiag, LinAlgError, sparse_solve, thomas_solve
+from .linalg import LinAlgError, sparse_solve, thomas_solve
 from .cim import (
     CIMError,
     NodeSolutionSet,

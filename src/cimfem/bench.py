@@ -39,6 +39,7 @@ from .contour import ContourConfig, quadrature_nodes
 # because perfbench/tracing.py wraps cross-layer calls by module attribute
 # name and expects ``cimfem.bench.assemble``.
 from .fem import (
+    FEMError,
     InitialData1D,
     InitialData2D,
     Mesh1D,
@@ -49,7 +50,7 @@ from .fem import (
     prolong_1d,
     prolong_2d,
 )
-from .symbols import FractionalSymbol, SourceTransform, pole_term, power_term
+from .symbols import FractionalSymbol, SourceTransform, SymbolError, pole_term, power_term
 
 
 class BenchError(ValueError):
@@ -99,6 +100,18 @@ class ExperimentSpec:
         for t in self.eval_times:
             if not 0.0 < t < inf:  # a NaN time fails too
                 raise BenchError(f"evaluation times must be finite and > 0, got {t}")
+        for name in ("n_list", "n_interp"):
+            if min(getattr(self, name)) < 1:
+                raise BenchError(f"{name} must hold counts >= 1, got {getattr(self, name)}")
+        # the symbol and the mesh check their own parameters
+        try:
+            for beta in self.betas:
+                FractionalSymbol(self.K, beta)
+            if self.example_id != "ex1_scalar":
+                for M in self.m_list:
+                    Mesh1D(M)
+        except (SymbolError, FEMError) as exc:
+            raise BenchError(str(exc)) from exc
         # only sweep-time solves the N_REF reference
         time_ref = self.mode == "sweep-time" and self.reference == "numeric"
         if time_ref and N_REF <= max(self.n_list):

@@ -46,11 +46,10 @@ from .fem import (
     Mesh2D,
     assemble,
     load_vector,
-    modes_2d,
     stencil_1d,
     stencil_2d,
 )
-from .linalg import ComplexTridiag, combine, modal_solve, modal_solve_2d, sparse_solve, thomas_solve
+from .linalg import combine, modal_solve, modal_solve_2d, sparse_solve, thomas_solve
 from .symbols import FractionalSymbol, SourceTransform
 
 
@@ -188,26 +187,24 @@ def _solve_at(p: Problem, disc: Discretization | None, z: np.ndarray) -> np.ndar
     ``z``; each row's right-hand side combines the same few load vectors.
     1-D and 2-D problems take one modal solve over all points, and only
     the rows that fail its backward-error test (or, in 2-D, its iteration
-    cap) are solved again, by ``thomas_solve`` and ``_node_solve``.  The
-    2-D sparse matrices are assembled only when a row is left, once per
-    call.
+    cap) are solved again: in 1-D by ``thomas_solve`` on the row's
+    Toeplitz weights, in 2-D by ``_node_solve``, for which the sparse
+    matrices are assembled once per call.
     """
     eta = p.sym.eta(z)
     loads = [(p.sym.history_weight(z), p.u0 if p.scalar else disc.b_u0)]
     for name, mult in p.source.evaluate(z).items():
         loads.append((mult, complex(p.spatial_factors.get(name, 1.0)) if p.scalar else disc.b_factors[name]))
     if isinstance(p.domain, Mesh1D):
-        mass, stiff = stencil_1d(p.domain)
-        u, ok = modal_solve(eta, mass, stiff, loads)
-        n = u.shape[1]
+        stencil = stencil_1d(p.domain)
+        u, ok = modal_solve(eta, stencil, loads)
         for k in np.flatnonzero(~ok):
-            diag, off = (eta[k] * m + s for m, s in zip(mass, stiff))
-            tri = ComplexTridiag(np.full(n - 1, off), np.full(n, diag), np.full(n - 1, off))
-            u[k] = thomas_solve(tri, combine(loads, k))
+            diag, off = (eta[k] * w_m + w_s for w_m, w_s in zip(*stencil))
+            u[k] = thomas_solve(off, diag, off, combine(loads, k))
         return u
     if p.scalar:
         return combine(loads) / (eta + p.domain.a)
-    u, ok = modal_solve_2d(eta, modes_2d(p.domain), stencil_2d(p.domain), loads)
+    u, ok = modal_solve_2d(eta, stencil_2d(p.domain), loads)
     left = np.flatnonzero(~ok)
     if len(left):
         ops = assemble(p.domain)

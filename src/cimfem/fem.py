@@ -171,28 +171,24 @@ class Mesh2D:
 
 @dataclass(frozen=True)
 class AssembledOperators:
-    """Interior mass and stiffness matrices of a mesh.
+    """Interior mass and stiffness matrices of a 2-D mesh.
 
-    In 2-D both are CSC matrices on one shared sparsity pattern, so a
-    shifted matrix ``eta M + S`` is formed from their ``data`` arrays.
-    Solvers apply the operators from ``stencil_1d`` and ``stencil_2d``;
-    only a sparse direct fallback needs them assembled.
+    Both are CSC matrices on one shared sparsity pattern, so a shifted
+    matrix ``eta M + S`` is formed from their ``data`` arrays.  Solvers
+    apply the operators from ``stencil_1d`` and ``stencil_2d``; only the
+    sparse direct fallback needs them assembled.
     """
 
     mass: sp.spmatrix
     stiffness: sp.spmatrix
 
 
-def assemble(mesh: Mesh1D | Mesh2D) -> AssembledOperators:
-    if isinstance(mesh, Mesh1D):
-        return _assemble_1d(mesh)
-    return _assemble_2d(mesh)
-
-
 def stencil_1d(mesh: Mesh1D) -> tuple[tuple[float, float], tuple[float, float]]:
     """(diagonal, off-diagonal) of the mass and of the stiffness matrix.
 
     On the uniform mesh both matrices are symmetric tridiagonal Toeplitz.
+    This and ``stencil_2d`` are the only statement of the operators: the
+    solvers derive their modes and fallbacks from these weights.
     """
     h = mesh.h
     return (4.0 * h / 6.0, h / 6.0), (2.0 / h, -1.0 / h)
@@ -244,16 +240,7 @@ def apply_stencil_2d(x: np.ndarray, centre, axial, diagonal) -> np.ndarray:
     return out
 
 
-def _assemble_1d(mesh: Mesh1D) -> AssembledOperators:
-    n = mesh.ndof
-    mass, stiff = (
-        sp.diags([np.full(n - 1, off), np.full(n, diag), np.full(n - 1, off)], [-1, 0, 1], format="csr")
-        for diag, off in stencil_1d(mesh)
-    )
-    return AssembledOperators(mass=mass, stiffness=stiff)
-
-
-def _assemble_2d(mesh: Mesh2D) -> AssembledOperators:
+def assemble(mesh: Mesh2D) -> AssembledOperators:
     """The stencils of ``stencil_2d`` as CSC matrices on one shared pattern, x index fastest.
 
     With ``E`` the superdiagonal shift, the E/W/N/S couplings are
@@ -275,22 +262,6 @@ def _assemble_2d(mesh: Mesh2D) -> AssembledOperators:
         mass=sp.csc_matrix((both.data.imag.copy(), *pattern), shape=both.shape),
         stiffness=sp.csc_matrix((both.data.real.copy(), *pattern), shape=both.shape),
     )
-
-
-def modes_2d(mesh: Mesh2D) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigenvalues of ``M_sep`` and ``S`` on the 2-D DST-I basis, and the weight of ``kron(D, D)``.
-
-    With ``C = E + E^T`` and ``D = E - E^T``, ``kron(E, E) + kron(E^T, E^T)
-    = (kron(C, C) + kron(D, D)) / 2``, so ``M = M_sep + h^2/24 kron(D, D)``
-    where ``M_sep = h^2/12 (6 I + kron(I, C) + kron(C, I) + kron(C, C) / 2)``.
-    ``C`` has the DST-I eigenvalues ``c_j = 2 cos(j pi / M)``, so entry
-    ``[j, l]`` (y mode j, x mode l) of the two (n, n) arrays is
-    ``h^2/12 (6 + c_j + c_l + c_j c_l / 2)`` and ``4 - c_j - c_l``.
-    """
-    h = mesh.h
-    c = 2.0 * np.cos(np.arange(1, mesh.M) * np.pi / mesh.M)
-    cy, cx = c[:, None], c[None, :]
-    return h * h / 12.0 * (6.0 + cy + cx + cy * cx / 2.0), 4.0 - cy - cx, h * h / 24.0
 
 
 # ---------------------------------------------------------------------------

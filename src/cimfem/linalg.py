@@ -1,27 +1,27 @@
 """Complex linear solvers for the per-node systems.
 
 The contour method needs one solve of ``(eta(z_k) M + S) u = rhs`` per
-quadrature node.  In 1-D, ``M`` and ``S`` are symmetric tridiagonal
-Toeplitz matrices that the DST-I diagonalizes, so ``modal_solve`` treats
-all nodes at once (fast diagonalization): a DST-I of each load vector
-that the right-hand sides combine, one elementwise division by
-``eta_k m_j + s_j`` and a DST-I back.  It checks the backward error of
-every row and reports the rows that fail, for ``thomas_solve`` (pivoted
-LAPACK banded LU) to solve again.  In 2-D the two-dimensional DST-I
-diagonalizes ``S`` and all of ``M`` but a small Kronecker term, so
-``modal_solve_2d`` runs COCG in modal coordinates on all nodes at once,
-preconditioned by the diagonal part; the rows that fail its
-backward-error test, or do not converge within ``COCG_MAX_ITER``
-iterations, are solved again by ``sparse_solve`` (SuperLU with
-pivoting).  Every solve verifies a residual bound; the modal solves
-take their residuals from the closed-form stencils of ``fem``, so only
-the sparse fallback needs assembled matrices.
+quadrature node.  ``M`` and ``S`` reach the solvers only as the stencils
+of ``fem.stencil_1d`` and ``fem.stencil_2d``; every modal quantity is
+derived from the stencil weights (fast diagonalization, Lynch, Rice &
+Thomas 1964).  In 1-D both operators are symmetric tridiagonal Toeplitz
+matrices that the DST-I diagonalizes, so ``modal_solve`` treats all
+nodes at once: a DST-I of each load vector that the right-hand sides
+combine, one elementwise division by ``eta_k m_j + s_j`` and a DST-I
+back.  In 2-D the two-dimensional DST-I diagonalizes each operator but a
+small Kronecker term, so ``modal_solve_2d`` runs COCG in modal
+coordinates on all nodes at once, preconditioned by the diagonal part.
+Rows that fail the backward-error test, or in 2-D do not converge within
+``COCG_MAX_ITER`` iterations, are solved again by ``thomas_solve``
+(pivoted LAPACK banded LU) or ``sparse_solve`` (SuperLU with pivoting).
+Every solve verifies its residual by one predicate, ``_backward_ok``;
+the modal solves take their residuals from the stencils, so only the
+sparse fallback needs assembled matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import sqrt
+from math import isqrt, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -36,65 +36,53 @@ class LinAlgError(ArithmeticError):
     """Raised when a solve fails or leaves a large residual."""
 
 
-@dataclass(frozen=True)
-class ComplexTridiag:
-    """Tridiagonal matrix stored as its three diagonals."""
-
-    lower: np.ndarray  # length n-1
-    diag: np.ndarray  # length n
-    upper: np.ndarray  # length n-1
-
-    def __post_init__(self) -> None:
-        n = len(self.diag)
-        if len(self.lower) != n - 1 or len(self.upper) != n - 1:
-            raise LinAlgError("inconsistent diagonal lengths")
-
-    @property
-    def n(self) -> int:
-        return len(self.diag)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        y[:-1] += self.upper * x[1:]
-        y[1:] += self.lower * x[:-1]
-        return y
-
-
 # relative backward-error bounds of every tridiagonal solve (modal or
 # banded) and of every sparse solve
 TRIDIAG_RESIDUAL_TOL = 1e-12
 SPARSE_RESIDUAL_TOL = 1e-13
 
 
-def thomas_solve(t: ComplexTridiag, rhs: np.ndarray) -> np.ndarray:
-    """Tridiagonal solve by pivoted LAPACK banded LU, with residual verification.
+def _backward_ok(res: np.ndarray, rhs: np.ndarray, norm_a, u: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each row passes ``|res| <= tol (|rhs| + ||A|| |u|)`` in the infinity norm.
 
-    Raises if the factorization fails or the relative residual in the
-    infinity norm exceeds ``TRIDIAG_RESIDUAL_TOL``.
+    Norms run over the last axis of the residual ``res``, the right-hand
+    side ``rhs`` and the solution ``u``; ``norm_a`` is ``||A||`` of each
+    row's matrix.  A non-finite residual fails.
     """
-    n = t.n
+    res_max = np.max(np.abs(res), axis=-1)
+    bound = tol * (np.max(np.abs(rhs), axis=-1) + norm_a * np.max(np.abs(u), axis=-1))
+    return np.isfinite(res_max) & (res_max <= bound)
+
+
+def thomas_solve(lower, diag, upper, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``tridiag(lower, diag, upper) x = rhs`` by pivoted LAPACK banded LU, with residual verification.
+
+    Each diagonal is an array of length n - 1, n and n - 1 for n =
+    ``len(rhs)``, or a scalar that fills it (a Toeplitz diagonal).
+    Raises if the lengths are inconsistent, the factorization fails or
+    the solution fails ``_backward_ok`` with ``TRIDIAG_RESIDUAL_TOL``.
+    """
     rhs = np.asarray(rhs, dtype=complex)
-    if len(rhs) != n:
-        raise LinAlgError(f"rhs length {len(rhs)} != {n}")
-    rhs_scale = np.max(np.abs(rhs))
-    if rhs_scale == 0.0:
+    n = len(rhs)
+    for d, size in ((lower, n - 1), (diag, n), (upper, n - 1)):
+        if np.ndim(d) and np.shape(d) != (size,):
+            raise LinAlgError(f"diagonal of length {len(d)} != {size} for rhs length {n}")
+    if not rhs.any():
         return np.zeros(n, dtype=complex)
 
-    norm_t = np.max(np.abs(t.diag))
-    if n > 1:
-        norm_t += np.max(np.abs(t.lower)) + np.max(np.abs(t.upper))
-
     ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = t.upper
-    ab[1, :] = t.diag
-    ab[2, :-1] = t.lower
+    ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
     try:
         x = solve_banded((1, 1), ab, rhs)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise LinAlgError(f"banded solve failed: {exc}") from exc
-    res = np.max(np.abs(t.matvec(x) - rhs))
-    if not np.isfinite(res) or res > TRIDIAG_RESIDUAL_TOL * (rhs_scale + norm_t * np.max(np.abs(x))):
-        raise LinAlgError(f"tridiagonal solve residual {res:.3e} exceeds tolerance")
+    res = diag * x
+    res[:-1] += upper * x[1:]
+    res[1:] += lower * x[:-1]
+    res -= rhs
+    norm_t = np.max(np.abs(diag)) + (np.max(np.abs(lower)) + np.max(np.abs(upper)) if n > 1 else 0.0)
+    if not _backward_ok(res, rhs, norm_t, x, TRIDIAG_RESIDUAL_TOL):
+        raise LinAlgError(f"tridiagonal solve residual {np.max(np.abs(res)):.3e} exceeds tolerance")
     return x
 
 
@@ -136,25 +124,22 @@ MODAL_BLOCK = 4096
 
 def modal_solve(
     eta: np.ndarray,
-    mass: tuple[float, float],
-    stiff: tuple[float, float],
+    stencil: tuple[tuple[float, float], tuple[float, float]],
     loads: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``u_k`` of ``(eta_k M + S) u_k = rhs_k`` by fast diagonalization.
 
-    ``M`` and ``S`` are the symmetric tridiagonal Toeplitz matrices given
-    by their (diagonal, off-diagonal) pairs, and the right-hand sides are
-    ``rhs_k = sum_m c_m[k] b_m`` over the (coefficients ``c_m``, vector
-    ``b_m``) pairs of ``loads``, so each ``b_m`` is transformed once.
-    Returns the solutions and a mask of the rows that pass the
-    backward-error test of ``thomas_solve``: the residual, in the
-    infinity norm, at most ``TRIDIAG_RESIDUAL_TOL`` times
-    ``|rhs_k| + ||A_k|| |u_k|``.  Rows outside the mask must be solved
-    again.
+    ``stencil`` gives the (diagonal, off-diagonal) weights of ``M`` and
+    of ``S`` (from ``fem.stencil_1d``), whose DST-I eigenvalues ``m_j``
+    and ``s_j`` are those of ``toeplitz_eigenvalues``.  The right-hand
+    sides are ``rhs_k = sum_m c_m[k] b_m`` over the (coefficients
+    ``c_m``, vector ``b_m``) pairs of ``loads``, so each ``b_m`` is
+    transformed once.  Returns the solutions and a mask of the rows that
+    pass ``_backward_ok`` with ``TRIDIAG_RESIDUAL_TOL``, as
+    ``thomas_solve`` does; rows outside the mask must be solved again.
     """
     n = len(loads[0][1])
-    (m_diag, m_off), (s_diag, s_off) = mass, stiff
-    m, s = toeplitz_eigenvalues(m_diag, m_off, n), toeplitz_eigenvalues(s_diag, s_off, n)
+    m, s = (toeplitz_eigenvalues(diag, off, n) for diag, off in stencil)
     modal_loads = [(c, dst1(b)) for c, b in loads]
     x = np.empty((len(eta), n), dtype=complex)
     ok = np.empty(len(eta), dtype=bool)
@@ -165,13 +150,11 @@ def modal_solve(
         r, r_hat = combine(loads, block), combine(modal_loads, block)
         r_hat /= e * m + s
         u = dst1(r_hat)
-        diag, off = e * m_diag + s_diag, e * m_off + s_off
+        diag, off = (e * w_m + w_s for w_m, w_s in zip(*stencil))
         res = apply_stencil_1d(u, diag, off)
         res -= r
         norm_a = np.abs(diag[:, 0]) + (2.0 * np.abs(off[:, 0]) if n > 1 else 0.0)
-        res_max = np.max(np.abs(res), axis=1)
-        bound = TRIDIAG_RESIDUAL_TOL * (np.max(np.abs(r), axis=1) + norm_a * np.max(np.abs(u), axis=1))
-        ok[block] = np.isfinite(res_max) & (res_max <= bound)
+        ok[block] = _backward_ok(res, r, norm_a, u, TRIDIAG_RESIDUAL_TOL)
         x[block] = u
     return x, ok
 
@@ -261,32 +244,47 @@ def _stencil_norm_2d(weights: Sequence[np.ndarray], n: int) -> np.ndarray:
     return centre + 2 * k * axial + k * diagonal
 
 
+def _modes_2d(stencil: Sequence[tuple[float, float, float]], n: int) -> list[tuple[np.ndarray, float]]:
+    """(DST-diagonal part, ``kron(D, D)`` weight) of each (c, a, d) stencil on the n x n grid.
+
+    The (n, n) part is ``c + a (c_j + c_l) + d c_j c_l / 2`` and the
+    weight ``d / 2``, as derived in ``modal_solve_2d``.
+    """
+    cy = toeplitz_eigenvalues(0.0, 1.0, n)[:, None]
+    cx = cy.T
+    return [(c + a * (cy + cx) + d * cy * cx / 2.0, d / 2.0) for c, a, d in stencil]
+
+
 def modal_solve_2d(
     eta: np.ndarray,
-    modes: tuple[np.ndarray, np.ndarray, float],
     stencil: tuple[tuple[float, float, float], tuple[float, float, float]],
     loads: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``u_k`` of ``(eta_k M + S) u_k = rhs_k`` on the 2-D grid, by COCG in DST-I coordinates.
 
-    ``modes = (m, s, g)`` (from ``fem.modes_2d``) gives the (n, n)
-    eigenvalues of ``M_sep`` and ``S`` on the 2-D DST-I basis and the
-    weight of ``M = M_sep + g kron(D, D)``, ``D = E - E^T``; ``stencil``
-    gives the (centre, E/W/N/S, NE/SW) weights of ``M`` and of ``S``
-    (from ``fem.stencil_2d``).  In modal coordinates row ``k`` is
-    ``(eta_k m + s) X + eta_k g D_hat X D_hat^T = B_k`` with the real
-    ``D_hat = Q D Q``, which ``_cocg`` solves with the preconditioner
-    ``eta_k m + s``.  The right-hand sides are ``rhs_k = sum_m c_m[k]
-    b_m`` over ``loads`` as in ``modal_solve``, so each ``b_m`` is
-    transformed once, and blocks of ``MODAL_BLOCK`` entries are
-    transformed back once.  Returns the solutions and a mask of the rows
-    that converged and pass the backward-error test of ``sparse_solve``,
-    with the residual taken from the stencil: the residual, in the
-    infinity norm, at most ``SPARSE_RESIDUAL_TOL`` times ``|rhs_k| +
-    ||A_k|| |u_k|``.  Rows outside the mask must be solved again.
+    ``stencil`` gives the (centre ``c``, E/W/N/S ``a``, NE/SW ``d``)
+    weights of ``M`` and of ``S`` (from ``fem.stencil_2d``) on the n x n
+    grid.  With ``E`` the superdiagonal shift, ``C = E + E^T`` and ``D =
+    E - E^T``, the NE/SW couplings are ``kron(E, E) + kron(E^T, E^T) =
+    (kron(C, C) + kron(D, D)) / 2``, so such a stencil is
+    ``c I + a (kron(I, C) + kron(C, I)) + d/2 kron(C, C) + d/2 kron(D, D)``.
+    ``C`` has the DST-I eigenvalues ``c_j = 2 cos(j pi / (n + 1))``, so
+    all but the last term is diagonal on the 2-D DST-I basis, with entry
+    ``c + a (c_j + c_l) + d c_j c_l / 2`` at ``[j, l]`` (y mode j, x
+    mode l), by ``_modes_2d``: ``m`` for ``M`` and ``s`` for ``S``.  In modal coordinates
+    row ``k`` is ``(eta_k m + s) X + g_k D_hat X D_hat^T = B_k`` with
+    ``g_k = (eta_k d_M + d_S) / 2`` and the real ``D_hat = Q D Q``, which
+    ``_cocg`` solves with the preconditioner ``eta_k m + s``.  The
+    right-hand sides are ``rhs_k = sum_m c_m[k] b_m`` over ``loads`` as
+    in ``modal_solve``, so each ``b_m`` is transformed once, and blocks
+    of ``MODAL_BLOCK`` entries are transformed back once.  Returns the
+    solutions and a mask of the rows that converged and pass
+    ``_backward_ok`` with ``SPARSE_RESIDUAL_TOL``, as ``sparse_solve``
+    does, with the residual taken from the stencil; rows outside the
+    mask must be solved again.
     """
-    m, s, g = modes
-    n = len(m)
+    n = isqrt(len(loads[0][1]))
+    (m, g_m), (s, g_s) = _modes_2d(stencil, n)
     d_mat = np.eye(n, k=1) - np.eye(n, k=-1)
     d_hat = -dst1(dst1(d_mat).T).real  # Q D Q = -dst1((D Q)^T), as Q = Q^T and D^T = -D
     modal_loads = [(c, dst2(b.reshape(n, n))) for c, b in loads]
@@ -298,16 +296,13 @@ def modal_solve_2d(
         e = eta[block]
         weights = [e[:, None, None] * w_m + w_s for w_m, w_s in zip(*stencil)]
         norm_a = _stencil_norm_2d(weights, n)[:, 0, 0]
-        u_hat, done = _cocg(e[:, None, None] * m + s, g * e, d_hat, combine(modal_loads, block), norm_a)
+        u_hat, done = _cocg(e[:, None, None] * m + s, e * g_m + g_s, d_hat, combine(modal_loads, block), norm_a)
         u = dst2(u_hat)
         r = combine(loads, block)
         res = apply_stencil_2d(u, *weights).reshape(len(e), n * n)
         res -= r
-        u = u.reshape(len(e), n * n)
-        res_max = np.max(np.abs(res), axis=1)
-        bound = SPARSE_RESIDUAL_TOL * (np.max(np.abs(r), axis=1) + norm_a * np.max(np.abs(u), axis=1))
-        ok[block] = done & np.isfinite(res_max) & (res_max <= bound)
-        x[block] = u
+        x[block] = u.reshape(len(e), n * n)
+        ok[block] = done & _backward_ok(res, r, norm_a, x[block], SPARSE_RESIDUAL_TOL)
     return x, ok
 
 
@@ -317,19 +312,18 @@ def sparse_solve(a: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
     SuperLU orders the columns by minimum degree on ``A^T + A`` and runs
     in symmetric mode (diagonal pivots preferred, partial pivoting kept),
     which suits the symmetric pattern of the shifted FEM matrices.
-    Raises if the relative residual in the infinity norm exceeds
-    ``SPARSE_RESIDUAL_TOL``.
+    Raises if the solution fails ``_backward_ok`` with
+    ``SPARSE_RESIDUAL_TOL``, ``||A||`` being the largest column sum.
     """
     rhs = np.asarray(rhs, dtype=complex)
-    rhs_scale = np.max(np.abs(rhs))
-    if rhs_scale == 0.0:
+    if not rhs.any():
         return np.zeros(len(rhs), dtype=complex)
     if not (a.format == "csc" and a.dtype == complex):
         a = a.tocsc().astype(complex)
     lu = splu(a, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
     x = lu.solve(rhs)
-    res = np.max(np.abs(a @ x - rhs))
+    res = a @ x - rhs
     norm_a = np.max(np.bincount(a.indices, weights=np.abs(a.data), minlength=a.shape[0]))
-    if not np.isfinite(res) or res > SPARSE_RESIDUAL_TOL * (rhs_scale + norm_a * np.max(np.abs(x))):
-        raise LinAlgError(f"sparse solve residual {res:.3e} exceeds tolerance")
+    if not _backward_ok(res, rhs, norm_a, x, SPARSE_RESIDUAL_TOL):
+        raise LinAlgError(f"sparse solve residual {np.max(np.abs(res)):.3e} exceeds tolerance")
     return x

@@ -17,7 +17,7 @@ handled by the spatial discretization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gamma
+from math import gamma, inf
 
 import numpy as np
 
@@ -51,8 +51,8 @@ class FractionalSymbol:
     beta: float
 
     def __post_init__(self) -> None:
-        if self.K < 0.0:
-            raise SymbolError(f"K must be nonnegative, got {self.K}")
+        if not 0.0 <= self.K < inf:  # a NaN K fails too
+            raise SymbolError(f"K must be finite and nonnegative, got {self.K}")
         if not 0.0 < self.beta < 1.0:
             raise SymbolError(f"beta must lie in (0, 1), got {self.beta}")
 

@@ -32,6 +32,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from cimfem.bench import (
     ContourRun,
@@ -43,8 +44,8 @@ from cimfem.bench import (
 )
 from cimfem.cim import discretize
 from cimfem.contour import ContourConfig, optimize_rho
-from cimfem.fem import Mesh1D, assemble, mass_norm
-from cimfem.linalg import ComplexTridiag, thomas_solve
+from cimfem.fem import Mesh1D, mass_norm
+from cimfem.linalg import thomas_solve
 from cimfem.mlf import MLError, MLQuery, SpectralProblem, ml_biv, ml_biv_contour, ml_biv_series, spectral_reference
 from cimfem.symbols import FractionalSymbol
 from cimfem.cim import Problem
@@ -310,17 +311,20 @@ def test_solver_oracle_equivalences():
         upper = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
         diag = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         diag += 4.0 * (np.abs(np.concatenate(([0], lower))) + np.abs(np.concatenate((upper, [0]))))
-        t = ComplexTridiag(lower=lower, diag=diag, upper=upper)
         rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-        x = thomas_solve(t, rhs)
+        x = thomas_solve(lower, diag, upper, rhs)
         x_ref = np.linalg.solve(dense, rhs)
         assert np.max(np.abs(x - x_ref)) <= 1e-12 * (1.0 + np.max(np.abs(x_ref)))
 
     # sparse solver backward error
+    # the 1-D P1 matrices in closed form, h/6 (1, 4, 1) and (-1, 2, -1)/h
     mesh = Mesh1D(64)
-    ops = assemble(mesh)
-    a = ((1.0 + 2.0j) * ops.mass + ops.stiffness).tocsc()
+    h, n = mesh.h, mesh.ndof
+    ones = np.ones(n - 1)
+    mass = sps.diags([ones, np.full(n, 4.0), ones], [-1, 0, 1]) * (h / 6.0)
+    stiff = sps.diags([-ones, np.full(n, 2.0), -ones], [-1, 0, 1]) / h
+    a = ((1.0 + 2.0j) * mass + stiff).tocsc()
     rhs = rng.standard_normal(mesh.ndof) + 1j * rng.standard_normal(mesh.ndof)
     from cimfem.linalg import sparse_solve
 

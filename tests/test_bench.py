@@ -271,14 +271,13 @@ class TestSharedWork:
         # matrices are assembled only when a row falls back to splu: once
         # per _solve_at call, here forced by the iteration cap
         meshes = []
-        for name in ("_assemble_1d", "_assemble_2d"):
-            assemble = getattr(cimfem.fem, name)
+        assemble = cimfem.cim.assemble
 
-            def counted(mesh, assemble=assemble):
-                meshes.append(mesh)
-                return assemble(mesh)
+        def counted(mesh):
+            meshes.append(mesh)
+            return assemble(mesh)
 
-            monkeypatch.setattr(cimfem.fem, name, counted)
+        monkeypatch.setattr(cimfem.cim, "assemble", counted)
         rows = self.count_node_solves(monkeypatch)
         spatial_sweep("ex3_1d_case1", 0.5, 20, (8, 16), 0.6, "numeric")
         spatial_sweep("ex4_2d_case3", 0.5, 20, (4, 8), 0.6, "numeric")

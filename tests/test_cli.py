@@ -107,8 +107,19 @@ def test_spec_error_exits_2(capsys):
         ("sweep-space", ["--Lambda", "0.5"], "lambda_ratio >= 1"),
         ("solve", ["--times", "nan"], "evaluation times must be finite and > 0"),
         ("sweep-time", ["--times", "0.6,0"], "evaluation times must be finite and > 0"),
+        ("solve", ["--K", "nan"], "K must be finite and nonnegative"),
+        ("solve", ["--K", "inf"], "K must be finite and nonnegative"),
+        ("sweep-time", ["--K", "-1"], "K must be finite and nonnegative"),
+        ("sweep-time", ["--beta", "0.5,1.5"], "beta must lie in (0, 1)"),
+        ("solve", ["--beta", "nan"], "beta must lie in (0, 1)"),
+        ("solve", ["--N", "0"], "n_list must hold counts >= 1"),
+        ("sweep-space", ["--M", "1,8"], "need M >= 2"),
+        ("accel-compare", ["--n-interp", "0"], "n_interp must hold counts >= 1"),
     ],
-    ids=["alpha", "alpha-plus-delta-prime", "t0-nan", "Lambda", "times-nan", "times-zero"],
+    ids=[
+        "alpha", "alpha-plus-delta-prime", "t0-nan", "Lambda", "times-nan", "times-zero",
+        "K-nan", "K-inf", "K-negative", "beta-above-1", "beta-nan", "N-zero", "M-one", "n-interp-zero",
+    ],
 )
 def test_bad_contour_or_time_exits_2_before_any_row(capsys, command, flags, message):
     argv = [command, "--example", "ex3_1d_case1", "--N", "10", "--M", "8", *flags]

@@ -1,8 +1,8 @@
 """P1 finite element assembly, load, error, and prolongation tests.
 
-1-D matrices are compared entry-by-entry with the classical closed
-forms; 2-D assembly is cross-checked against an independent per-triangle
-reassembly written directly in the test.  Load vectors with jump
+1-D stencils are compared with the classical closed forms and with an
+element loop written in the test; 2-D assembly is cross-checked against
+an independent per-triangle reassembly written directly in the test.  Load vectors with jump
 discontinuities use values frozen from 30-digit adaptive quadrature.
 """
 
@@ -42,6 +42,18 @@ def node_index(mesh, i, j):
     """Interior index of the 2-D grid node (i h, j h), -1 on the boundary; i, j may be arrays."""
     interior = (0 < i) & (i < mesh.M) & (0 < j) & (j < mesh.M)
     return np.where(interior, (j - 1) * (mesh.M - 1) + (i - 1), -1)
+
+
+def p1_matrices_1d(M):
+    """Dense P1 mass and stiffness on M intervals of (0, 1), summed element by element."""
+    h, n = 1.0 / M, M - 1
+    me = h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+    ke = np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
+    mass, stiff = np.zeros((M + 1, M + 1)), np.zeros((M + 1, M + 1))
+    for e in range(M):
+        mass[e : e + 2, e : e + 2] += me
+        stiff[e : e + 2, e : e + 2] += ke
+    return mass[1:M, 1:M], stiff[1:M, 1:M]
 
 
 def triangle_dofs(mesh):
@@ -117,25 +129,20 @@ class TestMeshes:
 class TestAssembly1D:
     def test_matrices_closed_form(self):
         M = 8
-        ops = assemble(Mesh1D(M))
         h = 1.0 / M
-        mass = ops.mass.toarray()
-        stiff = ops.stiffness.toarray()
-        n = M - 1
-        assert np.allclose(np.diag(mass), 2.0 * h / 3.0)
-        assert np.allclose(np.diag(mass, 1), h / 6.0)
-        assert np.allclose(np.diag(stiff), 2.0 / h)
-        assert np.allclose(np.diag(stiff, 1), -1.0 / h)
-        assert np.count_nonzero(mass - np.tril(np.triu(mass, -1), 1)) == 0
-        assert np.allclose(mass, mass.T) and np.allclose(stiff, stiff.T)
-        assert mass.shape == (n, n)
+        (m_diag, m_off), (s_diag, s_off) = stencil_1d(Mesh1D(M))
+        assert (m_diag, m_off) == pytest.approx((2.0 * h / 3.0, h / 6.0), rel=1e-15)
+        assert (s_diag, s_off) == pytest.approx((2.0 / h, -1.0 / h), rel=1e-15)
+        mass, stiff = p1_matrices_1d(M)
+        t = np.eye(M - 1, k=1) + np.eye(M - 1, k=-1)
+        assert np.allclose(mass, m_diag * np.eye(M - 1) + m_off * t, rtol=0.0, atol=1e-15)
+        assert np.allclose(stiff, s_diag * np.eye(M - 1) + s_off * t, rtol=1e-15, atol=0.0)
 
     def test_stiffness_annihilates_linear_interior(self):
         # S acting on nodal values of x gives zero away from the boundary
         M = 16
-        ops = assemble(Mesh1D(M))
         x = Mesh1D(M).nodes
-        r = ops.stiffness @ x
+        r = apply_stencil_1d(x, *stencil_1d(Mesh1D(M))[1])
         assert np.allclose(r[1:-1], 0.0, atol=1e-13)
 
 
@@ -230,15 +237,18 @@ class TestStencils:
     @staticmethod
     def products(mesh, x, eta):
         """(stencil product, matvec, |A| |x|) of A = M, S and eta M + S with the rows of ``x``."""
-        ops = assemble(mesh)
         if isinstance(mesh, Mesh1D):
             stencil, apply, grid = stencil_1d(mesh), apply_stencil_1d, x
+            mass_matrix, stiff_matrix = p1_matrices_1d(mesh.M)
         else:
             n = mesh.M - 1
             stencil, apply, grid = stencil_2d(mesh), apply_stencil_2d, x.reshape(len(x), n, n)
+            ops = assemble(mesh)
+            mass_matrix, stiff_matrix = ops.mass, ops.stiffness
         mass, stiff = stencil
         shifted = [eta * m + s for m, s in zip(mass, stiff)]
-        for weights, matrix in ((mass, ops.mass), (stiff, ops.stiffness), (shifted, eta * ops.mass + ops.stiffness)):
+        pairs = ((mass, mass_matrix), (stiff, stiff_matrix), (shifted, eta * mass_matrix + stiff_matrix))
+        for weights, matrix in pairs:
             yield apply(grid, *weights).reshape(x.shape), (matrix @ x.T).T, (abs(matrix) @ abs(x).T).T
 
     @pytest.mark.parametrize("M", [2, 3, 4, 9, 16])
@@ -470,7 +480,8 @@ class TestProjectionsAndErrors:
     def test_mass_norm_matches_assembled_mass(self, mesh):
         rng = np.random.default_rng(mesh.M)
         c = rng.standard_normal(mesh.ndof) + 1j * rng.standard_normal(mesh.ndof)
-        direct = math.sqrt(np.real(np.conj(c) @ (assemble(mesh).mass @ c)))
+        mass = p1_matrices_1d(mesh.M)[0] if isinstance(mesh, Mesh1D) else assemble(mesh).mass
+        direct = math.sqrt(np.real(np.conj(c) @ (mass @ c)))
         assert mass_norm(mesh, c) == pytest.approx(direct, rel=1e-13)
 
 

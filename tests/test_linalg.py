@@ -8,10 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cimfem.bench import build_problem
-from cimfem.fem import Mesh1D, Mesh2D, assemble, modes_2d, stencil_1d, stencil_2d
+from cimfem.fem import Mesh1D, Mesh2D, assemble, stencil_1d, stencil_2d
 from cimfem.linalg import (
-    ComplexTridiag,
     LinAlgError,
+    _modes_2d,
     _stencil_norm_2d,
     dst1,
     dst2,
@@ -24,18 +24,28 @@ from cimfem.linalg import (
 
 
 def random_tridiag(n, rng, boost=4.0):
+    """(lower, diag, upper) of a random diagonally dominant complex tridiagonal matrix."""
     lower = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
     upper = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
     diag = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     diag += boost * (np.abs(np.concatenate(([0], lower))) + np.abs(np.concatenate((upper, [0]))))
-    return ComplexTridiag(lower=lower, diag=diag, upper=upper)
+    return lower, diag, upper
 
 
-def dense(t):
-    n = len(t.diag)
-    a = np.diag(t.diag.astype(complex))
-    a += np.diag(t.lower, -1) + np.diag(t.upper, 1)
-    return a
+def dense(lower, diag, upper, n):
+    """The n x n tridiagonal matrix; a scalar diagonal fills its whole diagonal."""
+    return (
+        np.diag(np.broadcast_to(diag, n).astype(complex))
+        + np.diag(np.broadcast_to(lower, n - 1), -1)
+        + np.diag(np.broadcast_to(upper, n - 1), 1)
+    )
+
+
+def p1_matrices_1d(M):
+    """Dense P1 mass and stiffness on M intervals of (0, 1), from the closed-form element integrals."""
+    h, n = 1.0 / M, M - 1
+    t = np.eye(n, k=1) + np.eye(n, k=-1)
+    return h / 6.0 * (4.0 * np.eye(n) + t), (2.0 * np.eye(n) - t) / h
 
 
 class TestThomas:
@@ -44,42 +54,39 @@ class TestThomas:
         rng = np.random.default_rng(seed)
         t = random_tridiag(n, rng)
         rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x = thomas_solve(t, rhs)
-        x_ref = np.linalg.solve(dense(t), rhs)
+        x = thomas_solve(*t, rhs)
+        x_ref = np.linalg.solve(dense(*t, n), rhs)
         assert np.max(np.abs(x - x_ref)) <= 1e-12 * (1.0 + np.max(np.abs(x_ref)))
 
-    def test_matvec(self):
-        rng = np.random.default_rng(0)
-        t = random_tridiag(6, rng)
-        x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        assert np.allclose(t.matvec(x), dense(t) @ x)
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_toeplitz_scalars_match_dense_solve(self, n):
+        # the 1-D fallback passes each row's shifted Toeplitz weights as scalars
+        rng = np.random.default_rng(n)
+        off, diag = -1.0 + 0.3j, 2.5 - 4.0j
+        rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = thomas_solve(off, diag, off, rhs)
+        x_ref = np.linalg.solve(dense(off, diag, off, n), rhs)
+        assert np.max(np.abs(x - x_ref)) <= 1e-13 * np.max(np.abs(x_ref))
 
     def test_zero_pivot_falls_back(self):
         # leading zero diagonal defeats elimination without pivoting, but
         # the matrix is perfectly conditioned; the pivoted solve handles it
-        t = ComplexTridiag(
-            lower=np.array([1.0 + 0j, 1.0]), diag=np.array([0.0 + 0j, 0.0, 1.0]), upper=np.array([1.0 + 0j, 0.0])
-        )
+        t = np.array([1.0 + 0j, 1.0]), np.array([0.0 + 0j, 0.0, 1.0]), np.array([1.0 + 0j, 0.0])
         rhs = np.array([1.0, 2.0, 3.0], dtype=complex)
-        x = thomas_solve(t, rhs)
-        assert np.allclose(dense(t) @ x, rhs, atol=1e-12)
+        x = thomas_solve(*t, rhs)
+        assert np.allclose(dense(*t, 3) @ x, rhs, atol=1e-12)
 
     def test_singular_raises(self):
-        t = ComplexTridiag(
-            lower=np.zeros(2, dtype=complex),
-            diag=np.zeros(3, dtype=complex),
-            upper=np.zeros(2, dtype=complex),
-        )
         with pytest.raises(LinAlgError):
-            thomas_solve(t, np.ones(3, dtype=complex))
+            thomas_solve(np.zeros(2, dtype=complex), np.zeros(3, dtype=complex), np.zeros(2, dtype=complex), np.ones(3))
+        with pytest.raises(LinAlgError):
+            thomas_solve(0.0, 0.0, 0.0, np.ones(3))
 
     def test_shape_mismatch(self):
-        with pytest.raises((LinAlgError, ValueError)):
-            ComplexTridiag(
-                lower=np.zeros(3, dtype=complex),
-                diag=np.zeros(3, dtype=complex),
-                upper=np.zeros(2, dtype=complex),
-            )
+        with pytest.raises(LinAlgError):
+            thomas_solve(np.zeros(3, dtype=complex), np.zeros(3, dtype=complex), np.zeros(2, dtype=complex), np.ones(3))
+        with pytest.raises(LinAlgError):
+            thomas_solve(1.0, np.ones(4), 1.0, np.ones(3))
 
 
 class TestModal:
@@ -96,10 +103,9 @@ class TestModal:
     def test_eigenvalues_match_generalized_eigh(self, M):
         # eigh(S, M) returns M-orthonormal eigenvectors V_j = q_j / sqrt(m_j) for the
         # orthonormal DST-I vectors q_j, so m_j = 1 / |V_j|^2 and s_j = lambda_j m_j
-        ops = assemble(Mesh1D(M))
-        lam, v = scipy.linalg.eigh(ops.stiffness.toarray(), ops.mass.toarray())
-        (m_diag, m_off), (s_diag, s_off) = stencil_1d(Mesh1D(M))
-        m, s = toeplitz_eigenvalues(m_diag, m_off, M - 1), toeplitz_eigenvalues(s_diag, s_off, M - 1)
+        mass, stiff = p1_matrices_1d(M)
+        lam, v = scipy.linalg.eigh(stiff, mass)
+        m, s = (toeplitz_eigenvalues(diag, off, M - 1) for diag, off in stencil_1d(Mesh1D(M)))
         m_ref = 1.0 / np.sum(v**2, axis=0)
         np.testing.assert_allclose(m, m_ref, rtol=1e-12)
         np.testing.assert_allclose(s, lam * m_ref, rtol=1e-12)
@@ -109,7 +115,7 @@ class TestModal:
         n, rows = 20, 9
         eta = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
         loads = [(rng.standard_normal(rows) + 1j * rng.standard_normal(rows), rng.standard_normal(n)) for _ in range(2)]
-        x, ok = modal_solve(eta, (4.0, 1.0), (2.0, -1.0), loads)
+        x, ok = modal_solve(eta, ((4.0, 1.0), (2.0, -1.0)), loads)
         assert ok.all()
         tri = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
         for k in range(rows):
@@ -118,7 +124,7 @@ class TestModal:
             assert np.max(np.abs(x[k] - np.linalg.solve(a, rhs))) <= 1e-12 * np.max(np.abs(x[k]))
 
     def test_zero_rows_are_zero(self):
-        x, ok = modal_solve(np.array([1.0 + 1j, 2.0]), (4.0, 1.0), (2.0, -1.0), [(np.zeros(2), np.ones(5))])
+        x, ok = modal_solve(np.array([1.0 + 1j, 2.0]), ((4.0, 1.0), (2.0, -1.0)), [(np.zeros(2), np.ones(5))])
         assert ok.all() and not x.any()
 
     def test_singular_row_is_flagged(self):
@@ -126,7 +132,7 @@ class TestModal:
         m, s = toeplitz_eigenvalues(4.0, 1.0, 5), toeplitz_eigenvalues(2.0, -1.0, 5)
         eta = np.array([1.0, -s[0] / m[0], 2.0 + 0j])
         with np.errstate(divide="ignore", invalid="ignore"):
-            _, ok = modal_solve(eta, (4.0, 1.0), (2.0, -1.0), [(np.ones(3), np.ones(5))])
+            _, ok = modal_solve(eta, ((4.0, 1.0), (2.0, -1.0)), [(np.ones(3), np.ones(5))])
         assert list(ok) == [True, False, True]
 
 
@@ -138,19 +144,20 @@ def sine_matrix(n):
 class TestModal2D:
     @pytest.mark.parametrize("M", [4, 7, 16])
     def test_splitting_identity(self, M):
-        # Q (eta M + S) u Q = (eta m + s) u_hat + eta g D_hat u_hat D_hat^T on the assembled matrices,
-        # with the sine matrix Q and D_hat = Q (E - E^T) Q formed densely here
+        # Q (eta M + S) u Q = (eta m + s) u_hat + (eta g_M + g_S) D_hat u_hat D_hat^T on the
+        # assembled matrices, with the modal parts derived from the stencils, and the sine
+        # matrix Q and D_hat = Q (E - E^T) Q formed densely here
         n = M - 1
         rng = np.random.default_rng(M)
         ops = assemble(Mesh2D(M))
-        m, s, g = modes_2d(Mesh2D(M))
+        (m, g_m), (s, g_s) = _modes_2d(stencil_2d(Mesh2D(M)), n)
         q = sine_matrix(n)
         d_hat = q @ (np.eye(n, k=1) - np.eye(n, k=-1)) @ q
         eta = 3.0 - 40.0j
         u = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
         u_hat = q @ u.reshape(n, n) @ q
         lhs = dst2(((eta * ops.mass + ops.stiffness) @ u).reshape(n, n))
-        rhs = (eta * m + s) * u_hat + eta * g * d_hat @ u_hat @ d_hat.T
+        rhs = (eta * m + s) * u_hat + (eta * g_m + g_s) * d_hat @ u_hat @ d_hat.T
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(lhs))
         assert np.max(np.abs(dst2(u.reshape(n, n)) - u_hat)) <= 1e-14 * n * np.max(np.abs(u_hat))
 
@@ -162,7 +169,7 @@ class TestModal2D:
         ops = assemble(mesh)
         eta = np.abs(rng.standard_normal(rows)) * 1e3 * np.exp(1j * rng.uniform(-2.5, 2.5, rows))
         loads = [(rng.standard_normal(rows) + 1j * rng.standard_normal(rows), rng.standard_normal(mesh.ndof)) for _ in range(2)]
-        x, ok = modal_solve_2d(eta, modes_2d(mesh), stencil_2d(mesh), loads)
+        x, ok = modal_solve_2d(eta, stencil_2d(mesh), loads)
         assert ok.all()
         mass, stiff = ops.mass.toarray(), ops.stiffness.toarray()
         for k in range(rows):
@@ -171,7 +178,7 @@ class TestModal2D:
 
     def test_zero_rows_are_zero(self):
         mesh = Mesh2D(5)
-        x, ok = modal_solve_2d(np.array([1.0 + 1j, 2.0]), modes_2d(mesh), stencil_2d(mesh), [(np.zeros(2), np.ones(16))])
+        x, ok = modal_solve_2d(np.array([1.0 + 1j, 2.0]), stencil_2d(mesh), [(np.zeros(2), np.ones(16))])
         assert ok.all() and not x.any()
 
     @pytest.mark.parametrize("M", [2, 3, 4, 5, 9, 16])

@@ -72,7 +72,17 @@ class TestFractionalSymbol:
             1.5 + complex_pow(z, -0.75), rel=1e-14
         )
 
-    @pytest.mark.parametrize("kwargs", [{"K": -1.0, "beta": 0.5}, {"K": 1.0, "beta": 0.0}, {"K": 1.0, "beta": 1.0}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"K": -1.0, "beta": 0.5},
+            {"K": 1.0, "beta": 0.0},
+            {"K": 1.0, "beta": 1.0},
+            {"K": float("nan"), "beta": 0.5},
+            {"K": float("inf"), "beta": 0.5},
+            {"K": float("-inf"), "beta": 0.5},
+        ],
+    )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises((SymbolError, ValueError)):
             FractionalSymbol(**kwargs)
