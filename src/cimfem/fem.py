@@ -483,18 +483,21 @@ def l2_error(mesh: Mesh1D | Mesh2D, coeffs: np.ndarray, exact: Callable) -> floa
     return float(np.sqrt(mesh.h**2 / 2.0 * np.sum(err2 @ _T7_W)))
 
 
-def mass_norm(mesh: Mesh1D | Mesh2D, c: np.ndarray) -> float:
+def mass_norm(mesh: Mesh1D | Mesh2D, c: np.ndarray) -> float | np.ndarray:
     """Discrete L2 norm ``sqrt(Re(c* M c))``: the L2 norm of the P1 function.
 
-    ``M c`` is applied from the mesh's mass stencil.
+    ``M c`` is applied from the mesh's mass stencil.  A ``(k, ndof)``
+    block ``c`` gives the k norms of its rows; a single vector, a float.
     """
     c = np.asarray(c)
     if isinstance(mesh, Mesh1D):
         mc = apply_stencil_1d(c, *stencil_1d(mesh)[0])
     else:
         n = mesh.M - 1
-        mc = apply_stencil_2d(c.reshape(n, n), *stencil_2d(mesh)[0]).ravel()
-    return float(np.sqrt(abs(np.real(np.conj(c) @ mc))))
+        mc = apply_stencil_2d(c.reshape(c.shape[:-1] + (n, n)), *stencil_2d(mesh)[0]).reshape(c.shape)
+    dots = np.matmul(np.conj(c)[..., None, :], mc[..., None])[..., 0, 0]  # a BLAS dot per row, as for one vector
+    norms = np.sqrt(np.abs(dots.real))
+    return float(norms) if c.ndim == 1 else norms
 
 
 def prolong_1d(coarse: np.ndarray, M: int) -> np.ndarray:

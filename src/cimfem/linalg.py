@@ -8,9 +8,12 @@ Thomas 1964).  In 1-D both operators are symmetric tridiagonal Toeplitz
 matrices that the DST-I diagonalizes, so ``modal_solve`` treats all
 nodes at once: a DST-I of each load vector that the right-hand sides
 combine, one elementwise division by ``eta_k m_j + s_j`` and a DST-I
-back.  In 2-D the two-dimensional DST-I diagonalizes each operator but a
-small Kronecker term, so ``modal_solve_2d`` runs COCG in modal
-coordinates on all nodes at once, preconditioned by the diagonal part.
+back, by FFT (``dst1``).  In 2-D the two-dimensional DST-I diagonalizes
+each operator but a small Kronecker term, so ``modal_solve_2d`` runs
+COCG in modal coordinates on all nodes at once, preconditioned by the
+diagonal part.  The 2-D transform and the Kronecker term are one
+kernel, ``_kron_apply``: ``A P_k A^T`` for every (n, n) slice, as two
+real GEMMs, with ``A`` the cached sine matrix or ``Q D Q``.
 Rows that fail the backward-error test, or in 2-D do not converge within
 ``COCG_MAX_ITER`` iterations, are solved again by ``thomas_solve``
 (pivoted LAPACK banded LU) or ``sparse_solve`` (SuperLU with pivoting).
@@ -21,6 +24,7 @@ sparse fallback needs assembled matrices.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt, sqrt
 from typing import Sequence
 
@@ -87,10 +91,13 @@ def thomas_solve(lower, diag, upper, rhs: np.ndarray) -> np.ndarray:
 
 
 def dst1(x: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I of each row of ``x``; the transform is its own inverse.
+    """Orthonormal DST-I along the last axis of ``x``; the transform is its own inverse.
 
-    Computed from one complex FFT of the odd extension ``[0, x, 0, -x[::-1]]``
-    (``numpy.fft`` keeps ``scipy.fft`` out of the process).
+    The 1-D modal solve's transform, computed from one complex FFT of the
+    odd extension ``[0, x, 0, -x[::-1]]`` (``numpy.fft`` keeps
+    ``scipy.fft`` out of the process).  At n = 255, 340 rows in blocks of
+    ``MODAL_BLOCK`` entries took 2.7 ms this way against 4.3 ms as GEMMs
+    with the sine matrix; in 2-D, ``dst2`` is a GEMM.
     """
     n = x.shape[-1]
     ext = np.zeros(x.shape[:-1] + (2 * n + 2,), dtype=complex)
@@ -116,9 +123,13 @@ def toeplitz_eigenvalues(diag: float, off: float, n: int) -> np.ndarray:
     return diag + 2.0 * off * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
 
 
-# entries per block of rows: whole-array temporaries cost peak memory and,
-# at large n, more time than the blocks' extra calls; at n = 255, blocks of
-# 4096 entries measured faster than blocks of 2048 or 8192
+# entries per block of rows, in 1-D and 2-D: whole-array temporaries cost
+# peak memory and, at large n, more time than the blocks' extra calls; at
+# n = 255 (1-D), blocks of 4096 entries measured faster than blocks of 2048
+# or 8192.  2-D node solves of ex4_2d_case1 at N = 60 (one BLAS thread,
+# medians of 41 interleaved runs), 4096 against 8192 entries: M = 8 3.14
+# against 3.14 ms, M = 16 8.24 against 8.08 ms, M = 32 24.4 against
+# 22.5 ms, M = 64 92.4 against 84.7 ms
 MODAL_BLOCK = 4096
 
 
@@ -159,11 +170,6 @@ def modal_solve(
     return x, ok
 
 
-def dst2(x: np.ndarray) -> np.ndarray:
-    """Orthonormal 2-D DST-I of each trailing (n, n) slice of ``x``; its own inverse."""
-    return dst1(dst1(x).swapaxes(-1, -2)).swapaxes(-1, -2)
-
-
 # iterations after which a 2-D modal row stops and is solved again; on the
 # N = 60 contours of ex4_2d_case1/ex4_2d_case3 the worst row needs 17 at
 # M = 8 and 5 at M = 128
@@ -176,16 +182,54 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ki,ki->k", v, v))
 
 
-def _kron_apply(d_hat: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``D P_k D^T`` for every (n, n) slice ``P_k`` of ``p``: two real GEMMs on its parts."""
-    rows, n, _ = p.shape
-    parts = np.concatenate((p.real, p.imag))
-    parts = np.matmul(d_hat, (parts.reshape(-1, n) @ d_hat.T).reshape(parts.shape))
-    return parts[:rows] + 1j * parts[rows:]
+def _gemm_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``kron(a^T, I_2)``, read-only: the two factors ``_kron_apply`` multiplies by."""
+    factors = (a, np.kron(a.T, np.eye(2)))
+    for f in factors:
+        f.flags.writeable = False
+    return factors
+
+
+@lru_cache(maxsize=16)
+def _sine_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_gemm_factors`` of the orthonormal DST-I matrix ``Q = Q^T = Q^-1`` of order n.
+
+    ``Q[j, l] = sqrt(2 / (n + 1)) sin(j l pi / (n + 1))``, j, l = 1..n,
+    with ``j l`` reduced modulo ``2 (n + 1)`` so that every sine's
+    argument is below ``2 pi``.
+    """
+    j = np.arange(1, n + 1)
+    q = sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) % (2 * n + 2) * (np.pi / (n + 1)))
+    return _gemm_factors(q)
+
+
+def _kron_apply(factors: tuple[np.ndarray, np.ndarray], p: np.ndarray) -> np.ndarray:
+    """``A P_k A^T`` for every trailing (n, n) slice ``P_k`` of ``p``, with ``factors = _gemm_factors(A)``.
+
+    A complex ``p`` takes two real GEMMs on its float view, whose rows
+    interleave real and imaginary parts: ``A`` times each slice, then
+    the stacked rows times ``kron(A^T, I_2)``.  A real ``p`` takes
+    ``A P_k`` and ``(A P_k) A^T``.  ``p`` is not modified.
+    """
+    a, a_t2 = factors
+    if np.iscomplexobj(p):
+        p = np.ascontiguousarray(p, dtype=complex)
+        left = np.matmul(a, p.view(float))
+        return (left.reshape(-1, a_t2.shape[0]) @ a_t2).view(complex).reshape(p.shape)
+    return np.matmul(np.matmul(a, p), a.T)
+
+
+def dst2(x: np.ndarray) -> np.ndarray:
+    """Orthonormal 2-D DST-I ``Q X Q`` of each trailing (n, n) slice ``X`` of ``x``; its own inverse.
+
+    One ``_kron_apply`` with the cached sine matrix ``Q``; a real ``x``
+    gives a real result.
+    """
+    return _kron_apply(_sine_factors(x.shape[-1]), x)
 
 
 def _cocg(
-    d: np.ndarray, c: np.ndarray, d_hat: np.ndarray, b: np.ndarray, norm_a: np.ndarray
+    d: np.ndarray, c: np.ndarray, d_hat: tuple[np.ndarray, np.ndarray], b: np.ndarray, norm_a: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ``d_k * X + c_k D X D^T = B_k`` by diagonally preconditioned COCG.
 
@@ -197,12 +241,13 @@ def _cocg(
     that the infinity-norm test of ``sparse_solve`` holds.  Returns the
     iterates and a mask of the rows that stopped so within
     ``COCG_MAX_ITER`` iterations; rows that reach non-finite values stop
-    unconverged.
+    unconverged.  ``d_hat`` is ``_gemm_factors(D)``: each iteration
+    applies the Kronecker term by one ``_kron_apply``.
     """
     rows, n, _ = b.shape
-    x_out, ok = np.zeros_like(b), np.zeros(rows, dtype=bool)
+    x_out, ok = np.zeros(b.shape, dtype=complex), np.zeros(rows, dtype=bool)
     live = np.arange(rows)
-    x, r, d_inv = np.zeros_like(b), b.copy(), 1.0 / d
+    x, r, d_inv = np.zeros(b.shape, dtype=complex), b.astype(complex), 1.0 / d
     p = r * d_inv
     rho = np.einsum("kij,kij->k", r, p)
     scale = SPARSE_RESIDUAL_TOL / n * _row_norms(b)
@@ -274,7 +319,9 @@ def modal_solve_2d(
     mode l), by ``_modes_2d``: ``m`` for ``M`` and ``s`` for ``S``.  In modal coordinates
     row ``k`` is ``(eta_k m + s) X + g_k D_hat X D_hat^T = B_k`` with
     ``g_k = (eta_k d_M + d_S) / 2`` and the real ``D_hat = Q D Q``, which
-    ``_cocg`` solves with the preconditioner ``eta_k m + s``.  The
+    ``_cocg`` solves with the preconditioner ``eta_k m + s``.  ``Q`` is
+    the sine matrix, so ``dst2`` and the Kronecker term are the same
+    kernel, ``_kron_apply``, and ``D_hat`` is ``dst2`` of ``D``.  The
     right-hand sides are ``rhs_k = sum_m c_m[k] b_m`` over ``loads`` as
     in ``modal_solve``, so each ``b_m`` is transformed once, and blocks
     of ``MODAL_BLOCK`` entries are transformed back once.  Returns the
@@ -285,8 +332,7 @@ def modal_solve_2d(
     """
     n = isqrt(len(loads[0][1]))
     (m, g_m), (s, g_s) = _modes_2d(stencil, n)
-    d_mat = np.eye(n, k=1) - np.eye(n, k=-1)
-    d_hat = -dst1(dst1(d_mat).T).real  # Q D Q = -dst1((D Q)^T), as Q = Q^T and D^T = -D
+    d_hat = _gemm_factors(dst2(np.eye(n, k=1) - np.eye(n, k=-1)))
     modal_loads = [(c, dst2(b.reshape(n, n))) for c, b in loads]
     x = np.empty((len(eta), n * n), dtype=complex)
     ok = np.empty(len(eta), dtype=bool)

@@ -106,6 +106,16 @@ class TestErrorMetrics:
         e_num = error_tau(bp, times, sols, bp.run(200).solve(times))
         assert e_num == pytest.approx(e_ex, rel=1e-3)
 
+    @pytest.mark.parametrize("example, M", [("ex1_scalar", 8), ("ex3_1d_case1", 16), ("ex4_2d_case1", 6)])
+    def test_error_tau_is_the_largest_distance(self, example, M):
+        # one batched norm per call, the same as the largest per-time mass norm
+        bp = build_problem(example, 0.5, M)
+        times = window_times(ContourConfig(), (0.6,))
+        sols, ref = bp.run(20).solve(times), bp.run(60).solve(times)
+        p = bp.problem
+        each = [abs(s - r) if p.scalar else cimfem.fem.mass_norm(p.domain, s - r) for s, r in zip(sols, ref)]
+        assert error_tau(bp, times, sols, ref) == max(each)
+
     def test_spatial_sweep_orders_ex2(self):
         rows = spatial_sweep("ex2_vanishing", 0.5, 60, (4, 8, 16, 32), 0.86, "exact")
         assert rows[0][2] is None

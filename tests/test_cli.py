@@ -3,6 +3,9 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -385,3 +388,20 @@ def test_modes_without_n_ref_run_beyond_it(capsys, mode):
     assert main(argv) == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert rows and all(r["N"] == "300" for r in rows)
+
+
+def test_solves_keep_scipy_fft_out_of_the_process():
+    # dst1 uses numpy.fft, and the 2-D transform is a plain numpy matmul; a fresh
+    # interpreter that runs a 1-D and a 2-D solve must not import scipy.fft
+    script = (
+        "import contextlib, io, sys\n"
+        "import cimfem.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for ex in ('ex3_1d_case1', 'ex4_2d_case1'):\n"
+        "        assert cimfem.cli.main(['solve', '--example', ex, '--N', '20', '--M', '8']) == 0\n"
+        "print('scipy.fft' in sys.modules)\n"
+    )
+    src = str(Path(cimfem.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -484,6 +484,14 @@ class TestProjectionsAndErrors:
         direct = math.sqrt(np.real(np.conj(c) @ (mass @ c)))
         assert mass_norm(mesh, c) == pytest.approx(direct, rel=1e-13)
 
+    @pytest.mark.parametrize("mesh", [Mesh1D(2), Mesh1D(9), Mesh2D(2), Mesh2D(9)])
+    def test_mass_norm_of_a_block_is_per_row(self, mesh):
+        rng = np.random.default_rng(mesh.M + 7)
+        block = rng.standard_normal((4, mesh.ndof)) + 1j * rng.standard_normal((4, mesh.ndof))
+        norms = mass_norm(mesh, block)
+        assert norms.shape == (4,)
+        assert list(norms) == [mass_norm(mesh, c) for c in block]
+
 
 class TestProlongation:
     @given(st.integers(min_value=2, max_value=16))

@@ -11,7 +11,10 @@ from cimfem.bench import build_problem
 from cimfem.fem import Mesh1D, Mesh2D, assemble, stencil_1d, stencil_2d
 from cimfem.linalg import (
     LinAlgError,
+    _gemm_factors,
+    _kron_apply,
     _modes_2d,
+    _sine_factors,
     _stencil_norm_2d,
     dst1,
     dst2,
@@ -141,6 +144,61 @@ def sine_matrix(n):
     return np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * np.pi / (n + 1))
 
 
+def slices(n, complex_, contiguous, rng):
+    """Three random (n, n) slices, real or complex, C-contiguous or a strided view."""
+    x = rng.standard_normal((3, 2 * n, 2 * n))
+    if complex_:
+        x = x + 1j * rng.standard_normal((3, 2 * n, 2 * n))
+    x = x[:, ::2, 1::2]
+    return np.ascontiguousarray(x) if contiguous else x
+
+
+class TestKronKernel:
+    """``dst2`` and the Kronecker term, both ``_kron_apply``, against dense products formed here."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 31])
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_dst2_matches_sine_matrix(self, n, complex_, contiguous):
+        x = slices(n, complex_, contiguous, np.random.default_rng(n))
+        before = x.copy()
+        q = sine_matrix(n)
+        y = dst2(x)
+        tol = 1e-14 * n * np.max(np.abs(x))
+        assert y.shape == x.shape and np.iscomplexobj(y) == complex_
+        assert np.max(np.abs(y - q @ x @ q)) <= tol
+        assert np.max(np.abs(dst2(y) - x)) <= tol
+        assert np.array_equal(x, before)
+        assert np.max(np.abs(dst2(x[1]) - y[1])) <= tol  # a single slice
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 31])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_general_matrix_and_input_unchanged(self, n, complex_):
+        # the Kronecker term takes D_hat, which is not symmetric
+        rng = np.random.default_rng(n + 100)
+        a = rng.standard_normal((n, n))
+        x = slices(n, complex_, False, rng)
+        before = x.copy()
+        y = _kron_apply(_gemm_factors(a), x)
+        assert np.max(np.abs(y - a @ x @ a.T)) <= 1e-14 * n * np.max(np.abs(a)) ** 2 * np.max(np.abs(x))
+        assert np.array_equal(x, before)
+
+    def test_factors_are_read_only(self):
+        for f in _sine_factors(7):
+            with pytest.raises(ValueError):
+                f[0, 0] = 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 31])
+    def test_d_hat_is_skew_with_a_parity_pattern(self, n):
+        # Q (E - E^T) Q couples only modes j, l of opposite parity
+        d_hat = dst2(np.eye(n, k=1) - np.eye(n, k=-1))
+        j = np.arange(n)
+        assert np.max(np.abs(d_hat + d_hat.T)) <= 1e-14 * n
+        assert np.max(np.abs(d_hat[(j[:, None] + j) % 2 == 0]), initial=0.0) <= 1e-14 * n
+        q = sine_matrix(n)
+        assert np.max(np.abs(d_hat - q @ (np.eye(n, k=1) - np.eye(n, k=-1)) @ q)) <= 1e-14 * n
+
+
 class TestModal2D:
     @pytest.mark.parametrize("M", [4, 7, 16])
     def test_splitting_identity(self, M):
@@ -174,6 +232,18 @@ class TestModal2D:
         mass, stiff = ops.mass.toarray(), ops.stiffness.toarray()
         for k in range(rows):
             ref = np.linalg.solve(eta[k] * mass + stiff, sum(c[k] * b for c, b in loads))
+            assert np.max(np.abs(x[k] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_real_coefficients(self):
+        # real loads and coefficients give real modal right-hand sides; COCG still runs complex
+        mesh = Mesh2D(6)
+        eta = np.array([2.0 - 30.0j, 5.0 + 1.0j])
+        b = np.random.default_rng(6).standard_normal(mesh.ndof)
+        x, ok = modal_solve_2d(eta, stencil_2d(mesh), [(np.array([1.0, -2.0]), b)])
+        assert ok.all()
+        ops = assemble(mesh)
+        for k, c in enumerate((1.0, -2.0)):
+            ref = np.linalg.solve((eta[k] * ops.mass + ops.stiffness).toarray(), c * b)
             assert np.max(np.abs(x[k] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_zero_rows_are_zero(self):
