@@ -12,15 +12,18 @@ evaluated at ``z1 = -t**(1-beta)/K`` and ``z2 = -lam t / K``.  Two
 evaluation routes are provided: the double series summed along
 anti-diagonals (small arguments) and a contour-integral form of its
 Laplace transform (large arguments), which takes an array of ``z2`` on
-one contour.  ``spectral_reference`` evaluates every mode of a sine
-eigenbasis that way, one contour per time, into closed-form
-reference solutions on the unit interval.
+one contour and sums it for all of them in one matrix-vector product.
+``spectral_reference`` evaluates every mode of a sine eigenbasis that
+way, one contour per time, into closed-form reference solutions on the
+unit interval; the datum's coefficients are computed once per process
+and the sine series is summed blockwise by one matrix product.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from math import exp, inf, lgamma, log, pi
 from typing import Callable
 
@@ -147,6 +150,11 @@ def ml_biv_contour(q: MLQuery, t: float, with_z1_term: bool = False) -> float | 
     ``E_gamma(z1, z2) - z1 E_{gamma + alpha_p}(z1, z2)``, whose transform
     has the numerator ``z**-gamma (1 + |w1| z**-alpha_p)`` over the same
     denominator.
+
+    With ``a_k = 1 + |w1| z_k**-alpha_p``, ``b_k = z_k**-beta_p`` and the
+    node weights ``g_k``, each value is ``sum_k (g_k / b_k) / (a_k / b_k
+    + |w2|)``: one outer sum, one reciprocal and one matrix-vector
+    product for the whole array of ``z2``.
     """
     _check_time(t)
     z2 = np.asarray(q.z2, dtype=float)
@@ -156,11 +164,14 @@ def ml_biv_contour(q: MLQuery, t: float, with_z1_term: bool = False) -> float | 
     w2 = np.abs(z2) / t**q.beta_p
     quad = quadrature_nodes(optimize_rho(ContourConfig(t0=t, lambda_ratio=2.0), CONTOUR_NODES))
     z, dz = quad.nodes, quad.derivs
-    z_alpha = w1 * complex_pow(z, -q.alpha_p)
-    denom = 1.0 + z_alpha + np.multiply.outer(w2, complex_pow(z, -q.beta_p))
-    numer = complex_pow(z, -q.gamma) * (1.0 + z_alpha if with_z1_term else 1.0)
-    vals = np.exp(z * t) * numer / denom * dz
-    value = t ** (1.0 - q.gamma) * quad.params.tau_star / pi * np.imag(np.sum(vals, axis=-1))
+    a = 1.0 + w1 * complex_pow(z, -q.alpha_p)
+    b = complex_pow(z, -q.beta_p)
+    numer = complex_pow(z, -q.gamma) * (a if with_z1_term else 1.0)
+    g = np.exp(z * t) * numer * dz
+    kernel = np.add.outer(w2, a / b)
+    np.reciprocal(kernel, out=kernel)  # in place: a second (len(z2), nodes) array costs more
+    sums = kernel @ (g / b)
+    value = t ** (1.0 - q.gamma) * quad.params.tau_star / pi * np.imag(sums)
     return float(value) if z2.ndim == 0 else value
 
 
@@ -200,16 +211,61 @@ class SpectralProblem:
 def mode_value(K: float, beta: float, lam: float | np.ndarray, t: float) -> float | np.ndarray:
     """Solution of ``K v' + d_t^beta v + lam v = 0, v(0) = 1`` at time t.
 
-    The solution is ``E_1 + t**(1-beta)/K E_{2-beta}`` at ``(z1, z2)``,
-    one contour sum with the numerator ``z**-1 + z**(beta-2)/K``.
-    ``lam`` may be a scalar or an array; all entries share the contour of
-    time ``t``.
+    For K > 0 the solution is ``E_1 + t**(1-beta)/K E_{2-beta}`` at
+    ``(z1, z2) = (-t**(1-beta)/K, -lam t/K)``, one contour sum with the
+    numerator ``z**-1 + z**(beta-2)/K``.  At K = 0 the transform is
+    ``z**-1 / (1 + lam z**-beta)``, the contour form with ``z1 = 0``,
+    ``beta' = beta`` and ``z2 = -lam t**beta``.  ``lam`` may be a scalar
+    or an array; all entries share the contour of time ``t``.
     """
     if t == 0.0:
         return np.ones(np.shape(lam))[()]
+    lam = np.asarray(lam, dtype=float)
+    if K == 0.0:
+        return ml_biv_contour(MLQuery(1.0 - beta, beta, 1.0, 0.0, -lam * t**beta), t)
     z1 = -t ** (1.0 - beta) / K
-    z2 = -np.asarray(lam, dtype=float) * t / K
-    return ml_biv_contour(MLQuery(1.0 - beta, 1.0, 1.0, z1, z2), t, with_z1_term=True)
+    return ml_biv_contour(MLQuery(1.0 - beta, 1.0, 1.0, z1, -lam * t / K), t, with_z1_term=True)
+
+
+# The coefficients of a datum never depend on beta, t or the points, so a
+# process computes each (datum, j_max) pair once.  Callers share the array,
+# hence it is read-only; the bound keeps a sweep over data from holding all.
+@lru_cache(maxsize=32)
+def _coefficients(mode_coefficients: Callable[[int], float], j_max: int) -> np.ndarray:
+    c = np.array([mode_coefficients(j) for j in range(1, j_max + 1)], dtype=float)
+    c.flags.writeable = False
+    return c
+
+
+SINE_BLOCK = 32  # modes per block of the sine sum
+
+
+def _sine_sum(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``sum_j a_j sin(j pi x)``, ``j = 1..len(a)``, blockwise in ``w = exp(i pi x)``.
+
+    With blocks of B modes the sum is ``Im sum_m (w**B)**m S_m``, where
+    ``S_m = sum_{b=1..B} a_{mB+b} w**b``.  The powers ``w**1..w**B`` come
+    from log2(B) doublings ``w**(k+i) = w**i w**k`` (4x faster than
+    ``np.cumprod`` along the block axis, with the same rounding), all
+    ``S_m`` from one real GEMM on their float view, and Horner's rule in
+    ``w**B`` runs over the blocks.
+    """
+    block = min(SINE_BLOCK, max(len(a), 1))
+    n_blocks = max(-(-len(a) // block), 1)
+    coeffs = np.zeros(n_blocks * block)
+    coeffs[: len(a)] = a
+    powers = np.empty((block, x.size), dtype=complex)  # row i is w**(i+1)
+    powers[0] = np.exp(1j * pi * x.ravel())
+    k = 1
+    while k < block:
+        step = min(k, block - k)
+        np.multiply(powers[:step], powers[k - 1], out=powers[k : k + step])
+        k += step
+    sums = (coeffs.reshape(n_blocks, block) @ powers.view(float)).view(complex)
+    acc = sums[-1]
+    for s_m in sums[-2::-1]:
+        acc = acc * powers[-1] + s_m
+    return np.imag(acc).reshape(x.shape)
 
 
 def spectral_reference(sp: SpectralProblem, x: np.ndarray, t: float) -> np.ndarray:
@@ -218,13 +274,15 @@ def spectral_reference(sp: SpectralProblem, x: np.ndarray, t: float) -> np.ndarr
     Sums modes up to the third consecutive one whose contribution
     ``|c_j| * |v_j(t)|`` is below ``tail_tol`` (decay in j is not
     monotone through zero coefficients); warns if ``j_max`` is reached
-    with a contribution that is not small.  The mode values of all
-    nonzero coefficients come from one call of ``mode_value``, and the
-    sine series is summed by Horner's rule in ``w = exp(i pi x)``.
+    with a contribution that is not small.  The coefficients ``c_j`` are
+    computed once per ``(mode_coefficients, j_max)`` and shared, so the
+    callable must be hashable and return the same values on every call.
+    The mode values of all nonzero coefficients come from one call of
+    ``mode_value``, and the sine series is summed by ``_sine_sum``.
     """
     x = np.asarray(x, dtype=float)
     j = np.arange(1, sp.j_max + 1)
-    c = np.array([sp.mode_coefficients(int(k)) for k in j], dtype=float)
+    c = _coefficients(sp.mode_coefficients, sp.j_max)
     contrib = np.zeros(sp.j_max)
     nz = c != 0.0
     contrib[nz] = c[nz] * mode_value(sp.K, sp.beta, (j[nz] * pi) ** 2, t)
@@ -236,6 +294,4 @@ def spectral_reference(sp: SpectralProblem, x: np.ndarray, t: float) -> np.ndarr
         stop = sp.j_max
         if not np.any(small[-1:]):  # the last contribution is not small, or there is none
             warnings.warn(f"spectral reference truncated at j_max = {sp.j_max}", stacklevel=2)
-    # sum_j c_j v_j sin(j pi x) = Im(w * sum_j c_j v_j w^(j-1)),  w = exp(i pi x)
-    w = np.exp(1j * pi * x)
-    return np.sqrt(2.0) * np.imag(w * np.polyval(contrib[:stop][::-1], w))
+    return np.sqrt(2.0) * _sine_sum(contrib[:stop], x)

@@ -17,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import cimfem.mlf
 from cimfem.mlf import (
     MLError,
     MLQuery,
@@ -112,6 +113,24 @@ class TestContour:
         assert all(type(v) is float for v in scalar)
         np.testing.assert_allclose(values, scalar, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("K", [0.0, 1.0])
+    @pytest.mark.parametrize("beta,t", [(0.25, 0.1), (0.5, 1.0), (0.75, 5.0)])
+    def test_array_matches_scalar_up_to_the_largest_modes(self, beta, t, K):
+        # the queries of mode_value for lam = pi^2 .. (20000 pi)^2, where |w2| dwarfs a_k / b_k:
+        # without the z1 term at K = 0, with it at K > 0.  (E_1 alone at K > 0 is a
+        # 1/lam^2 remainder of terms of size 1/lam, so its last digits follow the summation order.)
+        lam = np.geomspace(1.0, 20000.0, 60) ** 2 * math.pi**2
+        if K == 0.0:
+            query = lambda z2: MLQuery(1.0 - beta, beta, 1.0, 0.0, z2)
+            z2 = -lam * t**beta
+        else:
+            query = lambda z2: MLQuery(1.0 - beta, 1.0, 1.0, -(t ** (1.0 - beta)) / K, z2)
+            z2 = -lam * t / K
+        with_z1_term = K > 0.0
+        values = ml_biv_contour(query(z2), t, with_z1_term)
+        scalar = [ml_biv_contour(query(float(w)), t, with_z1_term) for w in z2]
+        np.testing.assert_allclose(values, scalar, rtol=1e-14, atol=0.0)
+
 
 class TestDispatch:
     def test_falls_back_to_contour_on_cancellation(self):
@@ -185,6 +204,18 @@ class TestModeAndSpectral:
         values = mode_value(1.0, beta, lam, t)
         assert np.max(np.abs(values - expected)) <= 1e-15
         assert mode_value(1.0, beta, float(lam[0]), t) == pytest.approx(values[0], rel=1e-14)
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("t", [0.1, 1.0])
+    def test_mode_value_without_first_order_term_against_talbot(self, beta, t):
+        # K = 0: the transform is z^(beta-1) / (z^beta + lam)
+        mpmath = pytest.importorskip("mpmath")
+        lam = (np.arange(1, 11) * math.pi) ** 2
+        with mpmath.workdps(30):
+            expected = [_talbot_mode_value(mpmath, 0.0, beta, float(x), t) for x in lam]
+        values = mode_value(0.0, beta, lam, t)
+        assert np.max(np.abs(values - expected)) <= 1e-15
+        assert type(mode_value(0.0, beta, float(lam[0]), t)) is float
 
     @pytest.mark.parametrize("beta", [0.25, 0.75])
     def test_z1_term_is_the_two_gamma_combination(self, beta):
@@ -269,3 +300,61 @@ class TestModeAndSpectral:
         assert caught == []
         expected = sum(math.sqrt(2.0) * np.sin(j * math.pi * x) for j in range(1, 9))
         assert np.allclose(u, expected, atol=1e-14)
+
+
+class TestSineSum:
+    """The blocked sum against the sine matrix built from ``np.sin``."""
+
+    B = cimfem.mlf.SINE_BLOCK
+
+    @pytest.mark.parametrize("J", [1, 2, B - 1, B, B + 1, 500, 20000])
+    def test_matches_direct_sine_product(self, J):
+        rng = np.random.default_rng(J)
+        a = rng.standard_normal(J)
+        x = np.concatenate([[0.0, 1.0], rng.random(127)])
+        direct = np.sin(np.outer(x, np.arange(1, J + 1) * math.pi)) @ a
+        blocked = cimfem.mlf._sine_sum(a, x)
+        assert blocked.shape == x.shape
+        assert np.max(np.abs(blocked - direct)) <= 1e-13 * np.sum(np.abs(a))
+
+    def test_keeps_the_shape_of_the_points(self):
+        a = np.array([1.0, -0.5, 0.25])
+        x = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        direct = sum(c * np.sin((j + 1) * math.pi * x) for j, c in enumerate(a))
+        np.testing.assert_allclose(cimfem.mlf._sine_sum(a, x), direct, rtol=0.0, atol=1e-15)
+
+
+class CountingCoefficients:
+    """A datum's sine coefficients that count how often they are asked for."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, j: int) -> float:
+        self.calls += 1
+        return 1.0 / j**2 if j <= 5 else 0.0
+
+
+class TestCoefficientCache:
+    def test_computed_once_per_datum_and_j_max(self):
+        coeffs = CountingCoefficients()
+        x = np.linspace(0.0, 1.0, 5)
+        spectral_reference(SpectralProblem(1.0, 0.5, coeffs, j_max=40), x, 0.3)
+        assert coeffs.calls == 40
+        for beta, t in ((0.25, 0.1), (0.75, 2.0)):
+            spectral_reference(SpectralProblem(1.0, beta, coeffs, j_max=40), x, t)
+        assert coeffs.calls == 40
+        spectral_reference(SpectralProblem(1.0, 0.5, coeffs, j_max=30), x, 0.3)
+        assert coeffs.calls == 70
+        other = CountingCoefficients()
+        spectral_reference(SpectralProblem(1.0, 0.5, other, j_max=40), x, 0.3)
+        assert other.calls == 40 and coeffs.calls == 70
+
+    def test_cached_array_is_read_only(self):
+        coeffs = CountingCoefficients()
+        c = cimfem.mlf._coefficients(coeffs, 8)
+        assert cimfem.mlf._coefficients(coeffs, 8) is c
+        assert coeffs.calls == 8
+        np.testing.assert_array_equal(c, [1.0, 1 / 4, 1 / 9, 1 / 16, 1 / 25, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="read-only"):
+            c[0] = 0.0
