@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import inf, pi, sin, sqrt
-from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,13 +71,16 @@ class ScalarDomain:
 
 @dataclass(frozen=True)
 class Problem:
-    """One transport problem; ``contour`` gives the contour shape and its time window."""
+    """One transport problem; ``contour`` gives the contour shape and its time window.
+
+    ``u0`` and each source term's datum are numbers for a scalar domain
+    and data on the mesh otherwise.
+    """
 
     sym: FractionalSymbol
     domain: ScalarDomain | Mesh1D | Mesh2D
     u0: float | InitialData1D | InitialData2D
     source: SourceTransform = field(default_factory=SourceTransform)
-    spatial_factors: Mapping[str, object] = field(default_factory=dict)
     contour: ContourConfig = ContourConfig()
 
     @property
@@ -91,7 +93,7 @@ class Discretization:
     """Mesh-dependent data reused across contour nodes and sweeps."""
 
     b_u0: np.ndarray
-    b_factors: dict[str, np.ndarray]
+    b_factors: dict[object, np.ndarray]  # keyed by source datum
 
 
 # A load vector depends only on the mesh and the datum, never on beta or N, so
@@ -105,7 +107,7 @@ def _load(mesh: Mesh1D | Mesh2D, g) -> np.ndarray:
 
 
 def discretize(p: Problem) -> Discretization | None:
-    """Load vectors of the initial datum and the source factors; None for scalar problems.
+    """Load vectors of the initial datum and the source data; None for scalar problems.
 
     Each (mesh, datum) pair is integrated once per process and its
     read-only vector shared, so data must be hashable; a callable hashes
@@ -113,14 +115,11 @@ def discretize(p: Problem) -> Discretization | None:
     """
     if p.scalar:
         return None
-    if isinstance(p.u0, (int, float)):
-        raise ValueError("PDE problems need initial data on the mesh, not a scalar")
-    b_u0 = _load(p.domain, p.u0)
-    b_factors = {name: _load(p.domain, g) for name, g in p.spatial_factors.items()}
-    for name in {t.spatial_id for t in p.source.terms}:
-        if name not in b_factors:
-            raise ValueError(f"source references unknown spatial factor {name!r}")
-    return Discretization(b_u0=b_u0, b_factors=b_factors)
+    data = [p.u0] + [t.datum for t in p.source.terms]
+    if any(isinstance(g, (int, float)) for g in data):
+        raise ValueError("PDE problems need data on the mesh, not a scalar")
+    b_factors = {g: _load(p.domain, g) for g in data[1:]}
+    return Discretization(b_u0=_load(p.domain, p.u0), b_factors=b_factors)
 
 
 @dataclass(frozen=True)
@@ -195,8 +194,8 @@ def _solve_at(p: Problem, disc: Discretization | None, z: np.ndarray) -> np.ndar
     """
     eta = p.sym.eta(z)
     loads = [(p.sym.history_weight(z), p.u0 if p.scalar else disc.b_u0)]
-    for name, mult in p.source.evaluate(z).items():
-        loads.append((mult, complex(p.spatial_factors.get(name, 1.0)) if p.scalar else disc.b_factors[name]))
+    for g, mult in p.source.evaluate(z).items():
+        loads.append((mult, complex(g) if p.scalar else disc.b_factors[g]))
     if isinstance(p.domain, Mesh1D):
         stencil = stencil_1d(p.domain)
         u, ok = modal_solve(eta, stencil, loads)

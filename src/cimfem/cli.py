@@ -10,12 +10,13 @@ override file values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 
 from .bench import EXAMPLE_IDS, MODES, BenchError, ExperimentSpec, run
 from .contour import ContourConfig, ContourError
-from .mlf import MLError, MLQuery, ml_biv, ml_biv_series
+from .mlf import MLError, MLQuery, ml_biv
 
 
 def _config_args(path: str) -> list[str]:
@@ -64,7 +65,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="comma-separated interpolation orders for acceleration")
     p.add_argument("--times", type=_floats, default=spec.eval_times, help="comma-separated evaluation times")
     p.add_argument("--reference", choices=("exact", "numeric"), default=spec.reference)
-    p.add_argument("--out", help="CSV output path")
+    p.add_argument("--out", help="also write the CSV to this path")
 
 
 def _with_config(p: argparse.ArgumentParser, path: str, flags: list[str]) -> argparse.Namespace:
@@ -85,7 +86,6 @@ def _build_spec(mode: str, args: argparse.Namespace) -> ExperimentSpec:
         n_interp=args.n_interp,
         eval_times=args.times,
         reference=args.reference,
-        output_path=args.out,
         contour=ContourConfig(
             alpha=args.alpha, delta_prime=args.delta_prime, t0=args.t0, lambda_ratio=args.lambda_ratio
         ),
@@ -93,9 +93,27 @@ def _build_spec(mode: str, args: argparse.Namespace) -> ExperimentSpec:
     )
 
 
-def _cmd_sweep(spec: ExperimentSpec) -> int:
-    report = run(spec)
-    sys.stdout.write(report.to_csv())
+def _error(message: str) -> int:
+    """Report a bad request like an argparse error, without a traceback, and return exit status 2."""
+    print(f"cimfem: error: {message}", file=sys.stderr)
+    return 2
+
+
+def _cmd_sweep(spec: ExperimentSpec, out_path: str | None) -> int:
+    """Run ``spec`` and write its CSV to stdout and, if given, to ``out_path``.
+
+    ``out_path`` is opened before the first job, so a bad path costs no work.
+    """
+    with contextlib.ExitStack() as stack:
+        try:
+            out = stack.enter_context(open(out_path, "w", newline="")) if out_path else None
+        except OSError as exc:
+            return _error(f"cannot write {out_path!r}: {exc.strerror}")
+        report = run(spec)
+        text = report.to_csv()
+        sys.stdout.write(text)
+        if out is not None:
+            out.write(text)
     for failure in report.failures:
         print(f"row failed: {failure}", file=sys.stderr)
     return 1 if report.failures else 0
@@ -107,8 +125,7 @@ def _ml_value(line: str) -> float:
     if len(parts) not in (5, 6):
         raise ValueError(f"expected 'alpha beta gamma z1 z2 [t]', got: {line}")
     a, b, g, z1, z2 = (float(x) for x in parts[:5])
-    q = MLQuery(a, b, g, z1, z2)
-    return ml_biv(q, float(parts[5])) if len(parts) == 6 else ml_biv_series(q)
+    return ml_biv(MLQuery(a, b, g, z1, z2), float(parts[5]) if len(parts) == 6 else None)
 
 
 def _cmd_ml_eval(args: argparse.Namespace) -> int:
@@ -121,9 +138,7 @@ def _cmd_ml_eval(args: argparse.Namespace) -> int:
         try:
             value = _ml_value(line)
         except (ValueError, MLError) as exc:
-            # a bad query exits like an argparse error, without a traceback
-            print(f"cimfem: error: {exc}", file=sys.stderr)
-            return 2
+            return _error(str(exc))
         print(f"{value:.15e}")
     return 0
 
@@ -164,10 +179,8 @@ def main(argv: list[str] | None = None) -> int:
             args = _with_config(modes[mode], args.config, argv[1:])
         spec = _build_spec(mode, args)
     except (BenchError, ContourError) as exc:
-        # a bad spec, contour or config file exits like an argparse error, without a traceback
-        print(f"cimfem: error: {exc}", file=sys.stderr)
-        return 2
-    return _cmd_sweep(spec)
+        return _error(str(exc))
+    return _cmd_sweep(spec, args.out)
 
 
 if __name__ == "__main__":

@@ -27,32 +27,32 @@ class ContourError(ValueError):
 
 
 EPS_ROUND = 2.22e-16  # rounding level amplified by the quadrature sum
+GRID_SIZE = 1000  # points of the rho grid that optimize_rho searches
+
+# Fraction by which the analyticity strip is shrunk when ``alpha`` itself
+# limits it (the degenerate branch).  0.5 keeps the working strip at half of
+# ``alpha``: a margin near 0 takes the strip nearly up to ``alpha``, which is
+# optimal only asymptotically, and at moderate N evaluates the integrand too
+# close to the strip boundary and loses several digits.
+D_MARGIN = 0.5
 
 
 @dataclass(frozen=True)
 class ContourConfig:
-    """The requested contour: its shape, its time window and the optimizer's grid.
+    """The requested contour: its shape and its time window.
 
     ``t0`` and ``lambda_ratio`` describe the time window
     ``[t0, lambda_ratio * t0]`` on which one fixed contour must stay
-    accurate.  ``alpha`` is the asymptotic half-angle of the hyperbola,
-    ``delta_prime`` the sector safety margin of the symbol, and
-    ``d_margin`` shrinks the analyticity strip whenever the strip is
-    limited by ``alpha`` itself (the degenerate branch).  These class
-    defaults are the package's single source for the default contour.
-
-    The default ``d_margin`` keeps the working strip at half of
-    ``alpha``: a margin near 0 takes the strip nearly up to ``alpha``,
-    which is optimal only asymptotically, and at moderate N evaluates the
-    integrand too close to the strip boundary and loses several digits.
+    accurate.  ``alpha`` is the asymptotic half-angle of the hyperbola
+    and ``delta_prime`` the sector safety margin of the symbol.  These
+    class defaults are the package's single source for the default
+    contour.
     """
 
     alpha: float = 0.6767
     delta_prime: float = 0.1023
     t0: float = 0.1
     lambda_ratio: float = 10.0
-    grid_size: int = 1000
-    d_margin: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < pi / 2:
@@ -69,10 +69,6 @@ class ContourConfig:
                 f"need finite t0 > 0 and lambda_ratio >= 1, got t0 = {self.t0}, "
                 f"lambda_ratio = {self.lambda_ratio}"
             )
-        if self.grid_size < 2:
-            raise ContourError("need grid_size >= 2")
-        if not 0.0 < self.d_margin < 1.0:
-            raise ContourError("d_margin must lie in (0, 1)")
 
     @property
     def window(self) -> tuple[float, float]:
@@ -117,11 +113,11 @@ def strip_half_width(cfg: ContourConfig) -> float:
     The width is limited either by the contour angle ``alpha`` itself or
     by the distance ``pi/2 - alpha - delta_prime`` to the boundary of the
     sector where the resolvent is analytic.  In the degenerate case the
-    width is shrunk by ``d_margin`` so the strip stays open.
+    width is shrunk by ``D_MARGIN`` so the strip stays open.
     """
     other = pi / 2 - cfg.alpha - cfg.delta_prime
     if cfg.alpha <= other:
-        return cfg.alpha * (1.0 - cfg.d_margin)
+        return cfg.alpha * (1.0 - D_MARGIN)
     return other
 
 
@@ -129,8 +125,8 @@ def optimize_rho(cfg: ContourConfig, N: int) -> OptimalParameters:
     """Grid search for the error-split parameter ``rho`` of the contour ``cfg`` at N nodes.
 
     Evaluates the predicted total error on the grid ``rho_j = j / D``,
-    ``j = 0 .. D-1``, skipping infeasible points, and keeps the smallest
-    feasible minimizer.  From the winner the step ``tau`` and the scale
+    ``j = 0 .. D-1`` with ``D = GRID_SIZE``, skipping infeasible points,
+    and keeps the smallest feasible minimizer.  From the winner the step ``tau`` and the scale
     ``mu`` of the contour follow in closed form.
     """
     if N < 1:
@@ -140,8 +136,7 @@ def optimize_rho(cfg: ContourConfig, N: int) -> OptimalParameters:
     if sin_gap <= 0.0:
         raise ContourError("strip half-width leaves no room below alpha")
 
-    j = np.arange(cfg.grid_size)
-    rho = j / cfg.grid_size
+    rho = np.arange(GRID_SIZE) / GRID_SIZE
     arg = cfg.lambda_ratio / ((1.0 - rho) * sin_gap)
     feasible = arg > 1.0
     if not np.any(feasible):

@@ -275,23 +275,18 @@ _G3_W = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 _G5_X, _G5_W = np.polynomial.legendre.leggauss(5)
 
 
-def load_vector(
-    mesh: Mesh1D | Mesh2D,
-    g: InitialData1D | InitialData2D | Callable,
-    include_boundary: bool = False,
-) -> np.ndarray:
-    """Galerkin load ``b_i = integral of g * phi_i``.
+def load_vector(mesh: Mesh1D | Mesh2D, g: InitialData1D | InitialData2D | Callable) -> np.ndarray:
+    """Galerkin load ``b_i = integral of g * phi_i`` over the interior hat functions.
 
     Piecewise data is integrated exactly up to the quadrature degree by
     splitting each element at the data's jump locations; plain callables
-    are integrated by the same rules without splitting.  With
-    ``include_boundary`` the entries of the boundary hat functions are
-    appended (1-D: first/last; 2-D: all boundary nodes), which is useful
-    for mass-conservation checks.
+    are integrated by the same rules without splitting.  ``_load_1d`` and
+    ``_load_2d`` give the loads of every node, the boundary included.
     """
+    M = mesh.M
     if isinstance(mesh, Mesh1D):
-        return _load_1d(mesh, g, include_boundary)
-    return _load_2d(mesh, g, include_boundary)
+        return _load_1d(mesh, g)[1:M]
+    return _load_2d(mesh, g).reshape(M + 1, M + 1)[1:M, 1:M].ravel()
 
 
 def _gauss_on(a: np.ndarray, b: np.ndarray, xg: np.ndarray, wg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,8 +295,8 @@ def _gauss_on(a: np.ndarray, b: np.ndarray, xg: np.ndarray, wg: np.ndarray) -> t
     return mid[:, None] + half[:, None] * xg, half[:, None] * wg
 
 
-def _load_1d(mesh: Mesh1D, g, include_boundary: bool) -> np.ndarray:
-    """3-point Gauss rule on every piece of the grid cut at the data's breakpoints."""
+def _load_1d(mesh: Mesh1D, g) -> np.ndarray:
+    """Loads of all M + 1 nodes by the 3-point Gauss rule on the grid cut at the data's breakpoints."""
     h, M = mesh.h, mesh.M
     grid = np.arange(M + 1) * h
     breaks = np.asarray(g.breakpoints if isinstance(g, InitialData1D) else (), dtype=float)
@@ -313,8 +308,7 @@ def _load_1d(mesh: Mesh1D, g, include_boundary: bool) -> np.ndarray:
     left = np.sum(wq * gq * (xr - xq) / h, axis=1)
     right = np.sum(wq * gq * (xq - xl) / h, axis=1)
     # interleaved, so every node sums its terms in element order
-    b = np.bincount(np.column_stack([e, e + 1]).ravel(), np.column_stack([left, right]).ravel(), M + 1)
-    return b if include_boundary else b[1:M]
+    return np.bincount(np.column_stack([e, e + 1]).ravel(), np.column_stack([left, right]).ravel(), M + 1)
 
 
 # a vertex within this distance of a clipping line counts as inside
@@ -400,8 +394,8 @@ def _support_rectangles(g) -> list[tuple[float, float, float, float, Callable]]:
     return [(-np.inf, np.inf, -np.inf, np.inf, g)]
 
 
-def _load_2d(mesh: Mesh2D, g, include_boundary: bool) -> np.ndarray:
-    """Mid-edge rule on every triangle inside a support rectangle of ``g``.
+def _load_2d(mesh: Mesh2D, g) -> np.ndarray:
+    """Mid-edge rule on every triangle inside a support rectangle of ``g``: all (M + 1)^2 loads, x fastest.
 
     Triangles a rectangle edge cuts are clipped to the rectangle one by
     one; triangles outside it add nothing.  "Inside" uses the tolerance of
@@ -432,8 +426,7 @@ def _load_2d(mesh: Mesh2D, g, include_boundary: bool) -> np.ndarray:
             if poly:
                 contrib[t] += _midedge_integrate(poly, tris[t], smooth)
     full = grid[..., 1] * (M + 1) + grid[..., 0]
-    b_full = np.bincount(full.ravel(), weights=contrib.ravel(), minlength=(M + 1) ** 2)
-    return b_full if include_boundary else b_full.reshape(M + 1, M + 1)[1:M, 1:M].ravel()
+    return np.bincount(full.ravel(), weights=contrib.ravel(), minlength=(M + 1) ** 2)
 
 
 # degree-5, 7-point symmetric quadrature on the reference triangle

@@ -10,8 +10,8 @@ use the principal branch with ``Arg z in (-pi, pi]``.
 
 Sources are restricted to finite sums of terms whose transforms are
 known in closed form: powers ``c * t**s`` and exponentials
-``c * exp(sigma t)``, each multiplying a fixed spatial factor that is
-handled by the spatial discretization.
+``c * exp(sigma t)``, each multiplying a fixed spatial datum that the
+spatial discretization turns into a load vector.
 """
 
 from __future__ import annotations
@@ -66,14 +66,15 @@ class FractionalSymbol:
 
 @dataclass(frozen=True)
 class SourceTerm:
-    """One separable source term ``coeff * time_part(t) * spatial_factor``.
+    """One separable source term ``coeff * time_part(t) * datum``.
 
     ``kind`` is ``"power"`` (time part ``t**exponent``) or ``"pole"``
-    (time part ``exp(exponent * t)``); the name of the spatial factor is
-    resolved by whoever assembles the right-hand side.
+    (time part ``exp(exponent * t)``).  ``datum`` is the spatial factor,
+    the same kind of object as a problem's initial datum: a number for a
+    scalar problem, or a description or callable on the mesh.
     """
 
-    spatial_id: str
+    datum: object
     kind: str
     coeff: float
     exponent: float
@@ -109,17 +110,17 @@ class SourceTransform:
         poles = [t.exponent for t in self.terms if t.kind == "pole"]
         return max(poles) if poles else None
 
-    def evaluate(self, z: complex) -> dict[str, complex]:
-        """Per-spatial-factor multipliers of the transform at ``z``."""
-        out: dict[str, complex] = {}
+    def evaluate(self, z: complex) -> dict[object, complex]:
+        """Multiplier of each distinct spatial datum at ``z``, in first-seen order."""
+        out: dict[object, complex] = {}
         for term in self.terms:
-            out[term.spatial_id] = out.get(term.spatial_id, 0.0) + term.transform(z)
+            out[term.datum] = out.get(term.datum, 0.0) + term.transform(z)
         return out
 
 
-def power_term(spatial_id: str, coeff: float, exponent: float) -> SourceTerm:
-    return SourceTerm(spatial_id=spatial_id, kind="power", coeff=coeff, exponent=exponent)
+def power_term(datum, coeff: float, exponent: float) -> SourceTerm:
+    return SourceTerm(datum=datum, kind="power", coeff=coeff, exponent=exponent)
 
 
-def pole_term(spatial_id: str, coeff: float, sigma: float) -> SourceTerm:
-    return SourceTerm(spatial_id=spatial_id, kind="pole", coeff=coeff, exponent=sigma)
+def pole_term(datum, coeff: float, sigma: float) -> SourceTerm:
+    return SourceTerm(datum=datum, kind="pole", coeff=coeff, exponent=sigma)

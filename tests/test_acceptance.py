@@ -34,6 +34,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
+import cimfem.contour
 from cimfem.bench import (
     ContourRun,
     accel_compare,
@@ -234,7 +235,7 @@ def test_acceleration_geometric_decay():
     start = time.perf_counter()
     bp = build_problem("ex1_scalar", 0.5, 4)
     ns = list(range(4, 21, 2))
-    devs = [accel_compare(bp, 100, n, 0.6)[0] for n in ns]
+    devs = [dev for _, dev, _, _ in accel_compare(bp, 100, ns, 0.6)[1]]
     ratios = [devs[i + 1] / devs[i] for i in range(len(devs) - 1) if devs[i] > 0]
     geo_mean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
     assert geo_mean <= 0.5, f"geometric mean decay ratio per +2 nodes: {geo_mean:.3f}"
@@ -243,10 +244,10 @@ def test_acceleration_geometric_decay():
 
 def test_acceleration_speedup():
     start = time.perf_counter()
-    _, _, t_plain, t_accel = accel_compare(build_problem("ex3_1d_case1", 0.5, 2 ** 13), 100, 10, 0.4)
+    t_plain, [(_, _, _, t_accel)] = accel_compare(build_problem("ex3_1d_case1", 0.5, 2 ** 13), 100, (10,), 0.4)
     s1 = t_plain / t_accel
     assert s1 >= 2.0, f"1-D speedup {s1:.2f} < 2"
-    _, _, t_plain, t_accel = accel_compare(build_problem("ex4_2d_case2", 0.5, 64), 100, 10, 0.4)
+    t_plain, [(_, _, _, t_accel)] = accel_compare(build_problem("ex4_2d_case2", 0.5, 64), 100, (10,), 0.4)
     s2 = t_plain / t_accel
     assert s2 >= 2.0, f"2-D speedup {s2:.2f} < 2"
     assert time.perf_counter() - start < 120.0
@@ -348,11 +349,12 @@ def test_solver_oracle_equivalences():
     assert time.perf_counter() - start < 30.0
 
 
-def test_optimizer_grid_oracle():
+def test_optimizer_grid_oracle(monkeypatch):
     start = time.perf_counter()
     N = 100
-    coarse = optimize_rho(ContourConfig(grid_size=1000), N)
-    fine = optimize_rho(ContourConfig(grid_size=10 ** 6), N)
+    coarse = optimize_rho(ContourConfig(), N)
+    monkeypatch.setattr(cimfem.contour, "GRID_SIZE", 10 ** 6)
+    fine = optimize_rho(ContourConfig(), N)
     assert abs(coarse.rho_star - fine.rho_star) <= 2e-3
     assert coarse.predicted_error <= 1.01 * fine.predicted_error
     assert time.perf_counter() - start < 5.0

@@ -132,13 +132,12 @@ class TestErrorMetrics:
 
     def test_iar_with_exact(self):
         bp = build_problem("ex2_vanishing", 0.5, 16)
-        _, val, _, _ = accel_compare(bp, 100, 12, 0.6)
+        _, [(_, _, val, _)] = accel_compare(bp, 100, (12,), 0.6)
         assert 0.0 < val < 1.0
 
     def test_accel_deviation_decreases(self):
         bp = build_problem("ex1_scalar", 0.5, 8)
-        d_small, _, _, _ = accel_compare(bp, 100, 6, 0.6)
-        d_large, _, _, _ = accel_compare(bp, 100, 20, 0.6)
+        _, [(_, d_small, _, _), (_, d_large, _, _)] = accel_compare(bp, 100, (6, 20), 0.6)
         assert d_large < d_small
 
     @pytest.mark.parametrize(
@@ -149,7 +148,7 @@ class TestErrorMetrics:
         # a relative deviation from it is undefined
         p = Problem(sym=FractionalSymbol(1.0, 0.5), domain=domain, u0=u0)
         with pytest.raises(BenchError, match="vanishes"):
-            accel_compare(BuiltProblem(p, None), 20, 4, 0.6)
+            accel_compare(BuiltProblem(p, None), 20, (4,), 0.6)
 
 
 class TestReportAndRun:
@@ -194,23 +193,16 @@ class TestReportAndRun:
 
         assert csv_without_walltime() == csv_without_walltime()
 
-    def test_csv_written(self, tmp_path):
+    def test_csv_written(self, tmp_path, capsys):
+        # the library writes no file: the CLI writes the CSV it prints to --out
         path = tmp_path / "out.csv"
-        spec = ExperimentSpec(
-            mode="sweep-space",
-            example_id="ex2_vanishing",
-            betas=(0.5,),
-            n_list=(40,),
-            m_list=(4, 8),
-            reference="exact",
-            eval_times=(0.86,),
-            output_path=str(path),
-        )
-        report = run(spec)
-        assert path.exists()
+        argv = ["sweep-space", "--example", "ex2_vanishing", "--N", "40", "--M", "4,8",
+                "--reference", "exact", "--times", "0.86", "--out", str(path)]
+        assert main(argv) == 0
         text = path.read_text()
+        assert text == capsys.readouterr().out
         assert text.startswith("example,beta,N,M,n,t,error,order,iar,wall_ms")
-        assert len(text.strip().splitlines()) == 1 + len(report.rows)
+        assert len(text.strip().splitlines()) == 1 + 2
 
     def test_failures_recorded_not_raised(self):
         # N_REF equal to an N would be rejected by the spec; per-row failures
@@ -253,12 +245,13 @@ class TestSharedWork:
         assert sum(rows) == 20 + 40 + 80 + 200
 
     def test_accel_compare_reuses_warmup_solves(self, monkeypatch, capsys):
+        # one warm-up and three timed plain solves serve every n of the job
         rows = self.count_node_solves(monkeypatch)
         argv = ["accel-compare", "--example", "ex3_1d_case1", "--N", "100", "--M", "32",
-                "--n-interp", "10", "--times", "0.6"]
+                "--n-interp", "6,10", "--times", "0.6"]
         assert main(argv) == 0
-        assert len(capsys.readouterr().out.strip().splitlines()) == 3
-        assert 0 < sum(rows) <= 4 * (100 + 11)
+        assert len(capsys.readouterr().out.strip().splitlines()) == 5
+        assert 0 < sum(rows) <= 4 * (100 + 7 + 11)
 
     def test_sweep_time_optimizes_and_integrates_once_per_process(self, monkeypatch, capsys):
         # contour parameters depend on N and the window, load vectors on the

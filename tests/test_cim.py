@@ -40,9 +40,9 @@ def scalar_benchmark(beta):
     """u' + d_t^beta u + u = f with exact solution u = 1 + c t."""
     source = SourceTransform(
         terms=(
-            power_term("one", 1.0 + SQRT_PI_32, 0.0),
-            power_term("one", SQRT_PI_32 / math.gamma(2.0 - beta), 1.0 - beta),
-            power_term("one", SQRT_PI_32, 1.0),
+            power_term(1.0, 1.0 + SQRT_PI_32, 0.0),
+            power_term(1.0, SQRT_PI_32 / math.gamma(2.0 - beta), 1.0 - beta),
+            power_term(1.0, SQRT_PI_32, 1.0),
         )
     )
     p = Problem(
@@ -133,7 +133,7 @@ class TestEvaluateGuards:
 
 class TestPoleHandling:
     def pole_problem(self):
-        source = SourceTransform(terms=(pole_term("g", 1.0, 1.5),))
+        source = SourceTransform(terms=(pole_term(1.0, 1.0, 1.5),))
         return Problem(
             sym=FractionalSymbol(1.0, 0.5),
             domain=ScalarDomain(1.0),
@@ -192,37 +192,44 @@ class TestProcessCaches:
         cimfem.cim._load.cache_clear()
         p = build_problem(example, 0.5, 8).problem
         disc = discretize(p)
-        data = [(p.u0, disc.b_u0)] + [(p.spatial_factors[n], b) for n, b in disc.b_factors.items()]
-        for g, b in data:
+        for g, b in [(p.u0, disc.b_u0), *disc.b_factors.items()]:
             assert not b.flags.writeable
             assert b.tobytes() == load_vector(p.domain, g).astype(complex).tobytes()
         again = discretize(build_problem(example, 0.25, 8).problem)
         assert again.b_u0 is disc.b_u0
-        assert all(again.b_factors[n] is b for n, b in disc.b_factors.items())
+        assert all(again.b_factors[g] is b for g, b in disc.b_factors.items())
         with pytest.raises(ValueError, match="read-only"):
             disc.b_u0[0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "u0, terms",
+    [(0.0, ()), (InitialData1D.zero(), (power_term(InitialData1D.zero(), 1.0, 0.0), power_term(2.0, 1.0, 0.0)))],
+    ids=["initial-datum", "source-datum"],
+)
+def test_numeric_datum_on_a_mesh_is_rejected(u0, terms):
+    # the initial datum and every source datum pass the same check
+    p = Problem(sym=FractionalSymbol(1.0, 0.5), domain=Mesh1D(8), u0=u0, source=SourceTransform(terms))
+    with pytest.raises(ValueError, match="need data on the mesh, not a scalar"):
+        discretize(p)
 
 
 class TestSpatialSolve:
     def vanishing_problem(self, beta, M):
         # exact solution u = t^{3/2} x (1 - x) with K u' + d_t^beta u - u'' = f
+        xx, one = InitialData1D.polynomial((0.0, 1.0, -1.0)), InitialData1D.polynomial((1.0,))
         source = SourceTransform(
             terms=(
-                power_term("xx", 1.5, 0.5),
-                power_term("xx", math.gamma(2.5) / math.gamma(2.5 - beta), 1.5 - beta),
-                power_term("one", 2.0, 1.5),
+                power_term(xx, 1.5, 0.5),
+                power_term(xx, math.gamma(2.5) / math.gamma(2.5 - beta), 1.5 - beta),
+                power_term(one, 2.0, 1.5),
             )
         )
-        factors = {
-            "xx": InitialData1D.polynomial((0.0, 1.0, -1.0)),
-            "one": InitialData1D.polynomial((1.0,)),
-        }
         p = Problem(
             sym=FractionalSymbol(1.0, beta),
             domain=Mesh1D(M),
             u0=InitialData1D.zero(),
             source=source,
-            spatial_factors=factors,
         )
         exact = lambda x, t: t ** 1.5 * x * (1.0 - x)
         return p, exact
@@ -262,7 +269,8 @@ class TestSpatialSolve:
         mass, stiff = ops.mass.toarray(), ops.stiffness.toarray()
         eta = z + z ** 0.5
         rhs = np.outer(1.0 + z ** -0.5, disc.b_u0)
-        rhs += np.outer(3.0 * math.pi ** 5 / (z - 1.5), disc.b_factors["fxy"])
+        [b_fxy] = disc.b_factors.values()
+        rhs += np.outer(3.0 * math.pi ** 5 / (z - 1.5), b_fxy)
         together = _solve_at(p, disc, z)
         for k in range(len(z)):
             ref = np.linalg.solve(eta[k] * mass + stiff, rhs[k])
@@ -275,8 +283,8 @@ def dense_node_solutions(p, disc, z):
     """Right-hand sides and dense LAPACK solutions of ``(eta M + S) u = rhs``, one row per point."""
     eta = p.sym.eta(z)
     rhs = np.outer(p.sym.history_weight(z), disc.b_u0)
-    for name, mult in p.source.evaluate(z).items():
-        rhs += np.outer(mult, disc.b_factors[name])
+    for g, mult in p.source.evaluate(z).items():
+        rhs += np.outer(mult, disc.b_factors[g])
     if isinstance(p.domain, Mesh1D):
         # the P1 matrices in closed form, h/6 (1, 4, 1) and (-1, 2, -1)/h
         h, n = p.domain.h, p.domain.ndof
@@ -474,8 +482,7 @@ class TestAcceleration:
         # the Bernstein-ellipse rate is a lower bound on the per-node decay
         # of the deviation, measured here from n = 10 to n = 20
         bp = build_problem(example, 0.5, M)
-        dev10, _, _, _ = accel_compare(bp, 100, 10, 0.6)
-        dev20, _, _, _ = accel_compare(bp, 100, 20, 0.6)
+        _, [(_, dev10, _, _), (_, dev20, _, _)] = accel_compare(bp, 100, (10, 20), 0.6)
         params = bp.run(100).quad.params
         predicted = predicted_interp_decay(100, params.tau_star, params.alpha)
         assert (dev10 / dev20) ** (1.0 / 10.0) >= predicted

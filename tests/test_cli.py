@@ -10,13 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cimfem.bench import (
-    ContourRun,
-    ErrorReport,
-    ExperimentSpec,
-    accel_compare,
-    build_problem,
-)
+from cimfem.bench import ContourRun, ExperimentSpec, accel_compare, build_problem
 import cimfem.cli
 from cimfem.cli import main
 from cimfem.contour import ContourConfig
@@ -81,6 +75,16 @@ def _error_exit(capsys, argv) -> str:
     assert captured.err.startswith("cimfem: error: ")
     assert "Traceback" not in captured.err
     return captured.err
+
+
+@pytest.mark.parametrize("target", ["missing_dir/x.csv", "a_directory"])
+def test_bad_out_path_exits_2_before_any_job(tmp_path, monkeypatch, capsys, target):
+    (tmp_path / "a_directory").mkdir()
+    jobs = []
+    monkeypatch.setattr("cimfem.cli.run", jobs.append)
+    err = _error_exit(capsys, ["solve", "--example", "ex1_scalar", "--out", str(tmp_path / target)])
+    assert "cannot write" in err and len(err.splitlines()) == 1
+    assert jobs == []
 
 
 def test_unknown_config_key_fails(tmp_path, capsys):
@@ -278,14 +282,9 @@ CONFIG_KEYS = [
 
 
 def _spec_of(monkeypatch, argv):
-    """The ExperimentSpec that ``main(argv)`` hands to ``run``."""
+    """The ExperimentSpec and the ``--out`` path that ``main(argv)`` hands to the sweep."""
     seen = []
-
-    def fake_run(spec):
-        seen.append(spec)
-        return ErrorReport(rows=[])
-
-    monkeypatch.setattr("cimfem.cli.run", fake_run)
+    monkeypatch.setattr("cimfem.cli._cmd_sweep", lambda spec, out_path: seen.append((spec, out_path)) or 0)
     assert main(argv) == 0
     return seen[0]
 
@@ -306,10 +305,10 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 SHIPPED_CONFIGS = {
     "temporal_tables.cfg": ExperimentSpec(
         "sweep-time", "ex3_1d_case1", betas=(0.25, 0.5, 0.75), n_list=(20, 40, 60, 80, 100),
-        m_list=(128,), eval_times=(0.8,), reference="numeric", output_path=None),
+        m_list=(128,), eval_times=(0.8,), reference="numeric"),
     "spatial_tables.cfg": ExperimentSpec(
         "sweep-space", "ex3_1d_case1", betas=(0.25, 0.5, 0.75), n_list=(60,),
-        m_list=(32, 64, 128, 256), eval_times=(0.6,), reference="numeric", output_path=None),
+        m_list=(32, 64, 128, 256), eval_times=(0.6,), reference="numeric"),
     "acceleration_report.cfg": ExperimentSpec(
         "accel-compare", "ex3_1d_case1", betas=(0.5,), n_list=(100,), m_list=(1024,),
         n_interp=(4, 6, 8, 10, 12, 14, 16, 18, 20), eval_times=(0.6,)),
@@ -318,17 +317,17 @@ SHIPPED_CONFIGS = {
         eval_times=(0.6,), contour=ContourConfig(lambda_ratio=10.0)),
     "ex4_spatial_tables.cfg": ExperimentSpec(
         "sweep-space", "ex4_2d_case3", betas=(0.25, 0.5, 0.75), n_list=(60,),
-        m_list=(16, 32, 64), eval_times=(0.6,), reference="numeric", output_path=None),
+        m_list=(16, 32, 64), eval_times=(0.6,), reference="numeric"),
     "ex4_temporal_tables.cfg": ExperimentSpec(
         "sweep-time", "ex4_2d_case1", betas=(0.5,), n_list=(20, 40, 60, 80),
-        m_list=(32,), eval_times=(0.6,), reference="numeric", output_path=None),
+        m_list=(32,), eval_times=(0.6,), reference="numeric"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
 def test_shipped_config_builds_the_table_spec(monkeypatch, name):
     spec = SHIPPED_CONFIGS[name]
-    assert _spec_of(monkeypatch, [spec.mode, "--config", str(SCRIPTS / name)]) == spec
+    assert _spec_of(monkeypatch, [spec.mode, "--config", str(SCRIPTS / name)]) == (spec, None)
 
 
 def test_accel_compare_rows_for_each_n_interp(capsys):
@@ -337,12 +336,13 @@ def test_accel_compare_rows_for_each_n_interp(capsys):
     assert main(argv) == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert [r["n"] for r in rows] == ["6", "", "10", ""]
-    bp = build_problem("ex3_1d_case1", 0.5, 64)
-    for accel, plain, n in zip(rows[::2], rows[1::2], (6, 10)):
-        dev, iar, _, _ = accel_compare(bp, 60, n, 0.6)
+    _, accel_rows = accel_compare(build_problem("ex3_1d_case1", 0.5, 64), 60, (6, 10), 0.6)
+    for accel, plain, (_, dev, iar, _) in zip(rows[::2], rows[1::2], accel_rows):
         assert (accel["error"], accel["iar"]) == (f"{dev:.4E}", f"{iar:.4E}")
         assert (plain["error"], plain["iar"]) == ("", "")
         assert all(r["N"] == "60" and r["M"] == "64" and r["t"] == "0.6" for r in (accel, plain))
+    # the plain solve is timed once for the job
+    assert rows[1]["wall_ms"] == rows[3]["wall_ms"]
 
 
 @pytest.mark.parametrize("line", ["Lam = 5", "delta_prime = 0.1"])

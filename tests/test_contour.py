@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cimfem.contour
 from cimfem.contour import (
     EPS_ROUND,
+    GRID_SIZE,
     ContourConfig,
     ContourError,
     optimize_rho,
@@ -69,14 +71,14 @@ class TestConfigValidation:
             {"delta_prime": -0.1},
             {"t0": 0.0},
             {"lambda_ratio": 0.5},
-            {"d_margin": 0.0},
-            {"d_margin": 1.0},
-            {"grid_size": 1},
+            {"alpha": -0.1},
+            {"t0": -1.0},
+            {"delta_prime": -math.inf},
             {"alpha": math.nan},
             {"delta_prime": math.nan},
             {"t0": math.nan},
             {"lambda_ratio": math.nan},
-            {"d_margin": math.nan},
+            {"alpha": math.inf},
             {"t0": math.inf},
             {"lambda_ratio": math.inf},
             {"delta_prime": math.inf},
@@ -91,14 +93,16 @@ class TestConfigValidation:
 
 
 class TestStripAndEpsilon:
-    def test_strip_half_width_small_alpha(self):
+    def test_strip_half_width_small_alpha(self, monkeypatch):
         # alpha below pi/2 - alpha - delta': strip limited by alpha itself
-        cfg = ContourConfig(alpha=0.6767, delta_prime=0.1023, d_margin=1e-3)
+        monkeypatch.setattr(cimfem.contour, "D_MARGIN", 1e-3)
+        cfg = ContourConfig(alpha=0.6767, delta_prime=0.1023)
         assert strip_half_width(cfg) == pytest.approx(0.6767 * (1 - 1e-3))
 
-    def test_strip_half_width_large_alpha(self):
+    def test_strip_half_width_large_alpha(self, monkeypatch):
         # alpha above pi/2 - alpha - delta': strip limited by sector opening
-        cfg = ContourConfig(alpha=1.0, delta_prime=0.1023, d_margin=1e-3)
+        monkeypatch.setattr(cimfem.contour, "D_MARGIN", 1e-3)
+        cfg = ContourConfig(alpha=1.0, delta_prime=0.1023)
         assert strip_half_width(cfg) == pytest.approx(math.pi / 2 - 1.0 - 0.1023)
 
     def test_epsilon_n_closed_form(self):
@@ -124,8 +128,8 @@ class TestOptimizeRho:
         params = optimize_rho(cfg, N)
         # independent re-evaluation of the objective on the same grid
         best = (np.inf, None)
-        for j in range(cfg.grid_size):
-            rho = j / cfg.grid_size
+        for j in range(GRID_SIZE):
+            rho = j / GRID_SIZE
             try:
                 _, eps = epsilon_n(rho, cfg, N)
                 val = objective(rho, eps, EPS_ROUND)
@@ -246,11 +250,12 @@ class TestInverseLaplaceOracles:
         assert errs[2] < 0.2 * errs[1] or errs[2] < 1e-12
 
 
-def test_standard_parameters_widened_strip_margin():
+def test_standard_parameters_widened_strip_margin(monkeypatch):
     # the default strip margin keeps a wider safety gap to alpha than a
     # near-zero margin, which is optimal only asymptotically
     wide = standard_parameters(ContourConfig(), 40)
-    tight = optimize_rho(ContourConfig(d_margin=1e-3), 40)
+    monkeypatch.setattr(cimfem.contour, "D_MARGIN", 1e-3)
+    tight = optimize_rho(ContourConfig(), 40)
     assert wide.d_tilde < tight.d_tilde
 
 

@@ -24,6 +24,7 @@ from cimfem.fem import (
     Piece1D,
     _clip_halfplane,
     _load_1d,
+    _load_2d,
     _midedge_integrate,
     apply_stencil_1d,
     apply_stencil_2d,
@@ -300,7 +301,7 @@ def test_off_grid_separable_load_matches_clipping(M):
     ]
     ref_full, ref = midedge_reference(mesh, rectangles)
     assert np.allclose(load_vector(mesh, OFF_GRID), ref, rtol=0.0, atol=1e-15)
-    b_full = load_vector(mesh, OFF_GRID, include_boundary=True)
+    b_full = _load_2d(mesh, OFF_GRID)
     assert np.allclose(b_full, ref_full, rtol=0.0, atol=1e-15)
     total = OFF_GRID.scale * OFF_GRID.fx.integral() * OFF_GRID.fy.integral()
     assert np.sum(b_full) == pytest.approx(total, rel=1e-13)
@@ -308,18 +309,19 @@ def test_off_grid_separable_load_matches_clipping(M):
 
 @pytest.mark.parametrize("M", [8, 13])
 def test_callable_load_matches_midedge_rule(M):
-    fxy = build_problem("ex4_2d_case3", 0.5, M).problem.spatial_factors["fxy"]
+    [term] = build_problem("ex4_2d_case3", 0.5, M).problem.source.terms
+    fxy = term.datum
     mesh = Mesh2D(M)
     everywhere = [(-np.inf, np.inf, -np.inf, np.inf, fxy)]
     ref_full, ref = midedge_reference(mesh, everywhere)
     assert np.allclose(load_vector(mesh, fxy), ref, rtol=0.0, atol=1e-15)
-    assert np.allclose(load_vector(mesh, fxy, include_boundary=True), ref_full, rtol=0.0, atol=1e-15)
+    assert np.allclose(_load_2d(mesh, fxy), ref_full, rtol=0.0, atol=1e-15)
 
 
 def test_constant_callable_load_2d():
     # a callable returning a scalar: each interior hat integrates to h^2
     mesh = Mesh2D(4)
-    b = load_vector(mesh, lambda x, y: 2.0, include_boundary=True)
+    b = _load_2d(mesh, lambda x, y: 2.0)
     assert np.allclose(b.reshape(5, 5)[1:4, 1:4], 2.0 * mesh.h**2, rtol=1e-14)
     assert np.sum(b) == pytest.approx(2.0, rel=1e-14)
 
@@ -354,7 +356,7 @@ def test_load_1d_matches_per_element_loop(M):
     smooth = lambda x: np.sin(3.0 * x) * np.exp(x)
     for data, breaks in ((g, g.breakpoints), (smooth, ())):
         ref = load_1d_per_element(M, data, breaks)
-        b = _load_1d(Mesh1D(M), data, include_boundary=True)
+        b = _load_1d(Mesh1D(M), data)
         assert np.max(np.abs(b - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -386,7 +388,7 @@ class TestLoadVectors:
         # sum of all hat integrals (boundary included) equals the integral of g
         mesh = Mesh1D(8)
         g = InitialData1D.polynomial((1.0, 2.0))
-        b = load_vector(mesh, g, include_boundary=True)
+        b = _load_1d(mesh, g)
         assert np.sum(b) == pytest.approx(g.integral(), rel=1e-13)
 
     def test_smooth_load_2d_against_mass_action(self):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cimfem.fem import InitialData1D
 from cimfem.symbols import (
     FractionalSymbol,
     SourceTransform,
@@ -101,7 +102,7 @@ class TestFractionalSymbol:
 class TestSourceTransforms:
     def test_power_transform_frozen_oracle(self):
         # 2 t^{3/2} at z = 1 + 2i; value frozen from 30-digit quadrature
-        term = power_term("g", 2.0, 1.5)
+        term = power_term(1.0, 2.0, 1.5)
         val = term.transform(complex(1.0, 2.0))
         assert val == pytest.approx(
             complex(-0.33104869754516764, -0.12982074184189978), rel=1e-14
@@ -109,47 +110,47 @@ class TestSourceTransforms:
 
     def test_constant_transform_frozen_oracle(self):
         # 1 at z = 0.5 - i -> 1/z = 0.4 + 0.8i
-        term = power_term("g", 1.0, 0.0)
+        term = power_term(1.0, 1.0, 0.0)
         assert term.transform(complex(0.5, -1.0)) == pytest.approx(
             complex(0.4, 0.8), rel=1e-14
         )
 
     def test_pole_transform_frozen_oracle(self):
         # 3 e^{1.5 t} at z = 3 + i -> 3/(z - 1.5)
-        term = pole_term("g", 3.0, 1.5)
+        term = pole_term(1.0, 3.0, 1.5)
         assert term.transform(complex(3.0, 1.0)) == pytest.approx(
             complex(1.3846153846153846, -0.9230769230769231), rel=1e-14
         )
 
     def test_pole_collision_raises(self):
-        term = pole_term("g", 1.0, 2.0)
+        term = pole_term(1.0, 1.0, 2.0)
         with pytest.raises(SymbolError):
             term.transform(complex(2.0, 0.0))
 
     @given(c=finite_floats, s=st.floats(min_value=0.0, max_value=4.0))
     def test_transform_linear_in_coefficient(self, c, s):
         z = complex(1.0, 0.7)
-        base = power_term("g", 1.0, s).transform(z)
-        scaled = power_term("g", c, s).transform(z)
+        base = power_term(1.0, 1.0, s).transform(z)
+        scaled = power_term(1.0, c, s).transform(z)
         assert scaled == pytest.approx(c * base, rel=1e-12, abs=1e-12)
 
     def test_evaluate_groups_by_spatial_id(self):
+        # terms group by their spatial datum, equal data together, in first-seen order
+        xx, one = InitialData1D.polynomial((0.0, 1.0, -1.0)), InitialData1D.polynomial((1.0,))
         tr = SourceTransform(
             terms=(
-                power_term("xx", 1.0, 0.5),
-                power_term("xx", 2.0, 1.5),
-                power_term("one", 1.0, 0.0),
+                power_term(xx, 1.0, 0.5),
+                power_term(one, 1.0, 0.0),
+                power_term(InitialData1D.polynomial((0.0, 1.0, -1.0)), 2.0, 1.5),
             )
         )
         z = complex(2.0, 1.0)
         out = tr.evaluate(z)
-        assert set(out) == {"xx", "one"}
-        expected = power_term("xx", 1.0, 0.5).transform(z) + power_term(
-            "xx", 2.0, 1.5
-        ).transform(z)
-        assert out["xx"] == pytest.approx(expected, rel=1e-14)
+        assert list(out) == [xx, one]
+        expected = power_term(xx, 1.0, 0.5).transform(z) + power_term(xx, 2.0, 1.5).transform(z)
+        assert out[xx] == pytest.approx(expected, rel=1e-14)
 
     def test_max_pole(self):
-        tr = SourceTransform(terms=(power_term("a", 1.0, 1.0), pole_term("b", 1.0, 1.5)))
+        tr = SourceTransform(terms=(power_term(1.0, 1.0, 1.0), pole_term(1.0, 1.0, 1.5)))
         assert tr.max_pole == pytest.approx(1.5)
         assert SourceTransform().max_pole is None
