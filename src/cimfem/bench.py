@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from .cim import (
-    Discretization,
     Problem,
     ScalarDomain,
     discretize,
@@ -102,23 +101,22 @@ class ExperimentSpec:
         for name in ("n_list", "n_interp"):
             if min(getattr(self, name)) < 1:
                 raise BenchError(f"{name} must hold counts >= 1, got {getattr(self, name)}")
-        # the symbol and the mesh check their own parameters
+        # the symbol and the mesh check their own parameters; whether a problem
+        # is scalar and has an exact solution is its example's, so any one serves
         try:
-            for beta in self.betas:
-                FractionalSymbol(self.K, beta)
-            if self.example_id != "ex1_scalar":
-                for M in self.m_list:
-                    Mesh1D(M)
+            for beta, M in itertools.product(self.betas, self.m_list):
+                bp = build_problem(self.example_id, beta, M, self.contour, self.K)
         except (SymbolError, FEMError) as exc:
             raise BenchError(str(exc)) from exc
         # only sweep-time solves the N_REF reference
         time_ref = self.mode == "sweep-time" and self.reference == "numeric"
         if time_ref and N_REF <= max(self.n_list):
             raise BenchError(f"numeric reference needs N_REF = {N_REF} > every N in the sweep")
-        if self.mode == "sweep-space" and self.example_id == "ex1_scalar":
-            raise BenchError("sweep-space needs a mesh example; ex1_scalar has no mesh")
-        if self.reference == "exact" and self.example_id not in ("ex1_scalar", "ex2_vanishing"):
-            raise BenchError("exact reference only available for ex1_scalar/ex2_vanishing")
+        if self.mode == "sweep-space" and bp.problem.scalar:
+            raise BenchError(f"sweep-space needs a mesh example; {self.example_id} has no mesh")
+        if self.reference == "exact" and bp.exact is None:
+            exact = [e for e in EXAMPLE_IDS if build_problem(e, 0.5, 2).exact is not None]
+            raise BenchError(f"exact reference only available for {'/'.join(exact)}")
         if self.reference not in ("exact", "numeric"):
             raise BenchError(f"unknown reference {self.reference!r}")
 
@@ -126,24 +124,23 @@ class ExperimentSpec:
 class ContourRun:
     """The contour pipeline for one problem at one node count N.
 
-    The discretization (built unless given), the optimized contour
-    parameters and the quadrature are made once.  ``solve`` serves the
+    The optimized contour parameters and the quadrature are made once;
+    the load vectors come from the process's cache.  ``solve`` serves the
     plain solution (N node systems) and the accelerated one (n + 1
     systems), each evaluated at every requested time from one set of node
     values.  The contour is the problem's.
     """
 
-    def __init__(self, p: Problem, N: int, disc: Discretization | None = None) -> None:
+    def __init__(self, p: Problem, N: int) -> None:
         self.problem = p
-        self.disc = discretize(p) if disc is None else disc
         self.quad = quadrature_nodes(problem_parameters(p, N))
 
     def solve(self, times, n: int | None = None):
         """Solution at ``times``: plain, or from ``n + 1`` Chebyshev solves when ``n`` is given."""
         if n is None:
-            ns = solve_nodes(self.problem, self.quad, self.disc)
+            ns = solve_nodes(self.problem, self.quad)
         else:
-            ns = solve_nodes_accelerated(self.problem, self.quad, n, self.disc)
+            ns = solve_nodes_accelerated(self.problem, self.quad, n)
         return evaluate(ns, times, self.problem.contour.window)
 
 
@@ -152,9 +149,9 @@ class BuiltProblem:
     problem: Problem
     exact: Callable | None  # exact(t) scalar / exact(x, t) 1-D / exact(x, y, t) 2-D
 
-    def run(self, N: int, disc: Discretization | None = None) -> ContourRun:
+    def run(self, N: int) -> ContourRun:
         """The contour run at N nodes."""
-        return ContourRun(self.problem, N, disc)
+        return ContourRun(self.problem, N)
 
 
 def _ex4_case3_fxy(x, y):
@@ -402,13 +399,13 @@ def _time_rows(spec: ExperimentSpec, beta: float) -> list[dict]:
     """Sweep-time rows of one beta; the N_ref reference is solved once for all of them."""
     M = max(spec.m_list)
     bp = build_problem(spec.example_id, beta, M, spec.contour, spec.K)
-    disc = discretize(bp.problem)
+    discretize(bp.problem)  # the shared load vectors are integrated outside every row's wall_ms
     times = window_times(spec.contour, spec.eval_times)
-    ref = None if spec.reference == "exact" else bp.run(N_REF, disc).solve(times)
+    ref = None if spec.reference == "exact" else bp.run(N_REF).solve(times)
     rows = []
     for N in spec.n_list:
         start = time.perf_counter()
-        sols = bp.run(N, disc).solve(times)
+        sols = bp.run(N).solve(times)
         wall = (time.perf_counter() - start) * 1e3
         rows.append(_row(spec.example_id, beta, N=N, M=None if bp.problem.scalar else M,
                          t=max(spec.eval_times), error=error_tau(bp, times, sols, ref), wall_ms=wall))

@@ -88,14 +88,6 @@ class Problem:
         return isinstance(self.domain, ScalarDomain)
 
 
-@dataclass(frozen=True)
-class Discretization:
-    """Mesh-dependent data reused across contour nodes and sweeps."""
-
-    b_u0: np.ndarray
-    b_factors: dict[object, np.ndarray]  # keyed by source datum
-
-
 # A load vector depends only on the mesh and the datum, never on beta or N, so
 # a process integrates each pair once.  Callers share the array, hence it is
 # read-only; the bound keeps a long mesh sweep from holding every vector.
@@ -106,20 +98,20 @@ def _load(mesh: Mesh1D | Mesh2D, g) -> np.ndarray:
     return b
 
 
-def discretize(p: Problem) -> Discretization | None:
-    """Load vectors of the initial datum and the source data; None for scalar problems.
+def discretize(p: Problem) -> dict[object, np.ndarray | complex]:
+    """The load of the initial datum and of every source datum, keyed by datum.
 
-    Each (mesh, datum) pair is integrated once per process and its
-    read-only vector shared, so data must be hashable; a callable hashes
-    by identity.
+    On a mesh a load is the datum's load vector: each (mesh, datum) pair
+    is integrated once per process and its read-only vector shared, so
+    data must be hashable; a callable hashes by identity.  On a scalar
+    domain a load is the number itself.
     """
-    if p.scalar:
-        return None
     data = [p.u0] + [t.datum for t in p.source.terms]
+    if p.scalar:
+        return {g: complex(g) for g in data}
     if any(isinstance(g, (int, float)) for g in data):
         raise ValueError("PDE problems need data on the mesh, not a scalar")
-    b_factors = {g: _load(p.domain, g) for g in data[1:]}
-    return Discretization(b_u0=_load(p.domain, p.u0), b_factors=b_factors)
+    return {g: _load(p.domain, g) for g in data}
 
 
 @dataclass(frozen=True)
@@ -181,21 +173,21 @@ def _node_solve(ops: AssembledOperators, eta: complex, rhs: np.ndarray) -> np.nd
     return sparse_solve(a, rhs)
 
 
-def _solve_at(p: Problem, disc: Discretization | None, z: np.ndarray) -> np.ndarray:
+def _solve_at(p: Problem, z: np.ndarray) -> np.ndarray:
     """Laplace-domain solutions at the contour points ``z``, one row per point.
 
     The symbol and the source transforms are evaluated once on all of
-    ``z``; each row's right-hand side combines the same few load vectors.
-    1-D and 2-D problems take one modal solve over all points, and only
-    the rows that fail its backward-error test (or, in 2-D, its iteration
-    cap) are solved again: in 1-D by ``thomas_solve`` on the row's
-    Toeplitz weights, in 2-D by ``_node_solve``, for which the sparse
-    matrices are assembled once per call.
+    ``z``; each row's right-hand side combines the same few loads of
+    ``discretize``.  1-D and 2-D problems take one modal solve over all
+    points, and only the rows that fail its backward-error test (or, in
+    2-D, its iteration cap) are solved again: in 1-D by ``thomas_solve``
+    on the row's Toeplitz weights, in 2-D by ``_node_solve``, for which
+    the sparse matrices are assembled once per call.
     """
+    b = discretize(p)
     eta = p.sym.eta(z)
-    loads = [(p.sym.history_weight(z), p.u0 if p.scalar else disc.b_u0)]
-    for g, mult in p.source.evaluate(z).items():
-        loads.append((mult, complex(g) if p.scalar else disc.b_factors[g]))
+    loads = [(p.sym.history_weight(z), b[p.u0])]
+    loads += [(mult, b[g]) for g, mult in p.source.evaluate(z).items()]
     if isinstance(p.domain, Mesh1D):
         stencil = stencil_1d(p.domain)
         u, ok = modal_solve(eta, stencil, loads)
@@ -214,12 +206,10 @@ def _solve_at(p: Problem, disc: Discretization | None, z: np.ndarray) -> np.ndar
     return u
 
 
-def solve_nodes(p: Problem, quad: ContourQuadrature, disc: Discretization | None = None) -> NodeSolutionSet:
+def solve_nodes(p: Problem, quad: ContourQuadrature) -> NodeSolutionSet:
     """Solve the shifted systems at every quadrature node."""
-    if disc is None:
-        disc = discretize(p)
     _warn_pole_location(p, quad)
-    return NodeSolutionSet(quad=quad, values=_solve_at(p, disc, quad.nodes))
+    return NodeSolutionSet(quad=quad, values=_solve_at(p, quad.nodes))
 
 
 def evaluate(ns: NodeSolutionSet, t, window: tuple[float, float] | None = None):
@@ -289,15 +279,13 @@ def barycentric_interpolate(points: np.ndarray, weights: np.ndarray, values: np.
     return c @ values
 
 
-def solve_nodes_accelerated(p: Problem, quad: ContourQuadrature, n: int, disc: Discretization | None = None) -> NodeSolutionSet:
+def solve_nodes_accelerated(p: Problem, quad: ContourQuadrature, n: int) -> NodeSolutionSet:
     """Node solutions interpolated from solves at n + 1 Chebyshev points only."""
-    if disc is None:
-        disc = discretize(p)
     _warn_pole_location(p, quad)
     pts = chebyshev_points(quad, n)
     z, _ = contour_point(quad.params, pts)
     span = quad.phis[-1] - quad.phis[0]
-    values = barycentric_interpolate(pts, barycentric_weights(n), _solve_at(p, disc, z), quad.phis, span)
+    values = barycentric_interpolate(pts, barycentric_weights(n), _solve_at(p, z), quad.phis, span)
     return NodeSolutionSet(quad=quad, values=values)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, inf, lgamma, log, pi
+from math import exp, inf, log, pi
 from typing import Callable
 
 import numpy as np
@@ -56,20 +56,26 @@ class MLQuery:
     def __post_init__(self) -> None:
         if self.alpha_p <= 0.0 or self.beta_p <= 0.0 or self.gamma <= 0.0:
             raise ValueError("need alpha_p, beta_p, gamma > 0")
+        scalars = (self.alpha_p, self.beta_p, self.gamma, self.z1)
+        if not (np.all(np.isfinite(scalars)) and np.all(np.isfinite(self.z2))):  # z2 may be an array
+            raise ValueError("need finite alpha_p, beta_p, gamma, z1, z2")
 
 
 def ml_biv_series(q: MLQuery) -> float:
     """Double series summed along anti-diagonals m = k + l.
 
     Terms are accumulated in log-magnitude/sign form so large
-    intermediate binomials and powers never overflow.  Summation stops
+    intermediate binomials and powers never overflow; each anti-diagonal
+    is one array expression over its ``m + 1`` terms.  Summation stops
     after three consecutive anti-diagonal sums below ``SERIES_TOL`` of
     the running total.  Exhausting ``SERIES_MAX_ORDER`` anti-diagonals, or
     converging to a value dwarfed by the largest summed term, raises
     ``MLError`` so callers can switch to the contour form.
     """
-    la1 = log(abs(q.z1)) if q.z1 != 0.0 else -np.inf
-    la2 = log(abs(q.z2)) if q.z2 != 0.0 else -np.inf
+    from scipy.special import gammaln
+
+    la1 = log(abs(q.z1)) if q.z1 != 0.0 else 0.0
+    la2 = log(abs(q.z2)) if q.z2 != 0.0 else 0.0
     s1 = 1.0 if q.z1 >= 0.0 else -1.0
     s2 = 1.0 if q.z2 >= 0.0 else -1.0
 
@@ -79,18 +85,19 @@ def ml_biv_series(q: MLQuery) -> float:
     for m in range(SERIES_MAX_ORDER + 1):
         k = np.arange(m + 1)
         l = m - k
-        logmag = np.full(m + 1, -np.inf)
-        for i in range(m + 1):
-            if (k[i] > 0 and la1 == -np.inf) or (l[i] > 0 and la2 == -np.inf):
-                continue
-            logmag[i] = (
-                lgamma(m + 1)
-                - lgamma(k[i] + 1)
-                - lgamma(l[i] + 1)
-                + k[i] * (la1 if k[i] else 0.0)
-                + l[i] * (la2 if l[i] else 0.0)
-                - lgamma(q.alpha_p * k[i] + q.beta_p * l[i] + q.gamma)
-            )
+        logmag = (
+            gammaln(m + 1)
+            - gammaln(k + 1)
+            - gammaln(l + 1)
+            + k * la1
+            + l * la2
+            - gammaln(q.alpha_p * k + q.beta_p * l + q.gamma)
+        )
+        # a zero argument contributes only its zeroth power
+        if q.z1 == 0.0:
+            logmag[k > 0] = -np.inf
+        if q.z2 == 0.0:
+            logmag[l > 0] = -np.inf
         sign = s1 ** k * s2 ** l
         shift = np.max(logmag)
         if shift == -np.inf:

@@ -43,7 +43,6 @@ from cimfem.bench import (
     spatial_sweep,
     window_times,
 )
-from cimfem.cim import discretize
 from cimfem.contour import ContourConfig, optimize_rho
 from cimfem.fem import Mesh1D, mass_norm
 from cimfem.linalg import thomas_solve
@@ -79,10 +78,9 @@ def test_1d_temporal_table():
     times = window_times(cd, (0.8,))
     for beta, target in published.items():
         bp = build_problem("ex3_1d_case1", beta, 128, cd)
-        disc = discretize(bp.problem)
-        ref = bp.run(200, disc).solve(times)
-        e40 = error_tau(bp, times, bp.run(40, disc).solve(times), ref)
-        e80 = error_tau(bp, times, bp.run(80, disc).solve(times), ref)
+        ref = bp.run(200).solve(times)
+        e40 = error_tau(bp, times, bp.run(40).solve(times), ref)
+        e80 = error_tau(bp, times, bp.run(80).solve(times), ref)
         assert e40 <= 3.0 * target, f"beta={beta}: {e40:.3e} > 3 x {target:.3e}"
         assert e80 <= 1e-10, f"beta={beta}: Error_tau(80) = {e80:.3e}"
     assert time.perf_counter() - start < 10.0
@@ -184,9 +182,8 @@ def test_2d_temporal_errors():
     for example, per_beta in published.items():
         for beta, target in per_beta.items():
             bp = build_problem(example, beta, 32, cd)
-            disc = discretize(bp.problem)
-            ref = bp.run(200, disc).solve(times)
-            err = error_tau(bp, times, bp.run(100, disc).solve(times), ref)
+            ref = bp.run(200).solve(times)
+            err = error_tau(bp, times, bp.run(100).solve(times), ref)
             assert err <= 5.0 * target, f"{example} beta={beta}: {err:.3e} > 5 x {target:.3e}"
     assert time.perf_counter() - start < 120.0
 

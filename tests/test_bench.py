@@ -230,9 +230,9 @@ class TestSharedWork:
         rows = []
         solve_at = cimfem.cim._solve_at
 
-        def counted(p, disc, z):
+        def counted(p, z):
             rows.append(len(z))
-            return solve_at(p, disc, z)
+            return solve_at(p, z)
 
         monkeypatch.setattr(cimfem.cim, "_solve_at", counted)
         return rows

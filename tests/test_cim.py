@@ -191,15 +191,15 @@ class TestProcessCaches:
     def test_load_vectors_are_shared_read_only_and_exact(self, example):
         cimfem.cim._load.cache_clear()
         p = build_problem(example, 0.5, 8).problem
-        disc = discretize(p)
-        for g, b in [(p.u0, disc.b_u0), *disc.b_factors.items()]:
+        loads = discretize(p)
+        assert set(loads) == {p.u0, *(t.datum for t in p.source.terms)}
+        for g, b in loads.items():
             assert not b.flags.writeable
             assert b.tobytes() == load_vector(p.domain, g).astype(complex).tobytes()
         again = discretize(build_problem(example, 0.25, 8).problem)
-        assert again.b_u0 is disc.b_u0
-        assert all(again.b_factors[g] is b for g, b in disc.b_factors.items())
+        assert all(again[g] is b for g, b in loads.items())
         with pytest.raises(ValueError, match="read-only"):
-            disc.b_u0[0] = 1.0
+            loads[p.u0][0] = 1.0
 
 
 @pytest.mark.parametrize(
@@ -212,6 +212,14 @@ def test_numeric_datum_on_a_mesh_is_rejected(u0, terms):
     p = Problem(sym=FractionalSymbol(1.0, 0.5), domain=Mesh1D(8), u0=u0, source=SourceTransform(terms))
     with pytest.raises(ValueError, match="need data on the mesh, not a scalar"):
         discretize(p)
+
+
+def test_scalar_loads_are_the_data_themselves():
+    p = Problem(sym=FractionalSymbol(1.0, 0.5), domain=ScalarDomain(1.0), u0=2.0,
+                source=SourceTransform((power_term(3.0, 1.0, 0.0),)))
+    loads = discretize(p)
+    assert loads == {2.0: 2.0, 3.0: 3.0}
+    assert all(type(b) is complex for b in loads.values())
 
 
 class TestSpatialSolve:
@@ -264,14 +272,15 @@ class TestSpatialSolve:
         # every node of the pole-floor contour of ex4_2d_case3 at M = 16, N = 60;
         # its source is 3 pi^5 exp(1.5 t) fxy(x, y) and its initial datum zero
         run = build_problem("ex4_2d_case3", 0.5, 16).run(60)
-        p, disc, z = run.problem, run.disc, run.quad.nodes
+        p, z = run.problem, run.quad.nodes
         ops = assemble(p.domain)
         mass, stiff = ops.mass.toarray(), ops.stiffness.toarray()
         eta = z + z ** 0.5
-        rhs = np.outer(1.0 + z ** -0.5, disc.b_u0)
-        [b_fxy] = disc.b_factors.values()
-        rhs += np.outer(3.0 * math.pi ** 5 / (z - 1.5), b_fxy)
-        together = _solve_at(p, disc, z)
+        loads = discretize(p)
+        rhs = np.outer(1.0 + z ** -0.5, loads[p.u0])
+        [term] = p.source.terms
+        rhs += np.outer(3.0 * math.pi ** 5 / (z - 1.5), loads[term.datum])
+        together = _solve_at(p, z)
         for k in range(len(z)):
             ref = np.linalg.solve(eta[k] * mass + stiff, rhs[k])
             scale = np.max(np.abs(ref))
@@ -279,12 +288,13 @@ class TestSpatialSolve:
             assert np.max(np.abs(together[k] - ref)) <= 1e-12 * scale
 
 
-def dense_node_solutions(p, disc, z):
+def dense_node_solutions(p, z):
     """Right-hand sides and dense LAPACK solutions of ``(eta M + S) u = rhs``, one row per point."""
     eta = p.sym.eta(z)
-    rhs = np.outer(p.sym.history_weight(z), disc.b_u0)
+    loads = discretize(p)
+    rhs = np.outer(p.sym.history_weight(z), loads[p.u0])
     for g, mult in p.source.evaluate(z).items():
-        rhs += np.outer(mult, disc.b_factors[g])
+        rhs += np.outer(mult, loads[g])
     if isinstance(p.domain, Mesh1D):
         # the P1 matrices in closed form, h/6 (1, 4, 1) and (-1, 2, -1)/h
         h, n = p.domain.h, p.domain.ndof
@@ -303,10 +313,10 @@ class TestModalNodeSolves:
     @pytest.mark.parametrize("example, M, N", [("ex2_vanishing", 7, 1400), ("ex3_1d_case1", 64, 300), ("ex2_vanishing", 1000, 30)])
     def test_rows_match_dense(self, example, M, N):
         run = build_problem(example, 0.5, M).run(80)
-        p, disc = run.problem, run.disc
+        p = run.problem
         z, _ = contour_point(run.quad.params, np.linspace(run.quad.phis[0], run.quad.phis[-1], N))
-        _, ref = dense_node_solutions(p, disc, z)
-        u = _solve_at(p, disc, z)
+        _, ref = dense_node_solutions(p, z)
+        u = _solve_at(p, z)
         # both solves are backward stable, so rows differ by a few eps times the
         # condition number max|eta m_j + s_j| / min|eta m_j + s_j| of the normal matrix
         (m_diag, m_off), (s_diag, s_off) = stencil_1d(p.domain)
@@ -318,8 +328,8 @@ class TestModalNodeSolves:
 
     def test_failed_row_falls_back_to_thomas(self, monkeypatch):
         run = build_problem("ex2_vanishing", 0.5, 16).run(40)
-        p, disc, z = run.problem, run.disc, run.quad.nodes
-        rhs, ref = dense_node_solutions(p, disc, z)
+        p, z = run.problem, run.quad.nodes
+        rhs, ref = dense_node_solutions(p, z)
         dst1 = cimfem.linalg.dst1
 
         def corrupted(x):
@@ -337,7 +347,7 @@ class TestModalNodeSolves:
 
         monkeypatch.setattr(cimfem.linalg, "dst1", corrupted)
         monkeypatch.setattr(cimfem.cim, "thomas_solve", counted)
-        u = _solve_at(p, disc, z)
+        u = _solve_at(p, z)
         assert len(solved) == 1
         np.testing.assert_allclose(solved[0], rhs[5], rtol=1e-14)
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -350,10 +360,10 @@ class TestModal2DNodeSolves:
     @pytest.mark.parametrize("example, M, N", [("ex4_2d_case1", 8, 200), ("ex4_2d_case3", 24, 30)])
     def test_rows_match_dense(self, example, M, N):
         run = build_problem(example, 0.5, M).run(80)
-        p, disc = run.problem, run.disc
+        p = run.problem
         z, _ = contour_point(run.quad.params, np.linspace(run.quad.phis[0], run.quad.phis[-1], N))
-        _, ref = dense_node_solutions(p, disc, z)
-        u = _solve_at(p, disc, z)
+        _, ref = dense_node_solutions(p, z)
+        u = _solve_at(p, z)
         assert np.all(np.max(np.abs(u - ref), axis=1) <= 1e-12 * np.max(np.abs(ref), axis=1))
 
     def fallback_run(self, monkeypatch):
@@ -371,8 +381,8 @@ class TestModal2DNodeSolves:
 
     def test_failed_row_falls_back_to_splu(self, monkeypatch):
         run, solved = self.fallback_run(monkeypatch)
-        p, disc, z = run.problem, run.disc, run.quad.nodes
-        rhs, ref = dense_node_solutions(p, disc, z)
+        p, z = run.problem, run.quad.nodes
+        rhs, ref = dense_node_solutions(p, z)
         dst2 = cimfem.linalg.dst2
 
         def corrupted(x):
@@ -382,17 +392,17 @@ class TestModal2DNodeSolves:
             return y
 
         monkeypatch.setattr(cimfem.linalg, "dst2", corrupted)
-        u = _solve_at(p, disc, z)
+        u = _solve_at(p, z)
         assert len(solved) == 1
         np.testing.assert_allclose(solved[0], rhs[5], rtol=1e-14)
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_iteration_cap_falls_back_to_splu(self, monkeypatch):
         run, solved = self.fallback_run(monkeypatch)
-        p, disc, z = run.problem, run.disc, run.quad.nodes
-        _, ref = dense_node_solutions(p, disc, z)
+        p, z = run.problem, run.quad.nodes
+        _, ref = dense_node_solutions(p, z)
         monkeypatch.setattr(cimfem.linalg, "COCG_MAX_ITER", 2)
-        u = _solve_at(p, disc, z)
+        u = _solve_at(p, z)
         assert len(solved) == len(z)
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 

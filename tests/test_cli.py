@@ -190,9 +190,12 @@ def test_ml_eval_malformed(capsys):
         (["0.5", "1", "1", "-1", "-1", "0"], "need finite t > 0"),
         (["0.5", "1", "1", "-30", "-30", "nan"], "need finite t > 0"),
         (["0.5", "1", "1", "-30", "-30", "inf"], "need finite t > 0"),
+        (["0.5", "1", "1", "-1", "nan", "1"], "need finite alpha_p, beta_p, gamma, z1, z2"),
+        (["0.5", "1", "inf", "-1", "-1"], "need finite alpha_p, beta_p, gamma, z1, z2"),
+        (["nan", "1", "1", "-1", "-1"], "need finite alpha_p, beta_p, gamma, z1, z2"),
     ],
     ids=["not-a-number", "zero-order", "series-overflow", "negative-time", "zero-time", "nan-time",
-         "inf-time"],
+         "inf-time", "nan-argument", "inf-gamma", "nan-order"],
 )
 def test_ml_eval_bad_query_exits_2(capsys, query, message):
     assert message in _error_exit(capsys, ["ml-eval", *query])

@@ -38,6 +38,32 @@ FROZEN_SERIES = [
 ]
 
 
+def series_loop(q):
+    """The double series term by term with ``math.lgamma``: its sum and the sum of its terms' magnitudes.
+
+    Anti-diagonals are added until three in a row add less than 1e-20 of
+    the magnitudes.
+    """
+    total = magnitudes = 0.0
+    small = 0
+    for m in range(1000):
+        diagonal = 0.0
+        for k in range(m + 1):
+            l = m - k
+            if (k and q.z1 == 0.0) or (l and q.z2 == 0.0):
+                continue
+            logmag = math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(l + 1)
+            logmag += (k * math.log(abs(q.z1)) if k else 0.0) + (l * math.log(abs(q.z2)) if l else 0.0)
+            term = math.exp(logmag - math.lgamma(q.alpha_p * k + q.beta_p * l + q.gamma))
+            total += -term if (q.z1 < 0.0 and k % 2) != (q.z2 < 0.0 and l % 2) else term
+            diagonal += term
+        magnitudes += diagonal
+        small = small + 1 if diagonal < 1e-20 * magnitudes else 0
+        if small == 3:
+            return total, magnitudes
+    raise AssertionError("the term-by-term series did not converge")
+
+
 class TestSeries:
     @pytest.mark.parametrize("args,expected", FROZEN_SERIES)
     def test_frozen_values(self, args, expected):
@@ -63,16 +89,34 @@ class TestSeries:
         )
 
     def test_cancellation_guard_raises(self):
-        # large negative arguments with a slowly growing gamma argument:
-        # the alternating sum loses far more digits than double precision has
-        with pytest.raises(MLError):
+        # the alternating sum converges, but its largest term dwarfs it by 1e12
+        with pytest.raises(MLError, match="cancellation"):
+            ml_biv_series(MLQuery(0.5, 1.0, 1.0, -5.0, -10.0))
+
+    def test_order_limit_raises(self):
+        # a slowly growing gamma argument: the terms still matter after SERIES_MAX_ORDER anti-diagonals
+        with pytest.raises(MLError, match="did not converge"):
             ml_biv_series(MLQuery(0.25, 1.0, 1.0, -3.0, -15.0))
+
+    def test_overflow_guard_raises(self):
+        with pytest.raises(MLError, match="overflow"):
+            ml_biv_series(MLQuery(0.5, 1.0, 1.0, -400.0, -400.0))
 
     def test_invalid_query_rejected(self):
         with pytest.raises((MLError, ValueError)):
             MLQuery(-0.5, 1.0, 1.0, 0.0, 0.0)
         with pytest.raises((MLError, ValueError)):
             MLQuery(0.5, 1.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("orders", [(0.5, 1.0, 1.0), (0.25, 0.5, 0.5), (0.75, 0.5, 2.0)])
+    @pytest.mark.parametrize("z1, z2", [(-1.1, -0.4), (-1.5, 0.0), (0.0, -2.5), (1.5, 2.0), (-1.0, 2.0)])
+    def test_matches_the_term_by_term_loop(self, orders, z1, z2):
+        # the series stops after anti-diagonals below SERIES_TOL = 1e-12 of its
+        # sum, and lgamma carries an absolute error below 5e-13 up to 400
+        # (scipy and math alike), four of which enter each term
+        value = ml_biv_series(MLQuery(*orders, z1, z2))
+        total, magnitudes = series_loop(MLQuery(*orders, z1, z2))
+        assert abs(value - total) <= 1e-11 * magnitudes
 
     @given(
         z1=st.floats(min_value=-1.5, max_value=0.0),
