@@ -43,7 +43,6 @@ from .fem import (
 from .linalg import LinAlgError, sparse_solve, thomas_solve
 from .cim import (
     CIMError,
-    NodeSolutionSet,
     Problem,
     ScalarDomain,
     discretize,
@@ -53,6 +52,6 @@ from .cim import (
     solve_nodes,
     solve_nodes_accelerated,
 )
-from .bench import BenchError, ContourRun, ErrorReport, ExperimentSpec, build_problem, run
+from .bench import BenchError, ErrorReport, ExperimentSpec, build_problem, run, solve
 
 __all__ = [name for name in dir() if not name.startswith("_")]

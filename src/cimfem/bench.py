@@ -7,8 +7,9 @@ configurations of varying smoothness, and the acceleration comparison.
 Temporal errors are measured against either the exact solution or a
 reference contour solution with N_ref nodes on the same mesh; spatial
 errors against the exact solution or the halved-mesh solution via P1
-prolongation.  Every solve goes through one ``ContourRun`` per
-(problem, N).
+prolongation.  Every solve but the acceleration comparison's goes through
+``solve``: one quadrature per (problem, N), its node values and their sum
+at the requested times.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .cim import (
+    CIMError,
     Problem,
     ScalarDomain,
     discretize,
@@ -32,7 +34,7 @@ from .cim import (
     solve_nodes,
     solve_nodes_accelerated,
 )
-from .contour import ContourConfig, quadrature_nodes
+from .contour import ContourConfig, ContourError, quadrature_nodes
 
 # ``assemble`` is not called in this module.  It stays one of its names
 # because perfbench/tracing.py wraps cross-layer calls by module attribute
@@ -49,6 +51,8 @@ from .fem import (
     prolong_1d,
     prolong_2d,
 )
+from .linalg import LinAlgError
+from .mlf import MLError
 from .symbols import FractionalSymbol, SourceTransform, SymbolError, pole_term, power_term
 
 
@@ -121,37 +125,16 @@ class ExperimentSpec:
             raise BenchError(f"unknown reference {self.reference!r}")
 
 
-class ContourRun:
-    """The contour pipeline for one problem at one node count N.
-
-    The optimized contour parameters and the quadrature are made once;
-    the load vectors come from the process's cache.  ``solve`` serves the
-    plain solution (N node systems) and the accelerated one (n + 1
-    systems), each evaluated at every requested time from one set of node
-    values.  The contour is the problem's.
-    """
-
-    def __init__(self, p: Problem, N: int) -> None:
-        self.problem = p
-        self.quad = quadrature_nodes(problem_parameters(p, N))
-
-    def solve(self, times, n: int | None = None):
-        """Solution at ``times``: plain, or from ``n + 1`` Chebyshev solves when ``n`` is given."""
-        if n is None:
-            ns = solve_nodes(self.problem, self.quad)
-        else:
-            ns = solve_nodes_accelerated(self.problem, self.quad, n)
-        return evaluate(ns, times, self.problem.contour.window)
+def solve(p: Problem, N: int, times):
+    """The solution of ``p`` at ``times``, one time or a sequence, from one solve of its N contour nodes."""
+    quad = quadrature_nodes(problem_parameters(p, N))
+    return evaluate(quad, solve_nodes(p, quad), times)
 
 
 @dataclass(frozen=True)
 class BuiltProblem:
     problem: Problem
     exact: Callable | None  # exact(t) scalar / exact(x, t) 1-D / exact(x, y, t) 2-D
-
-    def run(self, N: int) -> ContourRun:
-        """The contour run at N nodes."""
-        return ContourRun(self.problem, N)
 
 
 def _ex4_case3_fxy(x, y):
@@ -284,7 +267,7 @@ def spatial_sweep(
     for m in sorted(needed):
         bp = build_problem(example_id, beta, m, contour, K)
         start = time.perf_counter()
-        u = bp.run(N).solve(t)
+        u = solve(bp.problem, N, t)
         solved[m] = (bp, u, (time.perf_counter() - start) * 1e3)
     rows = []
     prev = None
@@ -336,11 +319,12 @@ def accel_compare(
     solution serves as the high-accuracy surrogate and IAR equals the
     deviation.
     """
-    run = bp.run(N)
-    t_plain, u_plain = _median_time(lambda: run.solve(t))
+    p = bp.problem
+    quad = quadrature_nodes(problem_parameters(p, N))  # shared, and outside the timed calls
+    t_plain, u_plain = _median_time(lambda: evaluate(quad, solve_nodes(p, quad), t))
     out = []
     for n in ns:
-        t_accel, u_acc = _median_time(lambda: run.solve(t, n))
+        t_accel, u_acc = _median_time(lambda: evaluate(quad, solve_nodes_accelerated(p, quad, n), t))
         dev = _relative(bp, u_acc, t, u_plain)
         iar = dev if bp.exact is None or bp.problem.scalar else _relative(bp, u_acc, t)
         out.append((n, dev, iar, t_accel))
@@ -395,26 +379,25 @@ def window_times(contour: ContourConfig, quoted=()) -> tuple[float, ...]:
     return tuple(sorted(set(np.round(grid, 12)) | set(quoted)))
 
 
-def _time_rows(spec: ExperimentSpec, beta: float) -> list[dict]:
-    """Sweep-time rows of one beta; the N_ref reference is solved once for all of them."""
-    M = max(spec.m_list)
+def _time_rows(spec: ExperimentSpec, beta: float, M: int) -> list[dict]:
+    """Sweep-time rows of one (beta, M); the N_ref reference is solved once for all of them."""
     bp = build_problem(spec.example_id, beta, M, spec.contour, spec.K)
     discretize(bp.problem)  # the shared load vectors are integrated outside every row's wall_ms
     times = window_times(spec.contour, spec.eval_times)
-    ref = None if spec.reference == "exact" else bp.run(N_REF).solve(times)
+    ref = None if spec.reference == "exact" else solve(bp.problem, N_REF, times)
     rows = []
     for N in spec.n_list:
         start = time.perf_counter()
-        sols = bp.run(N).solve(times)
+        sols = solve(bp.problem, N, times)
         wall = (time.perf_counter() - start) * 1e3
+        # the error spans the window and every quoted time; the row shows the latest
         rows.append(_row(spec.example_id, beta, N=N, M=None if bp.problem.scalar else M,
                          t=max(spec.eval_times), error=error_tau(bp, times, sols, ref), wall_ms=wall))
     return rows
 
 
-def _space_rows(spec: ExperimentSpec, beta: float) -> list[dict]:
-    """Sweep-space rows of one beta at the largest N and time; each mesh is solved once."""
-    t, N = max(spec.eval_times), max(spec.n_list)
+def _space_rows(spec: ExperimentSpec, beta: float, N: int, t: float) -> list[dict]:
+    """Sweep-space rows of one (beta, N, t); each mesh is solved once."""
     return [
         _row(spec.example_id, beta, N=N, M=m, t=t, error=err, order=order, wall_ms=wall)
         for m, err, order, wall in spatial_sweep(
@@ -423,12 +406,11 @@ def _space_rows(spec: ExperimentSpec, beta: float) -> list[dict]:
     ]
 
 
-def _accel_rows(spec: ExperimentSpec, beta: float, M: int) -> list[dict]:
-    """An accelerated and a plain row for each n at the largest N and time.
+def _accel_rows(spec: ExperimentSpec, beta: float, M: int, N: int, t: float) -> list[dict]:
+    """An accelerated and a plain row for each n of one (beta, M, N, t).
 
     The plain rows share one timing of the plain solve.
     """
-    t, N = max(spec.eval_times), max(spec.n_list)
     bp = build_problem(spec.example_id, beta, M, spec.contour, spec.K)
     t_plain, accel = accel_compare(bp, N, spec.n_interp, t)
     rows = []
@@ -448,7 +430,7 @@ def _solve_rows(spec: ExperimentSpec, beta: float, N: int, M: int) -> list[dict]
     """
     bp = build_problem(spec.example_id, beta, M, spec.contour, spec.K)
     start = time.perf_counter()
-    sols = bp.run(N).solve(spec.eval_times)
+    sols = solve(bp.problem, N, spec.eval_times)
     wall = (time.perf_counter() - start) * 1e3
     rows = []
     for t, s in zip(spec.eval_times, sols):
@@ -459,24 +441,28 @@ def _solve_rows(spec: ExperimentSpec, beta: float, N: int, M: int) -> list[dict]
     return rows
 
 
-# Each mode's row builder and the spec fields whose product are its jobs.  A
-# job is one beta of sweep-time and sweep-space (its rows share the
-# reference), one (beta, M) of accel-compare and one (beta, N, M) of solve.
+# Each mode's row builder and the spec fields whose product are its jobs, passed
+# to the builder after the spec.  A list that is no axis is swept in the job: N
+# of sweep-time (one reference), M of sweep-space (each error needs mesh 2M), n
+# of accel-compare (one plain solve) and the times of solve (one solve).
 MODES: dict[str, tuple[Callable[..., list[dict]], tuple[str, ...]]] = {
     "solve": (_solve_rows, ("betas", "n_list", "m_list")),
-    "sweep-time": (_time_rows, ("betas",)),
-    "sweep-space": (_space_rows, ("betas",)),
-    "accel-compare": (_accel_rows, ("betas", "m_list")),
+    "sweep-time": (_time_rows, ("betas", "m_list")),
+    "sweep-space": (_space_rows, ("betas", "n_list", "eval_times")),
+    "accel-compare": (_accel_rows, ("betas", "m_list", "n_list", "eval_times")),
 }
+
+# A job that raises one of the library's own errors failed; any other error is a fault.
+JOB_ERRORS = (BenchError, CIMError, ContourError, FEMError, LinAlgError, MLError, SymbolError)
 
 
 def run(spec: ExperimentSpec) -> ErrorReport:
-    """Execute one sweep, job after job; a failing job is recorded, not raised."""
+    """Execute one sweep, job after job; a job that fails with a ``JOB_ERRORS`` error is recorded, not raised."""
     rows_of, axes = MODES[spec.mode]
     report = ErrorReport(rows=[])
     for job in itertools.product(*(getattr(spec, axis) for axis in axes)):
         try:
             report.rows.extend(rows_of(spec, *job))
-        except Exception as exc:  # per-job failure: record and continue
+        except JOB_ERRORS as exc:  # per-job failure: record and continue
             report.failures.append(f"{type(exc).__name__}: {exc}")
     return report

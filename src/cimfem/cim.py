@@ -114,23 +114,11 @@ def discretize(p: Problem) -> dict[object, np.ndarray | complex]:
     return {g: _load(p.domain, g) for g in data}
 
 
-@dataclass(frozen=True)
-class NodeSolutionSet:
-    """Laplace-domain solutions at the contour quadrature nodes.
-
-    ``values`` has shape (N,) for scalar problems and (N, ndof)
-    otherwise.
-    """
-
-    quad: ContourQuadrature
-    values: np.ndarray
-
-
 def _warn_pole_location(p: Problem, quad: ContourQuadrature) -> None:
     sigma = p.source.max_pole
     if sigma is None:
         return
-    vertex = quad.params.mu_star * (1.0 - sin(quad.params.alpha))
+    vertex = quad.params.mu_star * (1.0 - sin(quad.params.contour.alpha))
     if vertex <= sigma:
         warnings.warn(
             f"contour vertex {vertex:.4g} does not pass right of the source pole "
@@ -159,7 +147,7 @@ def problem_parameters(p: Problem, N: int) -> OptimalParameters:
     params = standard_parameters(p.contour, N)
     sigma = p.source.max_pole
     if sigma is not None and sigma > 0.0:
-        mu_floor = POLE_VERTEX_MARGIN * sigma / (1.0 - sin(params.alpha))
+        mu_floor = POLE_VERTEX_MARGIN * sigma / (1.0 - sin(params.contour.alpha))
         if params.mu_star < mu_floor:
             params = replace(params, mu_star=mu_floor)
     return params
@@ -206,39 +194,39 @@ def _solve_at(p: Problem, z: np.ndarray) -> np.ndarray:
     return u
 
 
-def solve_nodes(p: Problem, quad: ContourQuadrature) -> NodeSolutionSet:
-    """Solve the shifted systems at every quadrature node."""
+def solve_nodes(p: Problem, quad: ContourQuadrature) -> np.ndarray:
+    """Laplace-domain solutions at the quadrature nodes: shape (N,) for a scalar problem, else (N, ndof)."""
     _warn_pole_location(p, quad)
-    return NodeSolutionSet(quad=quad, values=_solve_at(p, quad.nodes))
+    return _solve_at(p, quad.nodes)
 
 
-def evaluate(ns: NodeSolutionSet, t, window: tuple[float, float] | None = None):
-    """Trapezoid sum ``(tau/pi) Im sum_k exp(z_k t) u_hat_k z'_k``.
+def evaluate(quad: ContourQuadrature, values: np.ndarray, t):
+    """Trapezoid sum ``(tau/pi) Im sum_k exp(z_k t) u_hat_k z'_k`` of the node ``values``.
 
     ``t`` is one time or a sequence of times; all of them are summed in
     one product ``exp(outer(t, z)) z' @ u_hat``, which stacks one row per
     time (a single time gives its row alone).  Errors out when a
     time is not finite and positive or when ``mu * t`` risks floating
     overflow of the node exponentials; warns for times outside the window
-    the contour was optimized for.
+    ``quad.params.contour.window`` the contour was optimized for.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     bad = ~((0.0 < ts) & (ts < inf))  # a NaN time is bad too
     if np.any(bad):
         raise CIMError(f"contour evaluation needs finite t > 0, got {ts[bad][0]}")
-    mu = ns.quad.params.mu_star
+    mu = quad.params.mu_star
     if mu * ts.max() > 700.0:
         raise CIMError(f"mu * t = {mu * ts.max():.3g} > 700 would overflow exp")
-    if window is not None:
-        inside = (window[0] * (1.0 - 1e-12) <= ts) & (ts <= window[1] * (1.0 + 1e-12))
-        if not np.all(inside):
-            warnings.warn(
-                f"t = {ts[~inside].tolist()} lies outside the contour's accuracy window {window}",
-                stacklevel=2,
-            )
-    w = np.exp(np.outer(ts, ns.quad.nodes)) * ns.quad.derivs
-    values = ns.quad.params.tau_star / pi * np.imag(w @ ns.values)
-    return values if np.ndim(t) else values[0]
+    window = quad.params.contour.window
+    inside = (window[0] * (1.0 - 1e-12) <= ts) & (ts <= window[1] * (1.0 + 1e-12))
+    if not np.all(inside):
+        warnings.warn(
+            f"t = {ts[~inside].tolist()} lies outside the contour's accuracy window {window}",
+            stacklevel=2,
+        )
+    w = np.exp(np.outer(ts, quad.nodes)) * quad.derivs
+    u = quad.params.tau_star / pi * np.imag(w @ values)
+    return u if np.ndim(t) else u[0]
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +267,13 @@ def barycentric_interpolate(points: np.ndarray, weights: np.ndarray, values: np.
     return c @ values
 
 
-def solve_nodes_accelerated(p: Problem, quad: ContourQuadrature, n: int) -> NodeSolutionSet:
-    """Node solutions interpolated from solves at n + 1 Chebyshev points only."""
+def solve_nodes_accelerated(p: Problem, quad: ContourQuadrature, n: int) -> np.ndarray:
+    """Node solutions, as from ``solve_nodes``, interpolated from solves at n + 1 Chebyshev points only."""
     _warn_pole_location(p, quad)
     pts = chebyshev_points(quad, n)
     z, _ = contour_point(quad.params, pts)
     span = quad.phis[-1] - quad.phis[0]
-    values = barycentric_interpolate(pts, barycentric_weights(n), _solve_at(p, z), quad.phis, span)
-    return NodeSolutionSet(quad=quad, values=values)
+    return barycentric_interpolate(pts, barycentric_weights(n), _solve_at(p, z), quad.phis, span)
 
 
 INTERP_EPS_MARGIN = 1e-3  # gap between the analyticity strip and the contour angle

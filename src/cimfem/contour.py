@@ -78,7 +78,7 @@ class ContourConfig:
 
 @dataclass(frozen=True)
 class OptimalParameters:
-    """Result of the grid search over the error-split parameter."""
+    """Result of the grid search over the error-split parameter for the contour ``contour``."""
 
     rho_star: float
     a_rho: float
@@ -87,7 +87,7 @@ class OptimalParameters:
     d_tilde: float
     eps_n: float
     predicted_error: float
-    alpha: float
+    contour: ContourConfig  # the requested shape and time window
     N: int  # quadrature nodes the step tau_star was optimized for
 
 
@@ -168,14 +168,14 @@ def optimize_rho(cfg: ContourConfig, N: int) -> OptimalParameters:
         d_tilde=d_tilde,
         eps_n=float(eps[k]),
         predicted_error=float(total[k]),
-        alpha=cfg.alpha,
+        contour=cfg,
         N=N,
     )
 
 
 def contour_point(params: OptimalParameters, phi):
     """Return ``(z(phi), z'(phi))`` on the hyperbola, for a scalar or an array ``phi``."""
-    mu, alpha = params.mu_star, params.alpha
+    mu, alpha = params.mu_star, params.contour.alpha
     z = mu * (1.0 - sin(alpha) * np.cosh(phi)) + 1j * mu * cos(alpha) * np.sinh(phi)
     dz = -mu * sin(alpha) * np.sinh(phi) + 1j * mu * cos(alpha) * np.cosh(phi)
     return z, dz

@@ -358,15 +358,18 @@ def sparse_solve(a: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
     SuperLU orders the columns by minimum degree on ``A^T + A`` and runs
     in symmetric mode (diagonal pivots preferred, partial pivoting kept),
     which suits the symmetric pattern of the shifted FEM matrices.
-    Raises if the solution fails ``_backward_ok`` with
-    ``SPARSE_RESIDUAL_TOL``, ``||A||`` being the largest column sum.
+    Raises if the factorization fails or the solution fails ``_backward_ok``
+    with ``SPARSE_RESIDUAL_TOL``, ``||A||`` being the largest column sum.
     """
     rhs = np.asarray(rhs, dtype=complex)
     if not rhs.any():
         return np.zeros(len(rhs), dtype=complex)
     if not (a.format == "csc" and a.dtype == complex):
         a = a.tocsc().astype(complex)
-    lu = splu(a, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+    try:
+        lu = splu(a, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+    except RuntimeError as exc:  # SuperLU reports a singular factor this way
+        raise LinAlgError(f"sparse LU failed: {exc}") from exc
     x = lu.solve(rhs)
     res = a @ x - rhs
     norm_a = np.max(np.bincount(a.indices, weights=np.abs(a.data), minlength=a.shape[0]))

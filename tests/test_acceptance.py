@@ -36,19 +36,19 @@ import scipy.sparse as sps
 
 import cimfem.contour
 from cimfem.bench import (
-    ContourRun,
     accel_compare,
     build_problem,
     error_tau,
+    solve,
     spatial_sweep,
     window_times,
 )
-from cimfem.contour import ContourConfig, optimize_rho
+from cimfem.cim import Problem, evaluate, problem_parameters, solve_nodes, solve_nodes_accelerated
+from cimfem.contour import ContourConfig, optimize_rho, quadrature_nodes
 from cimfem.fem import Mesh1D, mass_norm
 from cimfem.linalg import thomas_solve
 from cimfem.mlf import MLError, MLQuery, SpectralProblem, ml_biv, ml_biv_contour, ml_biv_series, spectral_reference
 from cimfem.symbols import FractionalSymbol
-from cimfem.cim import Problem
 
 EPS = 2.22e-16
 
@@ -59,7 +59,7 @@ def test_scalar_spectral_decay():
     t = 0.6
     errs = {}
     for N in (20, 80, 90, 100, 110, 120):
-        val = bp.run(N).solve(t)
+        val = solve(bp.problem, N, t)
         errs[N] = abs(val - bp.exact(t))
     assert errs[20] <= 1e-4
     assert errs[80] <= 1e-10
@@ -78,9 +78,9 @@ def test_1d_temporal_table():
     times = window_times(cd, (0.8,))
     for beta, target in published.items():
         bp = build_problem("ex3_1d_case1", beta, 128, cd)
-        ref = bp.run(200).solve(times)
-        e40 = error_tau(bp, times, bp.run(40).solve(times), ref)
-        e80 = error_tau(bp, times, bp.run(80).solve(times), ref)
+        ref = solve(bp.problem, 200, times)
+        e40 = error_tau(bp, times, solve(bp.problem, 40, times), ref)
+        e80 = error_tau(bp, times, solve(bp.problem, 80, times), ref)
         assert e40 <= 3.0 * target, f"beta={beta}: {e40:.3e} > 3 x {target:.3e}"
         assert e80 <= 1e-10, f"beta={beta}: Error_tau(80) = {e80:.3e}"
     assert time.perf_counter() - start < 10.0
@@ -146,7 +146,7 @@ def test_manufactured_solution_nodal_error():
     nodal_err = {}
     for M in (32, 64):
         bp = build_problem("ex2_vanishing", beta, M)
-        uh = bp.run(N).solve(t)
+        uh = solve(bp.problem, N, t)
         if M == 32:
             cim_err = float(np.max(np.abs(uh - ref)))
             assert cim_err <= 1e-5, (
@@ -182,8 +182,8 @@ def test_2d_temporal_errors():
     for example, per_beta in published.items():
         for beta, target in per_beta.items():
             bp = build_problem(example, beta, 32, cd)
-            ref = bp.run(200).solve(times)
-            err = error_tau(bp, times, bp.run(100).solve(times), ref)
+            ref = solve(bp.problem, 200, times)
+            err = error_tau(bp, times, solve(bp.problem, 100, times), ref)
             assert err <= 5.0 * target, f"{example} beta={beta}: {err:.3e} > 5 x {target:.3e}"
     assert time.perf_counter() - start < 120.0
 
@@ -204,11 +204,12 @@ def test_acceleration_deviation():
         ns.append(n)
         n *= 2
     for example, M in (("ex3_1d_case1", 128), ("ex4_2d_case2", 32)):
-        run = build_problem(example, 0.5, M).run(N)
-        domain = run.problem.domain
-        u_plain = run.solve(t)
+        p = build_problem(example, 0.5, M).problem
+        quad = quadrature_nodes(problem_parameters(p, N))
+        domain = p.domain
+        u_plain = evaluate(quad, solve_nodes(p, quad), t)
         scale = mass_norm(domain, u_plain)
-        u_acc = {m: run.solve(t, m) for m in ns + [2 * ns[-1]]}
+        u_acc = {m: evaluate(quad, solve_nodes_accelerated(p, quad, m), t) for m in ns + [2 * ns[-1]]}
         certified = None
         for n in ns:
             dev = mass_norm(domain, u_acc[n] - u_plain) / scale
@@ -336,8 +337,7 @@ def test_solver_oracle_equivalences():
     mesh = Mesh1D(M)
     u0 = lambda x: math.sqrt(2.0) * np.sin(np.pi * x)
     p = Problem(sym=FractionalSymbol(1.0, 0.5), domain=mesh, u0=u0)
-    run = ContourRun(p, 100)
-    sols = run.solve((0.2, 0.8))
+    sols = solve(p, 100, (0.2, 0.8))
     sp = SpectralProblem(K=1.0, beta=0.5, mode_coefficients=lambda j: 1.0 if j == 1 else 0.0)
     for t_eval, uh in zip((0.2, 0.8), sols):
         ue = spectral_reference(sp, mesh.nodes, t_eval)

@@ -20,10 +20,12 @@ from cimfem.bench import (
     build_problem,
     error_tau,
     run,
+    solve,
     spatial_sweep,
     window_times,
     _fmt,
 )
+import cimfem.bench
 import cimfem.cim
 import cimfem.contour
 from cimfem.contour import ContourConfig
@@ -95,15 +97,15 @@ class TestErrorMetrics:
     def test_error_tau_exact_scalar_decays(self):
         bp = build_problem("ex1_scalar", 0.5, 8)
         times = window_times(ContourConfig(), (0.6,))
-        errs = [error_tau(bp, times, bp.run(N).solve(times)) for N in (10, 20, 40)]
+        errs = [error_tau(bp, times, solve(bp.problem, N, times)) for N in (10, 20, 40)]
         assert errs[0] > errs[1] > errs[2] or errs[2] < 1e-12
 
     def test_error_tau_numeric_close_to_exact(self):
         bp = build_problem("ex1_scalar", 0.5, 8)
         times = window_times(ContourConfig(), (0.6,))
-        sols = bp.run(20).solve(times)
+        sols = solve(bp.problem, 20, times)
         e_ex = error_tau(bp, times, sols)
-        e_num = error_tau(bp, times, sols, bp.run(200).solve(times))
+        e_num = error_tau(bp, times, sols, solve(bp.problem, 200, times))
         assert e_num == pytest.approx(e_ex, rel=1e-3)
 
     @pytest.mark.parametrize("example, M", [("ex1_scalar", 8), ("ex3_1d_case1", 16), ("ex4_2d_case1", 6)])
@@ -111,7 +113,7 @@ class TestErrorMetrics:
         # one batched norm per call, the same as the largest per-time mass norm
         bp = build_problem(example, 0.5, M)
         times = window_times(ContourConfig(), (0.6,))
-        sols, ref = bp.run(20).solve(times), bp.run(60).solve(times)
+        sols, ref = solve(bp.problem, 20, times), solve(bp.problem, 60, times)
         p = bp.problem
         each = [abs(s - r) if p.scalar else cimfem.fem.mass_norm(p.domain, s - r) for s, r in zip(sols, ref)]
         assert error_tau(bp, times, sols, ref) == max(each)
@@ -219,6 +221,45 @@ class TestReportAndRun:
         report = run(spec)
         assert report.failures
         assert report.rows == [] or all(r["error"] == "" for r in report.rows)
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        # only the library's own errors are a job's failure; a TypeError is a fault
+        def broken(p, quad):
+            raise TypeError("broken node solve")
+
+        monkeypatch.setattr(cimfem.bench, "solve_nodes", broken)
+        with pytest.raises(TypeError, match="broken node solve"):
+            run(ExperimentSpec(mode="solve", example_id="ex1_scalar", n_list=(10,)))
+
+
+def _rows_without_wall_time(**fields):
+    return [{k: v for k, v in r.items() if k != "wall_ms"} for r in run(ExperimentSpec(**fields)).rows]
+
+
+@pytest.mark.parametrize(
+    "mode, axis, column, values, fixed",
+    [
+        ("sweep-time", "m_list", "M", (8, 16), dict(n_list=(10, 20))),
+        ("sweep-space", "n_list", "N", (20, 40), dict(m_list=(4, 8))),
+        ("sweep-space", "eval_times", "t", (0.3, 0.6), dict(n_list=(20,), m_list=(4, 8))),
+        ("accel-compare", "m_list", "M", (8, 16), dict(n_list=(20,), n_interp=(4, 6))),
+        ("accel-compare", "n_list", "N", (20, 40), dict(m_list=(8,), n_interp=(4, 6))),
+        ("accel-compare", "eval_times", "t", (0.3, 0.6), dict(n_list=(20,), m_list=(8,), n_interp=(4, 6))),
+    ],
+)
+def test_every_value_of_a_job_axis_gets_its_rows(mode, axis, column, values, fixed):
+    # a list of k values gives the k blocks that the k single-valued runs give, in order
+    base = dict(mode=mode, example_id="ex3_1d_case1", **fixed)
+    together = _rows_without_wall_time(**base, **{axis: values})
+    blocks = [_rows_without_wall_time(**base, **{axis: (v,)}) for v in values]
+    assert together == [row for block in blocks for row in block]
+    assert [block[0][column] for block in blocks] == [str(v) for v in values]
+
+
+def test_sweep_time_folds_every_time_into_one_error():
+    rows = _rows_without_wall_time(mode="sweep-time", example_id="ex3_1d_case1", n_list=(10, 20),
+                                   m_list=(8,), eval_times=(0.3, 0.8))
+    assert [(r["N"], r["t"]) for r in rows] == [("10", "0.8"), ("20", "0.8")]
 
 
 class TestSharedWork:

@@ -4,6 +4,7 @@ independently computed references, plus the barycentric acceleration.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from cimfem.cim import (
     solve_nodes,
     solve_nodes_accelerated,
 )
-from cimfem.bench import ContourRun, accel_compare, build_problem
+from cimfem.bench import accel_compare, build_problem, solve
 from cimfem.contour import ContourConfig, contour_point, quadrature_nodes, standard_parameters
 from cimfem.fem import InitialData1D, Mesh1D, Mesh2D, assemble, l2_error, load_vector, mass_norm, stencil_1d
 from cimfem.linalg import toeplitz_eigenvalues
@@ -34,6 +35,11 @@ from cimfem.mlf import mode_value
 from cimfem.symbols import FractionalSymbol, SourceTransform, pole_term, power_term
 
 SQRT_PI_32 = 3.0 * math.sqrt(math.pi) / 2.0
+
+
+def node_quadrature(p, N):
+    """The N-node quadrature that ``bench.solve`` builds for ``p``."""
+    return quadrature_nodes(problem_parameters(p, N))
 
 
 def scalar_benchmark(beta):
@@ -59,20 +65,20 @@ class TestScalarSolve:
     @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
     def test_exact_solution(self, beta):
         p, exact = scalar_benchmark(beta)
-        for t, val in zip((0.2, 0.6, 1.0), ContourRun(p, 80).solve((0.2, 0.6, 1.0))):
+        for t, val in zip((0.2, 0.6, 1.0), solve(p, 80, (0.2, 0.6, 1.0))):
             assert val == pytest.approx(exact(t), abs=1e-10)
 
     def test_homogeneous_matches_relaxation_kernel(self):
         # K u' + d_t^beta u + a u = 0, u(0) = 1 has the closed-form kernel
         p = Problem(sym=FractionalSymbol(1.0, 0.5), domain=ScalarDomain(math.pi ** 2), u0=1.0)
-        for t, val in zip((0.2, 0.8), ContourRun(p, 80).solve((0.2, 0.8))):
+        for t, val in zip((0.2, 0.8), solve(p, 80, (0.2, 0.8))):
             assert val == pytest.approx(mode_value(1.0, 0.5, math.pi ** 2, t), abs=1e-9)
 
     def test_spectral_decay(self):
         p, exact = scalar_benchmark(0.5)
         errs = []
         for N in (10, 20, 40):
-            val = ContourRun(p, N).solve(0.6)
+            val = solve(p, N, 0.6)
             errs.append(abs(val - exact(0.6)))
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] < 1e-9
@@ -81,53 +87,66 @@ class TestScalarSolve:
 class TestEvaluateGuards:
     def test_negative_time_rejected(self):
         p, _ = scalar_benchmark(0.5)
-        params = problem_parameters(p, 20)
-        ns = solve_nodes(p, quadrature_nodes(params))
+        quad = node_quadrature(p, 20)
+        u = solve_nodes(p, quad)
         with pytest.raises(CIMError):
-            evaluate(ns, 0.0)
+            evaluate(quad, u, 0.0)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, [0.5, math.nan]])
     def test_time_that_is_not_finite_rejected(self, t):
         p, _ = scalar_benchmark(0.5)
-        ns = solve_nodes(p, quadrature_nodes(problem_parameters(p, 20)))
+        quad = node_quadrature(p, 20)
+        u = solve_nodes(p, quad)
         with pytest.raises(CIMError, match="needs finite t > 0"):
-            evaluate(ns, t)
+            evaluate(quad, u, t)
 
     def test_overflow_guard(self):
         p, _ = scalar_benchmark(0.5)
-        params = problem_parameters(p, 20)
-        ns = solve_nodes(p, quadrature_nodes(params))
+        quad = node_quadrature(p, 20)
+        u = solve_nodes(p, quad)
         with pytest.raises(CIMError):
-            evaluate(ns, 1e6)
+            evaluate(quad, u, 1e6)
 
     def test_window_warning(self):
         p, _ = scalar_benchmark(0.5)
-        params = problem_parameters(p, 20)
-        ns = solve_nodes(p, quadrature_nodes(params))
+        quad = node_quadrature(p, 20)
+        u = solve_nodes(p, quad)
         with pytest.warns(UserWarning):
-            evaluate(ns, 5.0, window=(0.1, 1.0))
+            evaluate(quad, u, 5.0)
 
     def test_guards_check_every_time_of_a_list(self):
         p, _ = scalar_benchmark(0.5)
-        params = problem_parameters(p, 20)
-        ns = solve_nodes(p, quadrature_nodes(params))
+        quad = node_quadrature(p, 20)
+        u = solve_nodes(p, quad)
         with pytest.raises(CIMError):
-            evaluate(ns, [0.5, 0.0])
+            evaluate(quad, u, [0.5, 0.0])
         with pytest.raises(CIMError):
-            evaluate(ns, [0.5, 1e6])
+            evaluate(quad, u, [0.5, 1e6])
         with pytest.warns(UserWarning):
-            evaluate(ns, [0.5, 5.0], window=(0.1, 1.0))
+            evaluate(quad, u, [0.5, 5.0])
+
+    def test_window_comes_from_the_quadrature(self):
+        # the contour of t0 = 1 is optimized for [1, 10]: its ends pass, 0.5 warns
+        p, _ = scalar_benchmark(0.5)
+        p = replace(p, contour=ContourConfig(t0=1.0))
+        quad = node_quadrature(p, 20)
+        u = solve_nodes(p, quad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evaluate(quad, u, [1.0, 5.0, 10.0])
+        with pytest.warns(UserWarning, match=r"accuracy window \(1\.0, 10\.0\)"):
+            evaluate(quad, u, 0.5)
 
     @pytest.mark.parametrize("example", ["ex1_scalar", "ex3_1d_case1", "ex4_2d_case2"])
     def test_time_list_matches_single_times(self, example):
         p = build_problem(example, 0.5, 8).problem
-        params = problem_parameters(p, 40)
-        ns = solve_nodes(p, quadrature_nodes(params))
+        quad = node_quadrature(p, 40)
+        u = solve_nodes(p, quad)
         times = np.linspace(0.1, 1.0, 16)
-        together = evaluate(ns, times)
+        together = evaluate(quad, u, times)
         assert together.shape[0] == len(times)
         for t, row in zip(times, together):
-            single = evaluate(ns, t)
+            single = evaluate(quad, u, t)
             assert np.max(np.abs(row - single)) <= 1e-14 * np.max(np.abs(single))
 
 
@@ -145,14 +164,20 @@ class TestPoleHandling:
         p = self.pole_problem()
         for N in (20, 40, 60, 100, 150, 200):
             params = problem_parameters(p, N)
-            vertex = params.mu_star * (1.0 - math.sin(params.alpha))
+            vertex = params.mu_star * (1.0 - math.sin(params.contour.alpha))
             assert vertex > 1.5
+
+    def test_floored_parameters_keep_their_contour(self):
+        p = self.pole_problem()
+        params = problem_parameters(p, 200)
+        assert params.mu_star > standard_parameters(p.contour, 200).mu_star  # the floor applied
+        assert params.contour == p.contour
 
     def test_unadjusted_contour_warns_when_pole_missed(self):
         p = self.pole_problem()
         params = standard_parameters(p.contour, 200)
         quad = quadrature_nodes(params)
-        assert params.mu_star * (1.0 - math.sin(params.alpha)) <= 1.5
+        assert params.mu_star * (1.0 - math.sin(params.contour.alpha)) <= 1.5
         with pytest.warns(UserWarning):
             solve_nodes(p, quad)
 
@@ -162,7 +187,7 @@ class TestPoleHandling:
         p = build_problem("ex4_2d_case3", 0.5, 8).problem
         params = standard_parameters(p.contour, 20)
         quad = quadrature_nodes(params)
-        assert params.mu_star * (1.0 - math.sin(params.alpha)) < 1.5
+        assert params.mu_star * (1.0 - math.sin(params.contour.alpha)) < 1.5
         with pytest.warns(UserWarning, match="source pole"):
             solve_nodes_accelerated(p, quad, 10)
 
@@ -170,7 +195,7 @@ class TestPoleHandling:
         # growing-mode solutions at different N agree once the contour
         # always passes right of the pole
         p = self.pole_problem()
-        vals = [ContourRun(p, N).solve(0.6) for N in (60, 100, 200, 400)]
+        vals = [solve(p, N, 0.6) for N in (60, 100, 200, 400)]
         devs = [abs(v - vals[-1]) / abs(vals[-1]) for v in vals[:-1]]
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < 1e-4
@@ -244,7 +269,7 @@ class TestSpatialSolve:
 
     def test_manufactured_solution_l2(self):
         p, exact = self.vanishing_problem(0.5, 64)
-        uh = ContourRun(p, 60).solve(0.86)
+        uh = solve(p, 60, 0.86)
         err = l2_error(p.domain, uh, lambda x: exact(x, 0.86))
         assert err < 5e-5  # O(h^2) regime at M = 64
 
@@ -252,7 +277,7 @@ class TestSpatialSolve:
         errs = []
         for M in (8, 16, 32):
             p, exact = self.vanishing_problem(0.5, M)
-            uh = ContourRun(p, 60).solve(0.86)
+            uh = solve(p, 60, 0.86)
             errs.append(l2_error(p.domain, uh, lambda x: exact(x, 0.86)))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(1.85 < o < 2.15 for o in orders)
@@ -263,16 +288,15 @@ class TestSpatialSolve:
 
         u0 = InitialData2D(InitialData1D.indicator(0.0, 1.0), InitialData1D.indicator(0.0, 1.0))
         p = Problem(sym=FractionalSymbol(1.0, 0.5), domain=mesh, u0=u0)
-        run = ContourRun(p, 60)
-        vals = run.solve((0.1, 0.5, 1.0))
+        vals = solve(p, 60, (0.1, 0.5, 1.0))
         norms = [mass_norm(mesh, v) for v in vals]
         assert norms[0] > norms[1] > norms[2] > 0.0
 
     def test_2d_node_solves_match_dense(self):
         # every node of the pole-floor contour of ex4_2d_case3 at M = 16, N = 60;
         # its source is 3 pi^5 exp(1.5 t) fxy(x, y) and its initial datum zero
-        run = build_problem("ex4_2d_case3", 0.5, 16).run(60)
-        p, z = run.problem, run.quad.nodes
+        p = build_problem("ex4_2d_case3", 0.5, 16).problem
+        z = node_quadrature(p, 60).nodes
         ops = assemble(p.domain)
         mass, stiff = ops.mass.toarray(), ops.stiffness.toarray()
         eta = z + z ** 0.5
@@ -312,9 +336,9 @@ class TestModalNodeSolves:
     # row blocks hold 4096 // (M - 1) points, so every N here spans several blocks
     @pytest.mark.parametrize("example, M, N", [("ex2_vanishing", 7, 1400), ("ex3_1d_case1", 64, 300), ("ex2_vanishing", 1000, 30)])
     def test_rows_match_dense(self, example, M, N):
-        run = build_problem(example, 0.5, M).run(80)
-        p = run.problem
-        z, _ = contour_point(run.quad.params, np.linspace(run.quad.phis[0], run.quad.phis[-1], N))
+        p = build_problem(example, 0.5, M).problem
+        quad = node_quadrature(p, 80)
+        z, _ = contour_point(quad.params, np.linspace(quad.phis[0], quad.phis[-1], N))
         _, ref = dense_node_solutions(p, z)
         u = _solve_at(p, z)
         # both solves are backward stable, so rows differ by a few eps times the
@@ -327,8 +351,8 @@ class TestModalNodeSolves:
         assert np.all(gap <= 1e-14 * cond)
 
     def test_failed_row_falls_back_to_thomas(self, monkeypatch):
-        run = build_problem("ex2_vanishing", 0.5, 16).run(40)
-        p, z = run.problem, run.quad.nodes
+        p = build_problem("ex2_vanishing", 0.5, 16).problem
+        z = node_quadrature(p, 40).nodes
         rhs, ref = dense_node_solutions(p, z)
         dst1 = cimfem.linalg.dst1
 
@@ -359,16 +383,16 @@ class TestModal2DNodeSolves:
     # row blocks hold 4096 // (M - 1)**2 points, so every N here spans several blocks
     @pytest.mark.parametrize("example, M, N", [("ex4_2d_case1", 8, 200), ("ex4_2d_case3", 24, 30)])
     def test_rows_match_dense(self, example, M, N):
-        run = build_problem(example, 0.5, M).run(80)
-        p = run.problem
-        z, _ = contour_point(run.quad.params, np.linspace(run.quad.phis[0], run.quad.phis[-1], N))
+        p = build_problem(example, 0.5, M).problem
+        quad = node_quadrature(p, 80)
+        z, _ = contour_point(quad.params, np.linspace(quad.phis[0], quad.phis[-1], N))
         _, ref = dense_node_solutions(p, z)
         u = _solve_at(p, z)
         assert np.all(np.max(np.abs(u - ref), axis=1) <= 1e-12 * np.max(np.abs(ref), axis=1))
 
     def fallback_run(self, monkeypatch):
-        """ex4_2d_case3 at M = 8, N = 40, with every ``_node_solve`` call recorded."""
-        run = build_problem("ex4_2d_case3", 0.5, 8).run(40)
+        """ex4_2d_case3 at M = 8 and its N = 40 contour points, with every ``_node_solve`` call recorded."""
+        p = build_problem("ex4_2d_case3", 0.5, 8).problem
         solved = []
         node_solve = cimfem.cim._node_solve
 
@@ -377,11 +401,10 @@ class TestModal2DNodeSolves:
             return node_solve(ops, eta, b)
 
         monkeypatch.setattr(cimfem.cim, "_node_solve", counted)
-        return run, solved
+        return p, node_quadrature(p, 40).nodes, solved
 
     def test_failed_row_falls_back_to_splu(self, monkeypatch):
-        run, solved = self.fallback_run(monkeypatch)
-        p, z = run.problem, run.quad.nodes
+        p, z, solved = self.fallback_run(monkeypatch)
         rhs, ref = dense_node_solutions(p, z)
         dst2 = cimfem.linalg.dst2
 
@@ -398,8 +421,7 @@ class TestModal2DNodeSolves:
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_iteration_cap_falls_back_to_splu(self, monkeypatch):
-        run, solved = self.fallback_run(monkeypatch)
-        p, z = run.problem, run.quad.nodes
+        p, z, solved = self.fallback_run(monkeypatch)
         _, ref = dense_node_solutions(p, z)
         monkeypatch.setattr(cimfem.linalg, "COCG_MAX_ITER", 2)
         u = _solve_at(p, z)
@@ -464,19 +486,19 @@ class TestAcceleration:
         p, exact = scalar_benchmark(0.5)
         params = problem_parameters(p, 100)
         quad = quadrature_nodes(params)
-        ns_plain = solve_nodes(p, quad)
-        ns_acc = solve_nodes_accelerated(p, quad, 30)
+        u_plain = solve_nodes(p, quad)
+        u_acc = solve_nodes_accelerated(p, quad, 30)
         t = 0.6
-        assert evaluate(ns_acc, t) == pytest.approx(evaluate(ns_plain, t), rel=1e-5)
+        assert evaluate(quad, u_acc, t) == pytest.approx(evaluate(quad, u_plain, t), rel=1e-5)
 
     def test_deviation_decreases_with_n(self):
         p, _ = scalar_benchmark(0.5)
         params = problem_parameters(p, 100)
         quad = quadrature_nodes(params)
-        u_plain = evaluate(solve_nodes(p, quad), 0.6)
+        u_plain = evaluate(quad, solve_nodes(p, quad), 0.6)
         devs = []
         for n in (6, 12, 18):
-            u_acc = evaluate(solve_nodes_accelerated(p, quad, n), 0.6)
+            u_acc = evaluate(quad, solve_nodes_accelerated(p, quad, n), 0.6)
             devs.append(abs(u_acc - u_plain) / abs(u_plain))
         assert devs[2] < devs[0]
 
@@ -484,7 +506,7 @@ class TestAcceleration:
         # interpolation error behaves like C * rate^-n, so rate > 1 means decay
         p, _ = scalar_benchmark(0.5)
         params = problem_parameters(p, 100)
-        rate = predicted_interp_decay(100, params.tau_star, params.alpha)
+        rate = predicted_interp_decay(100, params.tau_star, params.contour.alpha)
         assert rate > 1.0
 
     @pytest.mark.parametrize("example, M", [("ex1_scalar", 4), ("ex3_1d_case1", 128)])
@@ -493,6 +515,6 @@ class TestAcceleration:
         # of the deviation, measured here from n = 10 to n = 20
         bp = build_problem(example, 0.5, M)
         _, [(_, dev10, _, _), (_, dev20, _, _)] = accel_compare(bp, 100, (10, 20), 0.6)
-        params = bp.run(100).quad.params
-        predicted = predicted_interp_decay(100, params.tau_star, params.alpha)
+        params = problem_parameters(bp.problem, 100)
+        predicted = predicted_interp_decay(100, params.tau_star, params.contour.alpha)
         assert (dev10 / dev20) ** (1.0 / 10.0) >= predicted

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cimfem.bench import ContourRun, ExperimentSpec, accel_compare, build_problem
+from cimfem.bench import ExperimentSpec, accel_compare, build_problem, solve
 import cimfem.cli
 from cimfem.cli import main
 from cimfem.contour import ContourConfig
@@ -365,7 +365,7 @@ def test_solve_mode_scalar_rows_are_exact_errors(capsys):
     bp = build_problem("ex1_scalar", 0.5, 32)
     expected = []
     for N in (20, 40):
-        u = bp.run(N).solve((0.3, 0.9))
+        u = solve(bp.problem, N, (0.3, 0.9))
         expected += [(str(N), str(t), f"{abs(v - bp.exact(t)):.4E}") for v, t in zip(u, (0.3, 0.9))]
     assert [(r["N"], r["t"], r["error"]) for r in rows] == expected
     assert [r["M"] for r in rows] == ["", "", "", ""]
@@ -377,9 +377,8 @@ def test_solve_mode_1d_rows_are_mass_norms(capsys):
         capsys, ["--example", "ex3_1d_case1", "--N", "40", "--M", "16", "--times", "0.3,0.6"]
     )
     bp = build_problem("ex3_1d_case1", 0.5, 16)
-    run = ContourRun(bp.problem, 40)
-    u = run.solve((0.3, 0.6))
-    assert [r["error"] for r in rows] == [f"{mass_norm(run.problem.domain, v):.4E}" for v in u]
+    u = solve(bp.problem, 40, (0.3, 0.6))
+    assert [r["error"] for r in rows] == [f"{mass_norm(bp.problem.domain, v):.4E}" for v in u]
     assert [r["M"] for r in rows] == ["16", "16"]
     assert [r["wall_ms"] != "" for r in rows] == [True, False]
 

@@ -169,8 +169,8 @@ class TestQuadratureNodes:
         p = standard_parameters(ContourConfig(), 40)
         quad = quadrature_nodes(p)
         x, y = quad.nodes.real, quad.nodes.imag
-        lhs = ((p.mu_star - x) / (p.mu_star * math.sin(p.alpha))) ** 2 - (
-            y / (p.mu_star * math.cos(p.alpha))
+        lhs = ((p.mu_star - x) / (p.mu_star * math.sin(p.contour.alpha))) ** 2 - (
+            y / (p.mu_star * math.cos(p.contour.alpha))
         ) ** 2
         assert np.allclose(lhs, 1.0, rtol=1e-12)
 

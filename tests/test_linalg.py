@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cimfem.bench import build_problem
+from cimfem.cim import problem_parameters
+from cimfem.contour import quadrature_nodes
 from cimfem.fem import Mesh1D, Mesh2D, assemble, stencil_1d, stencil_2d
 from cimfem.linalg import (
     LinAlgError,
@@ -255,8 +257,8 @@ class TestModal2D:
     def test_closed_form_norm_matches_column_sums(self, M):
         # eta at every node of the N = 60 contour of ex4_2d_case3, against the
         # column sums that sparse_solve takes of the assembled eta M + S
-        run = build_problem("ex4_2d_case3", 0.5, M).run(60)
-        mesh, eta = run.problem.domain, run.problem.sym.eta(run.quad.nodes)
+        p = build_problem("ex4_2d_case3", 0.5, M).problem
+        mesh, eta = p.domain, p.sym.eta(quadrature_nodes(problem_parameters(p, 60)).nodes)
         ops = assemble(mesh)
         mass, stiff = stencil_2d(mesh)
         norm = _stencil_norm_2d([eta * m + s for m, s in zip(mass, stiff)], M - 1)
@@ -290,5 +292,11 @@ class TestSparse:
 
     def test_singular_raises(self):
         a = sp.csc_matrix((3, 3), dtype=complex)
-        with pytest.raises((LinAlgError, RuntimeError)):
+        with pytest.raises(LinAlgError, match="sparse LU failed: Factor is exactly singular"):
             sparse_solve(a, np.ones(3, dtype=complex))
+
+    def test_singular_factor_is_a_linalg_error(self):
+        # SuperLU reports an exactly singular factor as a RuntimeError of its own
+        a = sp.diags([1.0, 0.0]).tocsc()
+        with pytest.raises(LinAlgError, match="sparse LU failed: Factor is exactly singular"):
+            sparse_solve(a, np.ones(2, dtype=complex))

@@ -1,4 +1,4 @@
-"""The CLI's rows for small runs of every sweep mode, against recorded values.
+"""The CLI's rows for small runs of every sweep mode and for the shipped configs, against recorded values.
 
 ``tests/data/expected_rows.csv`` holds the rows of each argv in ``PINNED_ARGV``,
 every column but ``wall_ms``, after an ``argv`` column with the argv's index.
@@ -15,7 +15,8 @@ from pathlib import Path
 from cimfem.bench import CSV_HEADER
 from cimfem.cli import main
 
-EXPECTED = Path(__file__).resolve().parent / "data" / "expected_rows.csv"
+ROOT = Path(__file__).resolve().parent.parent
+EXPECTED = ROOT / "tests" / "data" / "expected_rows.csv"
 COLUMNS = ["argv"] + CSV_HEADER[:9]
 
 PINNED_ARGV = [
@@ -27,6 +28,13 @@ PINNED_ARGV = [
     ["sweep-space", "--example", "ex4_2d_case3", "--N", "40", "--M", "8", "--times", "0.6"],
     ["accel-compare", "--example", "ex3_1d_case1", "--N", "60", "--M", "32", "--n-interp", "6,10",
      "--times", "0.6"],
+    # the shipped configs: the paper's tables at their full size
+    ["accel-compare", "--config", str(ROOT / "scripts" / "acceleration_report.cfg")],
+    ["sweep-space", "--config", str(ROOT / "scripts" / "ex4_spatial_tables.cfg")],
+    ["sweep-time", "--config", str(ROOT / "scripts" / "ex4_temporal_tables.cfg")],
+    ["solve", "--config", str(ROOT / "scripts" / "scalar_decay.cfg")],
+    ["sweep-space", "--config", str(ROOT / "scripts" / "spatial_tables.cfg")],
+    ["sweep-time", "--config", str(ROOT / "scripts" / "temporal_tables.cfg")],
 ]
 
 
