@@ -118,6 +118,13 @@ class ExperimentSpec:
             raise BenchError(f"numeric reference needs N_REF = {N_REF} > every N in the sweep")
         if self.mode == "sweep-space" and bp.problem.scalar:
             raise BenchError(f"sweep-space needs a mesh example; {self.example_id} has no mesh")
+        if bp.problem.scalar:  # M does not enter a scalar problem: one value serves for all
+            object.__setattr__(self, "m_list", self.m_list[:1])
+        # the interpolation points span the nodes' angles, an empty interval for N = 1
+        if self.mode == "accel-compare" and min(self.n_list) < 2:
+            raise BenchError(
+                f"accel-compare interpolates between contour nodes; need N >= 2, got {self.n_list}"
+            )
         if self.reference == "exact" and bp.exact is None:
             exact = [e for e in EXAMPLE_IDS if build_problem(e, 0.5, 2).exact is not None]
             raise BenchError(f"exact reference only available for {'/'.join(exact)}")
@@ -413,12 +420,13 @@ def _accel_rows(spec: ExperimentSpec, beta: float, M: int, N: int, t: float) -> 
     """
     bp = build_problem(spec.example_id, beta, M, spec.contour, spec.K)
     t_plain, accel = accel_compare(bp, N, spec.n_interp, t)
+    shown_M = None if bp.problem.scalar else M
     rows = []
     for n, dev, iar_val, t_accel in accel:
         rows += [
-            _row(spec.example_id, beta, N=N, M=M, n=n, t=t,
+            _row(spec.example_id, beta, N=N, M=shown_M, n=n, t=t,
                  error=dev, iar_val=iar_val, wall_ms=t_accel * 1e3),
-            _row(spec.example_id, beta, N=N, M=M, n=None, t=t, wall_ms=t_plain * 1e3),
+            _row(spec.example_id, beta, N=N, M=shown_M, n=None, t=t, wall_ms=t_plain * 1e3),
         ]
     return rows
 
@@ -444,7 +452,8 @@ def _solve_rows(spec: ExperimentSpec, beta: float, N: int, M: int) -> list[dict]
 # Each mode's row builder and the spec fields whose product are its jobs, passed
 # to the builder after the spec.  A list that is no axis is swept in the job: N
 # of sweep-time (one reference), M of sweep-space (each error needs mesh 2M), n
-# of accel-compare (one plain solve) and the times of solve (one solve).
+# of accel-compare (one plain solve) and the times of solve (one solve).  A
+# scalar example's spec holds one M, so M adds no job there.
 MODES: dict[str, tuple[Callable[..., list[dict]], tuple[str, ...]]] = {
     "solve": (_solve_rows, ("betas", "n_list", "m_list")),
     "sweep-time": (_time_rows, ("betas", "m_list")),

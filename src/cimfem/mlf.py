@@ -11,12 +11,15 @@ can be written through the bivariate Mittag-Leffler function
 evaluated at ``z1 = -t**(1-beta)/K`` and ``z2 = -lam t / K``.  Two
 evaluation routes are provided: the double series summed along
 anti-diagonals (small arguments) and a contour-integral form of its
-Laplace transform (large arguments), which takes an array of ``z2`` on
-one contour and sums it for all of them in one matrix-vector product.
-``spectral_reference`` evaluates every mode of a sine eigenbasis that
-way, one contour per time, into closed-form reference solutions on the
-unit interval; the datum's coefficients are computed once per process
-and the sine series is summed blockwise by one matrix product.
+Laplace transform (large arguments).  The contour form is written in the
+scaled variable ``s = z t``, where it does not depend on ``t``, so one
+unit contour per process serves every query; it takes an array of
+``z2`` and sums it for all of them in real arithmetic, by one product
+of a (len(z2), nodes) matrix with two columns.  ``spectral_reference``
+evaluates every mode of a sine eigenbasis that way into closed-form
+reference solutions on the unit interval; the datum's coefficients are
+computed once per process and the sine series is summed blockwise by
+one matrix product.
 """
 
 from __future__ import annotations
@@ -29,7 +32,11 @@ from typing import Callable
 
 import numpy as np
 
-from .contour import ContourConfig, optimize_rho, quadrature_nodes
+# ``optimize_rho`` and ``quadrature_nodes`` run once per process, in
+# ``_unit_contour``.  They are called through this module's names because
+# perfbench/tracing.py wraps cross-layer calls by module attribute name and
+# expects ``cimfem.mlf.optimize_rho`` and ``cimfem.mlf.quadrature_nodes``.
+from .contour import ContourConfig, ContourQuadrature, optimize_rho, quadrature_nodes
 from .symbols import complex_pow
 
 
@@ -146,41 +153,69 @@ def _check_time(t: float) -> None:
         raise ValueError(f"need finite t > 0, got {t}")
 
 
-def ml_biv_contour(q: MLQuery, t: float, with_z1_term: bool = False) -> float | np.ndarray:
-    """Contour form, valid for ``z1 = -|w1| t**alpha_p`` and ``z2 = -|w2| t**beta_p``.
+# Of a window-ratio-2 contour optimized for t, only the scale ``mu ~ 1/t``
+# depends on t, so in the variable ``s = z t`` one quadrature serves every
+# query.  It is built on the first call, not at import, and its arrays are
+# shared read-only.
+@lru_cache(maxsize=None)
+def _unit_contour() -> ContourQuadrature:
+    """The contour route's quadrature for ``t = 1`` (window ratio 2), once per process."""
+    quad = quadrature_nodes(optimize_rho(ContourConfig(t0=1.0, lambda_ratio=2.0), CONTOUR_NODES))
+    for nodes in (quad.nodes, quad.derivs, quad.phis):
+        nodes.flags.writeable = False
+    return quad
 
-    Uses the Laplace transform ``z**-gamma / (1 + |w1| z**-alpha_p +
-    |w2| z**-beta_p)`` inverted on a dedicated contour optimized for the
-    single time ``t`` (window ratio 2).  Requires both arguments
-    nonpositive, which is the only case arising from the mode ODE.
-    ``q.z2`` may be a 1-D array: every entry shares ``z1`` and ``t``, so
-    one contour serves them all and an array of values is returned; a
+
+def ml_biv_contour(q: MLQuery, t: float, with_z1_term: bool = False) -> float | np.ndarray:
+    """Contour form of ``E(z1, z2)``, for nonpositive ``z1`` and ``z2``.
+
+    ``E`` does not depend on ``t``: with ``s = z t`` its Laplace-inversion
+    integrand is ``e**s s**-gamma / (1 + |z1| s**-alpha_p + |z2|
+    s**-beta_p)``, summed on one unit contour per process (``t = 1``,
+    window ratio 2).  ``t`` is checked like on the series route but
+    changes no value.  Requires both arguments nonpositive, which is the
+    only case arising from the mode ODE.  ``q.z2`` may be a 1-D array:
+    every entry shares ``z1``, and an array of values is returned; a
     scalar ``z2`` gives a float.  With ``with_z1_term`` the value is
-    ``E_gamma(z1, z2) - z1 E_{gamma + alpha_p}(z1, z2)``, whose transform
-    has the numerator ``z**-gamma (1 + |w1| z**-alpha_p)`` over the same
+    ``E_gamma(z1, z2) - z1 E_{gamma + alpha_p}(z1, z2)``, whose integrand
+    has the numerator ``s**-gamma (1 + |z1| s**-alpha_p)`` over the same
     denominator.
 
-    With ``a_k = 1 + |w1| z_k**-alpha_p``, ``b_k = z_k**-beta_p`` and the
-    node weights ``g_k``, each value is ``sum_k (g_k / b_k) / (a_k / b_k
-    + |w2|)``: one outer sum, one reciprocal and one matrix-vector
-    product for the whole array of ``z2``.
+    With ``a_k = 1 + |z1| s_k**-alpha_p``, ``c_k = a_k s_k**beta_p`` and
+    ``G_k = e**s_k s_k**(beta_p - gamma) (1 or a_k) s'_k`` at the nodes
+    ``s_k``, each value is ``tau/pi Im sum_k G_k / (|z2| + c_k)``, summed
+    in real arithmetic: with ``R = |z2| + Re c_k`` and ``D = 1 / (R**2 +
+    (Im c_k)**2)`` it is ``|z2| sum_k D Im G_k + sum_k D Im(G_k
+    conj(c_k))``, one product of the (len(z2), nodes) matrix D with two
+    columns.  Each row of D is scaled by a power of two, so no square
+    overflows for any finite ``z2``.
     """
     _check_time(t)
     z2 = np.asarray(q.z2, dtype=float)
     if q.z1 > 0.0 or np.any(z2 > 0.0):
         raise MLError("contour route requires nonpositive arguments")
-    w1 = abs(q.z1) / t**q.alpha_p
-    w2 = np.abs(z2) / t**q.beta_p
-    quad = quadrature_nodes(optimize_rho(ContourConfig(t0=t, lambda_ratio=2.0), CONTOUR_NODES))
-    z, dz = quad.nodes, quad.derivs
-    a = 1.0 + w1 * complex_pow(z, -q.alpha_p)
-    b = complex_pow(z, -q.beta_p)
-    numer = complex_pow(z, -q.gamma) * (a if with_z1_term else 1.0)
-    g = np.exp(z * t) * numer * dz
-    kernel = np.add.outer(w2, a / b)
-    np.reciprocal(kernel, out=kernel)  # in place: a second (len(z2), nodes) array costs more
-    sums = kernel @ (g / b)
-    value = t ** (1.0 - q.gamma) * quad.params.tau_star / pi * np.imag(sums)
+    quad = _unit_contour()
+    s, ds = quad.nodes, quad.derivs
+    a = 1.0 + abs(q.z1) * complex_pow(s, -q.alpha_p)
+    b = complex_pow(s, -q.beta_p)
+    numer = complex_pow(s, -q.gamma) * (a if with_z1_term else 1.0)
+    c = a / b
+    g = np.exp(s) * numer * ds / b
+    w2 = np.abs(z2).reshape(-1)
+    # sigma_j, the power of two that brings |z2_j| + max_k |c_k| into [0.5, 1),
+    # keeps every square below from overflowing and rounds nothing.  sigma_j R
+    # and sigma_j Im c_k come from rank-2 products, which are several times
+    # faster than np.add.outer and as exact: each entry is one rounded sum.
+    sigma = np.ldexp(1.0, -np.frexp(w2 + np.max(np.abs(c)))[1])
+    left = np.stack([sigma * w2, sigma], axis=1)
+    d = left @ np.stack([np.ones_like(c.real), c.real])
+    y = left @ np.stack([np.zeros_like(c.imag), c.imag])
+    np.square(d, out=d)
+    np.square(y, out=y)
+    d += y
+    np.reciprocal(d, out=d)  # sigma_j**2 d is D
+    p, r = (d @ np.stack([g.imag, g.imag * c.real - g.real * c.imag], axis=1)).T
+    value = (quad.params.tau_star / pi * sigma * (sigma * w2 * p + sigma * r)).reshape(z2.shape)
     return float(value) if z2.ndim == 0 else value
 
 
@@ -225,7 +260,7 @@ def mode_value(K: float, beta: float, lam: float | np.ndarray, t: float) -> floa
     numerator ``z**-1 + z**(beta-2)/K``.  At K = 0 the transform is
     ``z**-1 / (1 + lam z**-beta)``, the contour form with ``z1 = 0``,
     ``beta' = beta`` and ``z2 = -lam t**beta``.  ``lam`` may be a scalar
-    or an array; all entries share the contour of time ``t``.
+    or an array; all entries share one contour sum.
     """
     if t == 0.0:
         return np.ones(np.shape(lam))[()]
@@ -287,7 +322,8 @@ def spectral_reference(sp: SpectralProblem, x: np.ndarray, t: float) -> np.ndarr
     computed once per ``(mode_coefficients, j_max)`` and shared, so the
     callable must be hashable and return the same values on every call.
     The mode values of all nonzero coefficients come from one call of
-    ``mode_value``, and the sine series is summed by ``_sine_sum``.
+    ``mode_value`` on the one unit contour per process, and the sine
+    series is summed by ``_sine_sum``.
     """
     x = np.asarray(x, dtype=float)
     j = np.arange(1, sp.j_max + 1)

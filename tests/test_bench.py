@@ -256,6 +256,19 @@ def test_every_value_of_a_job_axis_gets_its_rows(mode, axis, column, values, fix
     assert [block[0][column] for block in blocks] == [str(v) for v in values]
 
 
+@pytest.mark.parametrize(
+    "mode, fixed, n_rows",
+    [("solve", {}, 1), ("sweep-time", dict(reference="exact"), 1), ("accel-compare", dict(n_interp=(4,)), 2)],
+)
+def test_a_scalar_example_gets_one_job_for_every_m(mode, fixed, n_rows):
+    # M does not enter a scalar problem: a list of M gives the rows of one M, with M left empty
+    base = dict(mode=mode, example_id="ex1_scalar", n_list=(20,), **fixed)
+    assert ExperimentSpec(**base, m_list=(4, 8)).m_list == (4,)
+    rows = _rows_without_wall_time(**base, m_list=(4, 8))
+    assert rows == _rows_without_wall_time(**base, m_list=(8,))
+    assert len(rows) == n_rows and all(r["M"] == "" for r in rows)
+
+
 def test_sweep_time_folds_every_time_into_one_error():
     rows = _rows_without_wall_time(mode="sweep-time", example_id="ex3_1d_case1", n_list=(10, 20),
                                    m_list=(8,), eval_times=(0.3, 0.8))

@@ -122,10 +122,13 @@ def test_spec_error_exits_2(capsys):
         ("solve", ["--N", "0"], "n_list must hold counts >= 1"),
         ("sweep-space", ["--M", "1,8"], "need M >= 2"),
         ("accel-compare", ["--n-interp", "0"], "n_interp must hold counts >= 1"),
+        ("accel-compare", ["--N", "1", "--n-interp", "2"],
+         "accel-compare interpolates between contour nodes; need N >= 2, got (1,)"),
     ],
     ids=[
         "alpha", "alpha-plus-delta-prime", "t0-nan", "Lambda", "times-nan", "times-zero",
         "K-nan", "K-inf", "K-negative", "beta-above-1", "beta-nan", "N-zero", "M-one", "n-interp-zero",
+        "accel-N-one",
     ],
 )
 def test_bad_contour_or_time_exits_2_before_any_row(capsys, command, flags, message):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import cimfem.mlf
+from cimfem.contour import ContourConfig, optimize_rho, quadrature_nodes
 from cimfem.mlf import (
     MLError,
     MLQuery,
@@ -62,6 +63,24 @@ def series_loop(q):
         if small == 3:
             return total, magnitudes
     raise AssertionError("the term-by-term series did not converge")
+
+
+def per_time_contour(q, t, with_z1_term=False):
+    """The contour form on a contour optimized for the time ``t``: its values and the sums of its terms' magnitudes.
+
+    Inverts ``z**-gamma (1 or a) / (a + w2 z**-beta_p)``, ``a = 1 + w1
+    z**-alpha_p``, with ``w1 = |z1| / t**alpha_p`` and ``w2 = |z2| /
+    t**beta_p``, term by term at the 80 nodes of that contour.
+    """
+    quad = quadrature_nodes(optimize_rho(ContourConfig(t0=t, lambda_ratio=2.0), 80))
+    z, dz = quad.nodes, quad.derivs
+    w1 = abs(q.z1) / t**q.alpha_p
+    w2 = np.abs(np.atleast_1d(q.z2)) / t**q.beta_p
+    a = 1.0 + w1 * z**-q.alpha_p
+    numer = z**-q.gamma * (a if with_z1_term else 1.0)
+    scale = t ** (1.0 - q.gamma) * quad.params.tau_star / math.pi
+    terms = scale * np.exp(z * t) * numer * dz / (a + np.multiply.outer(w2, z**-q.beta_p))
+    return np.sum(terms.imag, axis=-1), np.sum(np.abs(terms), axis=-1)
 
 
 class TestSeries:
@@ -174,6 +193,49 @@ class TestContour:
         values = ml_biv_contour(query(z2), t, with_z1_term)
         scalar = [ml_biv_contour(query(float(w)), t, with_z1_term) for w in z2]
         np.testing.assert_allclose(values, scalar, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("t", [0.01, 0.3, 1.0, 7.0, 100.0])
+    @pytest.mark.parametrize("with_z1_term", [False, True])
+    @pytest.mark.parametrize(
+        "orders, w1",
+        [((0.5, 1.0, 1.0), 1.0), ((0.25, 1.0, 1.75), 20.0), ((0.75, 0.5, 2.0), 0.7), ((0.9, 0.3, 0.6), 3.0),
+         ((0.5, 0.5, 1.0), 0.0), ((0.25, 0.75, 1.0), 0.0)],  # the last two as mode_value asks at K = 0
+    )
+    def test_matches_the_contour_of_each_time(self, orders, w1, with_z1_term, t):
+        # the two contours differ by the rounding of their nodes: |s| <= 103 on the
+        # unit contour, so a node's e^s moves by up to 103 eps = 2.3e-14 relative;
+        # the bound allows twice that of the summed term magnitudes
+        ap, bp, _ = orders
+        q = MLQuery(*orders, -w1 * t**ap, -np.geomspace(1e-3, 1e8, 30) * t**bp)
+        expected, magnitudes = per_time_contour(q, t, with_z1_term)
+        value = ml_biv_contour(q, t, with_z1_term)
+        assert np.all(np.abs(value - expected) <= 5e-14 * magnitudes)
+
+    def test_searches_the_contour_once_per_process(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return optimize_rho(*args)
+
+        monkeypatch.setattr(cimfem.mlf, "optimize_rho", counted)
+        cimfem.mlf._unit_contour.cache_clear()
+        sp = SpectralProblem(K=1.0, beta=0.5, mode_coefficients=lambda j: 1.0 if j <= 3 else 0.0, j_max=10)
+        x = np.linspace(0.0, 1.0, 5)
+        spectral_reference(sp, x, 0.1)
+        spectral_reference(sp, x, 3.0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("z2", [-1e160, -1e300])
+    @pytest.mark.parametrize("gamma", [1.5, 2.0])
+    def test_huge_z2_is_finite_and_asymptotic(self, z2, gamma):
+        # E ~ 1 / (|z2| Gamma(gamma - beta')) as z2 -> -inf; the square of
+        # |z2| + Re c_k would overflow unless its row is scaled
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = ml_biv_contour(MLQuery(0.5, 1.0, gamma, -3.0, z2), 2.0)
+        assert math.isfinite(value)
+        assert value * abs(z2) * math.gamma(gamma - 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestDispatch:
