@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import re
 import sys
 
 from .bench import EXAMPLE_IDS, MODES, BenchError, ExperimentSpec, run
@@ -163,6 +164,9 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     p_ml.add_argument(
         "query", nargs="*", help="alpha beta gamma z1 z2 [t]; reads stdin lines if omitted"
     )
+    # argparse takes an argument for an option unless it looks like a negative
+    # number, and its own pattern has no exponent: -1e5 would be an option
+    p_ml._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return parser, modes
 
 

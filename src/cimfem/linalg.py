@@ -17,6 +17,9 @@ real GEMMs, with ``A`` the cached sine matrix or ``Q D Q``.
 Rows that fail the backward-error test, or in 2-D do not converge within
 ``COCG_MAX_ITER`` iterations, are solved again by ``thomas_solve``
 (pivoted LAPACK banded LU) or ``sparse_solve`` (SuperLU with pivoting).
+Both modal solves run on blocks of rows, each dimension with its own
+size: ``MODAL_BLOCK_1D`` (4096) entries in 1-D and ``MODAL_BLOCK_2D``
+(8192) in 2-D, where each block is one COCG run.
 Every solve verifies its residual by one predicate, ``_backward_ok``;
 the modal solves take their residuals from the stencils, so only the
 sparse fallback needs assembled matrices.
@@ -96,8 +99,9 @@ def dst1(x: np.ndarray) -> np.ndarray:
     The 1-D modal solve's transform, computed from one complex FFT of the
     odd extension ``[0, x, 0, -x[::-1]]`` (``numpy.fft`` keeps
     ``scipy.fft`` out of the process).  At n = 255, 340 rows in blocks of
-    ``MODAL_BLOCK`` entries took 2.7 ms this way against 4.3 ms as GEMMs
-    with the sine matrix; in 2-D, ``dst2`` is a GEMM.
+    ``MODAL_BLOCK_1D`` (4096) entries took 2.7 ms this way against 4.3 ms
+    as GEMMs with the sine matrix; in 2-D, whose blocks hold
+    ``MODAL_BLOCK_2D`` (8192) entries, ``dst2`` is a GEMM.
     """
     n = x.shape[-1]
     ext = np.zeros(x.shape[:-1] + (2 * n + 2,), dtype=complex)
@@ -123,14 +127,19 @@ def toeplitz_eigenvalues(diag: float, off: float, n: int) -> np.ndarray:
     return diag + 2.0 * off * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
 
 
-# entries per block of rows, in 1-D and 2-D: whole-array temporaries cost
-# peak memory and, at large n, more time than the blocks' extra calls; at
-# n = 255 (1-D), blocks of 4096 entries measured faster than blocks of 2048
-# or 8192.  2-D node solves of ex4_2d_case1 at N = 60 (one BLAS thread,
-# medians of 41 interleaved runs), 4096 against 8192 entries: M = 8 3.14
-# against 3.14 ms, M = 16 8.24 against 8.08 ms, M = 32 24.4 against
-# 22.5 ms, M = 64 92.4 against 84.7 ms
-MODAL_BLOCK = 4096
+# entries per block of rows of the 1-D modal solve: whole-array temporaries
+# cost peak memory and, at large n, more time than the blocks' extra calls.
+# End to end (paired 6 s perfbench/run.py runs, 2 vCPUs, one BLAS thread),
+# 8192 entries took time-1d request_p50_s from 9.24 to 10.43 ms (+13%,
+# 4 of 4 pairs worse)
+MODAL_BLOCK_1D = 4096
+# entries per block of rows of the 2-D modal solve, one COCG run each: at
+# M = 32 (n = 31) 4096 entries hold 4 rows, so N = 60 nodes take 15 runs.
+# End to end (as above), space-2d request_p50_s, medians of 4 pairs: 28.9
+# ms at 4096 entries, 26.6 at 6144, 26.2 at 8192, 28.0 at 10240 and 29.4 at
+# 12288; over 10 more pairs 8192 took it from 27.4 to 25.4 ms (-7.4%, every
+# pair lower) for +1.4 MB peak_rss_mb
+MODAL_BLOCK_2D = 8192
 
 
 def modal_solve(
@@ -154,7 +163,7 @@ def modal_solve(
     modal_loads = [(c, dst1(b)) for c, b in loads]
     x = np.empty((len(eta), n), dtype=complex)
     ok = np.empty(len(eta), dtype=bool)
-    rows = max(1, MODAL_BLOCK // n)
+    rows = max(1, MODAL_BLOCK_1D // n)
     for a in range(0, len(eta), rows):
         block = slice(a, a + rows)
         e = eta[block, None]
@@ -323,12 +332,13 @@ def modal_solve_2d(
     the sine matrix, so ``dst2`` and the Kronecker term are the same
     kernel, ``_kron_apply``, and ``D_hat`` is ``dst2`` of ``D``.  The
     right-hand sides are ``rhs_k = sum_m c_m[k] b_m`` over ``loads`` as
-    in ``modal_solve``, so each ``b_m`` is transformed once, and blocks
-    of ``MODAL_BLOCK`` entries are transformed back once.  Returns the
-    solutions and a mask of the rows that converged and pass
-    ``_backward_ok`` with ``SPARSE_RESIDUAL_TOL``, as ``sparse_solve``
-    does, with the residual taken from the stencil; rows outside the
-    mask must be solved again.
+    in ``modal_solve``, so each ``b_m`` is transformed once.  The rows
+    run in blocks of ``MODAL_BLOCK_2D`` (8192) entries, twice the 1-D
+    ``MODAL_BLOCK_1D`` (4096): one ``_cocg`` run and one transform back
+    per block.  Returns the solutions and a mask of the rows that
+    converged and pass ``_backward_ok`` with ``SPARSE_RESIDUAL_TOL``, as
+    ``sparse_solve`` does, with the residual taken from the stencil; rows
+    outside the mask must be solved again.
     """
     n = isqrt(len(loads[0][1]))
     (m, g_m), (s, g_s) = _modes_2d(stencil, n)
@@ -336,7 +346,7 @@ def modal_solve_2d(
     modal_loads = [(c, dst2(b.reshape(n, n))) for c, b in loads]
     x = np.empty((len(eta), n * n), dtype=complex)
     ok = np.empty(len(eta), dtype=bool)
-    rows = max(1, MODAL_BLOCK // (n * n))
+    rows = max(1, MODAL_BLOCK_2D // (n * n))
     for a in range(0, len(eta), rows):
         block = slice(a, a + rows)
         e = eta[block]

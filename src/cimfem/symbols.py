@@ -29,18 +29,19 @@ class SymbolError(ValueError):
 def complex_pow(z: complex | np.ndarray, a: float) -> complex | np.ndarray:
     """Principal-branch power ``z**a`` with ``Arg z in (-pi, pi]``.
 
-    ``0**a`` is 0 for a > 0 and an error otherwise.
+    ``0**a`` is 0 for a > 0 and an error otherwise; the zero rules cost a
+    pass only when ``z`` holds a zero, which contour nodes never do.
     """
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.zeros_like(z)
-    nz = z != 0.0
-    if not np.all(nz) and a <= 0.0:
+    if z.all():
+        # np.log uses Arg in (-pi, pi]; negative reals map to +i*pi as required.
+        out = np.exp(a * np.log(z))
+    elif a <= 0.0:
         raise SymbolError(f"0**{a} is undefined for a <= 0")
-    # np.log uses Arg in (-pi, pi]; negative reals map to +i*pi as required.
-    out[nz] = np.exp(a * np.log(z[nz]))
-    return complex(out[0]) if scalar else out
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(z == 0.0, 0.0, np.exp(a * np.log(z)))
+    return complex(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -178,6 +178,22 @@ def test_ml_eval_stdin(capsys, monkeypatch):
     assert val == pytest.approx(1.0 / math.gamma(2.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("z2", ["-1e5", "-1.0E+5", "-.1e6", "-1e+05"])
+def test_ml_eval_negative_exponent_notation(capsys, z2):
+    # a negative number in exponent notation is a query value, not an option
+    assert main(["ml-eval", "0.5", "1", "1", "-30", "-100000", "1"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["ml-eval", "0.5", "1", "1", "-3e1", z2, "1"]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_ml_eval_help_still_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ml-eval", "-h"])
+    assert exc.value.code == 0
+    assert "alpha beta gamma z1 z2 [t]" in capsys.readouterr().out
+
+
 def test_ml_eval_malformed(capsys):
     rc = main(["ml-eval", "1", "2"])
     assert rc == 2

@@ -7,8 +7,9 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cimfem import linalg
 from cimfem.bench import build_problem
-from cimfem.cim import problem_parameters
+from cimfem.cim import discretize, problem_parameters
 from cimfem.contour import quadrature_nodes
 from cimfem.fem import Mesh1D, Mesh2D, assemble, stencil_1d, stencil_2d
 from cimfem.linalg import (
@@ -222,8 +223,10 @@ class TestModal2D:
         assert np.max(np.abs(dst2(u.reshape(n, n)) - u_hat)) <= 1e-14 * n * np.max(np.abs(u_hat))
 
     def test_rows_match_dense_across_blocks(self):
-        # 4096 // 15**2 = 18 rows per block, so 50 rows take three blocks
-        M, rows = 16, 50
+        # rows enough for two full blocks and a partial third of 15**2-entry rows
+        M = 16
+        per_block = linalg.MODAL_BLOCK_2D // 15**2
+        rows = 2 * per_block + per_block // 3
         rng = np.random.default_rng(5)
         mesh = Mesh2D(M)
         ops = assemble(mesh)
@@ -252,6 +255,26 @@ class TestModal2D:
         mesh = Mesh2D(5)
         x, ok = modal_solve_2d(np.array([1.0 + 1j, 2.0]), stencil_2d(mesh), [(np.zeros(2), np.ones(16))])
         assert ok.all() and not x.any()
+
+    @pytest.mark.parametrize("example", ["ex4_2d_case1", "ex4_2d_case3"])
+    @pytest.mark.parametrize("M", [8, 16, 32])
+    def test_blocking_cannot_change_a_row(self, example, M, monkeypatch):
+        # the N = 60 contour's rows in one block each and all in one block
+        # against the default blocks: the same mask, rows within 1e-12
+        p = build_problem(example, 0.5, M).problem
+        z = quadrature_nodes(problem_parameters(p, 60)).nodes
+        b = discretize(p)
+        loads = [(p.sym.history_weight(z), b[p.u0])]
+        loads += [(mult, b[g]) for g, mult in p.source.evaluate(z).items()]
+        args = (p.sym.eta(z), stencil_2d(p.domain), loads)
+        x, ok = modal_solve_2d(*args)
+        n = M - 1
+        for block in (n * n, len(z) * n * n):
+            monkeypatch.setattr(linalg, "MODAL_BLOCK_2D", block)
+            x_block, ok_block = modal_solve_2d(*args)
+            assert np.array_equal(ok_block, ok)
+            scale = np.max(np.abs(x), axis=1)
+            assert np.all(np.max(np.abs(x_block - x), axis=1) <= 1e-12 * scale)
 
     @pytest.mark.parametrize("M", [2, 3, 4, 5, 9, 16])
     def test_closed_form_norm_matches_column_sums(self, M):

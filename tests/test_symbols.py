@@ -59,6 +59,35 @@ class TestComplexPow:
         with pytest.raises((SymbolError, ZeroDivisionError, ValueError)):
             complex_pow(0.0 + 0.0j, -0.5)
 
+    @pytest.mark.parametrize("a", [0.3, -0.7, -1.5, 0.0])
+    def test_nonzero_array_bit_identical_to_masked_power(self, a):
+        # the power taken only on the nonzero entries (gathered, then
+        # scattered back) gives the same bits as on the whole array
+        rng = np.random.default_rng(7)
+        z = rng.normal(size=80) + 1j * rng.normal(size=80)
+        z[:3] = [-2.0, -1e-30 + 0j, 1j]
+        unit = np.exp(1j * np.linspace(-np.pi, np.pi, 80))
+        for zs in (z, z[::3], unit, z.reshape(8, 10)):
+            masked = np.zeros_like(zs)
+            nz = zs != 0.0
+            masked[nz] = np.exp(a * np.log(zs[nz]))
+            assert np.array_equal(complex_pow(zs, a), masked)
+        assert complex_pow(complex(z[5]), a) == complex_pow(z, a)[5]
+
+    def test_zero_entries_positive_exponent(self):
+        z = np.array([0.0, -4.0, 0.0j, 2.0 + 2.0j])
+        vals = complex_pow(z, 0.5)
+        assert vals[0] == 0.0 and vals[2] == 0.0
+        assert vals[1] == complex_pow(-4.0, 0.5) == pytest.approx(2.0j)
+        assert vals[3] == complex_pow(2.0 + 2.0j, 0.5)
+        assert complex_pow(0.0, 0.25) == 0.0
+        assert isinstance(complex_pow(0.0, 0.25), complex)
+
+    @pytest.mark.parametrize("a", [0.0, -0.5])
+    def test_zero_entry_nonpositive_exponent_raises(self, a):
+        with pytest.raises(SymbolError, match="undefined"):
+            complex_pow(np.array([1.0 + 1.0j, 0.0]), a)
+
 
 class TestFractionalSymbol:
     def test_eta_value(self):
