@@ -165,8 +165,11 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
         "query", nargs="*", help="alpha beta gamma z1 z2 [t]; reads stdin lines if omitted"
     )
     # argparse takes an argument for an option unless it looks like a negative
-    # number, and its own pattern has no exponent: -1e5 would be an option
-    p_ml._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+    # number, and its own pattern has no exponent and no inf or nan: -1e5 and
+    # -inf would be options.  This one takes every negative float() spelling.
+    p_ml._negative_number_matcher = re.compile(
+        r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+    )
     return parser, modes
 
 

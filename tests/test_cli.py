@@ -187,6 +187,15 @@ def test_ml_eval_negative_exponent_notation(capsys, z2):
     assert capsys.readouterr().out == plain
 
 
+@pytest.mark.parametrize("z2", ["-inf", "-Infinity", "-INF", "-nan", "-NaN"])
+def test_ml_eval_negative_inf_and_nan_reach_the_library(capsys, z2):
+    # not an unknown option: the query reaches MLQuery and is rejected there
+    assert main(["ml-eval", "0.5", "1", "1", "-30", z2, "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need finite alpha_p, beta_p, gamma, z1, z2" in captured.err
+
+
 def test_ml_eval_help_still_an_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ml-eval", "-h"])

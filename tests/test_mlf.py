@@ -17,8 +17,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import cimfem.linalg
 import cimfem.mlf
 from cimfem.contour import ContourConfig, optimize_rho, quadrature_nodes
+from cimfem.fem import Mesh1D
 from cimfem.mlf import (
     MLError,
     MLQuery,
@@ -238,6 +240,19 @@ class TestContour:
         assert value * abs(z2) * math.gamma(gamma - 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
+    @pytest.mark.parametrize("z2", [-1e20, -1e80, -1e160, -1e300])
+    def test_error_is_absolute_where_the_leading_term_vanishes(self, z2):
+        # gamma = beta' drops the 1/|z2| term; E ~ |z1| / (2 sqrt(pi) z2^2) is
+        # below the route's absolute error of about 1e-16 / |z2|
+        value = ml_biv_contour(MLQuery(0.5, 1.0, 1.0, -30.0, z2), 1.0)
+        assert abs(value) <= 1e-15 / abs(z2)
+
+    def test_second_asymptotic_term_where_it_is_resolved(self):
+        z1, z2 = -30.0, -1e8
+        value = ml_biv_contour(MLQuery(0.5, 1.0, 1.0, z1, z2), 1.0)
+        assert value == pytest.approx(abs(z1) / (2.0 * math.sqrt(math.pi) * z2**2), rel=1e-3)
+
+
 class TestDispatch:
     def test_falls_back_to_contour_on_cancellation(self):
         # same query the series rejects; with t available a value comes back
@@ -365,6 +380,32 @@ class TestModeAndSpectral:
         )
         assert np.allclose(spectral_reference(sp, x, 0.0), expected, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("j_max", -3, "j_max must be an integer >= 1"),
+            ("j_max", 0, "j_max must be an integer >= 1"),
+            ("j_max", 2.5, "j_max must be an integer >= 1"),
+            ("beta", 1.5, r"beta must lie in \(0, 1\)"),
+            ("beta", 0.0, r"beta must lie in \(0, 1\)"),
+            ("K", -1.0, "K must be finite and nonnegative"),
+            ("K", math.nan, "K must be finite and nonnegative"),
+            ("tail_tol", -1e-10, "tail_tol must be finite and nonnegative"),
+            ("tail_tol", math.inf, "tail_tol must be finite and nonnegative"),
+        ],
+    )
+    def test_problem_checks_its_fields(self, field, value, message):
+        fields = dict(K=1.0, beta=0.5, mode_coefficients=lambda j: 1.0, j_max=10, tail_tol=1e-10)
+        fields[field] = value
+        with pytest.raises(ValueError, match=message):
+            SpectralProblem(**fields)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -0.1])
+    def test_spectral_reference_rejects_a_bad_time(self, t):
+        sp = SpectralProblem(K=1.0, beta=0.5, mode_coefficients=lambda j: 1.0, j_max=10)
+        with pytest.raises(ValueError, match="need finite t >= 0"):
+            spectral_reference(sp, np.linspace(0.0, 1.0, 5), t)
+
     def test_single_mode_monotone_decay(self):
         sp = SpectralProblem(
             K=1.0, beta=0.5, mode_coefficients=lambda j: 1.0 if j == 1 else 0.0, j_max=10
@@ -409,7 +450,7 @@ class TestModeAndSpectral:
 
 
 class TestSineSum:
-    """The blocked sum against the sine matrix built from ``np.sin``."""
+    """The sine sum, blocked and on nodal grids, against the sine matrix built from ``np.sin``."""
 
     B = cimfem.mlf.SINE_BLOCK
 
@@ -428,6 +469,49 @@ class TestSineSum:
         x = np.linspace(0.0, 1.0, 6).reshape(2, 3)
         direct = sum(c * np.sin((j + 1) * math.pi * x) for j, c in enumerate(a))
         np.testing.assert_allclose(cimfem.mlf._sine_sum(a, x), direct, rtol=0.0, atol=1e-15)
+
+    @staticmethod
+    def _at_exact_nodes(a, m):
+        # sin(j pi i / M) at the exact nodes: the argument reduced mod 2M in integers
+        i, j = np.arange(1, m), np.arange(1, len(a) + 1)
+        return np.sin(np.pi * (np.outer(i, j) % (2 * m)) / m) @ a
+
+    @pytest.mark.parametrize("m", [2, 3, 1000, 1024])
+    @pytest.mark.parametrize("grid", ["mesh", "arange"])
+    def test_nodal_grid_matches_the_exact_nodes(self, m, grid):
+        x = Mesh1D(m).nodes if grid == "mesh" else np.arange(1, m) / m
+        for J in sorted({1, m - 2, m - 1, m, m + 1, 2 * m, 5 * m // 2}):
+            a = np.random.default_rng(J).standard_normal(J)
+            summed = cimfem.mlf._sine_sum(a, x)
+            assert summed.shape == x.shape
+            assert np.max(np.abs(summed - self._at_exact_nodes(a, m))) <= 1e-13 * np.sum(np.abs(a))
+
+    @pytest.mark.parametrize("shape", [(1,), (3, 5), (5, 3, 1)])
+    def test_nodal_grid_keeps_its_shape(self, shape):
+        # x = [0.5] is the one interior node of M = 2
+        m = math.prod(shape) + 1
+        x = (np.arange(1, m) / m).reshape(shape)
+        a = np.random.default_rng(m).standard_normal(3 * m)
+        summed = cimfem.mlf._sine_sum(a, x)
+        assert summed.shape == shape
+        assert np.max(np.abs(summed.ravel() - self._at_exact_nodes(a, m))) <= 1e-13 * np.sum(np.abs(a))
+
+    def test_dst_only_on_a_nodal_grid(self, monkeypatch):
+        calls = []
+
+        def counted(b):
+            calls.append(b.shape)
+            return cimfem.linalg.dst1(b)
+
+        monkeypatch.setattr(cimfem.mlf, "dst1", counted)
+        a = np.random.default_rng(1).standard_normal(300)
+        x = Mesh1D(256).nodes
+        on_grid = cimfem.mlf._sine_sum(a, x)
+        assert calls == [(255,)]
+        off_grid = cimfem.mlf._sine_sum(a, x + 1e-9)
+        assert calls == [(255,)]
+        # the blocked sum, taken off the grid, moves by about 1e-9 sum_j j pi |a_j|
+        assert np.max(np.abs(off_grid - on_grid)) <= 1e-9 * np.pi * np.sum(np.arange(1, 301) * np.abs(a))
 
 
 class CountingCoefficients:
