@@ -4,12 +4,13 @@ The example catalog covers the standard battery: a scalar problem with a
 linear-in-time exact solution, a 1-D problem with vanishing initial data
 and known exact solution, three 1-D and three 2-D initial/source
 configurations of varying smoothness, and the acceleration comparison.
-Temporal errors are measured against either the exact solution or a
-reference contour solution with N_ref nodes on the same mesh; spatial
-errors against the exact solution or the halved-mesh solution via P1
-prolongation.  Every solve but the acceleration comparison's goes through
-``solve``: one quadrature per (problem, N), its node values and their sum
-at the requested times.
+Every error is one distance, ``_distance``: on a mesh the mass norm of
+the gap to a reference solution or the L2 quadrature error against the
+exact solution, on a scalar domain the absolute value.  The temporal
+reference is the N_ref-node contour solution on the same mesh, the
+spatial one the halved-mesh solution via P1 prolongation.  Every solve
+but the acceleration comparison's goes through ``solve``: one quadrature
+per (problem, N), its node values and their sum at the requested times.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .fem import (
     InitialData2D,
     Mesh1D,
     Mesh2D,
+    Piece1D,
     assemble,
     l2_error,
     mass_norm,
@@ -154,8 +156,10 @@ def build_problem(
 ) -> BuiltProblem:
     """Instantiate one catalog problem on an M-interval mesh (M ignored for scalar)."""
     sym = FractionalSymbol(K, beta)
+    src, exact = SourceTransform(), None
     if example_id == "ex1_scalar":
         c = 1.5 * sqrt(pi)
+        domain, u0 = ScalarDomain(1.0), 1.0
         src = SourceTransform(
             (
                 power_term(1.0, 1.0 + c * K, 0.0),
@@ -163,11 +167,11 @@ def build_problem(
                 power_term(1.0, c, 1.0),
             )
         )
-        p = Problem(sym=sym, domain=ScalarDomain(1.0), u0=1.0, source=src, contour=contour)
-        return BuiltProblem(p, lambda t: 1.0 + c * t)
-    if example_id == "ex2_vanishing":
+        exact = lambda t: 1.0 + c * t
+    elif example_id == "ex2_vanishing":
         c_frac = gamma(2.5) / gamma(2.5 - beta)
         xx, one = InitialData1D.polynomial((0.0, 1.0, -1.0)), InitialData1D.polynomial((1.0,))
+        domain, u0 = Mesh1D(M), InitialData1D.zero()
         src = SourceTransform(
             (
                 power_term(xx, 1.5 * K, 0.5),
@@ -175,66 +179,50 @@ def build_problem(
                 power_term(one, 2.0, 1.5),
             )
         )
-        p = Problem(sym=sym, domain=Mesh1D(M), u0=InitialData1D.zero(), source=src, contour=contour)
-        return BuiltProblem(p, lambda x, t: t**1.5 * x * (1.0 - x))
-    if example_id == "ex3_1d_case1":
-        u0 = InitialData1D.indicator(0.0, 0.75, pi**3)
+        exact = lambda x, t: t**1.5 * x * (1.0 - x)
+    elif example_id == "ex3_1d_case1":
+        domain, u0 = Mesh1D(M), InitialData1D.indicator(0.0, 0.75, pi**3)
     elif example_id == "ex3_1d_case2":
-        from .fem import Piece1D
-
+        domain = Mesh1D(M)
         u0 = InitialData1D((Piece1D(0.0, 0.75, (0.0, 1.0)), Piece1D(0.75, 1.0, (0.0, -1.0))))
     elif example_id == "ex3_1d_case3":
-        u0 = InitialData1D.polynomial((0.0, pi**3, -(pi**3)))
+        domain, u0 = Mesh1D(M), InitialData1D.polynomial((0.0, pi**3, -(pi**3)))
     elif example_id == "ex4_2d_case1":
+        domain = Mesh2D(M)
         u0 = InitialData2D(
             fx=InitialData1D.indicator(0.0, 0.75), fy=InitialData1D.indicator(0.0, 1.0), scale=pi
         )
     elif example_id == "ex4_2d_case2":
+        domain = Mesh2D(M)
         u0 = InitialData2D(
             fx=InitialData1D.polynomial((0.0, 1.0, -1.0)),
             fy=InitialData1D.polynomial((0.0, 1.0, -1.0)),
             scale=4.0 * pi**2,
         )
     elif example_id == "ex4_2d_case3":
+        domain, u0 = Mesh2D(M), InitialData2D(fx=InitialData1D.zero(), fy=InitialData1D.zero())
         src = SourceTransform((pole_term(_ex4_case3_fxy, 3.0 * pi**5, 1.5),))
-        p = Problem(
-            sym=sym,
-            domain=Mesh2D(M),
-            u0=InitialData2D(fx=InitialData1D.zero(), fy=InitialData1D.zero()),
-            source=src,
-            contour=contour,
-        )
-        return BuiltProblem(p, None)
     else:
         raise BenchError(f"unknown example {example_id!r}")
-    domain = Mesh2D(M) if example_id.startswith("ex4") else Mesh1D(M)
-    return BuiltProblem(Problem(sym=sym, domain=domain, u0=u0, contour=contour), None)
+    return BuiltProblem(Problem(sym=sym, domain=domain, u0=u0, source=src, contour=contour), exact)
 
 
-def _ref_distance(p: Problem, u, ref):
-    """Distance from ``u`` to ``ref``: mass norm on the mesh, absolute value for a scalar.
-
-    ``u`` and ``ref`` may be ``(k, ndof)`` blocks (length-k arrays for a
-    scalar problem); the result then holds one distance per row.
-    """
-    return np.abs(u - ref) if p.scalar else mass_norm(p.domain, u - ref)
-
-
-def _distance(bp: BuiltProblem, u, t: float, ref=None) -> float:
+def _distance(bp: BuiltProblem, u, t: float, ref=None):
     """Distance from the solution ``u`` at time ``t`` to ``ref``, or to the exact solution.
 
-    With ``ref`` it is the mass-norm distance on the problem's mesh;
-    without it, the L2 quadrature error against the exact solution at
-    ``t``.  Scalar problems use the absolute difference.
+    With ``ref``: the mass norm of ``u - ref`` on a mesh, the absolute value
+    on a scalar domain; ``u`` and ``ref`` may be ``(k, ndof)`` blocks, one
+    distance per row.  Without it: the L2 quadrature error against the exact
+    solution at ``t`` on a mesh, the absolute value on a scalar domain.
     """
     p = bp.problem
-    if ref is not None:
-        return _ref_distance(p, u, ref)
-    if bp.exact is None:
-        raise BenchError("no exact solution for this example")
-    if p.scalar:
-        return abs(u - bp.exact(t))
-    return l2_error(p.domain, u, lambda *x: bp.exact(*x, t))
+    if ref is None:
+        if bp.exact is None:
+            raise BenchError("no exact solution for this example")
+        if not p.scalar:
+            return l2_error(p.domain, u, lambda *x: bp.exact(*x, t))
+        ref = bp.exact(t)
+    return np.abs(u - ref) if p.scalar else mass_norm(p.domain, u - ref)
 
 
 def error_tau(bp: BuiltProblem, times, sols, ref=None) -> float:
@@ -247,7 +235,7 @@ def error_tau(bp: BuiltProblem, times, sols, ref=None) -> float:
     """
     if ref is None:
         return max(_distance(bp, s, t) for s, t in zip(sols, times))
-    return float(np.max(_ref_distance(bp.problem, np.asarray(sols), np.asarray(ref))))
+    return float(np.max(_distance(bp, np.asarray(sols), None, np.asarray(ref))))
 
 
 def spatial_sweep(
@@ -342,29 +330,16 @@ def accel_compare(
 # sweep driver and CSV emission
 
 
-def _fmt(value, kind: str) -> str:
-    if value is None:
-        return ""
-    if kind == "sci":
-        return f"{value:.4E}"
-    if kind == "fix":
-        return f"{value:.4f}"
-    return str(value)
+_FORMATS = {"error": "{:.4E}".format, "iar": "{:.4E}".format,
+            "order": "{:.4f}".format, "wall_ms": "{:.4f}".format}
 
 
-def _row(example, beta, N=None, M=None, n=None, t=None, error=None, order=None, iar_val=None, wall_ms=None):
-    return {
-        "example": example,
-        "beta": _fmt(beta, "raw"),
-        "N": _fmt(N, "raw"),
-        "M": _fmt(M, "raw"),
-        "n": _fmt(n, "raw"),
-        "t": _fmt(t, "raw"),
-        "error": _fmt(error, "sci"),
-        "order": _fmt(order, "fix"),
-        "iar": _fmt(iar_val, "sci"),
-        "wall_ms": _fmt(wall_ms, "fix"),
-    }
+def _row(**columns) -> dict[str, str]:
+    """One CSV row from values by column name, each printed by ``_FORMATS`` or ``str``, None as empty."""
+    unknown = columns.keys() - set(CSV_HEADER)
+    if unknown:
+        raise TypeError(f"not a CSV column: {', '.join(sorted(unknown))}")
+    return {k: "" if columns.get(k) is None else _FORMATS.get(k, str)(columns[k]) for k in CSV_HEADER}
 
 
 @dataclass
@@ -398,7 +373,7 @@ def _time_rows(spec: ExperimentSpec, beta: float, M: int) -> list[dict]:
         sols = solve(bp.problem, N, times)
         wall = (time.perf_counter() - start) * 1e3
         # the error spans the window and every quoted time; the row shows the latest
-        rows.append(_row(spec.example_id, beta, N=N, M=None if bp.problem.scalar else M,
+        rows.append(_row(example=spec.example_id, beta=beta, N=N, M=None if bp.problem.scalar else M,
                          t=max(spec.eval_times), error=error_tau(bp, times, sols, ref), wall_ms=wall))
     return rows
 
@@ -406,7 +381,7 @@ def _time_rows(spec: ExperimentSpec, beta: float, M: int) -> list[dict]:
 def _space_rows(spec: ExperimentSpec, beta: float, N: int, t: float) -> list[dict]:
     """Sweep-space rows of one (beta, N, t); each mesh is solved once."""
     return [
-        _row(spec.example_id, beta, N=N, M=m, t=t, error=err, order=order, wall_ms=wall)
+        _row(example=spec.example_id, beta=beta, N=N, M=m, t=t, error=err, order=order, wall_ms=wall)
         for m, err, order, wall in spatial_sweep(
             spec.example_id, beta, N, spec.m_list, t, spec.reference, spec.contour, spec.K
         )
@@ -422,11 +397,11 @@ def _accel_rows(spec: ExperimentSpec, beta: float, M: int, N: int, t: float) -> 
     t_plain, accel = accel_compare(bp, N, spec.n_interp, t)
     shown_M = None if bp.problem.scalar else M
     rows = []
-    for n, dev, iar_val, t_accel in accel:
+    for n, dev, iar, t_accel in accel:
         rows += [
-            _row(spec.example_id, beta, N=N, M=shown_M, n=n, t=t,
-                 error=dev, iar_val=iar_val, wall_ms=t_accel * 1e3),
-            _row(spec.example_id, beta, N=N, M=shown_M, n=None, t=t, wall_ms=t_plain * 1e3),
+            _row(example=spec.example_id, beta=beta, N=N, M=shown_M, n=n, t=t,
+                 error=dev, iar=iar, wall_ms=t_accel * 1e3),
+            _row(example=spec.example_id, beta=beta, N=N, M=shown_M, t=t, wall_ms=t_plain * 1e3),
         ]
     return rows
 
@@ -443,7 +418,7 @@ def _solve_rows(spec: ExperimentSpec, beta: float, N: int, M: int) -> list[dict]
     rows = []
     for t, s in zip(spec.eval_times, sols):
         ref = None if bp.exact is not None else np.zeros_like(s)
-        rows.append(_row(spec.example_id, beta, N=N, M=None if bp.problem.scalar else M,
+        rows.append(_row(example=spec.example_id, beta=beta, N=N, M=None if bp.problem.scalar else M,
                          t=t, error=_distance(bp, s, t, ref), wall_ms=wall))
         wall = None
     return rows

@@ -250,16 +250,16 @@ def barycentric_weights(n: int) -> np.ndarray:
     return w
 
 
-def barycentric_interpolate(points: np.ndarray, weights: np.ndarray, values: np.ndarray, x: np.ndarray, span: float) -> np.ndarray:
+def barycentric_interpolate(points: np.ndarray, weights: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Barycentric interpolation of ``values`` at ``x``.
 
     One row of normalized weights ``(w_j / (x_i - p_j)) / sum_j (...)``
-    per query point multiplies ``values``.  Query points within
-    ``1e-14 * span`` of an interpolation point take that point's value
-    exactly (the 0/0 guard of the barycentric form).
+    per query point multiplies ``values``.  Query points within ``1e-14``
+    times the extent of ``points`` of an interpolation point take that
+    point's value exactly (the 0/0 guard of the barycentric form).
     """
     d = np.subtract.outer(np.atleast_1d(np.asarray(x, dtype=float)), points)
-    hit = np.abs(d) < 1e-14 * span
+    hit = np.abs(d) < 1e-14 * np.ptp(points)
     c = weights / np.where(hit, 1.0, d)
     c /= c.sum(axis=1, keepdims=True)
     on_point = hit.any(axis=1)
@@ -272,8 +272,7 @@ def solve_nodes_accelerated(p: Problem, quad: ContourQuadrature, n: int) -> np.n
     _warn_pole_location(p, quad)
     pts = chebyshev_points(quad, n)
     z, _ = contour_point(quad.params, pts)
-    span = quad.phis[-1] - quad.phis[0]
-    return barycentric_interpolate(pts, barycentric_weights(n), _solve_at(p, z), quad.phis, span)
+    return barycentric_interpolate(pts, barycentric_weights(n), _solve_at(p, z), quad.phis)
 
 
 INTERP_EPS_MARGIN = 1e-3  # gap between the analyticity strip and the contour angle

@@ -14,6 +14,7 @@ clipping in 2-D) instead of smearing them across elements.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -46,12 +47,16 @@ class Piece1D:
 
 @dataclass(frozen=True)
 class InitialData1D:
-    """Piecewise polynomial on (0, 1); zero outside the listed pieces."""
+    """Piecewise polynomial on (0, 1); zero outside the listed pieces, which must not overlap."""
 
     pieces: tuple[Piece1D, ...] = field(default=())
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pieces", tuple(self.pieces))  # hashable, as Piece1D.coeffs
+        # the 2-D load vector sums overlapping pieces, every other reader takes the later one
+        for p, q in itertools.combinations(self.pieces, 2):
+            if p.a < q.b and q.a < p.b:
+                raise FEMError(f"pieces ({p.a}, {p.b}] and ({q.a}, {q.b}] overlap")
 
     @staticmethod
     def zero() -> "InitialData1D":

@@ -170,14 +170,18 @@ def _unit_contour() -> ContourQuadrature:
 
 
 def ml_biv_contour(q: MLQuery, t: float, with_z1_term: bool = False) -> float | np.ndarray:
-    """Contour form of ``E(z1, z2)``, for nonpositive ``z1`` and ``z2``.
+    """Contour form of ``E(z1, z2)`` for ``z1, z2 <= 0`` and ``alpha_p, beta_p <= 1``.
 
     ``E`` does not depend on ``t``: with ``s = z t`` its Laplace-inversion
     integrand is ``e**s s**-gamma / (1 + |z1| s**-alpha_p + |z2|
     s**-beta_p)``, summed on one unit contour per process (``t = 1``,
     window ratio 2).  ``t`` is checked like on the series route but
-    changes no value.  Requires both arguments nonpositive, which is the
-    only case arising from the mode ODE.  ``q.z2`` may be a 1-D array:
+    changes no value.  Requires both arguments nonpositive and both
+    orders at most 1, the only case arising from the mode ODE: then the
+    denominator has a negative imaginary part everywhere in the open upper
+    half-plane, so the integrand has no pole off the negative real axis.
+    Beyond order 1 poles can lie to the right of the contour, which the
+    sum would miss.  ``q.z2`` may be a 1-D array:
     every entry shares ``z1``, and an array of values is returned; a
     scalar ``z2`` gives a float.  With ``with_z1_term`` the value is
     ``E_gamma(z1, z2) - z1 E_{gamma + alpha_p}(z1, z2)``, whose integrand
@@ -204,6 +208,8 @@ def ml_biv_contour(q: MLQuery, t: float, with_z1_term: bool = False) -> float | 
     z2 = np.asarray(q.z2, dtype=float)
     if q.z1 > 0.0 or np.any(z2 > 0.0):
         raise MLError("contour route requires nonpositive arguments")
+    if q.alpha_p > 1.0 or q.beta_p > 1.0:
+        raise MLError(f"contour route requires alpha_p, beta_p <= 1, got {q.alpha_p}, {q.beta_p}")
     quad = _unit_contour()
     s, ds = quad.nodes, quad.derivs
     a = 1.0 + abs(q.z1) * complex_pow(s, -q.alpha_p)
@@ -230,19 +236,22 @@ def ml_biv_contour(q: MLQuery, t: float, with_z1_term: bool = False) -> float | 
 
 
 def ml_biv(q: MLQuery, t: float | None = None) -> float:
-    """Series for small arguments, contour form otherwise.
+    """Series for small arguments, contour form otherwise where it holds.
 
-    The series raises when cancellation eats its accuracy; with a time
-    ``t`` available the contour form takes over in that case.  A given
-    ``t`` must be finite and positive on either route.
+    The contour form holds only with a time ``t``, nonpositive ``z1`` and
+    ``z2`` and ``alpha_p, beta_p <= 1``; every other query is summed by
+    the series.  Where it holds, it also takes over when cancellation
+    eats the series' accuracy.  A given ``t`` must be finite and positive
+    on either route.
     """
     if t is not None:
         _check_time(t)
-    if max(abs(q.z1), abs(q.z2)) <= SERIES_ARG_LIMIT or t is None:
+    contour = t is not None and q.z1 <= 0.0 and q.z2 <= 0.0 and q.alpha_p <= 1.0 and q.beta_p <= 1.0
+    if max(abs(q.z1), abs(q.z2)) <= SERIES_ARG_LIMIT or not contour:
         try:
             return ml_biv_series(q)
         except MLError:
-            if t is None:
+            if not contour:
                 raise
     return ml_biv_contour(q, t)
 

@@ -12,6 +12,7 @@ import pytest
 from cimfem.bench import (
     EXAMPLE_IDS,
     N_REF,
+    CSV_HEADER,
     BenchError,
     BuiltProblem,
     ErrorReport,
@@ -23,7 +24,7 @@ from cimfem.bench import (
     solve,
     spatial_sweep,
     window_times,
-    _fmt,
+    _row,
 )
 import cimfem.bench
 import cimfem.cim
@@ -155,9 +156,16 @@ class TestErrorMetrics:
 
 class TestReportAndRun:
     def test_fmt_styles(self):
-        assert _fmt(9.85e-5, "sci") == "9.8500E-05"
-        assert _fmt(1.9976, "fix") == "1.9976"
-        assert _fmt(None, "sci") == ""
+        assert _row(error=9.85e-5)["error"] == "9.8500E-05"
+        assert _row(order=1.9976)["order"] == "1.9976"
+        assert _row(iar=None)["iar"] == ""
+
+    def test_row_columns(self):
+        row = _row(example="ex1_scalar", beta=0.5, N=20, iar=1.5e-3, wall_ms=12.0)
+        assert list(row) == CSV_HEADER
+        assert row["iar"] == "1.5000E-03" and row["wall_ms"] == "12.0000" and row["M"] == ""
+        with pytest.raises(TypeError, match="not a CSV column: iar_val"):
+            _row(example="ex1_scalar", iar_val=1.0)
 
     def test_empty_report_header_only(self):
         # an empty parameter list is a spec error, so a report without rows is built directly

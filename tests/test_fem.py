@@ -89,6 +89,17 @@ class TestInitialData:
         with pytest.raises(FEMError):
             InitialData1D.indicator(0.5, 0.5)
 
+    def test_overlapping_pieces_rejected(self):
+        # the 2-D load vector would sum them, every other reader take the later one
+        with pytest.raises(FEMError, match=r"pieces \(0.0, 0.5\] and \(0.25, 0.75\] overlap"):
+            InitialData1D((Piece1D(0.0, 0.5, (1.0,)), Piece1D(0.25, 0.75, (1.0,))))
+        with pytest.raises(FEMError, match=r"pieces \(0.5, 0.6\] and \(0.0, 1.0\] overlap"):
+            InitialData1D((Piece1D(0.5, 0.6, (1.0,)), Piece1D(0.0, 1.0, (1.0,))))
+
+    def test_touching_pieces_accepted(self):
+        g = InitialData1D((Piece1D(0.0, 0.75, (0.0, 1.0)), Piece1D(0.75, 1.0, (0.0, -1.0))))
+        assert np.allclose(g(np.array([0.75, 0.76])), [0.75, -0.76])
+
     def test_sequences_become_tuples(self):
         # data key the load-vector cache, so a list must not leave them unhashable
         g = InitialData1D([Piece1D(0.0, 1.0, [0.0, 1.0])])

@@ -167,6 +167,11 @@ class TestContour:
         with pytest.raises(MLError):
             ml_biv_contour(MLQuery(0.5, 1.0, 1.0, -1.0, np.array([-1.0, 0.5])), 1.0)
 
+    def test_requires_orders_at_most_one(self):
+        # beyond order 1 the integrand has poles right of the contour
+        with pytest.raises(MLError, match="requires alpha_p, beta_p <= 1"):
+            ml_biv_contour(MLQuery(2.0, 1.0, 1.0, -30.0, -1.0), 1.0)
+
     @pytest.mark.parametrize("t", [0.1, 1.0, 7.0])
     def test_array_matches_scalar(self, t):
         # one contour for all z2 gives each entry's scalar value
@@ -260,6 +265,19 @@ class TestDispatch:
         q = MLQuery(0.25, 1.0, 1.0, -(t ** 0.25), -t)
         val = ml_biv(q, t)
         assert 0.0 < val < 1.0
+
+    # 80-digit mpmath sums of the double series; with t = 1 the contour
+    # route once returned 1.35e-14, -1.2079e-2 and -6.955e-2 here
+    @pytest.mark.parametrize(
+        "args, value",
+        [
+            ((2.0, 1.0, 1.0, -30.0, -1.0), 0.4508420107255857031),
+            ((1.5, 1.0, 1.0, -30.0, -1.0), -0.012123462363649397876),
+            ((0.5, 1.9, 1.0, -3.0, -30.0), -0.066999633378885392746),
+        ],
+    )
+    def test_orders_above_one_take_the_series(self, args, value):
+        assert ml_biv(MLQuery(*args), 1.0) == pytest.approx(value, rel=1.5e-8)
 
     def test_series_failure_without_time_propagates(self):
         with pytest.raises(MLError):
