@@ -6,11 +6,15 @@ and known exact solution, three 1-D and three 2-D initial/source
 configurations of varying smoothness, and the acceleration comparison.
 Every error is one distance, ``_distance``: on a mesh the mass norm of
 the gap to a reference solution or the L2 quadrature error against the
-exact solution, on a scalar domain the absolute value.  The temporal
-reference is the N_ref-node contour solution on the same mesh, the
-spatial one the halved-mesh solution via P1 prolongation.  Every solve
-but the acceleration comparison's goes through ``solve``: one quadrature
-per (problem, N), its node values and their sum at the requested times.
+exact solution, on a scalar domain the absolute value.  The numeric
+temporal reference of a source-free 1-D problem is its exact
+semi-discrete solution by modes, ``_modal_solution``, which shares
+neither the node solves nor the quadrature with the code under test;
+every other problem's is the N_ref-node contour solution on the same
+mesh.  The spatial reference is the halved-mesh solution via P1
+prolongation.  Every contour solve but the acceleration comparison's
+goes through ``solve``: one quadrature per (problem, N), its node
+values and their sum at the requested times.
 """
 
 from __future__ import annotations
@@ -52,9 +56,10 @@ from .fem import (
     mass_norm,
     prolong_1d,
     prolong_2d,
+    stencil_1d,
 )
-from .linalg import LinAlgError
-from .mlf import MLError
+from .linalg import LinAlgError, dst1, toeplitz_eigenvalues
+from .mlf import MLError, mode_value
 from .symbols import FractionalSymbol, SourceTransform, SymbolError, pole_term, power_term
 
 
@@ -73,7 +78,7 @@ EXAMPLE_IDS = (
     "ex4_2d_case3",
 )
 
-N_REF = 200  # contour nodes of the numeric temporal reference
+N_REF = 200  # contour nodes of the numeric temporal reference where it is not modal
 
 CSV_HEADER = ["example", "beta", "N", "M", "n", "t", "error", "order", "iar", "wall_ms"]
 
@@ -114,9 +119,9 @@ class ExperimentSpec:
                 bp = build_problem(self.example_id, beta, M, self.contour, self.K)
         except (SymbolError, FEMError) as exc:
             raise BenchError(str(exc)) from exc
-        # only sweep-time solves the N_REF reference
+        # only sweep-time solves the N_REF reference, and only where it has no modal one
         time_ref = self.mode == "sweep-time" and self.reference == "numeric"
-        if time_ref and N_REF <= max(self.n_list):
+        if time_ref and not _takes_modal_reference(bp.problem) and N_REF <= max(self.n_list):
             raise BenchError(f"numeric reference needs N_REF = {N_REF} > every N in the sweep")
         if self.mode == "sweep-space" and bp.problem.scalar:
             raise BenchError(f"sweep-space needs a mesh example; {self.example_id} has no mesh")
@@ -138,6 +143,25 @@ def solve(p: Problem, N: int, times):
     """The solution of ``p`` at ``times``, one time or a sequence, from one solve of its N contour nodes."""
     quad = quadrature_nodes(problem_parameters(p, N))
     return evaluate(quad, solve_nodes(p, quad), times)
+
+
+def _takes_modal_reference(p: Problem) -> bool:
+    """Whether sweep-time's numeric reference for ``p`` is ``_modal_solution``, not the N_REF solve."""
+    return isinstance(p.domain, Mesh1D) and not p.source.terms
+
+
+def _modal_solution(p: Problem, b: np.ndarray, times) -> np.ndarray:
+    """Exact semi-discrete solution of a source-free 1-D problem at ``times``, one row per time.
+
+    ``b`` is the load of the initial datum.  The DST-I diagonalizes the
+    tridiagonal Toeplitz M and S (fast diagonalization): with their
+    eigenvalues ``m_j`` and ``s_j``, mode j starts at ``dst1(b)_j / m_j``
+    and evolves by ``mode_value(K, beta, s_j / m_j, t)``.  No node system
+    is solved.
+    """
+    m, s = (toeplitz_eigenvalues(diag, off, p.domain.ndof) for diag, off in stencil_1d(p.domain))
+    start = dst1(b.real) / m
+    return dst1(np.array([mode_value(p.sym.K, p.sym.beta, s / m, t) for t in times]) * start).real
 
 
 @dataclass(frozen=True)
@@ -228,10 +252,10 @@ def _distance(bp: BuiltProblem, u, t: float, ref=None):
 def error_tau(bp: BuiltProblem, times, sols, ref=None) -> float:
     """Max over ``times`` of the distance from ``sols`` to the reference.
 
-    ``ref`` holds the reference solutions at ``times``, the N_ref-node
-    contour solution on the same mesh (mass-norm distance, one
-    ``mass_norm`` call for all times).  Without it the exact solution is
-    the reference (L2 quadrature error).
+    ``ref`` holds the reference solutions at ``times`` on the same mesh,
+    the modal or the N_ref-node solution of ``_time_rows`` (mass-norm
+    distance, one ``mass_norm`` call for all times).  Without it the
+    exact solution is the reference (L2 quadrature error).
     """
     if ref is None:
         return max(_distance(bp, s, t) for s, t in zip(sols, times))
@@ -362,18 +386,28 @@ def window_times(contour: ContourConfig, quoted=()) -> tuple[float, ...]:
 
 
 def _time_rows(spec: ExperimentSpec, beta: float, M: int) -> list[dict]:
-    """Sweep-time rows of one (beta, M); the N_ref reference is solved once for all of them."""
+    """Sweep-time rows of one (beta, M), all against one reference.
+
+    The numeric reference is ``_modal_solution`` where
+    ``_takes_modal_reference`` holds, else the N_ref-node solution.
+    """
     bp = build_problem(spec.example_id, beta, M, spec.contour, spec.K)
-    discretize(bp.problem)  # the shared load vectors are integrated outside every row's wall_ms
+    p = bp.problem
+    loads = discretize(p)  # the shared load vectors are integrated outside every row's wall_ms
     times = window_times(spec.contour, spec.eval_times)
-    ref = None if spec.reference == "exact" else solve(bp.problem, N_REF, times)
+    if spec.reference == "exact":
+        ref = None
+    elif _takes_modal_reference(p):
+        ref = _modal_solution(p, loads[p.u0], times)
+    else:
+        ref = solve(p, N_REF, times)
     rows = []
     for N in spec.n_list:
         start = time.perf_counter()
-        sols = solve(bp.problem, N, times)
+        sols = solve(p, N, times)
         wall = (time.perf_counter() - start) * 1e3
         # the error spans the window and every quoted time; the row shows the latest
-        rows.append(_row(example=spec.example_id, beta=beta, N=N, M=None if bp.problem.scalar else M,
+        rows.append(_row(example=spec.example_id, beta=beta, N=N, M=None if p.scalar else M,
                          t=max(spec.eval_times), error=error_tau(bp, times, sols, ref), wall_ms=wall))
     return rows
 

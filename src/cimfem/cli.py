@@ -65,7 +65,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-interp", type=_ints, default=spec.n_interp,
                    help="comma-separated interpolation orders for acceleration")
     p.add_argument("--times", type=_floats, default=spec.eval_times, help="comma-separated evaluation times")
-    p.add_argument("--reference", choices=("exact", "numeric"), default=spec.reference)
+    p.add_argument("--reference", choices=("exact", "numeric"), default=spec.reference,
+                   help="exact: the example's exact solution; numeric: in sweep-time the exact "
+                   "semi-discrete solution by modes for a source-free 1-D problem, else the "
+                   "N_REF-node contour solve; in sweep-space the solution on mesh 2M")
     p.add_argument("--out", help="also write the CSV to this path")
 
 

@@ -71,6 +71,14 @@ class TestSpecValidation:
         with pytest.raises(BenchError):
             ExperimentSpec(mode="sweep-time", example_id="ex1_scalar", n_list=(N_REF,))
 
+    def test_numeric_reference_with_sources_needs_larger_n_ref(self):
+        with pytest.raises(BenchError, match="needs N_REF"):
+            ExperimentSpec(mode="sweep-time", example_id="ex2_vanishing", n_list=(N_REF,))
+
+    def test_modal_reference_allows_any_n(self):
+        spec = ExperimentSpec(mode="sweep-time", example_id="ex3_1d_case1", n_list=(N_REF, 240))
+        assert spec.n_list == (N_REF, 240)
+
     def test_exact_reference_restricted(self):
         with pytest.raises(BenchError):
             ExperimentSpec(mode="sweep-time", example_id="ex3_1d_case1", reference="exact")
@@ -92,6 +100,27 @@ class TestSpecValidation:
     def test_empty_list_rejected(self, mode, name):
         with pytest.raises(BenchError, match=f"{name} must not be empty"):
             ExperimentSpec(mode=mode, example_id="ex3_1d_case1", **{name: ()})
+
+
+class TestModalReference:
+    """The exact semi-discrete reference of source-free 1-D problems."""
+
+    @pytest.mark.parametrize("K", [1.0, 0.0])
+    @pytest.mark.parametrize("M", [16, 256])
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("example", ["ex3_1d_case1", "ex3_1d_case2", "ex3_1d_case3"])
+    def test_matches_the_n_ref_solve(self, example, beta, M, K):
+        p = build_problem(example, beta, M, K=K).problem
+        times = window_times(ContourConfig(), (0.8,))
+        ref = solve(p, N_REF, times)
+        modal = cimfem.bench._modal_solution(p, cimfem.cim.discretize(p)[p.u0], times)
+        assert modal.shape == ref.shape
+        assert np.max(np.abs(modal - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_taken_by_source_free_1d_problems_only(self):
+        takes = {ex: cimfem.bench._takes_modal_reference(build_problem(ex, 0.5, 8).problem)
+                 for ex in EXAMPLE_IDS}
+        assert [ex for ex, t in takes.items() if t] == ["ex3_1d_case1", "ex3_1d_case2", "ex3_1d_case3"]
 
 
 class TestErrorMetrics:
@@ -299,9 +328,17 @@ class TestSharedWork:
         monkeypatch.setattr(cimfem.cim, "_solve_at", counted)
         return rows
 
-    def test_sweep_time_solves_reference_once(self, monkeypatch, capsys):
+    def test_sweep_time_1d_reference_solves_no_node_system(self, monkeypatch, capsys):
+        # a source-free 1-D problem takes its reference from modes
         rows = self.count_node_solves(monkeypatch)
         argv = ["sweep-time", "--example", "ex3_1d_case1", "--N", "20,40,80", "--M", "32", "--times", "0.8"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 4
+        assert sum(rows) == 20 + 40 + 80
+
+    def test_sweep_time_with_sources_solves_reference_once(self, monkeypatch, capsys):
+        rows = self.count_node_solves(monkeypatch)
+        argv = ["sweep-time", "--example", "ex2_vanishing", "--N", "20,40,80", "--M", "32", "--times", "0.8"]
         assert main(argv) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 4
         assert sum(rows) == 20 + 40 + 80 + 200
@@ -317,7 +354,8 @@ class TestSharedWork:
 
     def test_sweep_time_optimizes_and_integrates_once_per_process(self, monkeypatch, capsys):
         # contour parameters depend on N and the window, load vectors on the
-        # mesh and the datum: another beta rebuilds neither
+        # mesh and the datum: another beta rebuilds neither.  The modal
+        # reference's unit contour is optimized through cimfem.mlf's own name
         optimized, loaded = [], []
         optimize, load = cimfem.contour.optimize_rho, cimfem.cim.load_vector
         monkeypatch.setattr(cimfem.contour, "optimize_rho", lambda cfg, N: optimized.append(N) or optimize(cfg, N))
@@ -328,7 +366,7 @@ class TestSharedWork:
                 "--M", "16", "--times", "0.8"]
         assert main(argv) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 7
-        assert sorted(optimized) == [20, 40, 200]
+        assert sorted(optimized) == [20, 40]
         assert loaded == [Mesh1D(16)]
 
     def test_sweeps_assemble_only_for_the_fallback(self, monkeypatch):
