@@ -13,9 +13,10 @@ evaluation routes are provided: the double series summed along
 anti-diagonals (small arguments) and a contour-integral form of its
 Laplace transform (large arguments).  The contour form is written in the
 scaled variable ``s = z t``, where it does not depend on ``t``, so one
-unit contour per process serves every query; it takes an array of
-``z2`` and sums it for all of them in real arithmetic, by one product
-of a (len(z2), nodes) matrix with two columns.  ``spectral_reference``
+48-node unit contour per process serves every query, and the powers of
+its nodes are built once per order triple; it takes an array of ``z2``
+and sums it for all of them in real arithmetic, by one product of a
+(len(z2), nodes) matrix with two columns.  ``spectral_reference``
 evaluates every mode of a sine eigenbasis that way into closed-form
 reference solutions on the unit interval; the datum's coefficients are
 computed once per process.  At the interior nodes ``i / M`` of a uniform
@@ -29,15 +30,17 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, inf, log, pi, sqrt
+from math import exp, inf, isfinite, log, pi, sqrt
 from typing import Callable
 
 import numpy as np
 
 # ``optimize_rho`` and ``quadrature_nodes`` run once per process, in
-# ``_unit_contour``.  They are called through this module's names because
+# ``_unit_contour``, and ``complex_pow`` once per order triple, in
+# ``_node_factors``.  They are called through this module's names because
 # perfbench/tracing.py wraps cross-layer calls by module attribute name and
-# expects ``cimfem.mlf.optimize_rho`` and ``cimfem.mlf.quadrature_nodes``.
+# expects ``cimfem.mlf.optimize_rho``, ``cimfem.mlf.quadrature_nodes`` and
+# ``cimfem.mlf.complex_pow``.
 from .contour import ContourConfig, ContourQuadrature, optimize_rho, quadrature_nodes
 from .linalg import dst1
 from .symbols import complex_pow
@@ -50,7 +53,17 @@ class MLError(ArithmeticError):
 SERIES_ARG_LIMIT = 20.0  # switch series -> contour at max(|z1|, |z2|) = 20
 SERIES_TOL = 1e-12  # relative size of an anti-diagonal sum counted as small
 SERIES_MAX_ORDER = 400  # anti-diagonals summed before the series gives up
-CONTOUR_NODES = 80  # quadrature nodes of the contour route
+# Quadrature nodes of the contour route, a measured count.  At 666 mode values
+# of Mesh1D(256) and Mesh1D(2048) (37 eigenvalues s/m up to the largest, K in
+# {0, 1, 3}, beta in {0.25, 0.75}, t in {0.1, 0.55, 1}) 48 nodes meet 30-digit
+# Talbot inversions to 1.1e-16 absolute and 3.1e-15 relative, as 80 nodes do
+# (3.2e-15); 40 reach that floor, 36 give 3.8e-14 and 32 give 2.3e-12.  Over
+# orders 0.05-1, gamma 0.1-3, z1 >= -1e4, z2 in [-1e12, -1e-3] and both
+# numerators, 48 nodes differ from 80 by at most 5.6e-16 and 56-96 by 7.8e-16.
+# ``optimize_rho``'s ``predicted_error``, about 2e-9 at 48 nodes, is an a priori
+# estimate for the whole window [1, 2] and far above these errors at t = 1, the
+# only time the unit contour serves.
+CONTOUR_NODES = 48
 
 
 @dataclass(frozen=True)
@@ -67,7 +80,7 @@ class MLQuery:
         if self.alpha_p <= 0.0 or self.beta_p <= 0.0 or self.gamma <= 0.0:
             raise ValueError("need alpha_p, beta_p, gamma > 0")
         scalars = (self.alpha_p, self.beta_p, self.gamma, self.z1)
-        if not (np.all(np.isfinite(scalars)) and np.all(np.isfinite(self.z2))):  # z2 may be an array
+        if not (all(map(isfinite, scalars)) and np.isfinite(self.z2).all()):  # z2 may be an array
             raise ValueError("need finite alpha_p, beta_p, gamma, z1, z2")
 
 
@@ -169,13 +182,29 @@ def _unit_contour() -> ContourQuadrature:
     return quad
 
 
+# The powers of the nodes depend on the orders only, and a sweep asks for a
+# few order triples many times; the bound keeps a sweep over orders from
+# holding all.  Callers share the arrays, hence they are read-only.
+@lru_cache(maxsize=32)
+def _node_factors(alpha_p: float, beta_p: float, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``s**-alpha_p``, ``s**beta_p`` and ``tau/pi e**s s**(beta_p - gamma) s'`` at the unit contour's nodes ``s``."""
+    quad = _unit_contour()
+    s = quad.nodes
+    s_beta = complex_pow(s, beta_p)
+    weights = quad.params.tau_star / pi * np.exp(s) * quad.derivs
+    factors = (complex_pow(s, -alpha_p), s_beta, weights * complex_pow(s, -gamma) * s_beta)
+    for f in factors:
+        f.flags.writeable = False
+    return factors
+
+
 def ml_biv_contour(q: MLQuery, t: float, with_z1_term: bool = False) -> float | np.ndarray:
     """Contour form of ``E(z1, z2)`` for ``z1, z2 <= 0`` and ``alpha_p, beta_p <= 1``.
 
     ``E`` does not depend on ``t``: with ``s = z t`` its Laplace-inversion
     integrand is ``e**s s**-gamma / (1 + |z1| s**-alpha_p + |z2|
-    s**-beta_p)``, summed on one unit contour per process (``t = 1``,
-    window ratio 2).  ``t`` is checked like on the series route but
+    s**-beta_p)``, summed on one 48-node unit contour per process (``t =
+    1``, window ratio 2).  ``t`` is checked like on the series route but
     changes no value.  Requires both arguments nonpositive and both
     orders at most 1, the only case arising from the mode ODE: then the
     denominator has a negative imaginary part everywhere in the open upper
@@ -189,8 +218,9 @@ def ml_biv_contour(q: MLQuery, t: float, with_z1_term: bool = False) -> float | 
     denominator.
 
     With ``a_k = 1 + |z1| s_k**-alpha_p``, ``c_k = a_k s_k**beta_p`` and
-    ``G_k = e**s_k s_k**(beta_p - gamma) (1 or a_k) s'_k`` at the nodes
-    ``s_k``, each value is ``tau/pi Im sum_k G_k / (|z2| + c_k)``, summed
+    ``G_k = tau/pi e**s_k s_k**(beta_p - gamma) (1 or a_k) s'_k`` at the
+    nodes ``s_k``, whose powers and weights ``_node_factors`` builds once
+    per order triple, each value is ``Im sum_k G_k / (|z2| + c_k)``, summed
     in real arithmetic: with ``R = |z2| + Re c_k`` and ``D = 1 / (R**2 +
     (Im c_k)**2)`` it is ``|z2| sum_k D Im G_k + sum_k D Im(G_k
     conj(c_k))``, one product of the (len(z2), nodes) matrix D with two
@@ -202,7 +232,7 @@ def ml_biv_contour(q: MLQuery, t: float, with_z1_term: bool = False) -> float | 
     (``gamma = beta_p``) and ``|z2|`` is huge, ``E`` falls below that: at
     ``MLQuery(0.5, 1, 1, -30, z2)`` the value 8.463e-16 at ``z2 = -1e8``
     is ``|z1| / (2 sqrt(pi) z2**2)`` to 3e-8, but at ``z2 = -1e20`` it is
-    -1.09e-36 where ``E`` is about 8.5e-40, rounding noise of either sign.
+    -6.6e-37 where ``E`` is about 8.5e-40, rounding noise of either sign.
     """
     _check_time(t)
     z2 = np.asarray(q.z2, dtype=float)
@@ -210,13 +240,10 @@ def ml_biv_contour(q: MLQuery, t: float, with_z1_term: bool = False) -> float | 
         raise MLError("contour route requires nonpositive arguments")
     if q.alpha_p > 1.0 or q.beta_p > 1.0:
         raise MLError(f"contour route requires alpha_p, beta_p <= 1, got {q.alpha_p}, {q.beta_p}")
-    quad = _unit_contour()
-    s, ds = quad.nodes, quad.derivs
-    a = 1.0 + abs(q.z1) * complex_pow(s, -q.alpha_p)
-    b = complex_pow(s, -q.beta_p)
-    numer = complex_pow(s, -q.gamma) * (a if with_z1_term else 1.0)
-    c = a / b
-    g = np.exp(s) * numer * ds / b
+    s_alpha, s_beta, h = _node_factors(q.alpha_p, q.beta_p, q.gamma)
+    a = 1.0 + abs(q.z1) * s_alpha
+    c = a * s_beta
+    g = h * a if with_z1_term else h
     w2 = np.abs(z2).reshape(-1)
     # sigma_j, the power of two that brings |z2_j| + max_k |c_k| into [0.5, 1),
     # keeps every square below from overflowing and rounds nothing.  sigma_j R
@@ -231,7 +258,7 @@ def ml_biv_contour(q: MLQuery, t: float, with_z1_term: bool = False) -> float | 
     d += y
     np.reciprocal(d, out=d)  # sigma_j**2 d is D
     p, r = (d @ np.stack([g.imag, g.imag * c.real - g.real * c.imag], axis=1)).T
-    value = (quad.params.tau_star / pi * sigma * (sigma * w2 * p + sigma * r)).reshape(z2.shape)
+    value = (sigma * (sigma * w2 * p + sigma * r)).reshape(z2.shape)
     return float(value) if z2.ndim == 0 else value
 
 
@@ -256,6 +283,14 @@ def ml_biv(q: MLQuery, t: float | None = None) -> float:
     return ml_biv_contour(q, t)
 
 
+def _check_mode(K: float, beta: float) -> None:
+    """The checks of ``FractionalSymbol`` on the mode ODE's ``K`` and ``beta``."""
+    if not 0.0 <= K < inf:  # a NaN K fails too
+        raise ValueError(f"K must be finite and nonnegative, got {K}")
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+
+
 @dataclass(frozen=True)
 class SpectralProblem:
     """Homogeneous transport problem on (0, 1) in the sine eigenbasis.
@@ -273,10 +308,7 @@ class SpectralProblem:
     tail_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.K < inf:  # a NaN K fails too
-            raise ValueError(f"K must be finite and nonnegative, got {self.K}")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+        _check_mode(self.K, self.beta)
         if not isinstance(self.j_max, (int, np.integer)) or self.j_max < 1:
             raise ValueError(f"j_max must be an integer >= 1, got {self.j_max!r}")
         if not 0.0 <= self.tail_tol < inf:
@@ -291,8 +323,13 @@ def mode_value(K: float, beta: float, lam: float | np.ndarray, t: float) -> floa
     numerator ``z**-1 + z**(beta-2)/K``.  At K = 0 the transform is
     ``z**-1 / (1 + lam z**-beta)``, the contour form with ``z1 = 0``,
     ``beta' = beta`` and ``z2 = -lam t**beta``.  ``lam`` may be a scalar
-    or an array; all entries share one contour sum.
+    or an array; all entries share one contour sum.  ``t`` must be finite
+    and nonnegative, ``K`` and ``beta`` obey the checks of
+    ``FractionalSymbol``.
     """
+    if not 0.0 <= t < inf:  # a NaN time fails too
+        raise ValueError(f"need finite t >= 0, got {t}")
+    _check_mode(K, beta)
     if t == 0.0:
         return np.ones(np.shape(lam))[()]
     lam = np.asarray(lam, dtype=float)
@@ -376,11 +413,10 @@ def spectral_reference(sp: SpectralProblem, x: np.ndarray, t: float) -> np.ndarr
     ``mode_value`` on the one unit contour per process, and the sine
     series is summed by ``_sine_sum``: one DST-I if ``x`` holds the
     interior nodes ``i / M`` of a uniform mesh in order (any shape), a
-    blocked sum otherwise.  ``t`` must be finite and nonnegative; at
-    ``t = 0`` the result is the partial sum of the datum.
+    blocked sum otherwise.  ``t`` must be finite and nonnegative, as
+    ``mode_value`` checks; at ``t = 0`` the result is the partial sum of
+    the datum.
     """
-    if not 0.0 <= t < inf:  # a NaN time fails too
-        raise ValueError(f"need finite t >= 0, got {t}")
     x = np.asarray(x, dtype=float)
     j = np.arange(1, sp.j_max + 1)
     c = _coefficients(sp.mode_coefficients, sp.j_max)

@@ -32,6 +32,7 @@ import cimfem.contour
 from cimfem.contour import ContourConfig
 import cimfem.fem
 import cimfem.linalg
+import cimfem.mlf
 from cimfem.cim import Problem, ScalarDomain
 from cimfem.cli import main
 from cimfem.fem import InitialData1D, Mesh1D, Mesh2D
@@ -368,6 +369,20 @@ class TestSharedWork:
         assert len(capsys.readouterr().out.strip().splitlines()) == 7
         assert sorted(optimized) == [20, 40]
         assert loaded == [Mesh1D(16)]
+
+    def test_sweep_time_builds_node_factors_once_per_order_triple(self, monkeypatch, capsys):
+        # the modal reference's 17 mode_value calls share the powers of the
+        # unit contour's nodes: three complex_pow calls per beta
+        powers = []
+        complex_pow = cimfem.mlf.complex_pow
+        monkeypatch.setattr(cimfem.mlf, "complex_pow", lambda z, a: powers.append(a) or complex_pow(z, a))
+        cimfem.mlf._node_factors.cache_clear()
+        argv = ["sweep-time", "--example", "ex3_1d_case1", "--N", "20", "--M", "16"]
+        assert main(argv) == 0
+        assert len(powers) == 3
+        assert main(argv + ["--beta", "0.25"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 4
+        assert len(powers) == 6
 
     def test_sweeps_assemble_only_for_the_fallback(self, monkeypatch):
         # the modal solves apply M and S from their stencils, so sparse

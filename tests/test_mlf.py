@@ -8,6 +8,7 @@ Mode values are also checked against mpmath's Talbot inversion of the
 mode's Laplace transform at 30 digits.
 """
 
+import itertools
 import math
 import warnings
 
@@ -19,8 +20,10 @@ from scipy.integrate import quad
 
 import cimfem.linalg
 import cimfem.mlf
+import cimfem.symbols
 from cimfem.contour import ContourConfig, optimize_rho, quadrature_nodes
-from cimfem.fem import Mesh1D
+from cimfem.fem import Mesh1D, stencil_1d
+from cimfem.linalg import toeplitz_eigenvalues
 from cimfem.mlf import (
     MLError,
     MLQuery,
@@ -209,9 +212,10 @@ class TestContour:
          ((0.5, 0.5, 1.0), 0.0), ((0.25, 0.75, 1.0), 0.0)],  # the last two as mode_value asks at K = 0
     )
     def test_matches_the_contour_of_each_time(self, orders, w1, with_z1_term, t):
-        # the two contours differ by the rounding of their nodes: |s| <= 103 on the
-        # unit contour, so a node's e^s moves by up to 103 eps = 2.3e-14 relative;
-        # the bound allows twice that of the summed term magnitudes
+        # both sums reach round-off, on the 48-node unit contour (|s| <= 70) and
+        # on the 80-node contour of t (|z t| <= 103), where a node's e^(z t)
+        # carries up to 103 eps = 2.3e-14 relative; the bound allows twice that
+        # of the summed term magnitudes (the largest gap measured is 6.0e-16)
         ap, bp, _ = orders
         q = MLQuery(*orders, -w1 * t**ap, -np.geomspace(1e-3, 1e8, 30) * t**bp)
         expected, magnitudes = per_time_contour(q, t, with_z1_term)
@@ -227,6 +231,7 @@ class TestContour:
 
         monkeypatch.setattr(cimfem.mlf, "optimize_rho", counted)
         cimfem.mlf._unit_contour.cache_clear()
+        cimfem.mlf._node_factors.cache_clear()  # built from the contour
         sp = SpectralProblem(K=1.0, beta=0.5, mode_coefficients=lambda j: 1.0 if j <= 3 else 0.0, j_max=10)
         x = np.linspace(0.0, 1.0, 5)
         spectral_reference(sp, x, 0.1)
@@ -355,6 +360,46 @@ class TestModeAndSpectral:
         values = mode_value(0.0, beta, lam, t)
         assert np.max(np.abs(values - expected)) <= 1e-15
         assert type(mode_value(0.0, beta, float(lam[0]), t)) is float
+
+    def test_mode_value_against_talbot_at_the_modes_of_the_meshes(self):
+        # the node count against an independent inversion, at the modes the 1-D
+        # temporal reference asks for: s/m of Mesh1D(256) and Mesh1D(2048) up to
+        # the largest.  At 20 digits Talbot gives the same doubles as at 30 here.
+        # 1e-14 relative is the modal reference's bound, 3x the 3.1e-15 measured.
+        mpmath = pytest.importorskip("mpmath")
+
+        def modes(m, j):
+            mesh = Mesh1D(m)
+            (m_diag, m_off), (s_diag, s_off) = stencil_1d(mesh)
+            s, mass = (toeplitz_eigenvalues(d, o, mesh.ndof) for d, o in ((s_diag, s_off), (m_diag, m_off)))
+            return (s / mass)[j]
+
+        lam = np.concatenate([modes(256, [0, -1]), modes(2048, [255, -1])])
+        for K, beta, t in itertools.product([0.0, 1.0, 3.0], [0.25, 0.75], [0.1, 0.55, 1.0]):
+            with mpmath.workdps(20):
+                expected = np.array([_talbot_mode_value(mpmath, K, beta, float(x), t) for x in lam])
+            gap = np.abs(mode_value(K, beta, lam, t) - expected)
+            assert np.max(gap) <= 1e-15
+            assert np.max(gap / np.abs(expected)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "K, beta, t, message",
+        [
+            (1.0, 0.5, math.nan, "need finite t"),
+            (-1.0, 0.5, math.nan, "need finite t"),  # t is checked first
+            (1.0, 0.5, math.inf, "need finite t"),
+            (1.0, 0.5, -0.1, "need finite t"),
+            (-1.0, 0.5, 0.5, "K must be finite and nonnegative"),
+            (math.nan, 0.5, 0.5, "K must be finite and nonnegative"),
+            (-1.0, 0.5, 0.0, "K must be finite and nonnegative"),
+            (1.0, 1.5, 0.5, r"beta must lie in \(0, 1\)"),
+            (0.0, 1.0, 0.5, r"beta must lie in \(0, 1\)"),
+            (1.0, 0.0, 0.5, r"beta must lie in \(0, 1\)"),
+        ],
+    )
+    def test_mode_value_names_its_bad_input(self, K, beta, t, message):
+        with pytest.raises(ValueError, match=message):
+            mode_value(K, beta, [1.0, 4.0], t)
 
     @pytest.mark.parametrize("beta", [0.25, 0.75])
     def test_z1_term_is_the_two_gamma_combination(self, beta):
@@ -530,6 +575,33 @@ class TestSineSum:
         assert calls == [(255,)]
         # the blocked sum, taken off the grid, moves by about 1e-9 sum_j j pi |a_j|
         assert np.max(np.abs(off_grid - on_grid)) <= 1e-9 * np.pi * np.sum(np.arange(1, 301) * np.abs(a))
+
+
+class TestNodeFactorCache:
+    def test_built_once_per_order_triple(self, monkeypatch):
+        calls = []
+
+        def counted(z, a):
+            calls.append(a)
+            return cimfem.symbols.complex_pow(z, a)
+
+        monkeypatch.setattr(cimfem.mlf, "complex_pow", counted)
+        cimfem.mlf._node_factors.cache_clear()
+        lam = np.array([1.0, 30.0, 900.0])
+        for t in (0.1, 0.5, 1.0):
+            mode_value(1.0, 0.5, lam, t)
+            mode_value(2.0, 0.5, lam, t)  # another K, the same orders
+        assert len(calls) == 3
+        mode_value(0.0, 0.5, lam, 0.5)  # K = 0 asks for other orders
+        assert len(calls) == 6
+
+    def test_cached_arrays_are_read_only(self):
+        factors = cimfem.mlf._node_factors(0.5, 1.0, 1.0)
+        assert cimfem.mlf._node_factors(0.5, 1.0, 1.0) is factors
+        for f in factors:
+            assert f.shape == (cimfem.mlf.CONTOUR_NODES,)
+            with pytest.raises(ValueError, match="read-only"):
+                f[0] = 0.0
 
 
 class CountingCoefficients:
