@@ -14,10 +14,10 @@ from cimfem.contour import quadrature_nodes
 from cimfem.fem import Mesh1D, Mesh2D, assemble, stencil_1d, stencil_2d
 from cimfem.linalg import (
     LinAlgError,
-    _gemm_factors,
+    _d_hat,
     _kron_apply,
     _modes_2d,
-    _sine_factors,
+    _sine_matrix,
     _stencil_norm_2d,
     dst1,
     dst2,
@@ -182,12 +182,12 @@ class TestKronKernel:
         a = rng.standard_normal((n, n))
         x = slices(n, complex_, False, rng)
         before = x.copy()
-        y = _kron_apply(_gemm_factors(a), x)
+        y = _kron_apply(a, x)
         assert np.max(np.abs(y - a @ x @ a.T)) <= 1e-14 * n * np.max(np.abs(a)) ** 2 * np.max(np.abs(x))
         assert np.array_equal(x, before)
 
     def test_factors_are_read_only(self):
-        for f in _sine_factors(7):
+        for f in (_sine_matrix(7), _d_hat(7)):
             with pytest.raises(ValueError):
                 f[0, 0] = 1.0
 
@@ -289,6 +289,82 @@ class TestModal2D:
             a = (e * ops.mass + ops.stiffness).tocsc()
             want = np.max(np.bincount(a.indices, weights=np.abs(a.data), minlength=a.shape[0]))
             assert got == pytest.approx(want, rel=1e-14)
+
+
+def contour_systems(example, beta, M, N=60):
+    """(eta, stencil, loads) of ``modal_solve_2d`` on the N-point contour of a 2-D example."""
+    p = build_problem(example, beta, M).problem
+    z = quadrature_nodes(problem_parameters(p, N)).nodes
+    b = discretize(p)
+    loads = [(p.sym.history_weight(z), b[p.u0])]
+    loads += [(mult, b[g]) for g, mult in p.source.evaluate(z).items()]
+    return p.sym.eta(z), stencil_2d(p.domain), loads
+
+
+class TestPreconditioner:
+    """COCG's two-term Neumann preconditioner ``P_k^-1 = (I - E_k) / d_k``, ``E_k = c_k K / d_k``."""
+
+    def test_is_complex_symmetric_and_matches_dense(self):
+        # a mass-dominated row, and the contour row of least |eta|, nearest the vertex
+        M = 12
+        n = M - 1
+        eta_near = contour_systems("ex4_2d_case1", 0.5, M)[0]
+        eta = np.array([3e3 * np.exp(2.2j), eta_near[np.argmin(np.abs(eta_near))]])
+        (m, g_m), (s, g_s) = _modes_2d(stencil_2d(Mesh2D(M)), n)
+        d, c = eta[:, None, None] * m + s, eta * g_m + g_s
+        d_inv = 1.0 / d
+        d_hat = _d_hat(n)
+        rng = np.random.default_rng(12)
+        x, y = (rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n)) for _ in range(2))
+        px, py = (linalg._precondition(v, d_inv, c[:, None, None] * d_inv, d_hat) for v in (x, y))
+        # (I - E_k) / d_k, with D_hat = Q (E - E^T) Q formed densely here
+        q = sine_matrix(n)
+        d_dense = q @ (np.eye(n, k=1) - np.eye(n, k=-1)) @ q
+        for k in range(2):
+            yx, xy = np.sum(y[k] * px[k]), np.sum(x[k] * py[k])
+            assert abs(yx - xy) <= 1e-13 * abs(yx)
+            inv_d = np.diag(d_inv[k].ravel())
+            p_inv = inv_d - c[k] * inv_d @ np.kron(d_dense, d_dense) @ inv_d
+            want = p_inv @ x[k].ravel()
+            assert np.max(np.abs(px[k].ravel() - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("example", ["ex4_2d_case1", "ex4_2d_case2", "ex4_2d_case3"])
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("M", [4, 8, 16, 32])
+    def test_neumann_series_converges(self, example, beta, M):
+        # ||E_k|| <= |c_k| ||D||^2 / min |d_k| < 1, with ||D|| = 2 cos(pi / (n + 1))
+        n = M - 1
+        eta, stencil, _ = contour_systems(example, beta, M)
+        (m, g_m), (s, g_s) = _modes_2d(stencil, n)
+        min_d = np.min(np.abs(eta[:, None, None] * m + s), axis=(1, 2))
+        bound = np.abs(eta * g_m + g_s) * (2.0 * np.cos(np.pi / (n + 1))) ** 2 / min_d
+        assert np.max(bound) < 1.0
+
+    @pytest.mark.parametrize("example", ["ex4_2d_case1", "ex4_2d_case3"])
+    def test_iterations_per_block(self, example, monkeypatch):
+        # one preconditioner call starts each COCG run and one ends each iteration
+        runs = []
+        cocg, precondition = linalg._cocg, linalg._precondition
+
+        def counted_cocg(*args):
+            runs.append(-1)
+            return cocg(*args)
+
+        def counted_precondition(*args):
+            runs[-1] += 1
+            return precondition(*args)
+
+        monkeypatch.setattr(linalg, "_cocg", counted_cocg)
+        monkeypatch.setattr(linalg, "_precondition", counted_precondition)
+
+        def iterations(M):
+            runs.clear()
+            _, ok = modal_solve_2d(*contour_systems(example, 0.5, M))
+            assert ok.all()
+            return list(runs)
+
+        assert max(iterations(8)) <= 10
+        assert sum(iterations(32)) <= 30
 
 
 class TestSparse:
