@@ -14,6 +14,7 @@ import contextlib
 import functools
 import re
 import sys
+from math import inf
 
 from .bench import EXAMPLE_IDS, MODES, BenchError, ExperimentSpec, run
 from .contour import ContourConfig, ContourError
@@ -124,12 +125,18 @@ def _cmd_sweep(spec: ExperimentSpec, out_path: str | None) -> int:
 
 
 def _ml_value(line: str) -> float:
-    """The relaxation function at one ``alpha beta gamma z1 z2 [t]`` query."""
+    """The relaxation function at one ``alpha beta gamma z1 z2 [t]`` query.
+
+    A given ``t`` must be finite and positive; the value does not depend on it.
+    """
     parts = line.replace(",", " ").split()
     if len(parts) not in (5, 6):
         raise ValueError(f"expected 'alpha beta gamma z1 z2 [t]', got: {line}")
-    a, b, g, z1, z2 = (float(x) for x in parts[:5])
-    return ml_biv(MLQuery(a, b, g, z1, z2), float(parts[5]) if len(parts) == 6 else None)
+    q = MLQuery(*(float(x) for x in parts[:5]))
+    t = float(parts[5]) if len(parts) == 6 else 1.0
+    if not 0.0 < t < inf:  # a NaN time fails too
+        raise ValueError(f"need finite t > 0, got {t}")
+    return ml_biv(q)
 
 
 def _cmd_ml_eval(args: argparse.Namespace) -> int:

@@ -8,21 +8,23 @@ can be written through the bivariate Mittag-Leffler function
 
     E_{(a, b), g}(z1, z2) = sum_{k,l >= 0} C(k+l, k) z1^k z2^l / Gamma(a k + b l + g),
 
-evaluated at ``z1 = -t**(1-beta)/K`` and ``z2 = -lam t / K``.  Two
-evaluation routes are provided: the double series summed along
-anti-diagonals (small arguments) and a contour-integral form of its
-Laplace transform (large arguments).  The contour form is written in the
-scaled variable ``s = z t``, where it does not depend on ``t``, so one
-48-node unit contour per process serves every query, and the powers of
-its nodes are built once per order triple; it takes an array of ``z2``
-and sums it for all of them in real arithmetic, by one product of a
-(len(z2), nodes) matrix with two columns.  ``spectral_reference``
-evaluates every mode of a sine eigenbasis that way into closed-form
-reference solutions on the unit interval; the datum's coefficients are
-computed once per process.  At the interior nodes ``i / M`` of a uniform
-mesh, where the reference meets P1 solutions, the sine series folds onto
-modes 1..M-1 and is one DST-I (``linalg.dst1``); at other points it is
-summed blockwise by one matrix product.
+evaluated at ``z1 = -t**(1-beta)/K`` and ``z2 = -lam t / K``.  ``E``
+itself takes no time.  Two evaluation routes are provided: the double
+series summed along anti-diagonals (small arguments) and a
+contour-integral form of its Laplace transform (large arguments, and
+wherever the series fails), the latter only for ``z1, z2 <= 0`` and
+orders at most 1.  The contour form is written in the scaled variable
+``s = z t``, where no time is left, so one 48-node unit contour per
+process serves every query, and the powers of its nodes are built once
+per order triple; it takes an array of ``z2`` and sums it for all of
+them in real arithmetic, by one product of a (len(z2), nodes) matrix
+with two columns.  ``spectral_reference`` evaluates every mode of a sine
+eigenbasis that way into closed-form reference solutions on the unit
+interval; the datum's coefficients are computed once per process.  At
+the interior nodes ``i / M`` of a uniform mesh, where the reference
+meets P1 solutions, the sine series folds onto modes 1..M-1 and is one
+DST-I (``linalg.dst1``); at other points it is one product of the sine
+matrix with the coefficients.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 # ``cimfem.mlf.complex_pow``.
 from .contour import ContourConfig, ContourQuadrature, optimize_rho, quadrature_nodes
 from .linalg import dst1
-from .symbols import complex_pow
+from .symbols import check_symbol, complex_pow
 
 
 class MLError(ArithmeticError):
@@ -164,11 +166,6 @@ def _check_cancellation(peak: float, total: float) -> None:
         )
 
 
-def _check_time(t: float) -> None:
-    if not 0.0 < t < inf:  # a NaN time fails too
-        raise ValueError(f"need finite t > 0, got {t}")
-
-
 # Of a window-ratio-2 contour optimized for t, only the scale ``mu ~ 1/t``
 # depends on t, so in the variable ``s = z t`` one quadrature serves every
 # query.  It is built on the first call, not at import, and its arrays are
@@ -198,14 +195,13 @@ def _node_factors(alpha_p: float, beta_p: float, gamma: float) -> tuple[np.ndarr
     return factors
 
 
-def ml_biv_contour(q: MLQuery, t: float, with_z1_term: bool = False) -> float | np.ndarray:
+def ml_biv_contour(q: MLQuery, with_z1_term: bool = False) -> float | np.ndarray:
     """Contour form of ``E(z1, z2)`` for ``z1, z2 <= 0`` and ``alpha_p, beta_p <= 1``.
 
-    ``E`` does not depend on ``t``: with ``s = z t`` its Laplace-inversion
-    integrand is ``e**s s**-gamma / (1 + |z1| s**-alpha_p + |z2|
-    s**-beta_p)``, summed on one 48-node unit contour per process (``t =
-    1``, window ratio 2).  ``t`` is checked like on the series route but
-    changes no value.  Requires both arguments nonpositive and both
+    With ``s = z t`` the Laplace-inversion integrand of ``E`` is ``e**s
+    s**-gamma / (1 + |z1| s**-alpha_p + |z2| s**-beta_p)``, in which no
+    time is left; it is summed on one 48-node unit contour per process
+    (``t = 1``, window ratio 2).  Requires both arguments nonpositive and both
     orders at most 1, the only case arising from the mode ODE: then the
     denominator has a negative imaginary part everywhere in the open upper
     half-plane, so the integrand has no pole off the negative real axis.
@@ -234,7 +230,6 @@ def ml_biv_contour(q: MLQuery, t: float, with_z1_term: bool = False) -> float | 
     is ``|z1| / (2 sqrt(pi) z2**2)`` to 3e-8, but at ``z2 = -1e20`` it is
     -6.6e-37 where ``E`` is about 8.5e-40, rounding noise of either sign.
     """
-    _check_time(t)
     z2 = np.asarray(q.z2, dtype=float)
     if q.z1 > 0.0 or np.any(z2 > 0.0):
         raise MLError("contour route requires nonpositive arguments")
@@ -262,33 +257,22 @@ def ml_biv_contour(q: MLQuery, t: float, with_z1_term: bool = False) -> float | 
     return float(value) if z2.ndim == 0 else value
 
 
-def ml_biv(q: MLQuery, t: float | None = None) -> float:
-    """Series for small arguments, contour form otherwise where it holds.
+def ml_biv(q: MLQuery) -> float:
+    """Series for ``max(|z1|, |z2|) <= 20``, contour form otherwise where it holds.
 
-    The contour form holds only with a time ``t``, nonpositive ``z1`` and
-    ``z2`` and ``alpha_p, beta_p <= 1``; every other query is summed by
-    the series.  Where it holds, it also takes over when cancellation
-    eats the series' accuracy.  A given ``t`` must be finite and positive
-    on either route.
+    The contour form holds for nonpositive ``z1`` and ``z2`` and
+    ``alpha_p, beta_p <= 1``; every other query is summed by the series,
+    whose ``MLError`` then propagates.  Where it holds, it also takes over
+    when the series fails, by cancellation, overflow or non-convergence.
     """
-    if t is not None:
-        _check_time(t)
-    contour = t is not None and q.z1 <= 0.0 and q.z2 <= 0.0 and q.alpha_p <= 1.0 and q.beta_p <= 1.0
+    contour = q.z1 <= 0.0 and q.z2 <= 0.0 and q.alpha_p <= 1.0 and q.beta_p <= 1.0
     if max(abs(q.z1), abs(q.z2)) <= SERIES_ARG_LIMIT or not contour:
         try:
             return ml_biv_series(q)
         except MLError:
             if not contour:
                 raise
-    return ml_biv_contour(q, t)
-
-
-def _check_mode(K: float, beta: float) -> None:
-    """The checks of ``FractionalSymbol`` on the mode ODE's ``K`` and ``beta``."""
-    if not 0.0 <= K < inf:  # a NaN K fails too
-        raise ValueError(f"K must be finite and nonnegative, got {K}")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    return ml_biv_contour(q)
 
 
 @dataclass(frozen=True)
@@ -297,7 +281,7 @@ class SpectralProblem:
 
     ``mode_coefficients(j)`` returns the coefficient of the initial
     datum against the orthonormal eigenfunction ``sqrt(2) sin(j pi x)``.
-    ``K`` and ``beta`` obey the checks of ``FractionalSymbol``; ``j_max``
+    ``K`` and ``beta`` obey ``symbols.check_symbol``; ``j_max``
     is an integer >= 1 and ``tail_tol`` finite and nonnegative.
     """
 
@@ -308,7 +292,7 @@ class SpectralProblem:
     tail_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        _check_mode(self.K, self.beta)
+        check_symbol(self.K, self.beta)
         if not isinstance(self.j_max, (int, np.integer)) or self.j_max < 1:
             raise ValueError(f"j_max must be an integer >= 1, got {self.j_max!r}")
         if not 0.0 <= self.tail_tol < inf:
@@ -324,19 +308,18 @@ def mode_value(K: float, beta: float, lam: float | np.ndarray, t: float) -> floa
     ``z**-1 / (1 + lam z**-beta)``, the contour form with ``z1 = 0``,
     ``beta' = beta`` and ``z2 = -lam t**beta``.  ``lam`` may be a scalar
     or an array; all entries share one contour sum.  ``t`` must be finite
-    and nonnegative, ``K`` and ``beta`` obey the checks of
-    ``FractionalSymbol``.
+    and nonnegative, ``K`` and ``beta`` obey ``symbols.check_symbol``.
     """
     if not 0.0 <= t < inf:  # a NaN time fails too
         raise ValueError(f"need finite t >= 0, got {t}")
-    _check_mode(K, beta)
+    check_symbol(K, beta)
     if t == 0.0:
         return np.ones(np.shape(lam))[()]
     lam = np.asarray(lam, dtype=float)
     if K == 0.0:
-        return ml_biv_contour(MLQuery(1.0 - beta, beta, 1.0, 0.0, -lam * t**beta), t)
+        return ml_biv_contour(MLQuery(1.0 - beta, beta, 1.0, 0.0, -lam * t**beta))
     z1 = -t ** (1.0 - beta) / K
-    return ml_biv_contour(MLQuery(1.0 - beta, 1.0, 1.0, z1, -lam * t / K), t, with_z1_term=True)
+    return ml_biv_contour(MLQuery(1.0 - beta, 1.0, 1.0, z1, -lam * t / K), with_z1_term=True)
 
 
 # The coefficients of a datum never depend on beta, t or the points, so a
@@ -349,7 +332,6 @@ def _coefficients(mode_coefficients: Callable[[int], float], j_max: int) -> np.n
     return c
 
 
-SINE_BLOCK = 32  # modes per block of the sine sum
 # a point counts as the node i/M when |x_i M - i| <= NODE_TOL i: the nodes of
 # Mesh1D(M), arange(1, M) / M and linspace(0, 1, M + 1)[1:-1] stay within
 # 1.18 eps i for every M < 5000
@@ -357,7 +339,7 @@ NODE_TOL = 4.0 * np.finfo(float).eps
 
 
 def _sine_sum(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``sum_j a_j sin(j pi x)``, ``j = 1..len(a)``: one DST-I on mesh nodes, else blockwise.
+    """``sum_j a_j sin(j pi x)``, ``j = 1..len(a)``: one DST-I on mesh nodes, else one product.
 
     If the n flattened points are the interior nodes ``i / M`` of a
     uniform mesh (``M = n + 1``, within ``NODE_TOL``), mode j takes the
@@ -366,13 +348,7 @@ def _sine_sum(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     vanishes when r is 0 or M.  The folded coefficients ``b_1..b_n`` give
     the sum as ``sqrt(M / 2) dst1(b)``, one FFT, for any ``len(a)``.
 
-    At any other points the sum is blocked in ``w = exp(i pi x)``.  With
-    blocks of B modes it is ``Im sum_m (w**B)**m S_m``, where ``S_m =
-    sum_{b=1..B} a_{mB+b} w**b``.  The powers ``w**1..w**B`` come from
-    log2(B) doublings ``w**(k+i) = w**i w**k`` (4x faster than
-    ``np.cumprod`` along the block axis, with the same rounding), all
-    ``S_m`` from one real GEMM on their float view, and Horner's rule in
-    ``w**B`` runs over the blocks.
+    At any other points it is the (points, modes) sine matrix times ``a``.
     """
     m = x.size + 1
     i = np.arange(1, m)
@@ -382,22 +358,7 @@ def _sine_sum(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         s[1 : len(a) + 1] = a
         s = s.reshape(-1, 2 * m).sum(axis=0)
         return (sqrt(m / 2.0) * dst1(s[1:m] - s[:m:-1]).real).reshape(x.shape)
-    block = min(SINE_BLOCK, max(len(a), 1))
-    n_blocks = max(-(-len(a) // block), 1)
-    coeffs = np.zeros(n_blocks * block)
-    coeffs[: len(a)] = a
-    powers = np.empty((block, x.size), dtype=complex)  # row i is w**(i+1)
-    powers[0] = np.exp(1j * pi * x.ravel())
-    k = 1
-    while k < block:
-        step = min(k, block - k)
-        np.multiply(powers[:step], powers[k - 1], out=powers[k : k + step])
-        k += step
-    sums = (coeffs.reshape(n_blocks, block) @ powers.view(float)).view(complex)
-    acc = sums[-1]
-    for s_m in sums[-2::-1]:
-        acc = acc * powers[-1] + s_m
-    return np.imag(acc).reshape(x.shape)
+    return (np.sin(np.outer(x, np.arange(1, len(a) + 1) * pi)) @ a).reshape(x.shape)
 
 
 def spectral_reference(sp: SpectralProblem, x: np.ndarray, t: float) -> np.ndarray:
@@ -412,10 +373,10 @@ def spectral_reference(sp: SpectralProblem, x: np.ndarray, t: float) -> np.ndarr
     The mode values of all nonzero coefficients come from one call of
     ``mode_value`` on the one unit contour per process, and the sine
     series is summed by ``_sine_sum``: one DST-I if ``x`` holds the
-    interior nodes ``i / M`` of a uniform mesh in order (any shape), a
-    blocked sum otherwise.  ``t`` must be finite and nonnegative, as
-    ``mode_value`` checks; at ``t = 0`` the result is the partial sum of
-    the datum.
+    interior nodes ``i / M`` of a uniform mesh in order (any shape), one
+    product of the sine matrix otherwise.  ``t`` must be finite and
+    nonnegative, as ``mode_value`` checks; at ``t = 0`` the result is the
+    partial sum of the datum.
     """
     x = np.asarray(x, dtype=float)
     j = np.arange(1, sp.j_max + 1)

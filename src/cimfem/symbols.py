@@ -44,6 +44,14 @@ def complex_pow(z: complex | np.ndarray, a: float) -> complex | np.ndarray:
     return complex(out) if out.ndim == 0 else out
 
 
+def check_symbol(K: float, beta: float) -> None:
+    """Reject a ``K`` that is not finite and nonnegative or a ``beta`` outside (0, 1)."""
+    if not 0.0 <= K < inf:  # a NaN K fails too
+        raise SymbolError(f"K must be finite and nonnegative, got {K}")
+    if not 0.0 < beta < 1.0:
+        raise SymbolError(f"beta must lie in (0, 1), got {beta}")
+
+
 @dataclass(frozen=True)
 class FractionalSymbol:
     """Scalar symbol ``eta(z) = K z + z**beta``."""
@@ -52,10 +60,7 @@ class FractionalSymbol:
     beta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.K < inf:  # a NaN K fails too
-            raise SymbolError(f"K must be finite and nonnegative, got {self.K}")
-        if not 0.0 < self.beta < 1.0:
-            raise SymbolError(f"beta must lie in (0, 1), got {self.beta}")
+        check_symbol(self.K, self.beta)
 
     def eta(self, z: complex | np.ndarray) -> complex | np.ndarray:
         return self.K * np.asarray(z, dtype=complex) + complex_pow(z, self.beta)

@@ -380,7 +380,8 @@ class TestModalNodeSolves:
 class TestModal2DNodeSolves:
     """2-D node solves: COCG in DST-I coordinates for all contour points, splu for the rows it leaves."""
 
-    # row blocks hold 4096 // (M - 1)**2 points, so every N here spans several blocks
+    # row blocks hold MODAL_BLOCK_2D // (M - 1)**2 points (8192 entries: 167 at M = 8, 15 at M = 24),
+    # so every N here spans two blocks
     @pytest.mark.parametrize("example, M, N", [("ex4_2d_case1", 8, 200), ("ex4_2d_case3", 24, 30)])
     def test_rows_match_dense(self, example, M, N):
         p = build_problem(example, 0.5, M).problem

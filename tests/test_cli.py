@@ -168,6 +168,18 @@ def test_ml_eval_with_time(capsys):
     assert 0.0 < val < 1.0
 
 
+@pytest.mark.parametrize("query", ["0.5 1 1 -30 -60", "0.9 0.5 1 -2 -400", "0.5 1 1 -0.3 -0.7"])
+def test_ml_eval_time_changes_no_value(capsys, query):
+    # E takes no time: a query prints the same line without t and with any valid t,
+    # also where the series fails and the contour route answers
+    outputs = []
+    for extra in ([], ["1"], ["7"]):
+        assert main(["ml-eval", *query.split(), *extra]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert math.isfinite(float(outputs[0]))
+
+
 def test_ml_eval_stdin(capsys, monkeypatch):
     import io
 
@@ -213,7 +225,7 @@ def test_ml_eval_malformed(capsys):
     [
         (["0.5", "1", "1", "x", "-1"], "could not convert"),
         (["0", "1", "1", "-1", "-1"], "need alpha_p, beta_p, gamma > 0"),
-        (["0.5", "1", "1", "-400", "-400"], "overflow double precision"),
+        (["0.5", "1", "1", "-400", "400"], "overflow double precision"),  # z2 > 0: no contour route
         (["0.5", "1", "1", "-1", "-1", "-2"], "need finite t > 0"),
         (["0.5", "1", "1", "-1", "-1", "0"], "need finite t > 0"),
         (["0.5", "1", "1", "-30", "-30", "nan"], "need finite t > 0"),

@@ -18,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import cimfem.cli
 import cimfem.linalg
 import cimfem.mlf
 import cimfem.symbols
@@ -157,32 +158,28 @@ class TestContour:
     def test_overlap_with_series(self, t):
         q = MLQuery(0.5, 1.0, 1.0, -(t ** 0.5), -t)
         s = ml_biv_series(q)
-        c = ml_biv_contour(q, t)
+        c = ml_biv_contour(q)
         assert c == pytest.approx(s, rel=1e-8)
-
-    def test_requires_positive_time(self):
-        with pytest.raises(ValueError):
-            ml_biv_contour(MLQuery(0.5, 1.0, 1.0, -1.0, -1.0), 0.0)
 
     def test_requires_nonpositive_arguments(self):
         with pytest.raises(MLError):
-            ml_biv_contour(MLQuery(0.5, 1.0, 1.0, 1.0, -1.0), 1.0)
+            ml_biv_contour(MLQuery(0.5, 1.0, 1.0, 1.0, -1.0))
         with pytest.raises(MLError):
-            ml_biv_contour(MLQuery(0.5, 1.0, 1.0, -1.0, np.array([-1.0, 0.5])), 1.0)
+            ml_biv_contour(MLQuery(0.5, 1.0, 1.0, -1.0, np.array([-1.0, 0.5])))
 
     def test_requires_orders_at_most_one(self):
         # beyond order 1 the integrand has poles right of the contour
         with pytest.raises(MLError, match="requires alpha_p, beta_p <= 1"):
-            ml_biv_contour(MLQuery(2.0, 1.0, 1.0, -30.0, -1.0), 1.0)
+            ml_biv_contour(MLQuery(2.0, 1.0, 1.0, -30.0, -1.0))
 
     @pytest.mark.parametrize("t", [0.1, 1.0, 7.0])
     def test_array_matches_scalar(self, t):
         # one contour for all z2 gives each entry's scalar value
         z2 = -np.geomspace(1e-3, 1e6, 40) * t
         q = MLQuery(0.5, 1.0, 1.5, -(t ** 0.5), z2)
-        values = ml_biv_contour(q, t)
+        values = ml_biv_contour(q)
         assert values.shape == z2.shape
-        scalar = [ml_biv_contour(MLQuery(0.5, 1.0, 1.5, -(t ** 0.5), float(w)), t) for w in z2]
+        scalar = [ml_biv_contour(MLQuery(0.5, 1.0, 1.5, -(t ** 0.5), float(w))) for w in z2]
         assert all(type(v) is float for v in scalar)
         np.testing.assert_allclose(values, scalar, rtol=1e-14, atol=0.0)
 
@@ -200,8 +197,8 @@ class TestContour:
             query = lambda z2: MLQuery(1.0 - beta, 1.0, 1.0, -(t ** (1.0 - beta)) / K, z2)
             z2 = -lam * t / K
         with_z1_term = K > 0.0
-        values = ml_biv_contour(query(z2), t, with_z1_term)
-        scalar = [ml_biv_contour(query(float(w)), t, with_z1_term) for w in z2]
+        values = ml_biv_contour(query(z2), with_z1_term)
+        scalar = [ml_biv_contour(query(float(w)), with_z1_term) for w in z2]
         np.testing.assert_allclose(values, scalar, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("t", [0.01, 0.3, 1.0, 7.0, 100.0])
@@ -219,7 +216,7 @@ class TestContour:
         ap, bp, _ = orders
         q = MLQuery(*orders, -w1 * t**ap, -np.geomspace(1e-3, 1e8, 30) * t**bp)
         expected, magnitudes = per_time_contour(q, t, with_z1_term)
-        value = ml_biv_contour(q, t, with_z1_term)
+        value = ml_biv_contour(q, with_z1_term)
         assert np.all(np.abs(value - expected) <= 5e-14 * magnitudes)
 
     def test_searches_the_contour_once_per_process(self, monkeypatch):
@@ -245,7 +242,7 @@ class TestContour:
         # |z2| + Re c_k would overflow unless its row is scaled
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value = ml_biv_contour(MLQuery(0.5, 1.0, gamma, -3.0, z2), 2.0)
+            value = ml_biv_contour(MLQuery(0.5, 1.0, gamma, -3.0, z2))
         assert math.isfinite(value)
         assert value * abs(z2) * math.gamma(gamma - 1.0) == pytest.approx(1.0, rel=1e-12)
 
@@ -254,25 +251,25 @@ class TestContour:
     def test_error_is_absolute_where_the_leading_term_vanishes(self, z2):
         # gamma = beta' drops the 1/|z2| term; E ~ |z1| / (2 sqrt(pi) z2^2) is
         # below the route's absolute error of about 1e-16 / |z2|
-        value = ml_biv_contour(MLQuery(0.5, 1.0, 1.0, -30.0, z2), 1.0)
+        value = ml_biv_contour(MLQuery(0.5, 1.0, 1.0, -30.0, z2))
         assert abs(value) <= 1e-15 / abs(z2)
 
     def test_second_asymptotic_term_where_it_is_resolved(self):
         z1, z2 = -30.0, -1e8
-        value = ml_biv_contour(MLQuery(0.5, 1.0, 1.0, z1, z2), 1.0)
+        value = ml_biv_contour(MLQuery(0.5, 1.0, 1.0, z1, z2))
         assert value == pytest.approx(abs(z1) / (2.0 * math.sqrt(math.pi) * z2**2), rel=1e-3)
 
 
 class TestDispatch:
     def test_falls_back_to_contour_on_cancellation(self):
-        # same query the series rejects; with t available a value comes back
+        # same query the series rejects; the contour route gives a value
         t = 15.0
         q = MLQuery(0.25, 1.0, 1.0, -(t ** 0.25), -t)
-        val = ml_biv(q, t)
+        val = ml_biv(q)
         assert 0.0 < val < 1.0
 
-    # 80-digit mpmath sums of the double series; with t = 1 the contour
-    # route once returned 1.35e-14, -1.2079e-2 and -6.955e-2 here
+    # 80-digit mpmath sums of the double series; the contour route once
+    # returned 1.35e-14, -1.2079e-2 and -6.955e-2 here
     @pytest.mark.parametrize(
         "args, value",
         [
@@ -282,22 +279,34 @@ class TestDispatch:
         ],
     )
     def test_orders_above_one_take_the_series(self, args, value):
-        assert ml_biv(MLQuery(*args), 1.0) == pytest.approx(value, rel=1.5e-8)
+        assert ml_biv(MLQuery(*args)) == pytest.approx(value, rel=1.5e-8)
 
-    def test_series_failure_without_time_propagates(self):
-        with pytest.raises(MLError):
-            ml_biv(MLQuery(0.25, 1.0, 1.0, -3.0, -15.0), None)
+    @pytest.mark.parametrize(
+        "args", [(0.25, 1.0, 1.0, 3.0, -15.0), (2.0, 1.0, 1.0, -400.0, -400.0)], ids=["positive-z1", "order-above-one"]
+    )
+    def test_series_failure_outside_the_contour_region_propagates(self, args):
+        with pytest.raises(MLError, match="did not converge"):
+            ml_biv(MLQuery(*args))
+
+    @pytest.mark.parametrize(
+        "args, reason",
+        [((0.5, 1.0, 1.0, -30.0, -60.0), "did not converge"), ((0.9, 0.5, 1.0, -2.0, -400.0), "overflow")],
+    )
+    def test_contour_takes_over_where_the_series_fails(self, args, reason):
+        # both queries lie in the contour route's region, so a value comes back
+        q = MLQuery(*args)
+        with pytest.raises(MLError, match=reason):
+            ml_biv_series(q)
+        value = ml_biv(q)
+        assert value == ml_biv_contour(q)
+        assert math.isfinite(value)
 
     @pytest.mark.parametrize("t", [0.0, -2.0, math.nan, math.inf])
     @pytest.mark.parametrize("z", [-1.0, -30.0], ids=["series", "contour"])
     def test_time_must_be_positive_on_both_routes(self, z, t):
+        # E takes no time; ml-eval checks an optional t as outside input, on either route
         with pytest.raises(ValueError, match="need finite t > 0"):
-            ml_biv(MLQuery(0.5, 1.0, 1.0, z, 2.0 * z), t)
-
-    @pytest.mark.parametrize("t", [0.0, -2.0, math.nan, math.inf])
-    def test_contour_route_rejects_a_time_that_is_not_finite_and_positive(self, t):
-        with pytest.raises(ValueError, match="need finite t > 0"):
-            ml_biv_contour(MLQuery(0.5, 1.0, 1.0, -30.0, -60.0), t)
+            cimfem.cli._ml_value(f"0.5 1 1 {z} {2.0 * z} {t}")
 
     def test_decay_bound_sweep(self):
         # |E(w1 t^a, w2 t^b)| * (1 + |w2 t^b|) stays O(1) for all t
@@ -307,7 +316,7 @@ class TestDispatch:
             for w1, w2 in ((-1.0, -1.0), (-2.0, -5.0)):
                 for t in np.geomspace(0.01, 100.0, 10):
                     q = MLQuery(ap, 1.0, 1.0, w1 * t ** ap, w2 * t)
-                    val = ml_biv(q, float(t))
+                    val = ml_biv(q)
                     worst = max(worst, abs(val) * (1.0 + abs(w2) * t))
         assert worst <= 10.0
 
@@ -319,10 +328,10 @@ class TestDispatch:
         t = 1.3
 
         def integrand(s):
-            return ml_biv(MLQuery(ap, bp, g, w1 * s ** ap, w2 * s ** bp), s) * s ** (g - 1.0)
+            return ml_biv(MLQuery(ap, bp, g, w1 * s ** ap, w2 * s ** bp)) * s ** (g - 1.0)
 
         lhs, _ = quad(integrand, 0.0, t, limit=200)
-        rhs = t ** g * ml_biv(MLQuery(ap, bp, g + 1.0, w1 * t ** ap, w2 * t ** bp), t)
+        rhs = t ** g * ml_biv(MLQuery(ap, bp, g + 1.0, w1 * t ** ap, w2 * t ** bp))
         assert lhs == pytest.approx(rhs, abs=1e-6)
 
 
@@ -407,8 +416,8 @@ class TestModeAndSpectral:
         t, z1, z2 = 0.4, -(0.4 ** (1.0 - beta)) / 2.0, -np.array([1.0, 30.0, 900.0]) * 0.4 / 2.0
         q = MLQuery(1.0 - beta, 1.0, 1.0, z1, z2)
         shifted = MLQuery(1.0 - beta, 1.0, 2.0 - beta, z1, z2)
-        expected = ml_biv_contour(q, t) - z1 * ml_biv_contour(shifted, t)
-        np.testing.assert_allclose(ml_biv_contour(q, t, with_z1_term=True), expected, rtol=1e-13, atol=1e-16)
+        expected = ml_biv_contour(q) - z1 * ml_biv_contour(shifted)
+        np.testing.assert_allclose(ml_biv_contour(q, with_z1_term=True), expected, rtol=1e-13, atol=1e-16)
 
     def test_mode_value_against_history_stepping(self):
         # independent oracle: backward-Euler step of K v' + d_t^beta v + lam v = 0
@@ -512,20 +521,96 @@ class TestModeAndSpectral:
         assert np.allclose(u, expected, atol=1e-14)
 
 
+def _rgamma(x):
+    """1 / Gamma(x), which is 0 at the poles x = 0, -1, -2, ..."""
+    return 0.0 if x <= 0.0 and x == int(x) else 1.0 / math.gamma(x)
+
+
+class TestCrossover:
+    """The paper's crossover on one mode, ``K v' + d_t^beta v + lam v = 0``, ``v(0) = 1``, ``lam = pi^2``.
+
+    From ``V(z) = 1/z - lam / (z (K z + z^beta + lam))``: expanded for large
+    z, ``V`` gives normal diffusion as t -> 0 (K > 0); expanded for small z,
+    it gives the subdiffusive tail ``t^-beta / (lam Gamma(1 - beta))``; at
+    K = 0 it is ``E_beta(-lam t^beta)`` and there is no normal regime.  Each
+    tolerance is twice the magnitude of the written-out correction terms, so
+    the terms left out get as much room again, plus ``ROUND / t^p`` for the
+    rounding of ``v`` (its distance to Talbot is below ``ROUND`` above).
+    """
+
+    LAM = math.pi**2
+    ROUND = 1e-15
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("t", [1e-8, 1e-6])
+    def test_normal_diffusion_as_t_goes_to_zero(self, beta, t):
+        # (1 - v)/t = lam/K - lam t^(1-beta) / (K^2 Gamma(3-beta)) - lam^2 t / (2 K^2)
+        #             + lam t^(2-2 beta) / (K^3 Gamma(4-2 beta)) + ...
+        K, lam = 1.0, self.LAM
+        gap = (1.0 - mode_value(K, beta, lam, t)) / t - lam / K
+        terms = (
+            lam * t ** (1.0 - beta) / (K**2 * math.gamma(3.0 - beta))
+            + lam**2 * t / (2.0 * K**2)
+            + lam * t ** (2.0 - 2.0 * beta) / (K**3 * math.gamma(4.0 - 2.0 * beta))
+        )
+        assert abs(gap) <= 2.0 * terms + self.ROUND / t
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("t", [1e3, 1e5])
+    def test_subdiffusive_tail_as_t_goes_to_infinity(self, beta, t):
+        # v t^beta lam Gamma(1-beta) = 1 - Gamma(1-beta) / (lam Gamma(1-2 beta)) t^-beta
+        #     - 2 K Gamma(1-beta) / (lam Gamma(-beta)) t^-1 + Gamma(1-beta) / (lam^2 Gamma(1-3 beta)) t^-2beta + ...
+        # (the t^-beta term vanishes at beta = 1/2, where 1 - 2 beta is a pole of Gamma)
+        K, lam = 1.0, self.LAM
+        scale = t**beta * lam * math.gamma(1.0 - beta)
+        gap = mode_value(K, beta, lam, t) * scale - 1.0
+        g = math.gamma(1.0 - beta)
+        terms = (
+            abs(g * _rgamma(1.0 - 2.0 * beta) / lam) * t**-beta
+            + abs(2.0 * K * g * _rgamma(-beta) / lam) / t
+            + abs(g * _rgamma(1.0 - 3.0 * beta) / lam**2) * t ** (-2.0 * beta)
+        )
+        assert abs(gap) <= 2.0 * terms + self.ROUND * scale
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("t_beta", [1e-2, 1e-3])
+    def test_no_normal_regime_without_the_first_order_term(self, beta, t_beta):
+        # K = 0: v = E_beta(-lam t^beta), so (1 - v)/t^beta = lam/Gamma(1+beta) - lam^2 t^beta/Gamma(1+2 beta) + ...
+        lam = self.LAM
+        t = t_beta ** (1.0 / beta)
+        gap = (1.0 - mode_value(0.0, beta, lam, t)) / t_beta - lam / math.gamma(1.0 + beta)
+        terms = lam**2 * t_beta / math.gamma(1.0 + 2.0 * beta) + lam**3 * t_beta**2 / math.gamma(1.0 + 3.0 * beta)
+        assert abs(gap) <= 2.0 * terms + self.ROUND / t_beta
+
+    @pytest.mark.parametrize(
+        "K, beta, t", [(1.0, 0.5, 1e-6), (1.0, 0.25, 1e5), (1.0, 0.75, 1e3), (0.0, 0.25, 1e-12)]
+    )
+    def test_mode_values_of_the_regimes_against_talbot(self, K, beta, t):
+        # mode_value and the solver share optimize_rho; Talbot shares nothing.
+        # The bounds are those of the mesh-mode check above.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            expected = _talbot_mode_value(mpmath, K, beta, self.LAM, t)
+        gap = abs(mode_value(K, beta, self.LAM, t) - expected)
+        assert gap <= 1e-15
+        assert gap <= 1e-14 * abs(expected)
+
+
 class TestSineSum:
-    """The sine sum, blocked and on nodal grids, against the sine matrix built from ``np.sin``."""
+    """The sine sum, off and on nodal grids, against the sine matrix built from ``np.sin``.
 
-    B = cimfem.mlf.SINE_BLOCK
+    Off the grids the sum is that product itself; on them it is a folded DST-I.
+    """
 
-    @pytest.mark.parametrize("J", [1, 2, B - 1, B, B + 1, 500, 20000])
+    @pytest.mark.parametrize("J", [1, 2, 31, 32, 33, 500, 20000])
     def test_matches_direct_sine_product(self, J):
         rng = np.random.default_rng(J)
         a = rng.standard_normal(J)
         x = np.concatenate([[0.0, 1.0], rng.random(127)])
         direct = np.sin(np.outer(x, np.arange(1, J + 1) * math.pi)) @ a
-        blocked = cimfem.mlf._sine_sum(a, x)
-        assert blocked.shape == x.shape
-        assert np.max(np.abs(blocked - direct)) <= 1e-13 * np.sum(np.abs(a))
+        summed = cimfem.mlf._sine_sum(a, x)
+        assert summed.shape == x.shape
+        assert np.max(np.abs(summed - direct)) <= 1e-13 * np.sum(np.abs(a))
 
     def test_keeps_the_shape_of_the_points(self):
         a = np.array([1.0, -0.5, 0.25])
@@ -573,7 +658,7 @@ class TestSineSum:
         assert calls == [(255,)]
         off_grid = cimfem.mlf._sine_sum(a, x + 1e-9)
         assert calls == [(255,)]
-        # the blocked sum, taken off the grid, moves by about 1e-9 sum_j j pi |a_j|
+        # the sine product, taken off the grid, moves by about 1e-9 sum_j j pi |a_j|
         assert np.max(np.abs(off_grid - on_grid)) <= 1e-9 * np.pi * np.sum(np.arange(1, 301) * np.abs(a))
 
 
