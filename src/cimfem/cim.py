@@ -8,9 +8,10 @@ shifted elliptic problem
 is solved (``M`` mass, ``S`` stiffness, ``b_*`` load vectors, ``T_m``
 closed-form source transforms).  One modal solve serves all nodes: in
 1-D a DST-I (by FFT) and one division, in 2-D COCG in DST-I
-coordinates with a two-term Neumann-series preconditioner, whose
-transform and Kronecker term are both two real GEMMs with one small
-dense matrix.  It applies ``M`` and ``S`` from their
+coordinates on the Schur complement of one mode-parity half, which the
+Kronecker term couples only to the other half, so that half is
+eliminated exactly; the transform and the Kronecker terms are each two
+real GEMMs with small dense matrices.  It applies ``M`` and ``S`` from their
 closed-form stencils, and only the rows it leaves take a banded or
 sparse LU, for which the sparse matrices are assembled.  The solution
 at time ``t`` is then the imaginary part of a trapezoid sum over the

@@ -9,12 +9,14 @@ matrices that the DST-I diagonalizes, so ``modal_solve`` treats all
 nodes at once: a DST-I of each load vector that the right-hand sides
 combine, one elementwise division by ``eta_k m_j + s_j`` and a DST-I
 back, by FFT (``dst1``).  In 2-D the two-dimensional DST-I diagonalizes
-each operator but a small Kronecker term, so ``modal_solve_2d`` runs
-COCG in modal coordinates on all nodes at once, preconditioned by two
-terms of the Neumann series of each row's inverse about its diagonal
-part.  The 2-D transform and the Kronecker term are one kernel,
-``_kron_apply``: ``A P_k A^T`` for every (n, n) slice, as two real
-GEMMs, with ``A`` the cached sine matrix ``Q`` or ``Q D Q``.
+each operator but a small Kronecker term, which couples each y mode
+only to modes of the other parity.  So ``modal_solve_2d`` eliminates one
+parity half of every row exactly and runs COCG on the half-size Schur
+complement, on all nodes at once, with its diagonal as preconditioner.
+The 2-D transform and the Kronecker terms are one kernel,
+``_kron_apply``: ``A P_k B^T`` for every slice, as two real GEMMs, with
+``A`` and ``B`` the cached sine matrix ``Q``, or the cached ``Q D Q`` and
+its block between the parity halves.
 Rows that fail the backward-error test, or in 2-D do not converge within
 ``COCG_MAX_ITER`` iterations, are solved again by ``thomas_solve``
 (pivoted LAPACK banded LU) or ``sparse_solve`` (SuperLU with pivoting).
@@ -29,7 +31,7 @@ sparse fallback needs assembled matrices.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt, sqrt
+from math import isqrt, prod, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -139,7 +141,10 @@ MODAL_BLOCK_1D = 4096
 # End to end (as above), space-2d request_p50_s, medians of 4 pairs: 28.9
 # ms at 4096 entries, 26.6 at 6144, 26.2 at 8192, 28.0 at 10240 and 29.4 at
 # 12288; over 10 more pairs 8192 took it from 27.4 to 25.4 ms (-7.4%, every
-# pair lower) for +1.4 MB peak_rss_mb
+# pair lower) for +1.4 MB peak_rss_mb.  With one parity half eliminated a
+# run's vectors are half as long, but 16384 entries were no faster: 4 pairs
+# read 16.97/17.81, 16.84/16.59, 16.60/18.51 and 16.95/17.86 ms (8192/16384)
+# for +2.3 MB peak_rss_mb
 MODAL_BLOCK_2D = 8192
 
 
@@ -180,9 +185,9 @@ def modal_solve(
     return x, ok
 
 
-# iterations after which a 2-D modal row stops and is solved again; on the
-# N = 60 contours of ex4_2d_case1/ex4_2d_case3 the worst row needs 9 at
-# M = 8 and 3 at M = 128
+# iterations after which a 2-D modal row stops and is solved again, counted
+# on the Schur complement of one parity half; on the N = 60 contours of
+# ex4_2d_case1/ex4_2d_case3 the worst row needs 9 at M = 8 and 3 at M = 128
 COCG_MAX_ITER = 60
 
 
@@ -214,77 +219,98 @@ def _d_hat(n: int) -> np.ndarray:
     return d_hat
 
 
-def _kron_apply(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``A P_k A^T`` for every trailing (n, n) slice ``P_k`` of ``p``, with the real (n, n) matrix ``a``.
+def _kron_apply(a: np.ndarray, p: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``A P_k B^T`` for every trailing (q, r) slice ``P_k`` of ``p``, with the real matrices ``a`` (·, q) and ``b`` (·, r).
 
     A complex ``p`` takes two real GEMMs on float views, whose rows
     interleave real and imaginary parts: ``A`` times each slice, then,
-    with the stack transposed so that the x index leads, ``A`` times the
-    flat (n, rows * 2n) matrix, and the result transposed back.  That is
-    8n^3 flops per slice and two copies.  A real ``p`` takes ``A P_k``
-    and ``(A P_k) A^T``.  ``p`` is not modified.
+    with the stack transposed so that the x index leads, ``B`` times the
+    flat (r, slices * 2 rows(A)) matrix, and the result transposed back.
+    That is ``4 (rows(A) q r + rows(B) r rows(A))`` flops per slice and
+    two copies; a factor may be a transposed view of a contiguous
+    matrix.  A real ``p`` takes ``A P_k`` and ``(A P_k) B^T``.  ``p`` is
+    not modified.
     """
     if np.iscomplexobj(p):
-        n = a.shape[0]
-        p = np.ascontiguousarray(p, dtype=complex)
-        left = np.matmul(a, p.view(float)).view(complex).reshape(-1, n, n)
-        by_x = np.ascontiguousarray(left.transpose(2, 0, 1))
-        right = (a @ by_x.reshape(n, -1).view(float)).view(complex).reshape(n, -1, n)
-        return np.ascontiguousarray(right.transpose(1, 2, 0)).reshape(p.shape)
-    return np.matmul(np.matmul(a, p), a.T)
+        lead, (q, r), m, s = p.shape[:-2], p.shape[-2:], len(a), len(b)
+        p = np.ascontiguousarray(p, dtype=complex).reshape(prod(lead), q, r)
+        left = np.matmul(a, p.view(float)).view(complex)
+        by_x = np.ascontiguousarray(left.transpose(2, 0, 1)).reshape(r, len(p) * m)
+        right = (b @ by_x.view(float)).view(complex).reshape(s, len(p), m)
+        return np.ascontiguousarray(right.transpose(1, 2, 0)).reshape(*lead, m, s)
+    return np.matmul(np.matmul(a, p), b.T)
 
 
 def dst2(x: np.ndarray) -> np.ndarray:
     """Orthonormal 2-D DST-I ``Q X Q`` of each trailing (n, n) slice ``X`` of ``x``; its own inverse.
 
-    One ``_kron_apply`` with the cached sine matrix ``Q``; a real ``x``
-    gives a real result.
+    One ``_kron_apply`` with the cached sine matrix ``Q`` on both sides;
+    a real ``x`` gives a real result.
     """
-    return _kron_apply(_sine_matrix(x.shape[-1]), x)
+    q = _sine_matrix(x.shape[-1])
+    return _kron_apply(q, x, q)
 
 
-def _precondition(r: np.ndarray, d_inv: np.ndarray, cd_inv: np.ndarray, d_hat: np.ndarray) -> np.ndarray:
-    """``P_k^-1 r_k = y_k - (c_k / d_k) D_hat y_k D_hat^T`` with ``y_k = r_k / d_k``, for every row ``k``.
+def _schur_apply(p: np.ndarray, d_o: np.ndarray, g: np.ndarray, d_vo: np.ndarray, d_hat: np.ndarray) -> np.ndarray:
+    """``d_o * P_k - L^T(g_k * L(P_k))`` for every row ``k``, the Schur operator of ``_cocg``.
 
-    ``d_inv`` is ``1 / d_k`` and ``cd_inv`` is ``c_k / d_k``: the two-term
-    Neumann series of ``_cocg``'s preconditioner.
+    ``L(P) = D_vo P D_hat^T`` and ``L^T(Y) = D_vo^T Y D_hat``, each one
+    ``_kron_apply``; ``g_k`` is ``c_k^2 / d_v``.
     """
-    y = r * d_inv
-    y -= cd_inv * _kron_apply(d_hat, y)
-    return y
+    q = d_o * p
+    q -= _kron_apply(d_vo.T, g * _kron_apply(d_vo, p, d_hat), d_hat.T)
+    return q
 
 
 def _cocg(
     d: np.ndarray, c: np.ndarray, d_hat: np.ndarray, b: np.ndarray, norm_a: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``d_k * X + c_k D X D^T = B_k`` by polynomially preconditioned COCG.
+    """Rows of ``d_k * X + c_k D X D^T = B_k`` by COCG on the Schur complement of one parity half.
 
-    With ``K(X) = D X D^T`` and ``E_k = c_k K / d_k``, row ``k``'s
-    operator is ``d_k (I + E_k)``.  It is preconditioned by the Neumann
-    series of its inverse cut after two terms, ``P_k^-1 = (I - E_k) / d_k``
-    (``_precondition``; Dubois, Greenbaum & Rodrigue 1979), so that
-    ``P_k^-1 A_k = I - E_k^2``: it squares the error operator of the
-    diagonal preconditioner ``d_k``.  That helps while ``||E_k|| <= |c_k|
-    ||D||^2 / min |d_k|`` is below 1; on the contours of the 2-D examples
-    it is at most 0.64.  ``K`` is symmetric because ``D`` is skew
-    (``kron(D, D)^T = kron(-D, -D)``) and ``d_k`` is diagonal, so both
-    the operator and ``P_k^-1`` are complex symmetric and conjugate
-    gradients run with the unconjugated form ``x^T y`` (van der Vorst &
-    Melissen 1990), on all rows at once.  A row stops when its
-    unpreconditioned residual's 2-norm is at most ``SPARSE_RESIDUAL_TOL
-    (|B_k| + norm_a_k |X_k|) / n``, where ``n^2`` is the row length, so
-    that the infinity-norm test of ``sparse_solve`` holds.  Returns the
-    iterates and a mask of the rows that stopped so within
-    ``COCG_MAX_ITER`` iterations; rows that reach non-finite values stop
-    unconverged.  ``d_hat`` is ``D``: each iteration applies ``K`` by two
-    ``_kron_apply``, one in the operator and one in the preconditioner.
+    ``D`` (``d_hat``) is skew and couples each y index only to indices
+    of the other parity: its entries with ``i + l`` even are round-off.
+    So each row splits into ``X_o = X[0::2]`` (odd y modes j = 1, 3, ...)
+    and ``X_v = X[1::2]`` (even modes), and ``d``, ``B`` alike, coupled only through
+    ``L(X_o) = D_vo X_o D^T`` with ``D_vo = D[1::2, 0::2]`` and its
+    transpose ``L^T(Y) = D_vo^T Y D`` (``D[0::2, 1::2] = -D_vo^T`` and
+    ``D^T = -D``):
+
+        d_o X_o + c_k L^T(X_v) = B_o,    d_v X_v + c_k L(X_o) = B_v.
+
+    ``X_v = (B_v - c_k L(X_o)) / d_v`` is eliminated exactly (red-black
+    reduction; Saad, *Iterative Methods for Sparse Linear Systems*, 2003),
+    which leaves the half-size Schur system ``d_o X_o - c_k^2 L^T(L(X_o)
+    / d_v) = B_o - c_k L^T(B_v / d_v)`` (``_schur_apply``).  Its operator
+    is complex symmetric: ``d_o`` and ``1 / d_v`` are diagonal and
+    ``L^T`` is the transpose of ``L`` (``kron(D_vo, D)^T = kron(D_vo^T,
+    D^T)``), so ``L^T diag(1 / d_v) L`` is too.  Conjugate gradients
+    therefore run with the unconjugated form ``x^T y`` (van der Vorst &
+    Melissen 1990), on all rows at once, with the Jacobi preconditioner
+    ``d_o``.  With ``E_k = c_k K / d_k`` the preconditioned operator is
+    ``I - E_ov E_vo``, the restriction of ``I - E_k^2`` to one parity
+    half: the error operator of the diagonal preconditioner on the full
+    system, squared.  That helps while ``||E_k|| <= |c_k| ||D||^2 / min
+    |d_k|`` is below 1; on the contours of the 2-D examples it is at most
+    0.64.  Each iteration applies ``L`` and ``L^T`` once, on half-size
+    rows.  With ``X_v`` back-substituted, the Schur residual is the
+    residual of the full row, so a row stops when its 2-norm is at most
+    ``SPARSE_RESIDUAL_TOL (|B_k| + norm_a_k |X_o|) / n``, where ``n^2``
+    is the row length, so that the infinity-norm test of
+    ``sparse_solve`` holds (``|X_o| <= |X_k|``, so this is not looser
+    than the same rule on the full row).  Returns the full iterates and
+    a mask of the rows that stopped so within ``COCG_MAX_ITER``
+    iterations; rows that reach non-finite values stop unconverged.
     """
     rows, n, _ = b.shape
-    x_out, ok = np.zeros(b.shape, dtype=complex), np.zeros(rows, dtype=bool)
+    d_vo = np.ascontiguousarray(d_hat[1::2, ::2])
+    c = c[:, None, None]
+    d_o, cd_v = np.ascontiguousarray(d[:, ::2]), c / d[:, 1::2]
+    b_v = b[:, 1::2] / d[:, 1::2]
+    r = b[:, ::2] - c * _kron_apply(d_vo.T, b_v, d_hat.T)
+    x_o, ok = np.zeros(r.shape, dtype=complex), np.zeros(rows, dtype=bool)
     live = np.arange(rows)
-    x, r, d_inv = np.zeros(b.shape, dtype=complex), b.astype(complex), 1.0 / d
-    cd_inv = c[:, None, None] * d_inv
-    p = _precondition(r, d_inv, cd_inv, d_hat)
+    x, d_inv, g = np.zeros(r.shape, dtype=complex), 1.0 / d_o, c * cd_v
+    p = r * d_inv
     rho = np.einsum("kij,kij->k", r, p)
     scale = SPARSE_RESIDUAL_TOL / n * _row_norms(b)
     slope = SPARSE_RESIDUAL_TOL / n * norm_a
@@ -293,23 +319,25 @@ def _cocg(
         done = r_norm <= scale + slope * x_norm
         stop = done | ~np.isfinite(r_norm + x_norm) | (it == COCG_MAX_ITER)
         if stop.any():
-            x_out[live[stop]], ok[live[stop]] = x[stop], done[stop]
+            x_o[live[stop]], ok[live[stop]] = x[stop], done[stop]
             keep = ~stop
-            live, x, r, p, rho, d, d_inv, cd_inv, c, scale, slope = (
-                a[keep] for a in (live, x, r, p, rho, d, d_inv, cd_inv, c, scale, slope)
+            live, x, r, p, rho, d_o, d_inv, g, scale, slope = (
+                a[keep] for a in (live, x, r, p, rho, d_o, d_inv, g, scale, slope)
             )
             if not len(live):
                 break
-        q = d * p
-        q += c[:, None, None] * _kron_apply(d_hat, p)
+        q = _schur_apply(p, d_o, g, d_vo, d_hat)
         alpha = (rho / np.einsum("kij,kij->k", p, q))[:, None, None]
         x += alpha * p
         r -= alpha * q
-        z = _precondition(r, d_inv, cd_inv, d_hat)
+        z = r * d_inv
         rho_new = np.einsum("kij,kij->k", r, z)
         p *= (rho_new / rho)[:, None, None]
         p += z
         rho = rho_new
+    x_out = np.empty(b.shape, dtype=complex)
+    x_out[:, ::2] = x_o
+    x_out[:, 1::2] = b_v - cd_v * _kron_apply(d_vo, x_o, d_hat)
     return x_out, ok
 
 
@@ -354,11 +382,15 @@ def modal_solve_2d(
     ``c + a (c_j + c_l) + d c_j c_l / 2`` at ``[j, l]`` (y mode j, x
     mode l), by ``_modes_2d``: ``m`` for ``M`` and ``s`` for ``S``.  In modal coordinates
     row ``k`` is ``(eta_k m + s) X + g_k D_hat X D_hat^T = B_k`` with
-    ``g_k = (eta_k d_M + d_S) / 2`` and the real ``D_hat = Q D Q``, which
-    ``_cocg`` solves with the two-term Neumann preconditioner about
-    ``eta_k m + s``.  ``Q`` is the sine matrix, so ``dst2`` and the
-    Kronecker term are the same kernel, ``_kron_apply``, and ``D_hat`` is
-    ``dst2`` of ``D``, built once per n (``_d_hat``).  The
+    ``g_k = (eta_k d_M + d_S) / 2`` and the real ``D_hat = Q D Q``.
+    ``D_hat`` is skew and its entries ``[i, l]`` with ``i + l`` even are
+    round-off, so the Kronecker term maps the even-index y modes
+    ``X[0::2]`` to the odd-index ones ``X[1::2]`` and back: ``_cocg``
+    eliminates ``X[1::2]`` exactly and runs Jacobi-preconditioned COCG
+    on the complex symmetric Schur complement in ``X[0::2]``.  ``Q`` is
+    the sine matrix, so ``dst2`` and the Kronecker terms are the same
+    kernel, ``_kron_apply``, and ``D_hat`` is ``dst2`` of ``D``, built
+    once per n (``_d_hat``).  The
     right-hand sides are ``rhs_k = sum_m c_m[k] b_m`` over ``loads`` as
     in ``modal_solve``, so each ``b_m`` is transformed once.  The rows
     run in blocks of ``MODAL_BLOCK_2D`` (8192) entries, twice the 1-D

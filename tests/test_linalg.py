@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cimfem import linalg
 from cimfem.bench import build_problem
-from cimfem.cim import discretize, problem_parameters
+from cimfem.cim import _node_solve, discretize, problem_parameters
 from cimfem.contour import quadrature_nodes
 from cimfem.fem import Mesh1D, Mesh2D, assemble, stencil_1d, stencil_2d
 from cimfem.linalg import (
@@ -177,19 +177,46 @@ class TestKronKernel:
     @pytest.mark.parametrize("n", [1, 2, 7, 31])
     @pytest.mark.parametrize("complex_", [False, True])
     def test_general_matrix_and_input_unchanged(self, n, complex_):
-        # the Kronecker term takes D_hat, which is not symmetric
+        # the Kronecker terms take D_hat, which is not symmetric, and two different factors
         rng = np.random.default_rng(n + 100)
-        a = rng.standard_normal((n, n))
+        a, b = rng.standard_normal((2, n, n))
         x = slices(n, complex_, False, rng)
         before = x.copy()
-        y = _kron_apply(a, x)
-        assert np.max(np.abs(y - a @ x @ a.T)) <= 1e-14 * n * np.max(np.abs(a)) ** 2 * np.max(np.abs(x))
+        y = _kron_apply(a, x, b)
+        tol = 1e-14 * n * np.max(np.abs(a)) * np.max(np.abs(b)) * np.max(np.abs(x))
+        assert np.max(np.abs(y - a @ x @ b.T)) <= tol
         assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 31])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_parity_half_factors(self, n, complex_):
+        # L(X) = D_vo X D_hat^T and L^T(Y) = D_vo^T Y D_hat on half-size slices, with
+        # transposed views as factors; at n = 1 the odd-index half is empty
+        d_hat = _d_hat(n)
+        d_vo = np.ascontiguousarray(d_hat[1::2, ::2])
+        x = slices(n, complex_, True, np.random.default_rng(n + 200))
+        x_o, y_v = x[:, ::2], x[:, 1::2]
+        tol = 1e-14 * n * np.max(np.abs(x))
+        lx = _kron_apply(d_vo, x_o, d_hat)
+        assert lx.shape == y_v.shape and np.iscomplexobj(lx) == complex_
+        assert np.max(np.abs(lx - d_vo @ x_o @ d_hat.T), initial=0.0) <= tol
+        lty = _kron_apply(d_vo.T, y_v, d_hat.T)
+        assert lty.shape == x_o.shape
+        assert np.max(np.abs(lty - d_vo.T @ y_v @ d_hat)) <= tol
 
     def test_factors_are_read_only(self):
         for f in (_sine_matrix(7), _d_hat(7)):
             with pytest.raises(ValueError):
                 f[0, 0] = 1.0
+
+    def test_d_hat_premise_of_the_parity_elimination(self):
+        # the cached D_hat is skew and its entries with i + l even are round-off (at
+        # most 4.7e-16 for n <= 64), so the odd-index half can be eliminated exactly
+        for n in range(1, 65):
+            d_hat = _d_hat(n)
+            j = np.arange(n)
+            assert np.max(np.abs(d_hat + d_hat.T)) <= 1e-14 * n
+            assert np.max(np.abs(d_hat[(j[:, None] + j) % 2 == 0]), initial=0.0) <= 1e-15
 
     @pytest.mark.parametrize("n", [1, 2, 7, 31])
     def test_d_hat_is_skew_with_a_parity_pattern(self, n):
@@ -257,6 +284,19 @@ class TestModal2D:
         assert ok.all() and not x.any()
 
     @pytest.mark.parametrize("example", ["ex4_2d_case1", "ex4_2d_case3"])
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_tiny_meshes_match_the_sparse_solve(self, example, M):
+        # n = 1 leaves the eliminated half empty and n = 2 one row in each half;
+        # every row of the N = 60 contour passes and matches _node_solve
+        eta, stencil, loads = contour_systems(example, 0.5, M)
+        x, ok = modal_solve_2d(eta, stencil, loads)
+        assert ok.all()
+        ops = assemble(Mesh2D(M))
+        for k in range(len(eta)):
+            ref = _node_solve(ops, eta[k], linalg.combine(loads, k))
+            assert np.max(np.abs(x[k] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("example", ["ex4_2d_case1", "ex4_2d_case3"])
     @pytest.mark.parametrize("M", [8, 16, 32])
     def test_blocking_cannot_change_a_row(self, example, M, monkeypatch):
         # the N = 60 contour's rows in one block each and all in one block
@@ -301,8 +341,21 @@ def contour_systems(example, beta, M, N=60):
     return p.sym.eta(z), stencil_2d(p.domain), loads
 
 
+def d_hat_dense(n):
+    """``D_hat = Q (E - E^T) Q`` with the sine matrix ``Q``, formed densely here."""
+    q = sine_matrix(n)
+    return q @ (np.eye(n, k=1) - np.eye(n, k=-1)) @ q
+
+
+def modal_parts(eta, stencil, n):
+    """``d``, ``c`` and ``norm_a`` of ``modal_solve_2d``'s rows ``eta`` on the n x n grid."""
+    (m, g_m), (s, g_s) = _modes_2d(stencil, n)
+    weights = [eta[:, None, None] * w_m + w_s for w_m, w_s in zip(*stencil)]
+    return eta[:, None, None] * m + s, eta * g_m + g_s, _stencil_norm_2d(weights, n)[:, 0, 0]
+
+
 class TestPreconditioner:
-    """COCG's two-term Neumann preconditioner ``P_k^-1 = (I - E_k) / d_k``, ``E_k = c_k K / d_k``."""
+    """COCG on the Schur complement of one parity half, ``d_o X_o - c_k^2 L^T(L(X_o) / d_v)``, Jacobi-preconditioned by ``d_o``."""
 
     def test_is_complex_symmetric_and_matches_dense(self):
         # a mass-dominated row, and the contour row of least |eta|, nearest the vertex
@@ -310,52 +363,71 @@ class TestPreconditioner:
         n = M - 1
         eta_near = contour_systems("ex4_2d_case1", 0.5, M)[0]
         eta = np.array([3e3 * np.exp(2.2j), eta_near[np.argmin(np.abs(eta_near))]])
-        (m, g_m), (s, g_s) = _modes_2d(stencil_2d(Mesh2D(M)), n)
-        d, c = eta[:, None, None] * m + s, eta * g_m + g_s
-        d_inv = 1.0 / d
-        d_hat = _d_hat(n)
+        d, c, norm_a = modal_parts(eta, stencil_2d(Mesh2D(M)), n)
+        d_dense = d_hat_dense(n)
+        d_o, d_v = d[:, ::2], d[:, 1::2]
+        g = (c**2)[:, None, None] / d_v
+        d_vo = np.ascontiguousarray(_d_hat(n)[1::2, ::2])
         rng = np.random.default_rng(12)
-        x, y = (rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n)) for _ in range(2))
-        px, py = (linalg._precondition(v, d_inv, c[:, None, None] * d_inv, d_hat) for v in (x, y))
-        # (I - E_k) / d_k, with D_hat = Q (E - E^T) Q formed densely here
-        q = sine_matrix(n)
-        d_dense = q @ (np.eye(n, k=1) - np.eye(n, k=-1)) @ q
+        x, y = (rng.standard_normal((2, n - n // 2, n)) + 1j * rng.standard_normal((2, n - n // 2, n)) for _ in range(2))
+        sx, sy = (linalg._schur_apply(v, d_o, g, d_vo, _d_hat(n)) for v in (x, y))
+        # L = kron(D_vo, D_hat) and L^T = kron(D_vo^T, D_hat^T) on row-major slices, formed densely here
+        l_dense = np.kron(d_dense[1::2, ::2], d_dense)
+        b = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+        x_full, ok = linalg._cocg(d, c, _d_hat(n), b, norm_a)
+        assert ok.all()
         for k in range(2):
-            yx, xy = np.sum(y[k] * px[k]), np.sum(x[k] * py[k])
+            yx, xy = np.sum(y[k] * sx[k]), np.sum(x[k] * sy[k])
             assert abs(yx - xy) <= 1e-13 * abs(yx)
-            inv_d = np.diag(d_inv[k].ravel())
-            p_inv = inv_d - c[k] * inv_d @ np.kron(d_dense, d_dense) @ inv_d
-            want = p_inv @ x[k].ravel()
-            assert np.max(np.abs(px[k].ravel() - want)) <= 1e-13 * np.max(np.abs(want))
+            schur = np.diag(d_o[k].ravel()) - l_dense.T @ np.diag(g[k].ravel()) @ l_dense
+            want = schur @ x[k].ravel()
+            assert np.max(np.abs(sx[k].ravel() - want)) <= 1e-13 * np.max(np.abs(want))
+            # the row solved through the Schur system against a dense solve of the full modal row
+            full = np.diag(d[k].ravel()) + c[k] * np.kron(d_dense, d_dense)
+            want = np.linalg.solve(full, b[k].ravel())
+            assert np.max(np.abs(x_full[k].ravel() - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("example", ["ex4_2d_case1", "ex4_2d_case2", "ex4_2d_case3"])
     @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("M", [4, 8, 16, 32])
     def test_neumann_series_converges(self, example, beta, M):
-        # ||E_k|| <= |c_k| ||D||^2 / min |d_k| < 1, with ||D|| = 2 cos(pi / (n + 1))
+        # the Jacobi-preconditioned Schur operator is I - E_ov E_vo, and
+        # ||E_ov E_vo|| <= ||E_ov|| ||E_vo|| <= |c_k|^2 ||D_vo|| ||D||^3 / (min |d_o| min |d_v|)
+        # <= ||E_k||^2, with ||E_k|| <= |c_k| ||D||^2 / min |d_k| < 1 and ||D|| = 2 cos(pi / (n + 1))
         n = M - 1
         eta, stencil, _ = contour_systems(example, beta, M)
         (m, g_m), (s, g_s) = _modes_2d(stencil, n)
-        min_d = np.min(np.abs(eta[:, None, None] * m + s), axis=(1, 2))
-        bound = np.abs(eta * g_m + g_s) * (2.0 * np.cos(np.pi / (n + 1))) ** 2 / min_d
-        assert np.max(bound) < 1.0
+        d, c = eta[:, None, None] * m + s, np.abs(eta * g_m + g_s)
+        norm_d = 2.0 * np.cos(np.pi / (n + 1))
+        min_o, min_v = (np.min(np.abs(h), axis=(1, 2)) for h in (d[:, ::2], d[:, 1::2]))
+        bound = c * norm_d**2 / np.minimum(min_o, min_v)
+        d_vo = _d_hat(n)[1::2, ::2]
+        half = c**2 * np.linalg.norm(d_vo, 2) * norm_d**3 / (min_o * min_v)
+        assert np.all(half <= bound**2 * (1.0 + 1e-12)) and np.max(bound) < 1.0
+        if M <= 8:
+            # the product's 2-norm itself, with E_vo = c_k kron(D_vo, D) / d_v and E_ov = c_k kron(D_vo^T, D^T) / d_o
+            l_dense = np.kron(d_vo, _d_hat(n))
+            for k in range(len(eta)):
+                e_vo = (eta[k] * g_m + g_s) * l_dense / d[k, 1::2].ravel()[:, None]
+                e_ov = (eta[k] * g_m + g_s) * l_dense.T / d[k, ::2].ravel()[:, None]
+                assert np.linalg.norm(e_ov @ e_vo, 2) <= half[k] * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("example", ["ex4_2d_case1", "ex4_2d_case3"])
     def test_iterations_per_block(self, example, monkeypatch):
-        # one preconditioner call starts each COCG run and one ends each iteration
+        # one Schur-operator product per COCG iteration, none outside the loop
         runs = []
-        cocg, precondition = linalg._cocg, linalg._precondition
+        cocg, schur_apply = linalg._cocg, linalg._schur_apply
 
         def counted_cocg(*args):
-            runs.append(-1)
+            runs.append(0)
             return cocg(*args)
 
-        def counted_precondition(*args):
+        def counted_schur_apply(*args):
             runs[-1] += 1
-            return precondition(*args)
+            return schur_apply(*args)
 
         monkeypatch.setattr(linalg, "_cocg", counted_cocg)
-        monkeypatch.setattr(linalg, "_precondition", counted_precondition)
+        monkeypatch.setattr(linalg, "_schur_apply", counted_schur_apply)
 
         def iterations(M):
             runs.clear()
@@ -365,6 +437,23 @@ class TestPreconditioner:
 
         assert max(iterations(8)) <= 10
         assert sum(iterations(32)) <= 30
+
+    @pytest.mark.parametrize("example", ["ex4_2d_case1", "ex4_2d_case3"])
+    @pytest.mark.parametrize("M", [3, 8, 16])
+    def test_both_halves_of_the_full_residual_meet_the_stop_bound(self, example, M):
+        # with X_v back-substituted, the Schur residual is the full row's residual:
+        # its X_o half is what COCG stopped on and its X_v half is round-off
+        n = M - 1
+        eta, stencil, loads = contour_systems(example, 0.5, M)
+        d, c, norm_a = modal_parts(eta, stencil, n)
+        b = linalg.combine([(c_m, dst2(b_m.reshape(n, n))) for c_m, b_m in loads])
+        x, ok = linalg._cocg(d, c, _d_hat(n), b, norm_a)
+        assert ok.all()
+        d_dense = d_hat_dense(n)
+        res = b - d * x - c[:, None, None] * (d_dense @ x @ d_dense.T)
+        bound = linalg.SPARSE_RESIDUAL_TOL / n * (np.linalg.norm(b, axis=(1, 2)) + norm_a * np.linalg.norm(x[:, ::2], axis=(1, 2)))
+        for half in (res[:, ::2], res[:, 1::2]):
+            assert np.all(np.linalg.norm(half, axis=(1, 2)) <= bound)
 
 
 class TestSparse:
