@@ -120,38 +120,31 @@ def _warn_pole_location(p: Problem, quad: ContourQuadrature) -> None:
     sigma = p.source.max_pole
     if sigma is None:
         return
-    vertex = quad.params.mu_star * (1.0 - sin(quad.params.contour.alpha))
-    if vertex <= sigma:
+    params = quad.params  # the pole must clear every contour z(phi + iy), |y| < d_tilde
+    edge = params.shift + params.mu_star * (1.0 - sin(params.contour.alpha + params.d_tilde))
+    if edge <= sigma:
         warnings.warn(
-            f"contour vertex {vertex:.4g} does not pass right of the source pole "
-            f"{sigma:.4g}; the exponential mode is not captured and results are "
-            "consistent only across contours with the same pole side",
+            f"the contour's analyticity strip reaches left to {edge:.4g}, not right of the "
+            f"source pole {sigma:.4g}; the exponential mode is not captured at spectral accuracy",
             stacklevel=3,
         )
 
 
-POLE_VERTEX_MARGIN = 1.2
+POLE_SHIFT_RATIO = 1.2  # the contour's shift sigma0 over the source pole sigma
 
 
 def problem_parameters(p: Problem, N: int) -> OptimalParameters:
-    """Optimized contour parameters, adjusted for exponential sources.
+    """``standard_parameters(p.contour, N)``, shifted right of a source pole.
 
-    When the source carries a factor ``exp(sigma t)`` with ``sigma > 0``
-    the transform has a pole at ``sigma`` and the contour must pass to
-    its right.  The unconstrained optimizer can place the hyperbola
-    vertex ``mu (1 - sin alpha)`` on either side of ``sigma`` depending
-    on ``N``, which makes solutions at different ``N`` converge to
-    functions differing by the pole residue.  Here ``mu`` is floored so
-    the vertex clears the pole by ``POLE_VERTEX_MARGIN`` at every ``N``;
-    truncation of the node exponentials only improves with larger
-    ``mu``, so spectral accuracy is kept.
+    A source factor ``exp(sigma t)`` with ``sigma > 0`` puts a pole of the
+    transform at ``sigma``; the optimized contour then moves right by
+    ``POLE_SHIFT_RATIO * sigma`` and keeps its shape (López-Fernández &
+    Palencia 2004; Weideman & Trefethen 2007).
     """
     params = standard_parameters(p.contour, N)
     sigma = p.source.max_pole
     if sigma is not None and sigma > 0.0:
-        mu_floor = POLE_VERTEX_MARGIN * sigma / (1.0 - sin(params.contour.alpha))
-        if params.mu_star < mu_floor:
-            params = replace(params, mu_star=mu_floor)
+        return replace(params, shift=POLE_SHIFT_RATIO * sigma)
     return params
 
 
@@ -208,17 +201,17 @@ def evaluate(quad: ContourQuadrature, values: np.ndarray, t):
     ``t`` is one time or a sequence of times; all of them are summed in
     one product ``exp(outer(t, z)) z' @ u_hat``, which stacks one row per
     time (a single time gives its row alone).  Errors out when a
-    time is not finite and positive or when ``mu * t`` risks floating
-    overflow of the node exponentials; warns for times outside the window
-    ``quad.params.contour.window`` the contour was optimized for.
+    time is not finite and positive or when ``(shift + mu) * t`` risks
+    floating overflow of the node exponentials; warns for times outside
+    the window ``quad.params.contour.window`` the contour was optimized for.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     bad = ~((0.0 < ts) & (ts < inf))  # a NaN time is bad too
     if np.any(bad):
         raise CIMError(f"contour evaluation needs finite t > 0, got {ts[bad][0]}")
-    mu = quad.params.mu_star
-    if mu * ts.max() > 700.0:
-        raise CIMError(f"mu * t = {mu * ts.max():.3g} > 700 would overflow exp")
+    reach = (quad.params.shift + quad.params.mu_star) * ts.max()
+    if reach > 700.0:
+        raise CIMError(f"(shift + mu) * t = {reach:.3g} > 700 would overflow exp")
     window = quad.params.contour.window
     inside = (window[0] * (1.0 - 1e-12) <= ts) & (ts <= window[1] * (1.0 + 1e-12))
     if not np.all(inside):

@@ -2,15 +2,17 @@
 
 The contour is the left branch of a hyperbola,
 
-    z(phi) = mu * (1 + sin(i*phi - alpha)),   phi in R,
+    z(phi) = sigma0 + mu * (1 + sin(i*phi - alpha)),   phi in R,
 
 whose asymptotes make an angle ``pi/2 - alpha`` with the negative real
-axis.  Truncating the trapezoid rule applied along the contour to ``N``
-mid-point nodes gives spectral accuracy in ``N`` once the scaling ``mu``
-and the step ``tau`` are balanced against the discretization and
-truncation errors.  That balancing is done here on a finite grid of the
-split parameter ``rho`` (the fraction of the error budget assigned to
-truncation).
+axis.  The shift ``sigma0`` is 0 unless a source pole on the positive
+real axis must lie left of the contour; it moves the contour without
+changing its shape.  Truncating the trapezoid rule applied along the
+contour to ``N`` mid-point nodes gives spectral accuracy in ``N`` once
+the scaling ``mu`` and the step ``tau`` are balanced against the
+discretization and truncation errors.  That balancing is done here on
+a finite grid of the split parameter ``rho`` (the fraction of the error
+budget assigned to truncation).
 """
 
 from __future__ import annotations
@@ -89,6 +91,7 @@ class OptimalParameters:
     predicted_error: float
     contour: ContourConfig  # the requested shape and time window
     N: int  # quadrature nodes the step tau_star was optimized for
+    shift: float = 0.0  # the translation sigma0 along the real axis; the search leaves it 0
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,7 @@ def optimize_rho(cfg: ContourConfig, N: int) -> OptimalParameters:
 def contour_point(params: OptimalParameters, phi):
     """Return ``(z(phi), z'(phi))`` on the hyperbola, for a scalar or an array ``phi``."""
     mu, alpha = params.mu_star, params.contour.alpha
-    z = mu * (1.0 - sin(alpha) * np.cosh(phi)) + 1j * mu * cos(alpha) * np.sinh(phi)
+    z = params.shift + mu * (1.0 - sin(alpha) * np.cosh(phi)) + 1j * mu * cos(alpha) * np.sinh(phi)
     dz = -mu * sin(alpha) * np.sinh(phi) + 1j * mu * cos(alpha) * np.cosh(phi)
     return z, dz
 

@@ -27,7 +27,7 @@ from cimfem.cim import (
     solve_nodes,
     solve_nodes_accelerated,
 )
-from cimfem.bench import accel_compare, build_problem, solve
+from cimfem.bench import accel_compare, build_problem, solve, window_times
 from cimfem.contour import ContourConfig, contour_point, quadrature_nodes, standard_parameters
 from cimfem.fem import InitialData1D, Mesh1D, Mesh2D, assemble, l2_error, load_vector, mass_norm, stencil_1d
 from cimfem.linalg import toeplitz_eigenvalues
@@ -40,6 +40,13 @@ SQRT_PI_32 = 3.0 * math.sqrt(math.pi) / 2.0
 def node_quadrature(p, N):
     """The N-node quadrature that ``bench.solve`` builds for ``p``."""
     return quadrature_nodes(problem_parameters(p, N))
+
+
+def relative_distance(p, u, ref):
+    """Largest distance of ``u`` from ``ref`` over their rows (times), relative to ``ref``'s norm."""
+    if p.scalar:
+        return np.max(np.abs(u - ref) / np.abs(ref))
+    return np.max(mass_norm(p.domain, u - ref) / mass_norm(p.domain, ref))
 
 
 def scalar_benchmark(beta):
@@ -161,17 +168,16 @@ class TestPoleHandling:
         )
 
     def test_vertex_clears_pole_for_all_n(self):
+        # the vertex of every contour z(phi + iy), |y| < d_tilde, lies right of the pole
         p = self.pole_problem()
-        for N in (20, 40, 60, 100, 150, 200):
+        for N in range(20, 201):
             params = problem_parameters(p, N)
-            vertex = params.mu_star * (1.0 - math.sin(params.contour.alpha))
-            assert vertex > 1.5
+            assert params.shift + params.mu_star * (1.0 - math.sin(params.contour.alpha + params.d_tilde)) > 1.5
 
-    def test_floored_parameters_keep_their_contour(self):
+    def test_shifted_parameters_keep_their_contour(self):
         p = self.pole_problem()
-        params = problem_parameters(p, 200)
-        assert params.mu_star > standard_parameters(p.contour, 200).mu_star  # the floor applied
-        assert params.contour == p.contour
+        for N in (20, 60, 200):
+            assert problem_parameters(p, N) == replace(standard_parameters(p.contour, N), shift=1.2 * 1.5)
 
     def test_unadjusted_contour_warns_when_pole_missed(self):
         p = self.pole_problem()
@@ -182,7 +188,7 @@ class TestPoleHandling:
             solve_nodes(p, quad)
 
     def test_accelerated_path_warns_when_pole_missed(self):
-        # the unfloored N = 20 contour of ex4_2d_case3 has its vertex near 0.37,
+        # the unshifted N = 20 contour of ex4_2d_case3 has its vertex near 0.37,
         # left of the source pole at 1.5
         p = build_problem("ex4_2d_case3", 0.5, 8).problem
         params = standard_parameters(p.contour, 20)
@@ -191,26 +197,49 @@ class TestPoleHandling:
         with pytest.warns(UserWarning, match="source pole"):
             solve_nodes_accelerated(p, quad, 10)
 
-    def test_pole_solution_consistent_across_n(self):
-        # growing-mode solutions at different N agree once the contour
-        # always passes right of the pole
+    def test_raised_mu_contour_warns(self):
+        # mu raised until the central vertex clears the pole by 1.2 sigma: the
+        # strip member of angle alpha + d_tilde still passes left of the pole
         p = self.pole_problem()
-        vals = [solve(p, N, 0.6) for N in (60, 100, 200, 400)]
-        devs = [abs(v - vals[-1]) / abs(vals[-1]) for v in vals[:-1]]
-        assert devs[0] > devs[1] > devs[2]
-        assert devs[2] < 1e-4
+        params = standard_parameters(p.contour, 100)
+        params = replace(params, mu_star=1.2 * 1.5 / (1.0 - math.sin(params.contour.alpha)))
+        assert params.mu_star * (1.0 - math.sin(params.contour.alpha)) > 1.5
+        with pytest.warns(UserWarning, match="source pole"):
+            solve_nodes(p, quadrature_nodes(params))
+
+    def test_overflow_guard_counts_the_shift(self):
+        p = self.pole_problem()
+        quad = node_quadrature(p, 20)
+        mu, shift = quad.params.mu_star, quad.params.shift
+        assert mu * 400.0 < 700.0 < (shift + mu) * 400.0
+        with pytest.raises(CIMError, match="overflow"):
+            evaluate(quad, solve_nodes(p, quad), 400.0)
+
+    def test_pole_solutions_are_spectrally_accurate(self):
+        # over the 17 window times: within 1e-12 of the N = 200 solution by N = 60,
+        # and at N = 400 the same for the shifts 1.2 sigma and 3 sigma
+        times = window_times(ContourConfig(), (0.6,))
+        scalar = self.pole_problem()
+        problems = [scalar] + [build_problem("ex4_2d_case3", beta, 16).problem for beta in (0.25, 0.5, 0.75)]
+        for p in problems:
+            assert relative_distance(p, solve(p, 60, times), solve(p, 200, times)) < 1e-12
+        for p in (scalar, problems[2]):
+            quad = quadrature_nodes(replace(standard_parameters(p.contour, 400), shift=3.0 * 1.5))
+            wide = evaluate(quad, solve_nodes(p, quad), times)
+            assert relative_distance(p, solve(p, 400, times), wide) < 1e-13
 
 
 class TestProcessCaches:
     """Contour parameters and load vectors are built once per process and shared safely."""
 
-    def test_pole_floor_leaves_the_shared_parameters_alone(self):
+    def test_pole_shift_leaves_the_shared_parameters_alone(self):
         standard_parameters.cache_clear()
-        floored = problem_parameters(build_problem("ex4_2d_case3", 0.5, 4).problem, 40)
+        shifted = problem_parameters(build_problem("ex4_2d_case3", 0.5, 4).problem, 40)
         plain = problem_parameters(build_problem("ex4_2d_case1", 0.5, 4).problem, 40)
         fresh = standard_parameters.__wrapped__(ContourConfig(), 40)
         assert plain == fresh
-        assert floored.mu_star > plain.mu_star
+        assert standard_parameters(ContourConfig(), 40).shift == 0.0
+        assert shifted == replace(plain, shift=1.2 * 1.5)
 
     @pytest.mark.parametrize("example", ["ex2_vanishing", "ex3_1d_case2", "ex4_2d_case1", "ex4_2d_case3"])
     def test_load_vectors_are_shared_read_only_and_exact(self, example):
@@ -293,7 +322,7 @@ class TestSpatialSolve:
         assert norms[0] > norms[1] > norms[2] > 0.0
 
     def test_2d_node_solves_match_dense(self):
-        # every node of the pole-floor contour of ex4_2d_case3 at M = 16, N = 60;
+        # every node of the shifted contour of ex4_2d_case3 at M = 16, N = 60;
         # its source is 3 pi^5 exp(1.5 t) fxy(x, y) and its initial datum zero
         p = build_problem("ex4_2d_case3", 0.5, 16).problem
         z = node_quadrature(p, 60).nodes
@@ -493,15 +522,15 @@ class TestAcceleration:
         assert evaluate(quad, u_acc, t) == pytest.approx(evaluate(quad, u_plain, t), rel=1e-5)
 
     def test_deviation_decreases_with_n(self):
-        p, _ = scalar_benchmark(0.5)
-        params = problem_parameters(p, 100)
-        quad = quadrature_nodes(params)
-        u_plain = evaluate(quad, solve_nodes(p, quad), 0.6)
-        devs = []
-        for n in (6, 12, 18):
-            u_acc = evaluate(quad, solve_nodes_accelerated(p, quad, n), 0.6)
-            devs.append(abs(u_acc - u_plain) / abs(u_plain))
-        assert devs[2] < devs[0]
+        # the scalar benchmark, and the 2-D pole problem on its shifted contour
+        cases = [(scalar_benchmark(0.5)[0], 100, (6, 12, 18)),
+                 (build_problem("ex4_2d_case3", 0.5, 8).problem, 60, (6, 10, 20))]
+        for p, N, ns in cases:
+            quad = node_quadrature(p, N)
+            u_plain = evaluate(quad, solve_nodes(p, quad), 0.6)
+            devs = [relative_distance(p, evaluate(quad, solve_nodes_accelerated(p, quad, n), 0.6), u_plain)
+                    for n in ns]
+            assert devs[2] < devs[0]
 
     def test_predicted_decay_constant_exceeds_one(self):
         # interpolation error behaves like C * rate^-n, so rate > 1 means decay
