@@ -371,8 +371,8 @@ class TestSharedWork:
         assert loaded == [Mesh1D(16)]
 
     def test_sweep_time_builds_node_factors_once_per_order_triple(self, monkeypatch, capsys):
-        # the modal reference's 17 mode_value calls share the powers of the
-        # unit contour's nodes: three complex_pow calls per beta
+        # the modal reference's 4 window sums share the powers of the unit
+        # contour's nodes: three complex_pow calls per beta
         powers = []
         complex_pow = cimfem.mlf.complex_pow
         monkeypatch.setattr(cimfem.mlf, "complex_pow", lambda z, a: powers.append(a) or complex_pow(z, a))
@@ -383,6 +383,18 @@ class TestSharedWork:
         assert main(argv + ["--beta", "0.25"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 4
         assert len(powers) == 6
+
+    def test_sweep_time_sums_the_modal_reference_once_per_time_window(self, monkeypatch, capsys):
+        # the 17 window times of the default contour, [0.1, 1] and 0.6, fall into
+        # the unit contour's windows [0.1, 0.2], [0.22, 0.44], [0.46, 0.92] and [0.94, 1.0]
+        sums, times = [], []
+        contour, modal = cimfem.mlf.ml_biv_contour, cimfem.bench._modal_solution
+        monkeypatch.setattr(cimfem.mlf, "ml_biv_contour", lambda *a, **kw: sums.append(a) or contour(*a, **kw))
+        monkeypatch.setattr(cimfem.bench, "_modal_solution", lambda p, b, t: times.append(t) or modal(p, b, t))
+        assert main(["sweep-time", "--example", "ex3_1d_case1", "--N", "20", "--M", "16"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 2
+        assert [len(t) for t in times] == [17]
+        assert len(sums) == 4
 
     def test_sweeps_assemble_only_for_the_fallback(self, monkeypatch):
         # the modal solves apply M and S from their stencils, so sparse

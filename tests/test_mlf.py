@@ -219,6 +219,20 @@ class TestContour:
         value = ml_biv_contour(q, with_z1_term)
         assert np.all(np.abs(value - expected) <= 5e-14 * magnitudes)
 
+    @pytest.mark.parametrize("with_z1_term", [False, True])
+    @pytest.mark.parametrize(
+        "orders, w1", [((0.25, 1.0, 1.75), 1.2), ((0.75, 0.5, 2.0), 0.7), ((0.9, 0.3, 0.6), 3.0), ((0.5, 0.5, 1.0), 0.0)]
+    )
+    def test_ratios_invert_at_later_s_times(self, orders, w1, with_z1_term):
+        # inverting at s-time r is r**(gamma - 1) times the value at (r**alpha' z1, r**beta' z2)
+        # (measured gap 6.7e-16 over r in the design window [1, 2])
+        ap, bp, g = orders
+        z2, r = -np.geomspace(1e-3, 1e8, 30), np.array([1.0, 1.3, 1.7, 2.0])
+        values = ml_biv_contour(MLQuery(*orders, -w1, z2), with_z1_term, ratios=r)
+        assert values.shape == (4, 30)
+        each = [x ** (g - 1.0) * ml_biv_contour(MLQuery(*orders, -w1 * x**ap, z2 * x**bp), with_z1_term) for x in r]
+        np.testing.assert_allclose(values, each, rtol=0.0, atol=2e-15)
+
     def test_searches_the_contour_once_per_process(self, monkeypatch):
         calls = []
 
@@ -342,6 +356,14 @@ def _talbot_mode_value(mpmath, K, beta, lam, t):
     return float(mpmath.invertlaplace(transform, t, method="talbot"))
 
 
+def mesh_modes(m):
+    """The eigenvalues ``s_j / m_j`` of the P1 pencil of ``Mesh1D(m)``, the modes of the 1-D temporal reference."""
+    mesh = Mesh1D(m)
+    (m_diag, m_off), (s_diag, s_off) = stencil_1d(mesh)
+    s, mass = (toeplitz_eigenvalues(d, o, mesh.ndof) for d, o in ((s_diag, s_off), (m_diag, m_off)))
+    return s / mass
+
+
 class TestModeAndSpectral:
     def test_mode_value_initial_condition(self):
         assert mode_value(1.0, 0.5, math.pi ** 2, 0.0) == 1.0
@@ -376,14 +398,7 @@ class TestModeAndSpectral:
         # the largest.  At 20 digits Talbot gives the same doubles as at 30 here.
         # 1e-14 relative is the modal reference's bound, 3x the 3.1e-15 measured.
         mpmath = pytest.importorskip("mpmath")
-
-        def modes(m, j):
-            mesh = Mesh1D(m)
-            (m_diag, m_off), (s_diag, s_off) = stencil_1d(mesh)
-            s, mass = (toeplitz_eigenvalues(d, o, mesh.ndof) for d, o in ((s_diag, s_off), (m_diag, m_off)))
-            return (s / mass)[j]
-
-        lam = np.concatenate([modes(256, [0, -1]), modes(2048, [255, -1])])
+        lam = np.concatenate([mesh_modes(256)[[0, -1]], mesh_modes(2048)[[255, -1]]])
         for K, beta, t in itertools.product([0.0, 1.0, 3.0], [0.25, 0.75], [0.1, 0.55, 1.0]):
             with mpmath.workdps(20):
                 expected = np.array([_talbot_mode_value(mpmath, K, beta, float(x), t) for x in lam])
@@ -594,6 +609,94 @@ class TestCrossover:
         gap = abs(mode_value(K, beta, self.LAM, t) - expected)
         assert gap <= 1e-15
         assert gap <= 1e-14 * abs(expected)
+
+
+def counted_contour_sums(monkeypatch):
+    """Patch ``cimfem.mlf.ml_biv_contour`` to record each call; returns the list of calls."""
+    calls = []
+    contour = cimfem.mlf.ml_biv_contour
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return contour(*args, **kwargs)
+
+    monkeypatch.setattr(cimfem.mlf, "ml_biv_contour", counted)
+    return calls
+
+
+class TestTimeWindows:
+    """``mode_value`` at an array of times: one unit-contour sum per window [T, 2T]."""
+
+    @pytest.mark.parametrize("K", [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("beta", [0.25, 0.75])
+    @pytest.mark.parametrize("T", [0.05, 0.3, 1.0])
+    def test_matches_the_call_of_each_time(self, monkeypatch, K, beta, T):
+        # every mode of Mesh1D(256) and the top of Mesh1D(2048), at 5 times of one
+        # window; both numerators (K = 0 and K > 0).  Measured up to 7.8e-16.
+        lam = np.concatenate([mesh_modes(256), mesh_modes(2048)[-3:]])
+        times = T * np.linspace(1.0, 2.0, 5)
+        each = np.array([mode_value(K, beta, lam, float(t)) for t in times])
+        calls = counted_contour_sums(monkeypatch)
+        values = mode_value(K, beta, lam, times)
+        assert len(calls) == 1
+        assert values.shape == each.shape
+        assert np.max(np.abs(values - each)) <= 1e-15
+
+    @pytest.mark.parametrize("K", [0.0, 1.0])
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
+    def test_far_end_of_a_window_against_talbot(self, monkeypatch, K, beta):
+        # t = 0.2 is read off the sum anchored at T = 0.1, at the end of the design window
+        mpmath = pytest.importorskip("mpmath")
+        lam = (np.arange(1, 11) * math.pi) ** 2
+        with mpmath.workdps(30):
+            expected = [_talbot_mode_value(mpmath, K, beta, float(x), 0.2) for x in lam]
+        calls = counted_contour_sums(monkeypatch)
+        values = mode_value(K, beta, lam, [0.1, 0.2])[1]
+        assert len(calls) == 1
+        assert np.max(np.abs(values - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("K", [0.0, 1.0])
+    @pytest.mark.parametrize("t", [0.1, 0.55, 1.0])
+    def test_one_time_is_the_scalar_call_bit_for_bit(self, K, t):
+        lam = mesh_modes(64)
+        np.testing.assert_array_equal(mode_value(K, 0.5, lam, [t])[0], mode_value(K, 0.5, lam, t))
+        assert mode_value(K, 0.5, 9.87, np.array([t])).shape == (1,)
+        assert mode_value(K, 0.5, 9.87, [t])[0] == mode_value(K, 0.5, 9.87, t)
+
+    def test_windows_are_anchored_greedily(self, monkeypatch):
+        # [0.1, 0.2], [0.21, 0.4], [0.5, 1]: ratios read from the unit contour's window
+        calls = counted_contour_sums(monkeypatch)
+        mode_value(1.0, 0.5, [10.0, 40.0], [0.1, 0.15, 0.2, 0.21, 0.4, 0.5, 1.0])
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("t", [[0.5, math.nan], [math.inf, 0.5], [0.5, -0.1], [[0.2], [-math.inf]]])
+    def test_any_bad_time_is_named(self, t):
+        with pytest.raises(ValueError, match="need finite t"):
+            mode_value(1.0, 0.5, [1.0, 4.0], t)
+
+    def test_zero_times_give_rows_of_ones(self, monkeypatch):
+        lam = np.array([1.0, 4.0, 9.0])
+        values = mode_value(1.0, 0.5, lam, [0.0, 0.3, 0.0])
+        np.testing.assert_array_equal(values[[0, 2]], np.ones((2, 3)))
+        np.testing.assert_array_equal(values[1], mode_value(1.0, 0.5, lam, 0.3))
+        calls = counted_contour_sums(monkeypatch)
+        np.testing.assert_array_equal(mode_value(0.0, 0.5, lam, [0.0, 0.0]), np.ones((2, 3)))
+        assert calls == []
+
+    def test_input_order_and_shape(self):
+        # the windows depend only on the distinct times, so order and repetition change no bit
+        lam = mesh_modes(32)
+        times = np.array([0.7, 0.1, 0.7, 0.25, 0.1, 0.0])
+        values = mode_value(1.0, 0.5, lam, times)
+        assert values.shape == (6, 31)
+        order = np.argsort(times)
+        np.testing.assert_array_equal(values[order], mode_value(1.0, 0.5, lam, times[order]))
+        np.testing.assert_array_equal(values[0], values[2])
+        each = np.array([mode_value(1.0, 0.5, lam, t) for t in times])
+        assert np.max(np.abs(values - each)) <= 1e-15
+        grid = mode_value(1.0, 0.5, lam, times.reshape(2, 3))
+        assert grid.shape == (2, 3, 31)
+        np.testing.assert_array_equal(grid.reshape(6, 31), values)
 
 
 class TestSineSum:
