@@ -2,8 +2,10 @@
 
 Solves K * du/dt + d_t^beta u + A u = f on (0,1) or the unit square by
 inverting the Laplace transform on an optimized hyperbolic contour, with
-one complex elliptic solve per quadrature node and an optional
-barycentric-Chebyshev acceleration of the node solves.
+one complex elliptic solve per quadrature node that the requested times
+need (the others are certified negligible by a closed-form resolvent
+bound) and an optional barycentric-Chebyshev acceleration of the node
+solves.
 """
 
 from .contour import (

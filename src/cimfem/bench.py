@@ -13,8 +13,8 @@ neither the node solves nor the quadrature with the code under test;
 every other problem's is the N_ref-node contour solution on the same
 mesh.  The spatial reference is the halved-mesh solution via P1
 prolongation.  Every contour solve but the acceleration comparison's
-goes through ``solve``: one quadrature per (problem, N), its node
-values and their sum at the requested times.
+goes through ``solve``: one quadrature per (problem, N), the node
+values that the requested times need and their sum at those times.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .cim import (
     ScalarDomain,
     discretize,
     evaluate,
+    modal_load,
     problem_parameters,
     solve_nodes,
     solve_nodes_accelerated,
@@ -140,9 +141,13 @@ class ExperimentSpec:
 
 
 def solve(p: Problem, N: int, times):
-    """The solution of ``p`` at ``times``, one time or a sequence, from one solve of its N contour nodes."""
+    """The solution of ``p`` at ``times``, one time or a sequence, from one solve of its N-node contour.
+
+    ``solve_nodes`` gets the times, so it solves only the nodes they need
+    and certifies that the rest add less than a rounding unit.
+    """
     quad = quadrature_nodes(problem_parameters(p, N))
-    return evaluate(quad, solve_nodes(p, quad), times)
+    return evaluate(quad, solve_nodes(p, quad, times), times)
 
 
 def _takes_modal_reference(p: Problem) -> bool:
@@ -150,19 +155,19 @@ def _takes_modal_reference(p: Problem) -> bool:
     return isinstance(p.domain, Mesh1D) and not p.source.terms
 
 
-def _modal_solution(p: Problem, b: np.ndarray, times) -> np.ndarray:
+def _modal_solution(p: Problem, times) -> np.ndarray:
     """Exact semi-discrete solution of a source-free 1-D problem at ``times``, one row per time.
 
-    ``b`` is the load of the initial datum.  The DST-I diagonalizes the
-    tridiagonal Toeplitz M and S (fast diagonalization): with their
-    eigenvalues ``m_j`` and ``s_j``, mode j starts at ``dst1(b)_j / m_j``
+    The DST-I diagonalizes the tridiagonal Toeplitz M and S (fast
+    diagonalization): with their eigenvalues ``m_j`` and ``s_j`` and the
+    load ``b`` of the initial datum, mode j starts at ``dst1(b)_j / m_j``
     and evolves by ``mode_value(K, beta, s_j / m_j, t)``.  No node system
     is solved.  One ``mode_value`` call takes every time, so each time
     window ``[T, 2 T]`` of the unit contour is one contour sum: 4 sums for
     the 17 window times of the default contour.
     """
     m, s = (toeplitz_eigenvalues(diag, off, p.domain.ndof) for diag, off in stencil_1d(p.domain))
-    start = dst1(b.real) / m
+    start = modal_load(p.domain, p.u0) / m
     return dst1(mode_value(p.sym.K, p.sym.beta, s / m, times) * start).real
 
 
@@ -332,8 +337,11 @@ def accel_compare(
 
     Wall times are medians of 3 solve-and-evaluate calls after one
     warm-up; deviation and IAR come from the warm-up solutions, so the
-    comparison solves 4 (N + sum(n + 1)) node systems: the plain
-    solution is solved and timed once for all ``ns``.  The deviation is
+    comparison solves 4 (K + sum(n + 1)) node systems: the plain
+    solution is solved and timed once for all ``ns``.  The plain solve
+    passes ``t`` to ``solve_nodes``, so it solves the K <= N nodes that
+    ``t`` needs; the accelerated one solves its n + 1 Chebyshev points as
+    the paper does.  The deviation is
     the relative L2 distance of the accelerated from the plain solution.
     The IAR is the relative L2 error of the accelerated solution against
     the exact solution where one exists on a mesh; otherwise the plain
@@ -342,7 +350,7 @@ def accel_compare(
     """
     p = bp.problem
     quad = quadrature_nodes(problem_parameters(p, N))  # shared, and outside the timed calls
-    t_plain, u_plain = _median_time(lambda: evaluate(quad, solve_nodes(p, quad), t))
+    t_plain, u_plain = _median_time(lambda: evaluate(quad, solve_nodes(p, quad, t), t))
     out = []
     for n in ns:
         t_accel, u_acc = _median_time(lambda: evaluate(quad, solve_nodes_accelerated(p, quad, n), t))
@@ -395,12 +403,12 @@ def _time_rows(spec: ExperimentSpec, beta: float, M: int) -> list[dict]:
     """
     bp = build_problem(spec.example_id, beta, M, spec.contour, spec.K)
     p = bp.problem
-    loads = discretize(p)  # the shared load vectors are integrated outside every row's wall_ms
+    discretize(p)  # the shared load vectors are integrated outside every row's wall_ms
     times = window_times(spec.contour, spec.eval_times)
     if spec.reference == "exact":
         ref = None
     elif _takes_modal_reference(p):
-        ref = _modal_solution(p, loads[p.u0], times)
+        ref = _modal_solution(p, times)
     else:
         ref = solve(p, N_REF, times)
     rows = []

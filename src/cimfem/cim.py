@@ -15,9 +15,14 @@ real GEMMs with small dense matrices.  It applies ``M`` and ``S`` from their
 closed-form stencils, and only the rows it leaves take a banded or
 sparse LU, for which the sparse matrices are assembled.  The solution
 at time ``t`` is then the imaginary part of a trapezoid sum over the
-nodes.  The accelerated variant solves only ``n + 1`` systems at
-Chebyshev points in the contour parameter and recovers all node values
-by barycentric interpolation.
+nodes.  Given the times to be summed, ``solve_nodes`` solves only the
+nodes nearest the real axis that those times need: a closed-form bound
+on each node's solution (``_solution_bounds``, a resolvent bound of
+Hesthaven, Rozza & Stamm 2016) certifies that the skipped nodes add less
+than the rounding unit of one solved term at every requested time.  The
+accelerated variant solves only ``n + 1`` systems at Chebyshev points in
+the contour parameter and recovers all node values by barycentric
+interpolation.
 """
 
 from __future__ import annotations
@@ -52,7 +57,17 @@ from .fem import (
     stencil_1d,
     stencil_2d,
 )
-from .linalg import combine, modal_solve, modal_solve_2d, sparse_solve, thomas_solve
+from .linalg import (
+    _modes_2d,
+    combine,
+    dst1,
+    dst2,
+    modal_solve,
+    modal_solve_2d,
+    sparse_solve,
+    thomas_solve,
+    toeplitz_eigenvalues,
+)
 from .symbols import FractionalSymbol, SourceTransform
 
 
@@ -98,6 +113,18 @@ def _load(mesh: Mesh1D | Mesh2D, g) -> np.ndarray:
     b = load_vector(mesh, g).astype(complex)
     b.flags.writeable = False
     return b
+
+
+@lru_cache(maxsize=32)
+def modal_load(mesh: Mesh1D | Mesh2D, g) -> np.ndarray:
+    """The load of ``g`` in DST-I coordinates, read-only and once per (mesh, datum) pair.
+
+    ``dst1`` of the vector on a 1-D mesh, ``dst2`` of its (n, n) grid on a 2-D one.
+    """
+    b = _load(mesh, g)
+    b_hat = dst1(b) if isinstance(mesh, Mesh1D) else dst2(b.reshape(mesh.M - 1, mesh.M - 1))
+    b_hat.flags.writeable = False
+    return b_hat
 
 
 def discretize(p: Problem) -> dict[object, np.ndarray | complex]:
@@ -156,24 +183,29 @@ def _node_solve(ops: AssembledOperators, eta: complex, rhs: np.ndarray) -> np.nd
     return sparse_solve(a, rhs)
 
 
+def _node_data(p: Problem, z: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, object]]]:
+    """``eta`` at each point of ``z``, and the (coefficient at each point, datum) pair of every load."""
+    return p.sym.eta(z), [(p.sym.history_weight(z), p.u0), *((c, g) for g, c in p.source.evaluate(z).items())]
+
+
 def _solve_at(p: Problem, z: np.ndarray) -> np.ndarray:
     """Laplace-domain solutions at the contour points ``z``, one row per point.
 
     The symbol and the source transforms are evaluated once on all of
     ``z``; each row's right-hand side combines the same few loads of
     ``discretize``.  1-D and 2-D problems take one modal solve over all
-    points, and only the rows that fail its backward-error test (or, in
-    2-D, its iteration cap) are solved again: in 1-D by ``thomas_solve``
-    on the row's Toeplitz weights, in 2-D by ``_node_solve``, for which
-    the sparse matrices are assembled once per call.
+    points, in 1-D with the cached ``modal_load`` transforms, and only
+    the rows that fail its backward-error test (or, in 2-D, its
+    iteration cap) are solved again: in 1-D by ``thomas_solve`` on the
+    row's Toeplitz weights, in 2-D by ``_node_solve``, for which the
+    sparse matrices are assembled once per call.
     """
     b = discretize(p)
-    eta = p.sym.eta(z)
-    loads = [(p.sym.history_weight(z), b[p.u0])]
-    loads += [(mult, b[g]) for g, mult in p.source.evaluate(z).items()]
+    eta, terms = _node_data(p, z)
+    loads = [(c, b[g]) for c, g in terms]
     if isinstance(p.domain, Mesh1D):
         stencil = stencil_1d(p.domain)
-        u, ok = modal_solve(eta, stencil, loads)
+        u, ok = modal_solve(eta, stencil, loads, [(c, modal_load(p.domain, g)) for c, g in terms])
         for k in np.flatnonzero(~ok):
             diag, off = (eta[k] * w_m + w_s for w_m, w_s in zip(*stencil))
             u[k] = thomas_solve(off, diag, off, combine(loads, k))
@@ -189,22 +221,131 @@ def _solve_at(p: Problem, z: np.ndarray) -> np.ndarray:
     return u
 
 
-def solve_nodes(p: Problem, quad: ContourQuadrature) -> np.ndarray:
-    """Laplace-domain solutions at the quadrature nodes: shape (N,) for a scalar problem, else (N, ndof)."""
-    _warn_pole_location(p, quad)
-    return _solve_at(p, quad.nodes)
+@lru_cache(maxsize=32)
+def _spectrum(mesh: Mesh1D | Mesh2D) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    """``(m, s, lambda_min(M), lam_lo, lam_hi)`` of a mesh, once per mesh: what the bounds of the node solves read.
 
-
-def evaluate(quad: ContourQuadrature, values: np.ndarray, t):
-    """Trapezoid sum ``(tau/pi) Im sum_k exp(z_k t) u_hat_k z'_k`` of the node ``values``.
-
-    ``t`` is one time or a sequence of times; all of them are summed in
-    one product ``exp(outer(t, z)) z' @ u_hat``, which stacks one row per
-    time (a single time gives its row alone).  Errors out when a
-    time is not finite and positive or when ``(shift + mu) * t`` risks
-    floating overflow of the node exponentials; warns for times outside
-    the window ``quad.params.contour.window`` the contour was optimized for.
+    ``m`` and ``s`` are the DST-diagonal parts of ``M`` and ``S``: their
+    DST-I eigenvalues in 1-D, the (n, n) arrays of ``modal_solve_2d`` in
+    2-D.  ``[lam_lo, lam_hi]`` holds the eigenvalues of the pencil ``(S,
+    M)``.  In 1-D ``lambda_min(M) = min m_j`` and the interval ends are
+    the ``min`` and ``max`` of ``s_j / m_j``.  In 2-D, with ``a = h^2 /
+    12``, the DST-diagonal part of ``M`` lies in ``[4a, 12a]`` and its
+    Kronecker term ``(a / 2) D_hat x D_hat`` has norm below ``2a``, so
+    the eigenvalues of ``M`` lie in ``(2a, 14a)``; those of ``S`` lie in
+    ``(0, 8)``, so the pencil's lie in ``(0, 4 / a)``.
     """
+    if isinstance(mesh, Mesh1D):
+        m, s = (toeplitz_eigenvalues(diag, off, mesh.ndof) for diag, off in stencil_1d(mesh))
+        lam = s / m
+        return m, s, m.min(), lam.min(), lam.max()
+    stencil = stencil_2d(mesh)
+    (m, _), (s, _) = _modes_2d(stencil, mesh.M - 1)
+    m.flags.writeable = s.flags.writeable = False
+    a = stencil[0][1]  # the mass stencil is a (6, 1, 1)
+    return m, s, 2.0 * a, 0.0, 4.0 / a
+
+
+def _solution_bounds(p: Problem, eta: np.ndarray, terms) -> np.ndarray:
+    """Upper bounds of ``||u_k||_2`` for the rows that ``_node_data`` gives ``eta`` and ``terms``, without a solve.
+
+    With ``M`` and ``S`` symmetric and ``M`` positive definite,
+    ``||(eta M + S)^-1||_2 <= 1 / (lambda_min(M) dist(-eta, [lam_lo,
+    lam_hi]))`` when ``[lam_lo, lam_hi]`` holds the eigenvalues of the
+    pencil ``(S, M)`` (the stability constant of Hesthaven, Rozza & Stamm
+    2016), so ``||u_k||_2 <= sum_m |c_m(z_k)| ||b_m||_2 / (lambda_min(M)
+    dist(-eta_k, [lam_lo, lam_hi]))`` over the loads, with the constants
+    of ``_spectrum``.  On a scalar domain the bound is the exact
+    ``|rhs_k| / |eta_k + a|``.
+    """
+    b = discretize(p)
+    if p.scalar:
+        return np.abs(combine([(c, b[g]) for c, g in terms]) / (eta + p.domain.a))
+    _, _, m_min, lo, hi = _spectrum(p.domain)
+    dist = np.abs(eta + np.clip(-eta.real, lo, hi))
+    size = sum(np.abs(c) * np.linalg.norm(b[g]) for c, g in terms)
+    return size / (m_min * dist)
+
+
+def _modal_estimate(p: Problem, eta: complex, terms) -> float:
+    """``||u||_2`` of the solution of one row from the DST-diagonal part of ``eta M + S``.
+
+    ``eta`` and the coefficients of ``terms`` are the row's entries of
+    ``_node_data``; the DST-I is orthonormal, so the norm is taken in
+    modal coordinates.  Exact on a scalar domain and in 1-D, where the
+    DST-I diagonalizes ``M`` and ``S``; in 2-D it leaves out the Kronecker
+    term of ``modal_solve_2d``, so it is the step of that solve's Jacobi
+    preconditioner.
+    """
+    if p.scalar:
+        b = discretize(p)
+        return abs(sum(c * b[g] for c, g in terms) / (eta + p.domain.a))
+    m, s, *_ = _spectrum(p.domain)
+    r_hat = sum(c * modal_load(p.domain, g) for c, g in terms)
+    return float(np.linalg.norm(r_hat / (eta * m + s)))
+
+
+UNIT_ROUNDOFF = 2.0**-53  # of IEEE double precision
+
+
+def _first_below(tail: np.ndarray, level: float, start: int = 0) -> int:
+    """The first index ``k >= start`` of the non-increasing ``tail`` with ``tail[k] <= level``."""
+    return start + int(np.argmax(tail[start:] <= level))
+
+
+def solve_nodes(p: Problem, quad: ContourQuadrature, times=None) -> np.ndarray:
+    """Laplace-domain solutions at the quadrature nodes: shape (K,) for a scalar problem, else (K, ndof).
+
+    Without ``times`` every node is solved, K = N.  Given ``times`` (one
+    time or a sequence, checked as ``evaluate`` checks them, before any
+    solve), only the first K nodes, those nearest the real axis, are
+    solved, and the skipped ones are certified not to matter at those
+    times.  Let ``t1`` be the earliest time, ``w_k = |exp(z_k t1) z'_k|``
+    the node weights, ``j`` the node of largest weight and ``T_k = w_k
+    bound_k`` with the ``_solution_bounds`` of every node.
+
+    - K is chosen as the first row whose tail ``sum_{k >= K} T_k`` is at
+      most ``UNIT_ROUNDOFF * w_j * e_j / sqrt(ndof)``, with ``e_j`` the
+      ``_modal_estimate`` of ``||u_j||_2``.  In 1-D that estimate is
+      exact, and ``||u_j||_2 / sqrt(ndof) <= ||u_j||_inf``.
+    - The certificate, after the solve: that tail is at most
+      ``UNIT_ROUNDOFF * w_j ||u_j||_inf``, the rounding unit of one
+      solved term.  Where it does not hold, K grows to the first row
+      where it does, up to N.
+    - ``Re z_k`` falls along the contour, so for ``k > j`` the ratio
+      ``|exp(z_k t)| / |exp(z_j t)|`` falls as t grows, and the one check
+      at ``t1`` covers every later time.
+
+    The bounds are not computed, and every node is solved, when the last
+    node's weight is not below ``UNIT_ROUNDOFF`` of the largest.  Data
+    that vanish give K = 0.
+    """
+    _warn_pole_location(p, quad)
+    if times is None:
+        return _solve_at(p, quad.nodes)
+    t1 = _checked_times(quad, times).min()
+    weight = np.exp(quad.nodes.real * t1) * np.abs(quad.derivs)
+    if weight[-1] > UNIT_ROUNDOFF * weight.max():
+        return _solve_at(p, quad.nodes)
+    eta, terms = _node_data(p, quad.nodes)
+    term = weight * _solution_bounds(p, eta, terms)
+    tail = np.append(np.cumsum(term[::-1])[::-1], 0.0)  # tail[k] = sum of term[k:]
+    if not np.isfinite(tail[0]):  # a term overflowed: no level can be trusted
+        return _solve_at(p, quad.nodes)
+    j = int(np.argmax(weight))
+    ndof = 1 if p.scalar else p.domain.ndof
+    estimate = _modal_estimate(p, eta[j], [(c[j], g) for c, g in terms]) / sqrt(ndof)
+    K = _first_below(tail, UNIT_ROUNDOFF * weight[j] * estimate)
+    u = _solve_at(p, quad.nodes[:K])
+    if tail[K] > 0.0:  # else the skipped rows vanish, whatever the solved ones hold
+        certified = _first_below(tail, UNIT_ROUNDOFF * weight[j] * np.max(np.abs(u[j])), K)
+        if certified > K:
+            u = np.concatenate([u, _solve_at(p, quad.nodes[K:certified])])
+    return u
+
+
+def _checked_times(quad: ContourQuadrature, t) -> np.ndarray:
+    """``t`` as an array of times; CIMError unless each is finite and positive and ``(shift + mu) t <= 700``."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     bad = ~((0.0 < ts) & (ts < inf))  # a NaN time is bad too
     if np.any(bad):
@@ -212,6 +353,23 @@ def evaluate(quad: ContourQuadrature, values: np.ndarray, t):
     reach = (quad.params.shift + quad.params.mu_star) * ts.max()
     if reach > 700.0:
         raise CIMError(f"(shift + mu) * t = {reach:.3g} > 700 would overflow exp")
+    return ts
+
+
+def evaluate(quad: ContourQuadrature, values: np.ndarray, t):
+    """Trapezoid sum ``(tau/pi) Im sum_k exp(z_k t) u_hat_k z'_k`` of the node ``values``.
+
+    ``values`` holds the first K node rows, as ``solve_nodes`` returns
+    them.  The sum runs over all N nodes with the missing rows zero, so
+    it rounds as the sum of N given rows does.  ``t`` is one time or a
+    sequence of times; all of them are summed in one product
+    ``exp(outer(t, z)) z' @ u_hat``, which stacks one row per time (a
+    single time gives its row alone).  Errors out when a time is not
+    finite and positive or when ``(shift + mu) * t`` risks floating
+    overflow of the node exponentials; warns for times outside the
+    window ``quad.params.contour.window`` the contour was optimized for.
+    """
+    ts = _checked_times(quad, t)
     window = quad.params.contour.window
     inside = (window[0] * (1.0 - 1e-12) <= ts) & (ts <= window[1] * (1.0 + 1e-12))
     if not np.all(inside):
@@ -219,6 +377,9 @@ def evaluate(quad: ContourQuadrature, values: np.ndarray, t):
             f"t = {ts[~inside].tolist()} lies outside the contour's accuracy window {window}",
             stacklevel=2,
         )
+    if len(values) < len(quad.nodes):
+        given, values = values, np.zeros((len(quad.nodes), *values.shape[1:]), dtype=complex)
+        values[: len(given)] = given
     w = np.exp(np.outer(ts, quad.nodes)) * quad.derivs
     u = quad.params.tau_star / pi * np.imag(w @ values)
     return u if np.ndim(t) else u[0]

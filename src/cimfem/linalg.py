@@ -6,9 +6,10 @@ of ``fem.stencil_1d`` and ``fem.stencil_2d``; every modal quantity is
 derived from the stencil weights (fast diagonalization, Lynch, Rice &
 Thomas 1964).  In 1-D both operators are symmetric tridiagonal Toeplitz
 matrices that the DST-I diagonalizes, so ``modal_solve`` treats all
-nodes at once: a DST-I of each load vector that the right-hand sides
-combine, one elementwise division by ``eta_k m_j + s_j`` and a DST-I
-back, by FFT (``dst1``).  In 2-D the two-dimensional DST-I diagonalizes
+nodes at once: from the DST-I of each load vector that the right-hand
+sides combine (the caller keeps them), one elementwise division by
+``eta_k m_j + s_j`` and a DST-I back, by FFT (``dst1``).  The
+eigenvalues ``m_j`` and ``s_j`` are computed once per mesh.  In 2-D the two-dimensional DST-I diagonalizes
 each operator but a small Kronecker term, which couples each y mode
 only to modes of the other parity.  So ``modal_solve_2d`` eliminates one
 parity half of every row exactly and runs COCG on the half-size Schur
@@ -122,12 +123,17 @@ def combine(loads: Sequence[tuple[np.ndarray, np.ndarray]], rows=slice(None)) ->
     return out
 
 
+# A pure function of two weights and an order, so each mesh's eigenvalues are
+# computed once per process; callers share the read-only array.
+@lru_cache(maxsize=64)
 def toeplitz_eigenvalues(diag: float, off: float, n: int) -> np.ndarray:
-    """Eigenvalues ``diag + 2 off cos(j pi / (n + 1))``, j = 1..n, of ``tridiag(off, diag, off)``.
+    """Eigenvalues ``diag + 2 off cos(j pi / (n + 1))``, j = 1..n, of ``tridiag(off, diag, off)``, read-only.
 
     The n x n matrix has the DST-I basis vectors as eigenvectors, in this order.
     """
-    return diag + 2.0 * off * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    lam = diag + 2.0 * off * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    lam.flags.writeable = False
+    return lam
 
 
 # entries per block of rows of the 1-D modal solve: whole-array temporaries
@@ -152,6 +158,7 @@ def modal_solve(
     eta: np.ndarray,
     stencil: tuple[tuple[float, float], tuple[float, float]],
     loads: Sequence[tuple[np.ndarray, np.ndarray]],
+    modal_loads: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``u_k`` of ``(eta_k M + S) u_k = rhs_k`` by fast diagonalization.
 
@@ -159,14 +166,15 @@ def modal_solve(
     of ``S`` (from ``fem.stencil_1d``), whose DST-I eigenvalues ``m_j``
     and ``s_j`` are those of ``toeplitz_eigenvalues``.  The right-hand
     sides are ``rhs_k = sum_m c_m[k] b_m`` over the (coefficients
-    ``c_m``, vector ``b_m``) pairs of ``loads``, so each ``b_m`` is
-    transformed once.  Returns the solutions and a mask of the rows that
-    pass ``_backward_ok`` with ``TRIDIAG_RESIDUAL_TOL``, as
-    ``thomas_solve`` does; rows outside the mask must be solved again.
+    ``c_m``, vector ``b_m``) pairs of ``loads``; ``modal_loads`` holds
+    the same pairs with ``dst1(b_m)`` in place of ``b_m``, so a caller
+    that keeps the transforms passes them in.  Returns the solutions and
+    a mask of the rows that pass ``_backward_ok`` with
+    ``TRIDIAG_RESIDUAL_TOL``, as ``thomas_solve`` does; rows outside the
+    mask must be solved again.
     """
     n = len(loads[0][1])
     m, s = (toeplitz_eigenvalues(diag, off, n) for diag, off in stencil)
-    modal_loads = [(c, dst1(b)) for c, b in loads]
     x = np.empty((len(eta), n), dtype=complex)
     ok = np.empty(len(eta), dtype=bool)
     rows = max(1, MODAL_BLOCK_1D // n)

@@ -114,7 +114,7 @@ class TestModalReference:
         p = build_problem(example, beta, M, K=K).problem
         times = window_times(ContourConfig(), (0.8,))
         ref = solve(p, N_REF, times)
-        modal = cimfem.bench._modal_solution(p, cimfem.cim.discretize(p)[p.u0], times)
+        modal = cimfem.bench._modal_solution(p, times)
         assert modal.shape == ref.shape
         assert np.max(np.abs(modal - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -262,7 +262,7 @@ class TestReportAndRun:
 
     def test_programming_errors_propagate(self, monkeypatch):
         # only the library's own errors are a job's failure; a TypeError is a fault
-        def broken(p, quad):
+        def broken(p, quad, times):
             raise TypeError("broken node solve")
 
         monkeypatch.setattr(cimfem.bench, "solve_nodes", broken)
@@ -330,28 +330,41 @@ class TestSharedWork:
         return rows
 
     def test_sweep_time_1d_reference_solves_no_node_system(self, monkeypatch, capsys):
-        # a source-free 1-D problem takes its reference from modes
+        # a source-free 1-D problem takes its reference from modes.  At the
+        # window's first time, 0.1, the last 3 of the 80 nodes are certified
+        # negligible; at N = 20 and 40 no node's weight is below 2^-53 of the largest
         rows = self.count_node_solves(monkeypatch)
         argv = ["sweep-time", "--example", "ex3_1d_case1", "--N", "20,40,80", "--M", "32", "--times", "0.8"]
         assert main(argv) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 4
-        assert sum(rows) == 20 + 40 + 80
+        assert rows == [20, 40, 77]
 
     def test_sweep_time_with_sources_solves_reference_once(self, monkeypatch, capsys):
         rows = self.count_node_solves(monkeypatch)
         argv = ["sweep-time", "--example", "ex2_vanishing", "--N", "20,40,80", "--M", "32", "--times", "0.8"]
         assert main(argv) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 4
-        assert sum(rows) == 20 + 40 + 80 + 200
+        assert rows == [185, 20, 40, 75]  # the N_REF = 200 reference first
 
     def test_accel_compare_reuses_warmup_solves(self, monkeypatch, capsys):
-        # one warm-up and three timed plain solves serve every n of the job
+        # one warm-up and three timed plain solves serve every n of the job; a
+        # plain solve takes the 64 of 100 nodes that t = 0.6 needs, the
+        # accelerated path its n + 1 Chebyshev points
         rows = self.count_node_solves(monkeypatch)
         argv = ["accel-compare", "--example", "ex3_1d_case1", "--N", "100", "--M", "32",
                 "--n-interp", "6,10", "--times", "0.6"]
         assert main(argv) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 5
-        assert 0 < sum(rows) <= 4 * (100 + 7 + 11)
+        assert sum(rows) == 4 * (64 + 7 + 11)
+
+    @pytest.mark.parametrize("example, rows_per_mesh", [("ex4_2d_case1", [43, 43, 43]), ("ex4_2d_case3", [42, 42, 43])])
+    def test_sweep_space_solves_the_rows_its_time_needs(self, monkeypatch, capsys, example, rows_per_mesh):
+        # at t = 0.6 the outer 17 or 18 of 60 nodes are certified negligible on meshes 8, 16 and 32
+        rows = self.count_node_solves(monkeypatch)
+        argv = ["sweep-space", "--example", example, "--N", "60", "--M", "8,16", "--times", "0.6"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 3
+        assert rows == rows_per_mesh
 
     def test_sweep_time_optimizes_and_integrates_once_per_process(self, monkeypatch, capsys):
         # contour parameters depend on N and the window, load vectors on the
@@ -390,7 +403,7 @@ class TestSharedWork:
         sums, times = [], []
         contour, modal = cimfem.mlf.ml_biv_contour, cimfem.bench._modal_solution
         monkeypatch.setattr(cimfem.mlf, "ml_biv_contour", lambda *a, **kw: sums.append(a) or contour(*a, **kw))
-        monkeypatch.setattr(cimfem.bench, "_modal_solution", lambda p, b, t: times.append(t) or modal(p, b, t))
+        monkeypatch.setattr(cimfem.bench, "_modal_solution", lambda p, t: times.append(t) or modal(p, t))
         assert main(["sweep-time", "--example", "ex3_1d_case1", "--N", "20", "--M", "16"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
         assert [len(t) for t in times] == [17]

@@ -2,12 +2,14 @@
 independently computed references, plus the barycentric acceleration.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import cimfem.cim
 import cimfem.linalg
@@ -16,18 +18,21 @@ from cimfem.cim import (
     Problem,
     ScalarDomain,
     _node_solve,
+    _solution_bounds,
     _solve_at,
+    _spectrum,
     barycentric_interpolate,
     barycentric_weights,
     chebyshev_points,
     discretize,
+    UNIT_ROUNDOFF,
     evaluate,
     predicted_interp_decay,
     problem_parameters,
     solve_nodes,
     solve_nodes_accelerated,
 )
-from cimfem.bench import accel_compare, build_problem, solve, window_times
+from cimfem.bench import EXAMPLE_IDS, accel_compare, build_problem, solve, window_times
 from cimfem.contour import ContourConfig, contour_point, quadrature_nodes, standard_parameters
 from cimfem.fem import InitialData1D, Mesh1D, Mesh2D, assemble, l2_error, load_vector, mass_norm, stencil_1d
 from cimfem.linalg import toeplitz_eigenvalues
@@ -254,6 +259,20 @@ class TestProcessCaches:
         assert all(again[g] is b for g, b in loads.items())
         with pytest.raises(ValueError, match="read-only"):
             loads[p.u0][0] = 1.0
+
+    @pytest.mark.parametrize("example", ["ex2_vanishing", "ex3_1d_case2", "ex4_2d_case1"])
+    def test_modal_data_are_shared_read_only_and_exact(self, example):
+        # each load's DST-I coordinates once per (mesh, datum), each mesh's eigenvalues once per process
+        p = build_problem(example, 0.5, 8).problem
+        for g, b in discretize(p).items():
+            b_hat = cimfem.cim.modal_load(p.domain, g)
+            grid = b if isinstance(p.domain, Mesh1D) else b.reshape(7, 7)
+            transform = cimfem.linalg.dst1 if isinstance(p.domain, Mesh1D) else cimfem.linalg.dst2
+            assert b_hat.tobytes() == transform(grid).tobytes() and not b_hat.flags.writeable
+            assert cimfem.cim.modal_load(build_problem(example, 0.25, 8).problem.domain, g) is b_hat
+        (m_diag, m_off), _ = stencil_1d(Mesh1D(8))
+        m = toeplitz_eigenvalues(m_diag, m_off, 7)
+        assert toeplitz_eigenvalues(m_diag, m_off, 7) is m and not m.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -548,3 +567,142 @@ class TestAcceleration:
         params = problem_parameters(bp.problem, 100)
         predicted = predicted_interp_decay(100, params.tau_star, params.contour.alpha)
         assert (dev10 / dev20) ** (1.0 / 10.0) >= predicted
+
+
+def counted_solves(monkeypatch):
+    """Points of each ``cim._solve_at`` call, one entry per call."""
+    rows = []
+    solve_at = cimfem.cim._solve_at
+    monkeypatch.setattr(cimfem.cim, "_solve_at", lambda p, z: rows.append(len(z)) or solve_at(p, z))
+    return rows
+
+
+def catalog_meshes(example):
+    """The two meshes of the bound and selection tests: 2-D meshes are kept small."""
+    return (4, 8) if example.startswith("ex4") else (8, 32)
+
+
+class TestSolutionBounds:
+    """``_solution_bounds`` bounds every row without a solve, with the constants of ``_spectrum``."""
+
+    @pytest.mark.parametrize("example", EXAMPLE_IDS)
+    def test_every_row_is_bounded(self, example):
+        for beta, M, N in itertools.product((0.25, 0.5, 0.75), catalog_meshes(example), (20, 60, 100)):
+            p = build_problem(example, beta, M).problem
+            z = node_quadrature(p, N).nodes
+            u = _solve_at(p, z)
+            norms = np.abs(u) if p.scalar else np.linalg.norm(u, axis=1)
+            bounds = _solution_bounds(p, *cimfem.cim._node_data(p, z))
+            assert np.all(norms <= bounds * (1.0 + 1e-12)), (beta, M, N)
+
+    def test_scalar_bound_is_the_solution(self):
+        p, _ = scalar_benchmark(0.5)
+        z = node_quadrature(p, 40).nodes
+        bounds = _solution_bounds(p, *cimfem.cim._node_data(p, z))
+        np.testing.assert_allclose(bounds, np.abs(_solve_at(p, z)), rtol=1e-14)
+
+    @pytest.mark.parametrize("M", [4, 8, 16])
+    def test_2d_constants_hold_for_the_assembled_matrices(self, M):
+        mesh = Mesh2D(M)
+        ops = assemble(mesh)
+        mass, stiff = ops.mass.toarray(), ops.stiffness.toarray()
+        a = mesh.h**2 / 12.0
+        _, _, m_min, lo, hi = _spectrum(mesh)
+        assert (m_min, lo, hi) == pytest.approx((2.0 * a, 0.0, 4.0 / a), rel=1e-15)
+        lam_m, lam_s = np.linalg.eigvalsh(mass), np.linalg.eigvalsh(stiff)
+        assert 2.0 * a < lam_m.min() and lam_m.max() < 14.0 * a
+        assert 0.0 < lam_s.min() and lam_s.max() < 8.0
+        lam = scipy.linalg.eigh(stiff, mass, eigvals_only=True)
+        assert lo < lam.min() and lam.max() < hi
+
+    @pytest.mark.parametrize("M", [4, 16, 64])
+    def test_1d_constants_are_the_pencil_extremes(self, M):
+        mesh = Mesh1D(M)
+        h, n = mesh.h, mesh.ndof
+        t = np.eye(n, k=1) + np.eye(n, k=-1)
+        mass, stiff = h / 6.0 * (4.0 * np.eye(n) + t), (2.0 * np.eye(n) - t) / h
+        _, _, m_min, lo, hi = _spectrum(mesh)
+        assert m_min == pytest.approx(np.linalg.eigvalsh(mass).min(), rel=1e-12)
+        lam = scipy.linalg.eigh(stiff, mass, eigvals_only=True)
+        assert (lo, hi) == pytest.approx((lam.min(), lam.max()), rel=1e-12)
+
+
+SELECTION_TIMES = [(0.1,), (0.6,), (1.0,), window_times(ContourConfig())]
+
+
+class TestNodeSelection:
+    """``solve_nodes`` with times solves the rows the times need and certifies the rest."""
+
+    @staticmethod
+    def assert_matches_all_rows(p, quad, times, selected):
+        """The sum of ``selected`` is the all-row sum within ``2^-52 (tau/pi) max_k |w_k| ||u_k||_inf`` at each time."""
+        u = solve_nodes(p, quad)
+        w = np.abs(np.exp(np.outer(times, quad.nodes)) * quad.derivs)
+        size = np.abs(u) if p.scalar else np.max(np.abs(u), axis=1)
+        scale = quad.params.tau_star / math.pi * np.max(w * size, axis=1)
+        gap = np.abs(evaluate(quad, selected, times) - evaluate(quad, u, times))
+        gap = gap if p.scalar else np.max(gap, axis=1)
+        assert np.all(gap <= 2.0**-52 * scale)
+
+    @pytest.mark.parametrize("example", EXAMPLE_IDS)
+    def test_selected_rows_give_the_all_row_sum(self, example):
+        skipped = 0
+        for M, N, times in itertools.product(catalog_meshes(example), (60, 100), SELECTION_TIMES):
+            p = build_problem(example, 0.5, M).problem
+            quad = node_quadrature(p, N)
+            selected = solve_nodes(p, quad, times)
+            skipped += N - len(selected)
+            self.assert_matches_all_rows(p, quad, times, selected)
+        assert skipped > 0
+
+    def test_failed_certificate_extends_to_the_certified_rows(self, monkeypatch):
+        # an estimate 1e8 times too large picks too few rows a priori; the
+        # certificate then fails on the solved term, and the rows it certifies
+        # are added.  Unpatched, the a priori level ||u_j||_2 / sqrt(ndof) is at
+        # most the certificate's ||u_j||_inf, so it may keep a row more
+        p = build_problem("ex2_vanishing", 0.5, 16).problem
+        quad = node_quadrature(p, 200)
+        times = window_times(ContourConfig())
+        rows = counted_solves(monkeypatch)
+        unpatched = solve_nodes(p, quad, times)
+        certified = len(unpatched)
+        assert rows == [certified] and certified < 200
+        self.assert_matches_all_rows(p, quad, times, unpatched)
+        rows.clear()
+        estimate = cimfem.cim._modal_estimate
+        monkeypatch.setattr(cimfem.cim, "_modal_estimate", lambda *a: 1e8 * estimate(*a))
+        selected = solve_nodes(p, quad, times)
+        assert len(rows) == 2 and rows[0] < len(selected) == sum(rows) <= certified
+        self.assert_matches_all_rows(p, quad, times, selected)
+
+    @pytest.mark.parametrize("domain, u0", [(ScalarDomain(1.0), 0.0), (Mesh1D(16), InitialData1D.zero())])
+    def test_zero_data_solves_no_row(self, monkeypatch, domain, u0):
+        p = Problem(sym=FractionalSymbol(1.0, 0.5), domain=domain, u0=u0)
+        quad = node_quadrature(p, 20)
+        rows = counted_solves(monkeypatch)
+        selected = solve_nodes(p, quad, 0.6)
+        assert sum(rows) == 0 and len(selected) == 0
+        assert not np.any(evaluate(quad, selected, 0.6))
+
+    @pytest.mark.parametrize("t", [math.nan, -1.0, 0.0, 1e6, [0.5, math.nan]])
+    def test_bad_times_raise_before_any_row_is_solved(self, monkeypatch, t):
+        p = build_problem("ex3_1d_case1", 0.5, 16).problem
+        quad = node_quadrature(p, 60)
+        rows = counted_solves(monkeypatch)
+        with pytest.raises(CIMError):
+            solve_nodes(p, quad, t)
+        assert rows == []
+
+    def test_skipped_rows_are_certified_at_every_time(self):
+        # the certificate at the earliest time holds at every later time: each skipped
+        # row's bound stays below the rounding unit of the solved row of largest weight
+        p = build_problem("ex4_2d_case3", 0.5, 8).problem
+        quad = node_quadrature(p, 60)
+        times = window_times(ContourConfig())
+        selected = solve_nodes(p, quad, times)
+        K = len(selected)
+        bounds = _solution_bounds(p, *cimfem.cim._node_data(p, quad.nodes))
+        j = int(np.argmax(np.abs(np.exp(quad.nodes * times[0]) * quad.derivs)))
+        for t in times:
+            w = np.abs(np.exp(quad.nodes * t) * quad.derivs)
+            assert np.sum(w[K:] * bounds[K:]) <= UNIT_ROUNDOFF * w[j] * np.max(np.abs(selected[j]))
