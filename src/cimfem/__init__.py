@@ -3,8 +3,9 @@
 Solves K * du/dt + d_t^beta u + A u = f on (0,1) or the unit square by
 inverting the Laplace transform on an optimized hyperbolic contour, with
 one complex elliptic solve per quadrature node that the requested times
-need (the others are certified negligible by a closed-form resolvent
-bound) and an optional barycentric-Chebyshev acceleration of the node
+need (the others are certified negligible before the solve, by a
+closed-form resolvent bound against a proven lower bound of one solved
+term) and an optional barycentric-Chebyshev acceleration of the node
 solves.
 """
 

@@ -16,11 +16,12 @@ closed-form stencils, and only the rows it leaves take a banded or
 sparse LU, for which the sparse matrices are assembled.  The solution
 at time ``t`` is then the imaginary part of a trapezoid sum over the
 nodes.  Given the times to be summed, ``solve_nodes`` solves only the
-nodes nearest the real axis that those times need: a closed-form bound
-on each node's solution (``_solution_bounds``, a resolvent bound of
-Hesthaven, Rozza & Stamm 2016) certifies that the skipped nodes add less
-than the rounding unit of one solved term at every requested time.  The
-accelerated variant solves only ``n + 1`` systems at Chebyshev points in
+nodes nearest the real axis that those times need, chosen once before
+the one solve: a closed-form bound on each node's solution
+(``_solution_bounds``, a resolvent bound of Hesthaven, Rozza & Stamm
+2016) keeps the skipped nodes below the rounding unit of a proven lower
+bound of one solved term (``_solution_lower_bound``) at every requested
+time.  The accelerated variant solves only ``n + 1`` systems at Chebyshev points in
 the contour parameter and recovers all node values by barycentric
 interpolation.
 """
@@ -82,8 +83,8 @@ class ScalarDomain:
     a: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0.0:
-            raise ValueError(f"need a > 0, got {self.a}")
+        if not 0.0 < self.a < inf:  # a NaN fails too
+            raise ValueError(f"need finite a > 0, got {self.a}")
 
 
 @dataclass(frozen=True)
@@ -188,31 +189,30 @@ def _node_data(p: Problem, z: np.ndarray) -> tuple[np.ndarray, list[tuple[np.nda
     return p.sym.eta(z), [(p.sym.history_weight(z), p.u0), *((c, g) for g, c in p.source.evaluate(z).items())]
 
 
-def _solve_at(p: Problem, z: np.ndarray) -> np.ndarray:
-    """Laplace-domain solutions at the contour points ``z``, one row per point.
+def _solve_at(p: Problem, eta: np.ndarray, terms) -> np.ndarray:
+    """Laplace-domain solutions of the rows that ``_node_data`` gives ``eta`` and ``terms``, one row per point.
 
-    The symbol and the source transforms are evaluated once on all of
-    ``z``; each row's right-hand side combines the same few loads of
+    Each row's right-hand side combines the same few loads of
     ``discretize``.  1-D and 2-D problems take one modal solve over all
-    points, in 1-D with the cached ``modal_load`` transforms, and only
-    the rows that fail its backward-error test (or, in 2-D, its
-    iteration cap) are solved again: in 1-D by ``thomas_solve`` on the
-    row's Toeplitz weights, in 2-D by ``_node_solve``, for which the
-    sparse matrices are assembled once per call.
+    rows, with the cached ``modal_load`` transforms, and only the rows
+    that fail its backward-error test (or, in 2-D, its iteration cap)
+    are solved again: in 1-D by ``thomas_solve`` on the row's Toeplitz
+    weights, in 2-D by ``_node_solve``, for which the sparse matrices
+    are assembled once per call.
     """
     b = discretize(p)
-    eta, terms = _node_data(p, z)
     loads = [(c, b[g]) for c, g in terms]
+    if p.scalar:
+        return combine(loads) / (eta + p.domain.a)
+    modal_loads = [(c, modal_load(p.domain, g)) for c, g in terms]
     if isinstance(p.domain, Mesh1D):
         stencil = stencil_1d(p.domain)
-        u, ok = modal_solve(eta, stencil, loads, [(c, modal_load(p.domain, g)) for c, g in terms])
+        u, ok = modal_solve(eta, stencil, loads, modal_loads)
         for k in np.flatnonzero(~ok):
             diag, off = (eta[k] * w_m + w_s for w_m, w_s in zip(*stencil))
             u[k] = thomas_solve(off, diag, off, combine(loads, k))
         return u
-    if p.scalar:
-        return combine(loads) / (eta + p.domain.a)
-    u, ok = modal_solve_2d(eta, stencil_2d(p.domain), loads)
+    u, ok = modal_solve_2d(eta, stencil_2d(p.domain), loads, modal_loads)
     left = np.flatnonzero(~ok)
     if len(left):
         ops = assemble(p.domain)
@@ -267,30 +267,29 @@ def _solution_bounds(p: Problem, eta: np.ndarray, terms) -> np.ndarray:
     return size / (m_min * dist)
 
 
-def _modal_estimate(p: Problem, eta: complex, terms) -> float:
-    """``||u||_2`` of the solution of one row from the DST-diagonal part of ``eta M + S``.
+def _solution_lower_bound(p: Problem, eta: complex, terms) -> float:
+    """A lower bound of ``||u||_2`` for the row of ``_node_data`` that ``eta`` and the coefficients of ``terms`` give.
 
-    ``eta`` and the coefficients of ``terms`` are the row's entries of
-    ``_node_data``; the DST-I is orthonormal, so the norm is taken in
-    modal coordinates.  Exact on a scalar domain and in 1-D, where the
-    DST-I diagonalizes ``M`` and ``S``; in 2-D it leaves out the Kronecker
-    term of ``modal_solve_2d``, so it is the step of that solve's Jacobi
-    preconditioner.
+    In DST-I coordinates, which keep norms, the row is ``D X = R`` with
+    ``D = eta m + s`` on a scalar domain and in 1-D, where the bound is
+    the exact ``||R / D||``.  In 2-D it is ``(D + g K) X = R`` (as in
+    ``modal_solve_2d``, ``g = (eta d_M + d_S) / 2`` with the NE/SW
+    stencil weights ``d`` and ``||K|| = ||D_hat||^2 < 4``), so ``||X|| >=
+    ||R / D|| / (1 + eps)`` with ``eps = 2 |eta d_M + d_S| / min |D|``.
     """
     if p.scalar:
         b = discretize(p)
         return abs(sum(c * b[g] for c, g in terms) / (eta + p.domain.a))
     m, s, *_ = _spectrum(p.domain)
-    r_hat = sum(c * modal_load(p.domain, g) for c, g in terms)
-    return float(np.linalg.norm(r_hat / (eta * m + s)))
+    d = eta * m + s
+    size = float(np.linalg.norm(sum(c * modal_load(p.domain, g) for c, g in terms) / d))
+    if isinstance(p.domain, Mesh1D):
+        return size
+    (_, _, d_m), (_, _, d_s) = stencil_2d(p.domain)
+    return size / (1.0 + 2.0 * abs(eta * d_m + d_s) / np.min(np.abs(d)))
 
 
 UNIT_ROUNDOFF = 2.0**-53  # of IEEE double precision
-
-
-def _first_below(tail: np.ndarray, level: float, start: int = 0) -> int:
-    """The first index ``k >= start`` of the non-increasing ``tail`` with ``tail[k] <= level``."""
-    return start + int(np.argmax(tail[start:] <= level))
 
 
 def solve_nodes(p: Problem, quad: ContourQuadrature, times=None) -> np.ndarray:
@@ -304,49 +303,47 @@ def solve_nodes(p: Problem, quad: ContourQuadrature, times=None) -> np.ndarray:
     the node weights, ``j`` the node of largest weight and ``T_k = w_k
     bound_k`` with the ``_solution_bounds`` of every node.
 
-    - K is chosen as the first row whose tail ``sum_{k >= K} T_k`` is at
-      most ``UNIT_ROUNDOFF * w_j * e_j / sqrt(ndof)``, with ``e_j`` the
-      ``_modal_estimate`` of ``||u_j||_2``.  In 1-D that estimate is
-      exact, and ``||u_j||_2 / sqrt(ndof) <= ||u_j||_inf``.
-    - The certificate, after the solve: that tail is at most
-      ``UNIT_ROUNDOFF * w_j ||u_j||_inf``, the rounding unit of one
-      solved term.  Where it does not hold, K grows to the first row
-      where it does, up to N.
+    - K is the first row whose tail ``sum_{k >= K} T_k`` is at most
+      ``UNIT_ROUNDOFF * w_j * lower_j / sqrt(ndof)``, with ``lower_j``
+      the ``_solution_lower_bound`` of ``||u_j||_2``.  Since ``lower_j /
+      sqrt(ndof) <= ||u_j||_2 / sqrt(ndof) <= ||u_j||_inf``, the tail is
+      at most ``UNIT_ROUNDOFF * w_j ||u_j||_inf``, the rounding unit of
+      one solved term.
     - ``Re z_k`` falls along the contour, so for ``k > j`` the ratio
       ``|exp(z_k t)| / |exp(z_j t)|`` falls as t grows, and the one check
       at ``t1`` covers every later time.
 
     The bounds are not computed, and every node is solved, when the last
-    node's weight is not below ``UNIT_ROUNDOFF`` of the largest.  Data
-    that vanish give K = 0.
+    node's weight is not below ``UNIT_ROUNDOFF`` of the largest or a
+    bound overflows.  Data that vanish give K = 0.
     """
     _warn_pole_location(p, quad)
-    if times is None:
-        return _solve_at(p, quad.nodes)
-    t1 = _checked_times(quad, times).min()
+    t1 = None if times is None else _checked_times(quad, times).min()
+    eta, terms = _node_data(p, quad.nodes)
+    K = len(eta) if t1 is None else _rows_needed(p, quad, t1, eta, terms)
+    return _solve_at(p, eta[:K], [(c[:K], g) for c, g in terms])
+
+
+def _rows_needed(p: Problem, quad: ContourQuadrature, t1: float, eta: np.ndarray, terms) -> int:
+    """The K of ``solve_nodes`` at the earliest time ``t1``, from the node data ``eta`` and ``terms``."""
     weight = np.exp(quad.nodes.real * t1) * np.abs(quad.derivs)
     if weight[-1] > UNIT_ROUNDOFF * weight.max():
-        return _solve_at(p, quad.nodes)
-    eta, terms = _node_data(p, quad.nodes)
+        return len(weight)
     term = weight * _solution_bounds(p, eta, terms)
     tail = np.append(np.cumsum(term[::-1])[::-1], 0.0)  # tail[k] = sum of term[k:]
     if not np.isfinite(tail[0]):  # a term overflowed: no level can be trusted
-        return _solve_at(p, quad.nodes)
+        return len(weight)
     j = int(np.argmax(weight))
     ndof = 1 if p.scalar else p.domain.ndof
-    estimate = _modal_estimate(p, eta[j], [(c[j], g) for c, g in terms]) / sqrt(ndof)
-    K = _first_below(tail, UNIT_ROUNDOFF * weight[j] * estimate)
-    u = _solve_at(p, quad.nodes[:K])
-    if tail[K] > 0.0:  # else the skipped rows vanish, whatever the solved ones hold
-        certified = _first_below(tail, UNIT_ROUNDOFF * weight[j] * np.max(np.abs(u[j])), K)
-        if certified > K:
-            u = np.concatenate([u, _solve_at(p, quad.nodes[K:certified])])
-    return u
+    lower = _solution_lower_bound(p, eta[j], [(c[j], g) for c, g in terms])
+    return int(np.argmax(tail <= UNIT_ROUNDOFF * weight[j] * lower / sqrt(ndof)))
 
 
 def _checked_times(quad: ContourQuadrature, t) -> np.ndarray:
-    """``t`` as an array of times; CIMError unless each is finite and positive and ``(shift + mu) t <= 700``."""
+    """``t`` as an array of times; CIMError unless there is one, each is finite and positive and ``(shift + mu) t <= 700``."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if not ts.size:
+        raise CIMError("contour evaluation needs at least one time")
     bad = ~((0.0 < ts) & (ts < inf))  # a NaN time is bad too
     if np.any(bad):
         raise CIMError(f"contour evaluation needs finite t > 0, got {ts[bad][0]}")
@@ -428,7 +425,7 @@ def solve_nodes_accelerated(p: Problem, quad: ContourQuadrature, n: int) -> np.n
     _warn_pole_location(p, quad)
     pts = chebyshev_points(quad, n)
     z, _ = contour_point(quad.params, pts)
-    return barycentric_interpolate(pts, barycentric_weights(n), _solve_at(p, z), quad.phis)
+    return barycentric_interpolate(pts, barycentric_weights(n), _solve_at(p, *_node_data(p, z)), quad.phis)
 
 
 INTERP_EPS_MARGIN = 1e-3  # gap between the analyticity strip and the contour angle

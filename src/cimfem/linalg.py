@@ -376,6 +376,7 @@ def modal_solve_2d(
     eta: np.ndarray,
     stencil: tuple[tuple[float, float, float], tuple[float, float, float]],
     loads: Sequence[tuple[np.ndarray, np.ndarray]],
+    modal_loads: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``u_k`` of ``(eta_k M + S) u_k = rhs_k`` on the 2-D grid, by COCG in DST-I coordinates.
 
@@ -398,12 +399,12 @@ def modal_solve_2d(
     on the complex symmetric Schur complement in ``X[0::2]``.  ``Q`` is
     the sine matrix, so ``dst2`` and the Kronecker terms are the same
     kernel, ``_kron_apply``, and ``D_hat`` is ``dst2`` of ``D``, built
-    once per n (``_d_hat``).  The
-    right-hand sides are ``rhs_k = sum_m c_m[k] b_m`` over ``loads`` as
-    in ``modal_solve``, so each ``b_m`` is transformed once.  The rows
-    run in blocks of ``MODAL_BLOCK_2D`` (8192) entries, twice the 1-D
-    ``MODAL_BLOCK_1D`` (4096): one ``_cocg`` run and one transform back
-    per block.  Returns the solutions and a mask of the rows that
+    once per n (``_d_hat``).  The right-hand sides are ``rhs_k = sum_m
+    c_m[k] b_m`` over ``loads`` and the (n, n) ``dst2`` of each ``b_m``
+    in ``modal_loads``, as in ``modal_solve``.  The rows run in blocks of
+    ``MODAL_BLOCK_2D`` (8192) entries, twice the 1-D ``MODAL_BLOCK_1D``
+    (4096): one ``_cocg`` run and one transform back per block.
+    Returns the solutions and a mask of the rows that
     converged and pass ``_backward_ok`` with ``SPARSE_RESIDUAL_TOL``, as
     ``sparse_solve`` does, with the residual taken from the stencil; rows
     outside the mask must be solved again.
@@ -411,7 +412,6 @@ def modal_solve_2d(
     n = isqrt(len(loads[0][1]))
     (m, g_m), (s, g_s) = _modes_2d(stencil, n)
     d_hat = _d_hat(n)
-    modal_loads = [(c, dst2(b.reshape(n, n))) for c, b in loads]
     x = np.empty((len(eta), n * n), dtype=complex)
     ok = np.empty(len(eta), dtype=bool)
     rows = max(1, MODAL_BLOCK_2D // (n * n))

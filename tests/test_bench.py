@@ -322,9 +322,9 @@ class TestSharedWork:
         rows = []
         solve_at = cimfem.cim._solve_at
 
-        def counted(p, z):
-            rows.append(len(z))
-            return solve_at(p, z)
+        def counted(p, eta, terms):
+            rows.append(len(eta))
+            return solve_at(p, eta, terms)
 
         monkeypatch.setattr(cimfem.cim, "_solve_at", counted)
         return rows
@@ -357,7 +357,7 @@ class TestSharedWork:
         assert len(capsys.readouterr().out.strip().splitlines()) == 5
         assert sum(rows) == 4 * (64 + 7 + 11)
 
-    @pytest.mark.parametrize("example, rows_per_mesh", [("ex4_2d_case1", [43, 43, 43]), ("ex4_2d_case3", [42, 42, 43])])
+    @pytest.mark.parametrize("example, rows_per_mesh", [("ex4_2d_case1", [43, 43, 43]), ("ex4_2d_case3", [42, 43, 43])])
     def test_sweep_space_solves_the_rows_its_time_needs(self, monkeypatch, capsys, example, rows_per_mesh):
         # at t = 0.6 the outer 17 or 18 of 60 nodes are certified negligible on meshes 8, 16 and 32
         rows = self.count_node_solves(monkeypatch)

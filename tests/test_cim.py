@@ -17,8 +17,10 @@ from cimfem.cim import (
     CIMError,
     Problem,
     ScalarDomain,
+    _node_data,
     _node_solve,
     _solution_bounds,
+    _solution_lower_bound,
     _solve_at,
     _spectrum,
     barycentric_interpolate,
@@ -86,6 +88,11 @@ class TestScalarSolve:
         for t, val in zip((0.2, 0.8), solve(p, 80, (0.2, 0.8))):
             assert val == pytest.approx(mode_value(1.0, 0.5, math.pi ** 2, t), abs=1e-9)
 
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_domain_needs_finite_positive_a(self, a):
+        with pytest.raises(ValueError, match="need finite a > 0"):
+            ScalarDomain(a)
+
     def test_spectral_decay(self):
         p, exact = scalar_benchmark(0.5)
         errs = []
@@ -111,6 +118,17 @@ class TestEvaluateGuards:
         u = solve_nodes(p, quad)
         with pytest.raises(CIMError, match="needs finite t > 0"):
             evaluate(quad, u, t)
+
+    def test_empty_times_rejected(self, monkeypatch):
+        # every entry point that takes times raises the typed error, before any row is solved
+        p, _ = scalar_benchmark(0.5)
+        quad = node_quadrature(p, 20)
+        u = solve_nodes(p, quad)
+        rows = counted_solves(monkeypatch)
+        for call in (lambda: solve_nodes(p, quad, []), lambda: evaluate(quad, u, []), lambda: solve(p, 20, [])):
+            with pytest.raises(CIMError, match="needs at least one time"):
+                call()
+        assert rows == []
 
     def test_overflow_guard(self):
         p, _ = scalar_benchmark(0.5)
@@ -352,7 +370,7 @@ class TestSpatialSolve:
         rhs = np.outer(1.0 + z ** -0.5, loads[p.u0])
         [term] = p.source.terms
         rhs += np.outer(3.0 * math.pi ** 5 / (z - 1.5), loads[term.datum])
-        together = _solve_at(p, z)
+        together = _solve_at(p, *_node_data(p, z))
         for k in range(len(z)):
             ref = np.linalg.solve(eta[k] * mass + stiff, rhs[k])
             scale = np.max(np.abs(ref))
@@ -388,7 +406,7 @@ class TestModalNodeSolves:
         quad = node_quadrature(p, 80)
         z, _ = contour_point(quad.params, np.linspace(quad.phis[0], quad.phis[-1], N))
         _, ref = dense_node_solutions(p, z)
-        u = _solve_at(p, z)
+        u = _solve_at(p, *_node_data(p, z))
         # both solves are backward stable, so rows differ by a few eps times the
         # condition number max|eta m_j + s_j| / min|eta m_j + s_j| of the normal matrix
         (m_diag, m_off), (s_diag, s_off) = stencil_1d(p.domain)
@@ -419,7 +437,7 @@ class TestModalNodeSolves:
 
         monkeypatch.setattr(cimfem.linalg, "dst1", corrupted)
         monkeypatch.setattr(cimfem.cim, "thomas_solve", counted)
-        u = _solve_at(p, z)
+        u = _solve_at(p, *_node_data(p, z))
         assert len(solved) == 1
         np.testing.assert_allclose(solved[0], rhs[5], rtol=1e-14)
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -436,7 +454,7 @@ class TestModal2DNodeSolves:
         quad = node_quadrature(p, 80)
         z, _ = contour_point(quad.params, np.linspace(quad.phis[0], quad.phis[-1], N))
         _, ref = dense_node_solutions(p, z)
-        u = _solve_at(p, z)
+        u = _solve_at(p, *_node_data(p, z))
         assert np.all(np.max(np.abs(u - ref), axis=1) <= 1e-12 * np.max(np.abs(ref), axis=1))
 
     def fallback_run(self, monkeypatch):
@@ -464,7 +482,7 @@ class TestModal2DNodeSolves:
             return y
 
         monkeypatch.setattr(cimfem.linalg, "dst2", corrupted)
-        u = _solve_at(p, z)
+        u = _solve_at(p, *_node_data(p, z))
         assert len(solved) == 1
         np.testing.assert_allclose(solved[0], rhs[5], rtol=1e-14)
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -473,7 +491,7 @@ class TestModal2DNodeSolves:
         p, z, solved = self.fallback_run(monkeypatch)
         _, ref = dense_node_solutions(p, z)
         monkeypatch.setattr(cimfem.linalg, "COCG_MAX_ITER", 2)
-        u = _solve_at(p, z)
+        u = _solve_at(p, *_node_data(p, z))
         assert len(solved) == len(z)
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -573,7 +591,7 @@ def counted_solves(monkeypatch):
     """Points of each ``cim._solve_at`` call, one entry per call."""
     rows = []
     solve_at = cimfem.cim._solve_at
-    monkeypatch.setattr(cimfem.cim, "_solve_at", lambda p, z: rows.append(len(z)) or solve_at(p, z))
+    monkeypatch.setattr(cimfem.cim, "_solve_at", lambda p, eta, terms: rows.append(len(eta)) or solve_at(p, eta, terms))
     return rows
 
 
@@ -583,23 +601,26 @@ def catalog_meshes(example):
 
 
 class TestSolutionBounds:
-    """``_solution_bounds`` bounds every row without a solve, with the constants of ``_spectrum``."""
+    """``_solution_bounds`` and ``_solution_lower_bound`` bound every row without a solve, with the constants of ``_spectrum``."""
 
     @pytest.mark.parametrize("example", EXAMPLE_IDS)
     def test_every_row_is_bounded(self, example):
+        # from above and below; the lower bound is exact on a scalar domain and in 1-D,
+        # and in 2-D within the 1 + eps of the Kronecker term
         for beta, M, N in itertools.product((0.25, 0.5, 0.75), catalog_meshes(example), (20, 60, 100)):
             p = build_problem(example, beta, M).problem
-            z = node_quadrature(p, N).nodes
-            u = _solve_at(p, z)
+            eta, terms = _node_data(p, node_quadrature(p, N).nodes)
+            u = _solve_at(p, eta, terms)
             norms = np.abs(u) if p.scalar else np.linalg.norm(u, axis=1)
-            bounds = _solution_bounds(p, *cimfem.cim._node_data(p, z))
+            bounds = _solution_bounds(p, eta, terms)
             assert np.all(norms <= bounds * (1.0 + 1e-12)), (beta, M, N)
+            lower = [_solution_lower_bound(p, eta[k], [(c[k], g) for c, g in terms]) for k in range(N)]
+            assert np.all(lower <= norms * (1.0 + 1e-12)), (beta, M, N)
 
     def test_scalar_bound_is_the_solution(self):
         p, _ = scalar_benchmark(0.5)
-        z = node_quadrature(p, 40).nodes
-        bounds = _solution_bounds(p, *cimfem.cim._node_data(p, z))
-        np.testing.assert_allclose(bounds, np.abs(_solve_at(p, z)), rtol=1e-14)
+        eta, terms = _node_data(p, node_quadrature(p, 40).nodes)
+        np.testing.assert_allclose(_solution_bounds(p, eta, terms), np.abs(_solve_at(p, eta, terms)), rtol=1e-14)
 
     @pytest.mark.parametrize("M", [4, 8, 16])
     def test_2d_constants_hold_for_the_assembled_matrices(self, M):
@@ -655,26 +676,6 @@ class TestNodeSelection:
             self.assert_matches_all_rows(p, quad, times, selected)
         assert skipped > 0
 
-    def test_failed_certificate_extends_to_the_certified_rows(self, monkeypatch):
-        # an estimate 1e8 times too large picks too few rows a priori; the
-        # certificate then fails on the solved term, and the rows it certifies
-        # are added.  Unpatched, the a priori level ||u_j||_2 / sqrt(ndof) is at
-        # most the certificate's ||u_j||_inf, so it may keep a row more
-        p = build_problem("ex2_vanishing", 0.5, 16).problem
-        quad = node_quadrature(p, 200)
-        times = window_times(ContourConfig())
-        rows = counted_solves(monkeypatch)
-        unpatched = solve_nodes(p, quad, times)
-        certified = len(unpatched)
-        assert rows == [certified] and certified < 200
-        self.assert_matches_all_rows(p, quad, times, unpatched)
-        rows.clear()
-        estimate = cimfem.cim._modal_estimate
-        monkeypatch.setattr(cimfem.cim, "_modal_estimate", lambda *a: 1e8 * estimate(*a))
-        selected = solve_nodes(p, quad, times)
-        assert len(rows) == 2 and rows[0] < len(selected) == sum(rows) <= certified
-        self.assert_matches_all_rows(p, quad, times, selected)
-
     @pytest.mark.parametrize("domain, u0", [(ScalarDomain(1.0), 0.0), (Mesh1D(16), InitialData1D.zero())])
     def test_zero_data_solves_no_row(self, monkeypatch, domain, u0):
         p = Problem(sym=FractionalSymbol(1.0, 0.5), domain=domain, u0=u0)
@@ -701,7 +702,7 @@ class TestNodeSelection:
         times = window_times(ContourConfig())
         selected = solve_nodes(p, quad, times)
         K = len(selected)
-        bounds = _solution_bounds(p, *cimfem.cim._node_data(p, quad.nodes))
+        bounds = _solution_bounds(p, *_node_data(p, quad.nodes))
         j = int(np.argmax(np.abs(np.exp(quad.nodes * times[0]) * quad.derivs)))
         for t in times:
             w = np.abs(np.exp(quad.nodes * t) * quad.derivs)

@@ -1,5 +1,7 @@
 """Complex linear solver tests against dense LAPACK oracles."""
 
+from math import isqrt
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from cimfem import linalg
 from cimfem.bench import build_problem
-from cimfem.cim import _node_solve, discretize, problem_parameters
+from cimfem.cim import _node_solve, discretize, modal_load, problem_parameters
 from cimfem.contour import quadrature_nodes
 from cimfem.fem import Mesh1D, Mesh2D, assemble, stencil_1d, stencil_2d
 from cimfem.linalg import (
@@ -98,6 +100,11 @@ class TestThomas:
 def modal(loads):
     """The (coefficients, ``dst1`` of the vector) pairs of ``loads`` that ``modal_solve`` takes."""
     return [(c, dst1(b)) for c, b in loads]
+
+
+def modal_2d(loads):
+    """The (coefficients, (n, n) ``dst2`` of the vector) pairs of ``loads`` that ``modal_solve_2d`` takes."""
+    return [(c, dst2(b.reshape(isqrt(len(b)), -1))) for c, b in loads]
 
 
 class TestModal:
@@ -266,7 +273,7 @@ class TestModal2D:
         ops = assemble(mesh)
         eta = np.abs(rng.standard_normal(rows)) * 1e3 * np.exp(1j * rng.uniform(-2.5, 2.5, rows))
         loads = [(rng.standard_normal(rows) + 1j * rng.standard_normal(rows), rng.standard_normal(mesh.ndof)) for _ in range(2)]
-        x, ok = modal_solve_2d(eta, stencil_2d(mesh), loads)
+        x, ok = modal_solve_2d(eta, stencil_2d(mesh), loads, modal_2d(loads))
         assert ok.all()
         mass, stiff = ops.mass.toarray(), ops.stiffness.toarray()
         for k in range(rows):
@@ -278,7 +285,8 @@ class TestModal2D:
         mesh = Mesh2D(6)
         eta = np.array([2.0 - 30.0j, 5.0 + 1.0j])
         b = np.random.default_rng(6).standard_normal(mesh.ndof)
-        x, ok = modal_solve_2d(eta, stencil_2d(mesh), [(np.array([1.0, -2.0]), b)])
+        loads = [(np.array([1.0, -2.0]), b)]
+        x, ok = modal_solve_2d(eta, stencil_2d(mesh), loads, modal_2d(loads))
         assert ok.all()
         ops = assemble(mesh)
         for k, c in enumerate((1.0, -2.0)):
@@ -287,7 +295,8 @@ class TestModal2D:
 
     def test_zero_rows_are_zero(self):
         mesh = Mesh2D(5)
-        x, ok = modal_solve_2d(np.array([1.0 + 1j, 2.0]), stencil_2d(mesh), [(np.zeros(2), np.ones(16))])
+        loads = [(np.zeros(2), np.ones(16))]
+        x, ok = modal_solve_2d(np.array([1.0 + 1j, 2.0]), stencil_2d(mesh), loads, modal_2d(loads))
         assert ok.all() and not x.any()
 
     @pytest.mark.parametrize("example", ["ex4_2d_case1", "ex4_2d_case3"])
@@ -295,8 +304,8 @@ class TestModal2D:
     def test_tiny_meshes_match_the_sparse_solve(self, example, M):
         # n = 1 leaves the eliminated half empty and n = 2 one row in each half;
         # every row of the N = 60 contour passes and matches _node_solve
-        eta, stencil, loads = contour_systems(example, 0.5, M)
-        x, ok = modal_solve_2d(eta, stencil, loads)
+        eta, stencil, loads, modal_loads = contour_systems(example, 0.5, M)
+        x, ok = modal_solve_2d(eta, stencil, loads, modal_loads)
         assert ok.all()
         ops = assemble(Mesh2D(M))
         for k in range(len(eta)):
@@ -308,15 +317,10 @@ class TestModal2D:
     def test_blocking_cannot_change_a_row(self, example, M, monkeypatch):
         # the N = 60 contour's rows in one block each and all in one block
         # against the default blocks: the same mask, rows within 1e-12
-        p = build_problem(example, 0.5, M).problem
-        z = quadrature_nodes(problem_parameters(p, 60)).nodes
-        b = discretize(p)
-        loads = [(p.sym.history_weight(z), b[p.u0])]
-        loads += [(mult, b[g]) for g, mult in p.source.evaluate(z).items()]
-        args = (p.sym.eta(z), stencil_2d(p.domain), loads)
+        args = contour_systems(example, 0.5, M)
         x, ok = modal_solve_2d(*args)
         n = M - 1
-        for block in (n * n, len(z) * n * n):
+        for block in (n * n, len(x) * n * n):
             monkeypatch.setattr(linalg, "MODAL_BLOCK_2D", block)
             x_block, ok_block = modal_solve_2d(*args)
             assert np.array_equal(ok_block, ok)
@@ -339,13 +343,13 @@ class TestModal2D:
 
 
 def contour_systems(example, beta, M, N=60):
-    """(eta, stencil, loads) of ``modal_solve_2d`` on the N-point contour of a 2-D example."""
+    """(eta, stencil, loads, modal_loads) of ``modal_solve_2d`` on the N-point contour of a 2-D example."""
     p = build_problem(example, beta, M).problem
     z = quadrature_nodes(problem_parameters(p, N)).nodes
     b = discretize(p)
-    loads = [(p.sym.history_weight(z), b[p.u0])]
-    loads += [(mult, b[g]) for g, mult in p.source.evaluate(z).items()]
-    return p.sym.eta(z), stencil_2d(p.domain), loads
+    terms = [(p.sym.history_weight(z), p.u0), *((mult, g) for g, mult in p.source.evaluate(z).items())]
+    loads = [(c, b[g]) for c, g in terms]
+    return p.sym.eta(z), stencil_2d(p.domain), loads, [(c, modal_load(p.domain, g)) for c, g in terms]
 
 
 def d_hat_dense(n):
@@ -402,7 +406,7 @@ class TestPreconditioner:
         # ||E_ov E_vo|| <= ||E_ov|| ||E_vo|| <= |c_k|^2 ||D_vo|| ||D||^3 / (min |d_o| min |d_v|)
         # <= ||E_k||^2, with ||E_k|| <= |c_k| ||D||^2 / min |d_k| < 1 and ||D|| = 2 cos(pi / (n + 1))
         n = M - 1
-        eta, stencil, _ = contour_systems(example, beta, M)
+        eta, stencil, *_ = contour_systems(example, beta, M)
         (m, g_m), (s, g_s) = _modes_2d(stencil, n)
         d, c = eta[:, None, None] * m + s, np.abs(eta * g_m + g_s)
         norm_d = 2.0 * np.cos(np.pi / (n + 1))
@@ -451,9 +455,9 @@ class TestPreconditioner:
         # with X_v back-substituted, the Schur residual is the full row's residual:
         # its X_o half is what COCG stopped on and its X_v half is round-off
         n = M - 1
-        eta, stencil, loads = contour_systems(example, 0.5, M)
+        eta, stencil, _, modal_loads = contour_systems(example, 0.5, M)
         d, c, norm_a = modal_parts(eta, stencil, n)
-        b = linalg.combine([(c_m, dst2(b_m.reshape(n, n))) for c_m, b_m in loads])
+        b = linalg.combine(modal_loads)
         x, ok = linalg._cocg(d, c, _d_hat(n), b, norm_a)
         assert ok.all()
         d_dense = d_hat_dense(n)
