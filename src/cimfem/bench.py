@@ -24,7 +24,7 @@ import io
 import itertools
 import time
 from dataclasses import dataclass, field
-from math import gamma, inf, pi, sqrt
+from math import floor, gamma, inf, log10, pi, sqrt
 from typing import Callable
 
 import numpy as np
@@ -35,6 +35,7 @@ from .cim import (
     ScalarDomain,
     discretize,
     evaluate,
+    mesh_modes,
     modal_load,
     problem_parameters,
     solve_nodes,
@@ -57,9 +58,8 @@ from .fem import (
     mass_norm,
     prolong_1d,
     prolong_2d,
-    stencil_1d,
 )
-from .linalg import LinAlgError, dst1, toeplitz_eigenvalues
+from .linalg import LinAlgError, dst1
 from .mlf import MLError, mode_value
 from .symbols import FractionalSymbol, SourceTransform, SymbolError, pole_term, power_term
 
@@ -159,14 +159,14 @@ def _modal_solution(p: Problem, times) -> np.ndarray:
     """Exact semi-discrete solution of a source-free 1-D problem at ``times``, one row per time.
 
     The DST-I diagonalizes the tridiagonal Toeplitz M and S (fast
-    diagonalization): with their eigenvalues ``m_j`` and ``s_j`` and the
-    load ``b`` of the initial datum, mode j starts at ``dst1(b)_j / m_j``
-    and evolves by ``mode_value(K, beta, s_j / m_j, t)``.  No node system
-    is solved.  One ``mode_value`` call takes every time, so each time
-    window ``[T, 2 T]`` of the unit contour is one contour sum: 4 sums for
-    the 17 window times of the default contour.
+    diagonalization): with their eigenvalues ``m_j`` and ``s_j`` of
+    ``mesh_modes`` and the load ``b`` of the initial datum, mode j starts
+    at ``dst1(b)_j / m_j`` and evolves by ``mode_value(K, beta, s_j / m_j,
+    t)``.  No node system is solved.  One ``mode_value`` call takes every
+    time, so each time window ``[T, 2 T]`` of the unit contour is one
+    contour sum: 4 sums for the 17 window times of the default contour.
     """
-    m, s = (toeplitz_eigenvalues(diag, off, p.domain.ndof) for diag, off in stencil_1d(p.domain))
+    m, s, *_ = mesh_modes(p.domain)
     start = modal_load(p.domain, p.u0) / m
     return dst1(mode_value(p.sym.K, p.sym.beta, s / m, times) * start).real
 
@@ -390,9 +390,9 @@ class ErrorReport:
 
 
 def window_times(contour: ContourConfig, quoted=()) -> tuple[float, ...]:
-    """16 equispaced samples of the contour's window plus any quoted times, deduplicated."""
+    """16 equispaced samples of the contour's window, rounded to 12 digits of ``t0``, plus any quoted times, deduplicated."""
     grid = np.linspace(*contour.window, 16)
-    return tuple(sorted(set(np.round(grid, 12)) | set(quoted)))
+    return tuple(sorted(set(np.round(grid, 11 - floor(log10(contour.t0)))) | set(quoted)))
 
 
 def _time_rows(spec: ExperimentSpec, beta: float, M: int) -> list[dict]:

@@ -21,7 +21,8 @@ the one solve: a closed-form bound on each node's solution
 (``_solution_bounds``, a resolvent bound of Hesthaven, Rozza & Stamm
 2016) keeps the skipped nodes below the rounding unit of a proven lower
 bound of one solved term (``_solution_lower_bound``) at every requested
-time.  The accelerated variant solves only ``n + 1`` systems at Chebyshev points in
+time.  Both bounds and the solves read one modal record per mesh,
+``mesh_modes``.  The accelerated variant solves only ``n + 1`` systems at Chebyshev points in
 the contour parameter and recovers all node values by barycentric
 interpolation.
 """
@@ -59,15 +60,15 @@ from .fem import (
     stencil_2d,
 )
 from .linalg import (
-    _modes_2d,
+    ModalParts,
     combine,
     dst1,
     dst2,
+    modal_parts,
     modal_solve,
     modal_solve_2d,
     sparse_solve,
     thomas_solve,
-    toeplitz_eigenvalues,
 )
 from .symbols import FractionalSymbol, SourceTransform
 
@@ -221,29 +222,9 @@ def _solve_at(p: Problem, eta: np.ndarray, terms) -> np.ndarray:
     return u
 
 
-@lru_cache(maxsize=32)
-def _spectrum(mesh: Mesh1D | Mesh2D) -> tuple[np.ndarray, np.ndarray, float, float, float]:
-    """``(m, s, lambda_min(M), lam_lo, lam_hi)`` of a mesh, once per mesh: what the bounds of the node solves read.
-
-    ``m`` and ``s`` are the DST-diagonal parts of ``M`` and ``S``: their
-    DST-I eigenvalues in 1-D, the (n, n) arrays of ``modal_solve_2d`` in
-    2-D.  ``[lam_lo, lam_hi]`` holds the eigenvalues of the pencil ``(S,
-    M)``.  In 1-D ``lambda_min(M) = min m_j`` and the interval ends are
-    the ``min`` and ``max`` of ``s_j / m_j``.  In 2-D, with ``a = h^2 /
-    12``, the DST-diagonal part of ``M`` lies in ``[4a, 12a]`` and its
-    Kronecker term ``(a / 2) D_hat x D_hat`` has norm below ``2a``, so
-    the eigenvalues of ``M`` lie in ``(2a, 14a)``; those of ``S`` lie in
-    ``(0, 8)``, so the pencil's lie in ``(0, 4 / a)``.
-    """
-    if isinstance(mesh, Mesh1D):
-        m, s = (toeplitz_eigenvalues(diag, off, mesh.ndof) for diag, off in stencil_1d(mesh))
-        lam = s / m
-        return m, s, m.min(), lam.min(), lam.max()
-    stencil = stencil_2d(mesh)
-    (m, _), (s, _) = _modes_2d(stencil, mesh.M - 1)
-    m.flags.writeable = s.flags.writeable = False
-    a = stencil[0][1]  # the mass stencil is a (6, 1, 1)
-    return m, s, 2.0 * a, 0.0, 4.0 / a
+def mesh_modes(mesh: Mesh1D | Mesh2D) -> ModalParts:
+    """The shared, read-only ``modal_parts`` record of the mesh's mass and stiffness stencils."""
+    return modal_parts(stencil_1d(mesh) if isinstance(mesh, Mesh1D) else stencil_2d(mesh), mesh.M - 1)
 
 
 def _solution_bounds(p: Problem, eta: np.ndarray, terms) -> np.ndarray:
@@ -254,14 +235,15 @@ def _solution_bounds(p: Problem, eta: np.ndarray, terms) -> np.ndarray:
     lam_hi]))`` when ``[lam_lo, lam_hi]`` holds the eigenvalues of the
     pencil ``(S, M)`` (the stability constant of Hesthaven, Rozza & Stamm
     2016), so ``||u_k||_2 <= sum_m |c_m(z_k)| ||b_m||_2 / (lambda_min(M)
-    dist(-eta_k, [lam_lo, lam_hi]))`` over the loads, with the constants
-    of ``_spectrum``.  On a scalar domain the bound is the exact
+    dist(-eta_k, [lam_lo, lam_hi]))`` over the loads, with the bound
+    ``m_min`` of ``lambda_min(M)`` and the interval of the mesh's
+    ``mesh_modes`` record.  On a scalar domain the bound is the exact
     ``|rhs_k| / |eta_k + a|``.
     """
     b = discretize(p)
     if p.scalar:
         return np.abs(combine([(c, b[g]) for c, g in terms]) / (eta + p.domain.a))
-    _, _, m_min, lo, hi = _spectrum(p.domain)
+    *_, m_min, lo, hi = mesh_modes(p.domain)
     dist = np.abs(eta + np.clip(-eta.real, lo, hi))
     size = sum(np.abs(c) * np.linalg.norm(b[g]) for c, g in terms)
     return size / (m_min * dist)
@@ -270,23 +252,20 @@ def _solution_bounds(p: Problem, eta: np.ndarray, terms) -> np.ndarray:
 def _solution_lower_bound(p: Problem, eta: complex, terms) -> float:
     """A lower bound of ``||u||_2`` for the row of ``_node_data`` that ``eta`` and the coefficients of ``terms`` give.
 
-    In DST-I coordinates, which keep norms, the row is ``D X = R`` with
-    ``D = eta m + s`` on a scalar domain and in 1-D, where the bound is
-    the exact ``||R / D||``.  In 2-D it is ``(D + g K) X = R`` (as in
-    ``modal_solve_2d``, ``g = (eta d_M + d_S) / 2`` with the NE/SW
-    stencil weights ``d`` and ``||K|| = ||D_hat||^2 < 4``), so ``||X|| >=
-    ||R / D|| / (1 + eps)`` with ``eps = 2 |eta d_M + d_S| / min |D|``.
+    In DST-I coordinates, which keep norms, the row is ``(D + g K) X =
+    R`` with ``D = eta m + s``, ``g = eta g_M + g_S`` and ``||K|| < 4``,
+    from the mesh's ``mesh_modes`` record, so ``||X|| >= ||R / D|| / (1 +
+    4 |g| / min |D|)``; in 1-D ``g = 0`` and the bound is the exact
+    ``||R / D||``.  On a scalar domain it is the exact ``|R| / |eta +
+    a|``.
     """
     if p.scalar:
         b = discretize(p)
         return abs(sum(c * b[g] for c, g in terms) / (eta + p.domain.a))
-    m, s, *_ = _spectrum(p.domain)
-    d = eta * m + s
+    parts = mesh_modes(p.domain)
+    d = eta * parts.m + parts.s
     size = float(np.linalg.norm(sum(c * modal_load(p.domain, g) for c, g in terms) / d))
-    if isinstance(p.domain, Mesh1D):
-        return size
-    (_, _, d_m), (_, _, d_s) = stencil_2d(p.domain)
-    return size / (1.0 + 2.0 * abs(eta * d_m + d_s) / np.min(np.abs(d)))
+    return size / (1.0 + 4.0 * abs(eta * parts.g_m + parts.g_s) / np.min(np.abs(d)))
 
 
 UNIT_ROUNDOFF = 2.0**-53  # of IEEE double precision

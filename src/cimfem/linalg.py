@@ -8,8 +8,9 @@ Thomas 1964).  In 1-D both operators are symmetric tridiagonal Toeplitz
 matrices that the DST-I diagonalizes, so ``modal_solve`` treats all
 nodes at once: from the DST-I of each load vector that the right-hand
 sides combine (the caller keeps them), one elementwise division by
-``eta_k m_j + s_j`` and a DST-I back, by FFT (``dst1``).  The
-eigenvalues ``m_j`` and ``s_j`` are computed once per mesh.  In 2-D the two-dimensional DST-I diagonalizes
+``eta_k m_j + s_j`` and a DST-I back, by FFT (``dst1``).  One cached
+record per stencil, ``modal_parts``, states the modal splitting for the
+solves and for ``cim``'s node-selection bounds.  In 2-D the two-dimensional DST-I diagonalizes
 each operator but a small Kronecker term, which couples each y mode
 only to modes of the other parity.  So ``modal_solve_2d`` eliminates one
 parity half of every row exactly and runs COCG on the half-size Schur
@@ -31,6 +32,7 @@ sparse fallback needs assembled matrices.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from math import isqrt, prod, sqrt
 from typing import Sequence
@@ -123,17 +125,45 @@ def combine(loads: Sequence[tuple[np.ndarray, np.ndarray]], rows=slice(None)) ->
     return out
 
 
-# A pure function of two weights and an order, so each mesh's eigenvalues are
-# computed once per process; callers share the read-only array.
-@lru_cache(maxsize=64)
 def toeplitz_eigenvalues(diag: float, off: float, n: int) -> np.ndarray:
-    """Eigenvalues ``diag + 2 off cos(j pi / (n + 1))``, j = 1..n, of ``tridiag(off, diag, off)``, read-only.
+    """Eigenvalues ``diag + 2 off cos(j pi / (n + 1))``, j = 1..n, of ``tridiag(off, diag, off)``.
 
     The n x n matrix has the DST-I basis vectors as eigenvectors, in this order.
     """
-    lam = diag + 2.0 * off * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
-    lam.flags.writeable = False
-    return lam
+    return diag + 2.0 * off * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+
+
+ModalParts = namedtuple("ModalParts", "m s g_m g_s m_min lam_lo lam_hi")
+
+
+# once per (stencil, n) and process: the solves and the node-selection bounds share it
+@lru_cache(maxsize=32)
+def modal_parts(stencil: tuple[tuple[float, ...], tuple[float, ...]], n: int) -> ModalParts:
+    """The DST-I splitting ``M = diag(m) + g_M K``, ``S = diag(s) + g_S K`` of a stencil pair, with bounds of its spectra; read-only.
+
+    A 1-D (diagonal, off-diagonal) pair of ``fem.stencil_1d`` on n points
+    has ``m`` and ``s`` from ``toeplitz_eigenvalues`` and ``g = 0``; a 2-D
+    (c, a, d) triple of ``fem.stencil_2d`` has the (n, n) parts and ``g =
+    d / 2`` derived in ``modal_solve_2d``, with ``K = kron(D_hat, D_hat)``.
+    One lemma gives the constants: ``||K|| = ||D_hat||^2 < 4``, so with
+    ``k = 4 |g|`` Rayleigh quotients give ``lambda_min(M) >= m_min =
+    min(m - k_M)`` and, while ``m - k_M > 0``, put the pencil ``(S, M)``
+    in ``[lam_lo, lam_hi]``, the hull of the ratios ``(s +- k_S) / (m +-
+    k_M)``.  The stencils of ``fem`` keep ``m - k_M > 0``: in 1-D ``k_M =
+    0`` and ``m > h / 3``; in 2-D, with the mass weights ``(6a, a, a)``,
+    ``m = a (4 + (c_j + 2) (c_l + 2) / 2) > 4a`` and ``k_M = 2a``.  In
+    1-D the constants are the exact extremes.
+    """
+    if len(stencil[0]) == 2:
+        (m, g_m), (s, g_s) = ((toeplitz_eigenvalues(diag, off, n), 0.0) for diag, off in stencil)
+    else:
+        cy = toeplitz_eigenvalues(0.0, 1.0, n)[:, None]
+        cx = cy.T
+        (m, g_m), (s, g_s) = ((c + a * (cy + cx) + d * cy * cx / 2.0, d / 2.0) for c, a, d in stencil)
+    m.flags.writeable = s.flags.writeable = False
+    k_m, k_s = 4.0 * abs(g_m), 4.0 * abs(g_s)
+    ratios = [(s + e) / (m + f) for e in (-k_s, k_s) for f in (-k_m, k_m)]
+    return ModalParts(m, s, g_m, g_s, np.min(m - k_m), min(map(np.min, ratios)), max(map(np.max, ratios)))
 
 
 # entries per block of rows of the 1-D modal solve: whole-array temporaries
@@ -164,7 +194,7 @@ def modal_solve(
 
     ``stencil`` gives the (diagonal, off-diagonal) weights of ``M`` and
     of ``S`` (from ``fem.stencil_1d``), whose DST-I eigenvalues ``m_j``
-    and ``s_j`` are those of ``toeplitz_eigenvalues``.  The right-hand
+    and ``s_j`` are those of the ``modal_parts`` record.  The right-hand
     sides are ``rhs_k = sum_m c_m[k] b_m`` over the (coefficients
     ``c_m``, vector ``b_m``) pairs of ``loads``; ``modal_loads`` holds
     the same pairs with ``dst1(b_m)`` in place of ``b_m``, so a caller
@@ -174,7 +204,7 @@ def modal_solve(
     mask must be solved again.
     """
     n = len(loads[0][1])
-    m, s = (toeplitz_eigenvalues(diag, off, n) for diag, off in stencil)
+    m, s, *_ = modal_parts(stencil, n)
     x = np.empty((len(eta), n), dtype=complex)
     ok = np.empty(len(eta), dtype=bool)
     rows = max(1, MODAL_BLOCK_1D // n)
@@ -361,17 +391,6 @@ def _stencil_norm_2d(weights: Sequence[np.ndarray], n: int) -> np.ndarray:
     return centre + 2 * k * axial + k * diagonal
 
 
-def _modes_2d(stencil: Sequence[tuple[float, float, float]], n: int) -> list[tuple[np.ndarray, float]]:
-    """(DST-diagonal part, ``kron(D, D)`` weight) of each (c, a, d) stencil on the n x n grid.
-
-    The (n, n) part is ``c + a (c_j + c_l) + d c_j c_l / 2`` and the
-    weight ``d / 2``, as derived in ``modal_solve_2d``.
-    """
-    cy = toeplitz_eigenvalues(0.0, 1.0, n)[:, None]
-    cx = cy.T
-    return [(c + a * (cy + cx) + d * cy * cx / 2.0, d / 2.0) for c, a, d in stencil]
-
-
 def modal_solve_2d(
     eta: np.ndarray,
     stencil: tuple[tuple[float, float, float], tuple[float, float, float]],
@@ -389,7 +408,7 @@ def modal_solve_2d(
     ``C`` has the DST-I eigenvalues ``c_j = 2 cos(j pi / (n + 1))``, so
     all but the last term is diagonal on the 2-D DST-I basis, with entry
     ``c + a (c_j + c_l) + d c_j c_l / 2`` at ``[j, l]`` (y mode j, x
-    mode l), by ``_modes_2d``: ``m`` for ``M`` and ``s`` for ``S``.  In modal coordinates
+    mode l), by ``modal_parts``: ``m`` for ``M`` and ``s`` for ``S``.  In modal coordinates
     row ``k`` is ``(eta_k m + s) X + g_k D_hat X D_hat^T = B_k`` with
     ``g_k = (eta_k d_M + d_S) / 2`` and the real ``D_hat = Q D Q``.
     ``D_hat`` is skew and its entries ``[i, l]`` with ``i + l`` even are
@@ -410,7 +429,7 @@ def modal_solve_2d(
     outside the mask must be solved again.
     """
     n = isqrt(len(loads[0][1]))
-    (m, g_m), (s, g_s) = _modes_2d(stencil, n)
+    m, s, g_m, g_s, *_ = modal_parts(stencil, n)
     d_hat = _d_hat(n)
     x = np.empty((len(eta), n * n), dtype=complex)
     ok = np.empty(len(eta), dtype=bool)

@@ -437,3 +437,13 @@ def test_window_times_contains_quoted_and_sorted():
     assert 0.6 in ts and 0.37 in ts
     assert list(ts) == sorted(ts)
     assert ts[0] == pytest.approx(0.1) and ts[-1] == pytest.approx(1.0)
+
+
+def test_window_times_keep_every_sample_of_a_tiny_window():
+    # rounding follows the window's scale: at t0 = 1e-13 the 16 samples stay distinct and
+    # positive, and the default window's samples are its 16 points rounded to 12 decimals
+    ts = window_times(ContourConfig(t0=1e-13))
+    assert len(ts) == 16 and ts[0] > 0.0
+    assert ts[0] == pytest.approx(1e-13) and ts[-1] == pytest.approx(1e-12)
+    assert window_times(ContourConfig()) == tuple(sorted(set(np.round(np.linspace(0.1, 1.0, 16), 12))))
+    assert main(["sweep-time", "--example", "ex3_1d_case1", "--t0", "1e-13", "--N", "20", "--M", "8", "--times", "5e-13"]) == 0

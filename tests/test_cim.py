@@ -22,13 +22,13 @@ from cimfem.cim import (
     _solution_bounds,
     _solution_lower_bound,
     _solve_at,
-    _spectrum,
     barycentric_interpolate,
     barycentric_weights,
     chebyshev_points,
     discretize,
     UNIT_ROUNDOFF,
     evaluate,
+    mesh_modes,
     predicted_interp_decay,
     problem_parameters,
     solve_nodes,
@@ -280,7 +280,7 @@ class TestProcessCaches:
 
     @pytest.mark.parametrize("example", ["ex2_vanishing", "ex3_1d_case2", "ex4_2d_case1"])
     def test_modal_data_are_shared_read_only_and_exact(self, example):
-        # each load's DST-I coordinates once per (mesh, datum), each mesh's eigenvalues once per process
+        # each load's DST-I coordinates once per (mesh, datum), each mesh's modal record once per process
         p = build_problem(example, 0.5, 8).problem
         for g, b in discretize(p).items():
             b_hat = cimfem.cim.modal_load(p.domain, g)
@@ -288,9 +288,9 @@ class TestProcessCaches:
             transform = cimfem.linalg.dst1 if isinstance(p.domain, Mesh1D) else cimfem.linalg.dst2
             assert b_hat.tobytes() == transform(grid).tobytes() and not b_hat.flags.writeable
             assert cimfem.cim.modal_load(build_problem(example, 0.25, 8).problem.domain, g) is b_hat
-        (m_diag, m_off), _ = stencil_1d(Mesh1D(8))
-        m = toeplitz_eigenvalues(m_diag, m_off, 7)
-        assert toeplitz_eigenvalues(m_diag, m_off, 7) is m and not m.flags.writeable
+        parts = mesh_modes(p.domain)
+        assert mesh_modes(build_problem(example, 0.25, 8).problem.domain) is parts
+        assert not (parts.m.flags.writeable or parts.s.flags.writeable)
 
 
 @pytest.mark.parametrize(
@@ -601,7 +601,7 @@ def catalog_meshes(example):
 
 
 class TestSolutionBounds:
-    """``_solution_bounds`` and ``_solution_lower_bound`` bound every row without a solve, with the constants of ``_spectrum``."""
+    """``_solution_bounds`` and ``_solution_lower_bound`` bound every row without a solve, with the ``mesh_modes`` record."""
 
     @pytest.mark.parametrize("example", EXAMPLE_IDS)
     def test_every_row_is_bounded(self, example):
@@ -628,9 +628,11 @@ class TestSolutionBounds:
         ops = assemble(mesh)
         mass, stiff = ops.mass.toarray(), ops.stiffness.toarray()
         a = mesh.h**2 / 12.0
-        _, _, m_min, lo, hi = _spectrum(mesh)
-        assert (m_min, lo, hi) == pytest.approx((2.0 * a, 0.0, 4.0 / a), rel=1e-15)
+        *_, m_min, lo, hi = mesh_modes(mesh)
+        # the lemma's constants are at least as tight as the closed forms (2a, 0, 4/a)
+        assert m_min >= 2.0 * a and lo >= 0.0 and hi <= 4.0 / a
         lam_m, lam_s = np.linalg.eigvalsh(mass), np.linalg.eigvalsh(stiff)
+        assert m_min <= lam_m.min()
         assert 2.0 * a < lam_m.min() and lam_m.max() < 14.0 * a
         assert 0.0 < lam_s.min() and lam_s.max() < 8.0
         lam = scipy.linalg.eigh(stiff, mass, eigvals_only=True)
@@ -642,7 +644,7 @@ class TestSolutionBounds:
         h, n = mesh.h, mesh.ndof
         t = np.eye(n, k=1) + np.eye(n, k=-1)
         mass, stiff = h / 6.0 * (4.0 * np.eye(n) + t), (2.0 * np.eye(n) - t) / h
-        _, _, m_min, lo, hi = _spectrum(mesh)
+        *_, m_min, lo, hi = mesh_modes(mesh)
         assert m_min == pytest.approx(np.linalg.eigvalsh(mass).min(), rel=1e-12)
         lam = scipy.linalg.eigh(stiff, mass, eigvals_only=True)
         assert (lo, hi) == pytest.approx((lam.min(), lam.max()), rel=1e-12)

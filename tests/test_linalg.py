@@ -18,11 +18,11 @@ from cimfem.linalg import (
     LinAlgError,
     _d_hat,
     _kron_apply,
-    _modes_2d,
     _sine_matrix,
     _stencil_norm_2d,
     dst1,
     dst2,
+    modal_parts,
     modal_solve,
     modal_solve_2d,
     sparse_solve,
@@ -252,7 +252,7 @@ class TestModal2D:
         n = M - 1
         rng = np.random.default_rng(M)
         ops = assemble(Mesh2D(M))
-        (m, g_m), (s, g_s) = _modes_2d(stencil_2d(Mesh2D(M)), n)
+        m, s, g_m, g_s, *_ = modal_parts(stencil_2d(Mesh2D(M)), n)
         q = sine_matrix(n)
         d_hat = q @ (np.eye(n, k=1) - np.eye(n, k=-1)) @ q
         eta = 3.0 - 40.0j
@@ -342,6 +342,40 @@ class TestModal2D:
             assert got == pytest.approx(want, rel=1e-14)
 
 
+class TestModalParts:
+    """The one modal record of a stencil pair, which the solves and the node-selection bounds read."""
+
+    @pytest.mark.parametrize("M", [2, 7, 64])
+    def test_1d_record_is_the_toeplitz_eigenvalues(self, M):
+        stencil = stencil_1d(Mesh1D(M))
+        parts = modal_parts(stencil, M - 1)
+        for got, (diag, off) in zip((parts.m, parts.s), stencil):
+            assert got.tobytes() == toeplitz_eigenvalues(diag, off, M - 1).tobytes()
+        assert parts.g_m == parts.g_s == 0.0
+
+    @pytest.mark.parametrize("M", [4, 8, 16])
+    def test_2d_record_splits_the_assembled_matrices(self, M):
+        # kron(Q, Q) A kron(Q, Q) - diag(part) has norm at most 4 |g| for the mass and the
+        # stiffness matrix, with the sine matrix Q formed densely here; the stiffness g is 0
+        n = M - 1
+        ops = assemble(Mesh2D(M))
+        parts = modal_parts(stencil_2d(Mesh2D(M)), n)
+        q = np.kron(sine_matrix(n), sine_matrix(n))
+        for a, part, g in ((ops.mass, parts.m, parts.g_m), (ops.stiffness, parts.s, parts.g_s)):
+            rest = q @ a.toarray() @ q - np.diag(part.ravel())
+            assert np.linalg.norm(rest, 2) <= 4.0 * abs(g) + 1e-13 * np.max(np.abs(part))
+
+    @pytest.mark.parametrize("mesh, stencil", [(Mesh1D(8), stencil_1d), (Mesh2D(8), stencil_2d)])
+    def test_record_is_cached_and_read_only(self, mesh, stencil):
+        parts = modal_parts(stencil(mesh), 7)
+        assert modal_parts(stencil(type(mesh)(8)), 7) is parts
+        for part in (parts.m, parts.s):
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 1.0
+        with pytest.raises(AttributeError):
+            parts.m_min = 0.0
+
+
 def contour_systems(example, beta, M, N=60):
     """(eta, stencil, loads, modal_loads) of ``modal_solve_2d`` on the N-point contour of a 2-D example."""
     p = build_problem(example, beta, M).problem
@@ -358,9 +392,9 @@ def d_hat_dense(n):
     return q @ (np.eye(n, k=1) - np.eye(n, k=-1)) @ q
 
 
-def modal_parts(eta, stencil, n):
+def row_parts(eta, stencil, n):
     """``d``, ``c`` and ``norm_a`` of ``modal_solve_2d``'s rows ``eta`` on the n x n grid."""
-    (m, g_m), (s, g_s) = _modes_2d(stencil, n)
+    m, s, g_m, g_s, *_ = modal_parts(stencil, n)
     weights = [eta[:, None, None] * w_m + w_s for w_m, w_s in zip(*stencil)]
     return eta[:, None, None] * m + s, eta * g_m + g_s, _stencil_norm_2d(weights, n)[:, 0, 0]
 
@@ -374,7 +408,7 @@ class TestPreconditioner:
         n = M - 1
         eta_near = contour_systems("ex4_2d_case1", 0.5, M)[0]
         eta = np.array([3e3 * np.exp(2.2j), eta_near[np.argmin(np.abs(eta_near))]])
-        d, c, norm_a = modal_parts(eta, stencil_2d(Mesh2D(M)), n)
+        d, c, norm_a = row_parts(eta, stencil_2d(Mesh2D(M)), n)
         d_dense = d_hat_dense(n)
         d_o, d_v = d[:, ::2], d[:, 1::2]
         g = (c**2)[:, None, None] / d_v
@@ -407,7 +441,7 @@ class TestPreconditioner:
         # <= ||E_k||^2, with ||E_k|| <= |c_k| ||D||^2 / min |d_k| < 1 and ||D|| = 2 cos(pi / (n + 1))
         n = M - 1
         eta, stencil, *_ = contour_systems(example, beta, M)
-        (m, g_m), (s, g_s) = _modes_2d(stencil, n)
+        m, s, g_m, g_s, *_ = modal_parts(stencil, n)
         d, c = eta[:, None, None] * m + s, np.abs(eta * g_m + g_s)
         norm_d = 2.0 * np.cos(np.pi / (n + 1))
         min_o, min_v = (np.min(np.abs(h), axis=(1, 2)) for h in (d[:, ::2], d[:, 1::2]))
@@ -456,7 +490,7 @@ class TestPreconditioner:
         # its X_o half is what COCG stopped on and its X_v half is round-off
         n = M - 1
         eta, stencil, _, modal_loads = contour_systems(example, 0.5, M)
-        d, c, norm_a = modal_parts(eta, stencil, n)
+        d, c, norm_a = row_parts(eta, stencil, n)
         b = linalg.combine(modal_loads)
         x, ok = linalg._cocg(d, c, _d_hat(n), b, norm_a)
         assert ok.all()
